@@ -269,6 +269,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # the query parser and the solver recurse on term depth
+        print("error: input nested too deeply: Python recursion limit reached", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

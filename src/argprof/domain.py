@@ -26,11 +26,21 @@ output:
     psi:[profile|profile|...]
     profile  ::=  { oset ; oset ; ... }          osets sorted by target
     oset     ::=  ( op , op , ... ) -> target    ops sorted by canon_op
+
+A psi payload holds its callee's profile, which holds the callee's own psi
+operations, so the expanded text grows exponentially with call depth even
+though the values themselves are shared. Each ``PsiOp`` therefore computes
+its canonical string once, on first use, and keeps it; every later
+serialization that meets the operation (a sort key, a profile, an enclosing
+payload, a JSON op) reuses that shared string, so serializing costs time
+linear in the length of the output. ``PsiOp`` equality and hashing go
+through the same string. The external format is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -81,9 +91,24 @@ class PsiOp:
     Only the ordered profile sequence is stored, so two call sites whose
     callees have equal ordered profiles produce the same operation no
     matter how each callee's arguments were originally arranged.
+
+    Equality and hashing compare the canonical string, which ``canon_op``
+    makes injective, instead of walking the nested payload.
     """
 
     profiles: tuple["ArgumentProfile", ...]
+
+    @cached_property
+    def canon(self) -> str:
+        return "psi:" + canon_profile_seq(self.profiles)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PsiOp:
+            return NotImplemented
+        return self.canon == other.canon
+
+    def __hash__(self) -> int:
+        return hash(self.canon)
 
 
 Operation = AssignOp | TestOp | ConstructOp | DeconstructOp | PsiBotOp | PsiOp
@@ -165,7 +190,7 @@ def canon_op(op: Operation) -> str:
     if isinstance(op, PsiBotOp):
         return "psi_bot"
     if isinstance(op, PsiOp):
-        return f"psi:{canon_profile_seq(op.profiles)}"
+        return op.canon
     raise TypeError(f"not an operation: {op!r}")
 
 

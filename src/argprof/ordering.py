@@ -18,8 +18,10 @@ differ only by an argument permutation get identical ordered profiles.
 from __future__ import annotations
 
 import functools
+# Not typing.Callable: typing caches parameterized aliases, and that cache
+# kept every re-imported copy of argprof.domain alive through ProfileOrder.
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .domain import (
     ArgumentProfile,

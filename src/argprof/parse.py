@@ -35,7 +35,6 @@ from .syntax import (
     Predicate,
     Program,
     Test,
-    UndefinedPredicateError,
     Var,
     make_program,
 )
@@ -353,10 +352,7 @@ def parse_program(source: str) -> Program:
                             atom.col,
                         )
 
-    try:
-        return make_program(built)
-    except UndefinedPredicateError as exc:  # already reported above; defensive
-        raise ProgramError(str(exc), exc.line, exc.col) from exc
+    return make_program(built)
 
 
 # ---------------------------------------------------------------------------

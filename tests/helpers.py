@@ -11,6 +11,7 @@ from argprof import (
     ASSIGN,
     PSI_BOT,
     ArgumentProfile,
+    AssignOp,
     ConstructOp,
     DeconstructOp,
     GroundTerm,
@@ -19,7 +20,9 @@ from argprof import (
     OSet,
     Operation,
     Program,
+    PsiBotOp,
     PsiOp,
+    TestOp,
     bottom,
     join_interaction,
     make_interaction,
@@ -94,6 +97,39 @@ def naive_closure(
 
 def as_edge_dict(s: InteractionSet) -> dict[tuple[str, str], dict[int, Operation]]:
     return {(i.source, i.target): i.by_point() for i in s}
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: canonical strings by uncached recursion
+# ---------------------------------------------------------------------------
+
+
+def reference_canon_op(op: Operation) -> str:
+    """The canonical string, written from the grammar in the
+    ``argprof.domain`` docstring. It walks every psi payload anew and keeps
+    nothing, so it is exponential in call depth."""
+    match op:
+        case AssignOp():
+            return "assign"
+        case TestOp():
+            return "test"
+        case ConstructOp(functor, arity):
+            return f"construct:{functor}/{arity}"
+        case DeconstructOp(functor, arity):
+            return f"deconstruct:{functor}/{arity}"
+        case PsiBotOp():
+            return "psi_bot"
+        case PsiOp(profiles):
+            return "psi:[" + "|".join(reference_canon_profile(p) for p in profiles) + "]"
+    raise TypeError(f"not an operation: {op!r}")
+
+
+def reference_canon_profile(profile: ArgumentProfile) -> str:
+    osets = (
+        "(" + ",".join(reference_canon_op(o) for o in oset.ops) + ")->" + str(oset.target)
+        for oset in profile.osets
+    )
+    return "{" + ";".join(osets) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +269,21 @@ def gen_program_source(rng: random.Random, max_preds: int = 6, max_args: int = 5
             else:
                 lines.append(f"{name}({','.join(head)}).")
         defined.append((name, modes))
+    return "\n".join(lines) + "\n"
+
+
+def chain_source(k: int) -> str:
+    """``p_i(X,Y,Z) :- p_{i-1}(X,Y,T), p_{i-1}(T,Y,Z)`` for i = 1..k over
+    ``p0`` = append: each level nests one more psi payload, so the expanded
+    canonical strings grow about 25-fold per level."""
+    lines = [
+        ":- pred p0(in,in,out).",
+        "p0(X,Y,Z) :- X => nil, Z := Y.",
+        "p0(X,Y,Z) :- X => cons(E,Es), p0(Es,Y,Zs), Z <= cons(E,Zs).",
+    ]
+    for i in range(1, k + 1):
+        lines.append(f":- pred p{i}(in,in,out).")
+        lines.append(f"p{i}(X,Y,Z) :- p{i - 1}(X,Y,T), p{i - 1}(T,Y,Z).")
     return "\n".join(lines) + "\n"
 
 

@@ -245,3 +245,13 @@ def test_run_answer_without_outputs_prints_true(capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["run", fixture("mixed.lp"), "?- same(1, 2)."]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_run_too_deep_query_is_a_diagnostic(capsys):
+    deep = "nil"
+    for i in range(1000):
+        deep = f"cons({i},{deep})"
+    assert main(["run", fixture("append.lp"), f"?- app({deep},nil,Z)."]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
