@@ -83,7 +83,6 @@ from .normalize import (
 from .ordering import (
     FeatureVector,
     OrderedProfile,
-    ProfileOrder,
     canon_ordered,
     compare_profiles,
     features,

@@ -13,16 +13,21 @@ The atomic analysis turns one body atom into interactions:
 
 Clause analysis joins the atom results, closes them transitively (data
 flowing through local variables composes into argument-to-argument flow)
-and projects onto the formal arguments. The driver analyzes predicates
+and projects onto the formal arguments. Each of these sets is built in
+place and frozen once. The closure is semi-naive: each step composes only
+the pairs the step before added or grew. The driver analyzes predicates
 bottom-up over the call graph: each predicate is iterated to a local
 fixpoint before any caller of it is considered, which is what makes call
-abstractions stable. Directly recursive programs always converge because
-interaction sets over a predicate form a finite lattice and each round
-only ever grows or refreshes them.
+abstractions stable, so each one is built once, when its callee is
+discharged, and shared by every call site in every round. Directly
+recursive programs always converge because interaction sets over a
+predicate form a finite lattice and each round only ever grows or
+refreshes them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .domain import (
@@ -30,15 +35,12 @@ from .domain import (
     PSI_BOT,
     ConstructOp,
     DeconstructOp,
-    Interaction,
     InteractionSet,
     PsiOp,
+    _Builder,
     bottom,
-    join_interaction,
-    join_sets,
-    make_interaction,
 )
-from .ordering import ProfileOrder, compare_profiles, oprof
+from .ordering import oprof
 from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Test
 
 Environment = dict[str, InteractionSet]
@@ -74,42 +76,32 @@ def initial_environment(program: Program) -> Environment:
     }
 
 
-def _owner_set(program: Program, owner: str) -> InteractionSet:
-    return bottom(owner, program.predicates[owner].input_arg_names())
+def call_abstraction(callee: Predicate, callee_set: InteractionSet) -> PsiOp:
+    """``psi(<callee's ordered profile>)`` for a call to an analyzed callee."""
+    return PsiOp(oprof(callee_set, callee.arg_names, callee.modes).profiles)
 
 
-def analyze_atom(
+def _add_atom(
+    out: _Builder,
     atom: Atom,
     env: Environment,
     program: Program,
-    order: ProfileOrder = compare_profiles,
-) -> InteractionSet:
-    """Interactions contributed by one atom under the current environment."""
-    owner = program.owner_of_point(atom.point)
-    result = _owner_set(program, owner)
-
+    psi_ops: Mapping[str, PsiOp] | None,
+) -> None:
+    """Join the interactions of one atom into ``out``; a non-recursive call
+    takes its abstraction from ``psi_ops`` when given."""
+    point = atom.point
     if isinstance(atom, Deconstruct):
         op = DeconstructOp(atom.functor, len(atom.args))
         for y in atom.args:
-            result = join_interaction(
-                make_interaction(atom.var.name, y.name, [(op, atom.point)]), result
-            )
-        return result
-    if isinstance(atom, Construct):
+            out.add(atom.var.name, y.name, {point: op})
+    elif isinstance(atom, Construct):
         op = ConstructOp(atom.functor, len(atom.args))
         for y in atom.args:
-            result = join_interaction(
-                make_interaction(y.name, atom.var.name, [(op, atom.point)]), result
-            )
-        return result
-    if isinstance(atom, Assign):
-        return join_interaction(
-            make_interaction(atom.source.name, atom.target.name, [(ASSIGN, atom.point)]),
-            result,
-        )
-    if isinstance(atom, Test):
-        return result
-    if isinstance(atom, Call):
+            out.add(y.name, atom.var.name, {point: op})
+    elif isinstance(atom, Assign):
+        out.add(atom.source.name, atom.target.name, {point: ASSIGN})
+    elif isinstance(atom, Call):
         if atom.pred not in env:
             raise AnalysisError(f"predicate '{atom.pred}' missing from environment")
         callee = program.predicates[atom.pred]
@@ -119,24 +111,29 @@ def analyze_atom(
             src, tgt = rename[i.source], rename[i.target]
             if src == tgt:  # aliased actuals collapse the edge
                 continue
-            result = join_interaction(Interaction(src, tgt, i.ops), result)
-        recursive = atom.pred == owner
-        if recursive:
+            out.add(src, tgt, i.by_point())
+        if atom.pred == out.owner:
             call_op = PSI_BOT
+        elif psi_ops is not None:
+            call_op = psi_ops[atom.pred]
         else:
-            ordered = oprof(callee_set, callee.arg_names, callee.modes, order)
-            call_op = PsiOp(ordered.profiles)
+            call_op = call_abstraction(callee, callee_set)
         inputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "in"}
         outputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "out"}
         for src in sorted(inputs):
             for tgt in sorted(outputs):
-                if src == tgt:
-                    continue
-                result = join_interaction(
-                    make_interaction(src, tgt, [(call_op, atom.point)]), result
-                )
-        return result
-    raise TypeError(f"not an atom: {atom!r}")
+                if src != tgt:
+                    out.add(src, tgt, {point: call_op})
+    elif not isinstance(atom, Test):
+        raise TypeError(f"not an atom: {atom!r}")
+
+
+def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionSet:
+    """Interactions contributed by one atom under the current environment."""
+    owner = program.owner_of_point(atom.point)
+    out = _Builder(owner, program.predicates[owner].input_arg_names())
+    _add_atom(out, atom, env, program, None)
+    return out.freeze()
 
 
 def transitive_closure(s: InteractionSet) -> InteractionSet:
@@ -144,56 +141,68 @@ def transitive_closure(s: InteractionSet) -> InteractionSet:
 
     For pairwise-distinct X, Y, Z with X ~{O}~> Y and Y ~{O'}~> Z, the
     interaction X ~{O u O'}~> Z is merged in (union keyed by program
-    point) until nothing changes.
+    point, O' winning at a shared point) until nothing changes.
+
+    Evaluation is semi-naive: each step composes only the pairs added or
+    grown by the step before, on either side, with the current pairs they
+    meet through the successor and predecessor indexes. A pair that grows
+    is composed again in the next step, so every composition of the final
+    pairs is made at least once.
     """
-    current = s
-    while True:
-        additions: list[Interaction] = []
-        by_source: dict[str, list[Interaction]] = {}
-        for i in current:
-            by_source.setdefault(i.source, []).append(i)
-        for first in current:
-            for second in by_source.get(first.target, ()):
-                if second.target in (first.source, first.target):
-                    continue
-                merged = dict(first.by_point())
-                merged.update(second.by_point())
-                additions.append(
-                    make_interaction(first.source, second.target, [(op, pt) for pt, op in merged.items()])
-                )
-        next_set = current
-        for add in additions:
-            next_set = join_interaction(add, next_set)
-        if next_set == current:
-            return current
-        current = next_set
+    out = _Builder(s.owner, s.input_args)
+    out.add_set(s)
+    ops = out.ops
+    # Dicts as insertion-ordered sets, so every run composes in one order.
+    succ: dict[str, dict[str, None]] = {}
+    pred: dict[str, dict[str, None]] = {}
+    delta = dict.fromkeys(ops)
+    while delta:
+        for x, y in delta:
+            succ.setdefault(x, {})[y] = None
+            pred.setdefault(y, {})[x] = None
+        grown: dict[tuple[str, str], None] = {}
+        for x, y in delta:
+            # (x, y) then (y, z); y != z since there are no self-edges.
+            for z in succ.get(y, ()):
+                if z != x and out.add(x, z, {**ops[(x, y)], **ops[(y, z)]}):
+                    grown[(x, z)] = None
+            # (w, x) then (x, y)
+            for w in pred.get(x, ()):
+                if w != y and out.add(w, y, {**ops[(w, x)], **ops[(x, y)]}):
+                    grown[(w, y)] = None
+        delta = grown
+    return out.freeze()
 
 
 def project(s: InteractionSet, pred: Predicate) -> InteractionSet:
     """Close ``s`` transitively, then keep only argument-to-argument flow."""
     closed = transitive_closure(s)
     formals = set(pred.arg_names)
-    result = bottom(s.owner, s.input_args)
-    for i in closed:
-        if i.source in formals and i.target in formals:
-            result = join_interaction(i, result)
-    return result
+    kept = {
+        (x, y): i for (x, y), i in closed.interactions.items() if x in formals and y in formals
+    }
+    return InteractionSet(s.owner, s.input_args, kept)
 
 
 def analyze_predicate(
     pred: Predicate,
     env: Environment,
     program: Program,
-    order: ProfileOrder = compare_profiles,
+    psi_ops: Mapping[str, PsiOp] | None = None,
 ) -> InteractionSet:
-    """Join, over the clauses, the projected closure of the body analysis."""
-    acc = _owner_set(program, pred.name)
+    """Join, over the clauses, the projected closure of the body analysis.
+
+    ``psi_ops`` maps discharged callees to their call abstractions; without
+    it, the abstraction of a non-recursive call is built afresh.
+    """
+    input_args = pred.input_arg_names()
+    acc = _Builder(pred.name, input_args)
     for clause in pred.clauses:
-        clause_set = _owner_set(program, pred.name)
+        clause_set = _Builder(pred.name, input_args)
         for atom in clause.body:
-            clause_set = join_sets(analyze_atom(atom, env, program, order), clause_set)
-        acc = join_sets(project(clause_set, pred), acc)
-    return acc
+            _add_atom(clause_set, atom, env, program, psi_ops)
+        acc.add_set(project(clause_set.freeze(), pred))
+    return acc.freeze()
 
 
 def leafs(
@@ -207,21 +216,23 @@ def leafs(
     }
 
 
-def run_analysis(
-    program: Program, order: ProfileOrder = compare_profiles
-) -> tuple[Environment, AnalysisTrace]:
+def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:
     """Analyze a whole program bottom-up to a global fixpoint.
 
     Among eligible predicates the lexicographically first is selected, so
     runs are deterministic. Each predicate is iterated until its computed
     set equals its environment entry (program points included), then
-    discharged. Raises NonDirectRecursionError if a call-graph cycle of
+    discharged; a predicate that others call then gets its call
+    abstraction built once, and every call site shares it. Raises
+    NonDirectRecursionError if a call-graph cycle of
     length two or more blocks progress.
     """
     env = initial_environment(program)
     remaining = set(program.predicates)
     analyzed: set[str] = set()
     trace: AnalysisTrace = []
+    psi_ops: dict[str, PsiOp] = {}
+    called = {q for p, callees in program.call_graph.items() for q in callees if q != p}
     round_index = 0
     while remaining:
         eligible = leafs(remaining, analyzed, program.call_graph)
@@ -231,12 +242,14 @@ def run_analysis(
         pred = program.predicates[name]
         while True:
             round_index += 1
-            new = analyze_predicate(pred, env, program, order)
+            new = analyze_predicate(pred, env, program, psi_ops)
             changed = new != env[name]
             trace.append(TraceEntry(round_index, name, new, changed))
             if not changed:
                 break
             env[name] = new
+        if name in called:
+            psi_ops[name] = call_abstraction(pred, env[name])
         analyzed.add(name)
         remaining.discard(name)
     return env, trace

@@ -8,7 +8,10 @@ output formal arguments as argument targets. Interaction sets over a fixed
 predicate form a join semi-lattice: the join unions interactions pairwise
 and, within a pair, unions their operations keyed by program point (an
 incoming operation replaces any previous operation at the same point,
-which is how re-analysis refreshes call abstractions).
+which is how re-analysis refreshes call abstractions). Sets stay immutable
+to callers: each join fills a private builder, the one place where
+interactions are merged and checked for well-definedness, and freezes it
+once, so joining costs time linear in the sizes of its arguments.
 
 Stripping program points turns an interaction set over formal arguments
 into a predicate profile: per argument, a set of o-sets (operation
@@ -240,6 +243,10 @@ def make_interaction(source: str, target: str, sited: Iterable[tuple[Operation, 
         by_point[point] = op
     if not by_point:
         raise WellDefinednessError(f"empty operation set on {source} ~> {target}")
+    return _interaction(source, target, by_point)
+
+
+def _interaction(source: str, target: str, by_point: dict[int, Operation]) -> Interaction:
     ops = tuple(SitedOperation(op, pt) for pt, op in sorted(by_point.items()))
     return Interaction(source, target, ops)
 
@@ -250,7 +257,8 @@ class InteractionSet:
 
     ``input_args`` are the owner's input formal argument names; they are
     the only variables that may never appear as interaction targets.
-    Instances are immutable; all lattice operations return new sets.
+    Instances are immutable to callers: every lattice operation returns a
+    new set, built in place by a private builder and frozen once.
     """
 
     owner: str
@@ -275,13 +283,71 @@ def bottom(owner: str, input_args: Iterable[str] = ()) -> InteractionSet:
     return InteractionSet(owner, frozenset(input_args), {})
 
 
-def _check_well_defined(i: Interaction, s: InteractionSet) -> None:
-    if i.source == i.target:
-        raise WellDefinednessError(f"self-interaction on {i.source}")
-    if i.target in s.input_args:
+def _check_well_defined(source: str, target: str, s: InteractionSet | _Builder) -> None:
+    if source == target:
+        raise WellDefinednessError(f"self-interaction on {source}")
+    if target in s.input_args:
         raise WellDefinednessError(
-            f"interaction targets input argument {i.target} of {s.owner}"
+            f"interaction targets input argument {target} of {s.owner}"
         )
+
+
+class _Builder:
+    """An interaction set under construction, the one place sets are merged.
+
+    ``ops`` maps each (source, target) pair to its operations keyed by
+    program point. A pair taken whole from a frozen set keeps its
+    ``Interaction`` until it grows, so ``freeze`` rebuilds only the pairs
+    that were merged into.
+    """
+
+    __slots__ = ("owner", "input_args", "ops", "_kept")
+
+    def __init__(self, owner: str, input_args: frozenset[str]):
+        self.owner = owner
+        self.input_args = input_args
+        self.ops: dict[tuple[str, str], dict[int, Operation]] = {}
+        self._kept: dict[tuple[str, str], Interaction] = {}
+
+    def add(self, source: str, target: str, by_point: dict[int, Operation]) -> bool:
+        """Join ``source ~> target`` with the operations ``by_point`` into
+        the set; an incoming operation replaces the one at the same point.
+        A new pair keeps ``by_point`` itself, so callers pass a dict they
+        no longer use. Returns whether the pair was added or changed."""
+        _check_well_defined(source, target, self)
+        if not by_point:
+            raise WellDefinednessError(f"empty operation set on {source} ~> {target}")
+        key = (source, target)
+        have = self.ops.get(key)
+        if have is None:
+            self.ops[key] = by_point
+            return True
+        grown = False
+        for point, op in by_point.items():
+            old = have.get(point)
+            if old is not op and old != op:
+                have[point] = op
+                grown = True
+        if grown:
+            self._kept.pop(key, None)
+        return grown
+
+    def add_set(self, s: InteractionSet) -> None:
+        if s.owner != self.owner:
+            raise DomainError(f"cannot join sets for {s.owner} and {self.owner}")
+        for key, i in s.interactions.items():
+            new = key not in self.ops
+            self.add(i.source, i.target, i.by_point())
+            if new:
+                self._kept[key] = i
+
+    def freeze(self) -> InteractionSet:
+        kept = self._kept
+        interactions = {
+            key: kept.get(key) or _interaction(key[0], key[1], ops)
+            for key, ops in self.ops.items()
+        }
+        return InteractionSet(self.owner, self.input_args, interactions)
 
 
 def join_interaction(i: Interaction, s: InteractionSet) -> InteractionSet:
@@ -291,32 +357,19 @@ def join_interaction(i: Interaction, s: InteractionSet) -> InteractionSet:
     sets are unioned per program point, the incoming operation replacing
     any previous operation at the same point.
     """
-    _check_well_defined(i, s)
-    key = (i.source, i.target)
-    existing = s.interactions.get(key)
-    if existing is None:
-        merged = i
-    else:
-        by_point = existing.by_point()
-        by_point.update(i.by_point())
-        merged = Interaction(
-            i.source,
-            i.target,
-            tuple(SitedOperation(op, pt) for pt, op in sorted(by_point.items())),
-        )
-    interactions = dict(s.interactions)
-    interactions[key] = merged
-    return InteractionSet(s.owner, s.input_args, interactions)
+    builder = _Builder(s.owner, s.input_args)
+    builder.add_set(s)
+    builder.add(i.source, i.target, i.by_point())
+    return builder.freeze()
 
 
 def join_sets(a: InteractionSet, b: InteractionSet) -> InteractionSet:
-    """Join two sets over the same predicate by folding a into b."""
-    if a.owner != b.owner:
-        raise DomainError(f"cannot join sets for {a.owner} and {b.owner}")
-    out = b
-    for interaction in a:
-        out = join_interaction(interaction, out)
-    return out
+    """Join two sets over the same predicate by merging a into b, in time
+    linear in their sizes."""
+    builder = _Builder(b.owner, b.input_args)
+    builder.add_set(b)
+    builder.add_set(a)
+    return builder.freeze()
 
 
 def leq_sets(a: InteractionSet, b: InteractionSet) -> bool:

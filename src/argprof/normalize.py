@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import Environment
 from .domain import canon_profile
-from .ordering import OrderedProfile, ProfileOrder, canon_ordered, compare_profiles, oprof
+from .ordering import OrderedProfile, canon_ordered, oprof
 from .syntax import Atom, Call, Clause, Predicate, Program, make_program, renumber_points
 
 NormalizationPlan = dict[str, tuple[int, ...]]
@@ -27,19 +27,15 @@ class PlanError(Exception):
     pass
 
 
-def ordered_profile_of(
-    pred: Predicate, env: Environment, order: ProfileOrder = compare_profiles
-) -> OrderedProfile:
-    return oprof(env[pred.name], pred.arg_names, pred.modes, order)
+def ordered_profile_of(pred: Predicate, env: Environment) -> OrderedProfile:
+    return oprof(env[pred.name], pred.arg_names, pred.modes)
 
 
-def plan(
-    program: Program, env: Environment, order: ProfileOrder = compare_profiles
-) -> NormalizationPlan:
+def plan(program: Program, env: Environment) -> NormalizationPlan:
     """Per predicate, the permutation (new position -> original position)
     realizing its ordered profile."""
     return {
-        name: ordered_profile_of(pred, env, order).permutation
+        name: ordered_profile_of(pred, env).permutation
         for name, pred in program.predicates.items()
     }
 
@@ -94,17 +90,12 @@ class Distinct:
     reason: str
 
 
-def compare(
-    p: Predicate,
-    q: Predicate,
-    env: Environment,
-    order: ProfileOrder = compare_profiles,
-) -> Equivalent | Distinct:
+def compare(p: Predicate, q: Predicate, env: Environment) -> Equivalent | Distinct:
     """Decide profile equivalence of two analyzed predicates."""
     if p.arity != q.arity:
         return Distinct(f"arity mismatch ({p.arity} vs {q.arity})")
-    op_p = ordered_profile_of(p, env, order)
-    op_q = ordered_profile_of(q, env, order)
+    op_p = ordered_profile_of(p, env)
+    op_q = ordered_profile_of(q, env)
     if canon_ordered(op_p) != canon_ordered(op_q):
         for k, (a, b) in enumerate(zip(op_p.profiles, op_q.profiles), start=1):
             ca, cb = canon_profile(a), canon_profile(b)

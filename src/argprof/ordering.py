@@ -17,10 +17,7 @@ differ only by an argument permutation get identical ordered profiles.
 
 from __future__ import annotations
 
-import functools
-# Not typing.Callable: typing caches parameterized aliases, and that cache
-# kept every re-imported copy of argprof.domain alive through ProfileOrder.
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .domain import (
@@ -37,9 +34,6 @@ from .domain import (
     make_profile,
     strip_points,
 )
-
-ProfileOrder = Callable[[ArgumentProfile, ArgumentProfile], int]
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -78,15 +72,15 @@ def features(profile: ArgumentProfile) -> FeatureVector:
     return FeatureVector(len(profile.osets), n_ops, n_psi, n_con, n_dec, n_asn)
 
 
+def sort_key(profile: ArgumentProfile) -> tuple[tuple[int, ...], str]:
+    """Ascending order of this key is the profile order."""
+    return tuple(-f for f in features(profile).as_tuple()), canon_profile(profile)
+
+
 def compare_profiles(a: ArgumentProfile, b: ArgumentProfile) -> int:
     """-1 if a sorts before b, 1 if after, 0 if canonically equal."""
-    for fa, fb in zip(features(a).as_tuple(), features(b).as_tuple()):
-        if fa != fb:
-            return -1 if fa > fb else 1
-    ca, cb = canon_profile(a), canon_profile(b)
-    if ca == cb:
-        return 0
-    return -1 if ca < cb else 1
+    ka, kb = sort_key(a), sort_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 @dataclass(frozen=True)
@@ -100,22 +94,18 @@ class OrderedProfile:
 
 
 def oprof(
-    phi: InteractionSet | PredicateProfile,
-    args: Sequence[str],
-    modes: Sequence[str],
-    order: ProfileOrder = compare_profiles,
+    phi: InteractionSet | PredicateProfile, args: Sequence[str], modes: Sequence[str]
 ) -> OrderedProfile:
-    """Order a predicate profile (or a projected interaction set) by ``order``.
+    """Order a predicate profile (or a projected interaction set) by the
+    profile order.
 
     Canonically equal profiles keep their original relative order, so the
     permutation is unique and re-applying oprof to an ordered profile is
     the identity.
     """
     profile = strip_points(phi, args, modes) if isinstance(phi, InteractionSet) else phi
-    n = len(profile.per_arg)
-    indexed = sorted(
-        range(n), key=functools.cmp_to_key(lambda i, j: order(profile.per_arg[i], profile.per_arg[j]))
-    )
+    keys = [sort_key(p) for p in profile.per_arg]
+    indexed = sorted(range(len(keys)), key=keys.__getitem__)
     permutation = tuple(i + 1 for i in indexed)
     new_pos = {orig: new + 1 for new, orig in enumerate(permutation)}
     remapped = tuple(

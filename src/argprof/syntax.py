@@ -178,12 +178,8 @@ class Program:
         return {name: p.modes for name, p in self.predicates.items()}
 
 
-def build_call_graph(
-    predicates: "Program | Mapping[str, Predicate]",
-) -> dict[str, frozenset[str]]:
+def build_call_graph(predicates: Mapping[str, Predicate]) -> dict[str, frozenset[str]]:
     """Edge p -> q iff some clause of p calls q. Raises on undefined targets."""
-    if isinstance(predicates, Program):
-        predicates = predicates.predicates
     graph: dict[str, frozenset[str]] = {}
     for name, pred in predicates.items():
         callees = set()

@@ -23,8 +23,12 @@ from argprof import (
     PsiBotOp,
     PsiOp,
     TestOp,
+    Predicate,
+    analyze_atom,
     bottom,
     join_interaction,
+    join_sets,
+    leafs,
     make_interaction,
     parse_program,
 )
@@ -97,6 +101,53 @@ def naive_closure(
 
 def as_edge_dict(s: InteractionSet) -> dict[tuple[str, str], dict[int, Operation]]:
     return {(i.source, i.target): i.by_point() for i in s}
+
+
+def from_edge_dict(
+    owner: str, inputs: frozenset[str], edges: dict[tuple[str, str], dict[int, Operation]]
+) -> InteractionSet:
+    return iset(owner, sorted(inputs), [(x, y, [(op, pt) for pt, op in ops.items()])
+                                        for (x, y), ops in edges.items()])
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the analysis written as plain folds over join_sets
+# and naive_closure
+# ---------------------------------------------------------------------------
+
+
+def reference_analyze_predicate(pred: Predicate, env: dict, program: Program) -> InteractionSet:
+    """One round of clause analysis: fold every atom's set with the public
+    ``join_sets``, close with ``naive_closure``, keep formal-to-formal flow,
+    and join the clause results."""
+    inputs = pred.input_arg_names()
+    formals = set(pred.arg_names)
+    acc = bottom(pred.name, inputs)
+    for clause in pred.clauses:
+        clause_set = bottom(pred.name, inputs)
+        for atom in clause.body:
+            clause_set = join_sets(analyze_atom(atom, env, program), clause_set)
+        closed = naive_closure(as_edge_dict(clause_set))
+        projected = {pair: ops for pair, ops in closed.items() if set(pair) <= formals}
+        acc = join_sets(from_edge_dict(pred.name, inputs, projected), acc)
+    return acc
+
+
+def reference_run_analysis(program: Program) -> dict[str, InteractionSet]:
+    """The bottom-up driver over ``reference_analyze_predicate``: the first
+    eligible predicate by name, iterated until its set stops changing."""
+    env = {name: bottom(name, p.input_arg_names()) for name, p in program.predicates.items()}
+    remaining, analyzed = set(program.predicates), set()
+    while remaining:
+        name = min(leafs(remaining, analyzed, program.call_graph))
+        while True:
+            new = reference_analyze_predicate(program.predicates[name], env, program)
+            if new == env[name]:
+                break
+            env[name] = new
+        analyzed.add(name)
+        remaining.discard(name)
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +227,38 @@ class SetContext:
                     make_interaction(pair[0], pair[1], [(self.op_at[pt], pt) for pt in points]), s
                 )
         return s
+
+
+def random_chained_set(rng: random.Random) -> InteractionSet:
+    """A sparse set over 8-14 variables: one or two long paths through the
+    locals, some edges of which are reversed into two-cycles, a path end
+    that may loop back to its start, and a few shortcuts. Points are drawn
+    from a wide range, so most edges carry points of their own; one
+    operation per program point, as in the analysis."""
+    n_vars = rng.randint(8, 14)
+    n_args = rng.randint(2, 5)
+    names = [f"A{i}" for i in range(1, n_args + 1)] + [f"L{i}" for i in range(1, n_vars - n_args + 1)]
+    inputs = names[: rng.randint(1, n_args - 1)]
+    targets = [v for v in names if v not in inputs]
+    op_at = {pt: rng.choice(_BASE_OPS) for pt in range(1, 60)}
+    edges = []
+
+    def edge(x: str, y: str) -> None:
+        if x != y:
+            points = rng.sample(sorted(op_at), rng.randint(1, 2))
+            edges.append((x, y, [(op_at[pt], pt) for pt in points]))
+
+    for _ in range(rng.randint(1, 2)):
+        path = [rng.choice(names)] + rng.sample(targets, rng.randint(3, len(targets)))
+        for x, y in zip(path, path[1:]):
+            edge(x, y)
+            if y not in inputs and x in targets and rng.random() < 0.4:
+                edge(y, x)
+        if path[0] in targets and rng.random() < 0.5:
+            edge(path[-1], path[0])
+    for _ in range(rng.randint(0, 3)):
+        edge(rng.choice(names), rng.choice(targets))
+    return iset("p", inputs, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +368,49 @@ def chain_source(k: int) -> str:
         lines.append(f":- pred p{i}(in,in,out).")
         lines.append(f"p{i}(X,Y,Z) :- p{i - 1}(X,Y,T), p{i - 1}(T,Y,Z).")
     return "\n".join(lines) + "\n"
+
+
+def wide_source(rng: random.Random, arity: int, n_atoms: int) -> str:
+    """One recursive predicate ``w`` whose long clause chains ``n_atoms``
+    unifications through local variables, in strands of up to five atoms
+    that start at an input argument and feed the output arguments."""
+    modes = ["in"] * (arity // 2) + ["out"] * (arity - arity // 2)
+    rng.shuffle(modes)
+    head = [f"A{i}" for i in range(1, arity + 1)]
+    ins = [v for v, m in zip(head, modes) if m == "in"]
+    outs = [v for v, m in zip(head, modes) if m == "out"]
+    head_text = f"w({','.join(head)})"
+    atoms: list[str] = []
+    ends: list[str] = []
+    fresh = iter(f"L{i}" for i in range(1, 10 * n_atoms))
+    while len(atoms) < n_atoms - len(outs):
+        cur = rng.choice(ins)
+        for _ in range(min(5, n_atoms - len(outs) - len(atoms))):
+            kind = rng.choice(("decon", "con", "assign", "test"))
+            if kind == "decon":
+                a, b = next(fresh), next(fresh)
+                atoms.append(f"{cur} => pair({a},{b})")
+                cur = rng.choice((a, b))
+            elif kind == "con":
+                v = next(fresh)
+                atoms.append(f"{v} <= s({cur})")
+                cur = v
+            elif kind == "assign":
+                v = next(fresh)
+                atoms.append(f"{v} := {cur}")
+                cur = v
+            else:
+                atoms.append(f"{cur} == {rng.choice(ins)}")
+        ends.append(cur)
+    atoms += [f"{o} := {ends[i % len(ends)]}" for i, o in enumerate(outs)]
+    call_args = [rng.choice(ins) if m == "in" else f"R{i}" for i, m in enumerate(modes)]
+    back = [f"{v} := R{i}" for i, (v, m) in enumerate(zip(head, modes)) if m == "out"]
+    return "\n".join([
+        f":- pred w({','.join(modes)}).",
+        f"{head_text} :- " + ", ".join(f"{o} := {rng.choice(ins)}" for o in outs) + ".",
+        f"{head_text} :- {', '.join(atoms)}.",
+        f"{head_text} :- w({','.join(call_args)}), {', '.join(back)}.",
+    ]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ checked against an independent naive fixpoint oracle.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -31,12 +32,18 @@ from argprof import (
     transitive_closure,
     validate_program,
 )
+from argprof.syntax import Call
 from helpers import (
     as_edge_dict,
+    chain_source,
+    fixture_names,
     gen_program_source,
     iset,
     load_fixture,
     naive_closure,
+    random_chained_set,
+    reference_run_analysis,
+    wide_source,
 )
 from test_domain import CONS, DECONS, PSI_A
 
@@ -184,6 +191,13 @@ def test_closure_matches_naive_oracle_on_random_sets():
     for _ in range(60):
         ctx = SetContext(rng)
         s = ctx.random_set(rng)
+        assert as_edge_dict(transitive_closure(s)) == naive_closure(as_edge_dict(s))
+
+
+def test_closure_matches_naive_oracle_on_chained_sets():
+    rng = random.Random(7)
+    for _ in range(60):
+        s = random_chained_set(rng)
         assert as_edge_dict(transitive_closure(s)) == naive_closure(as_edge_dict(s))
 
 
@@ -480,3 +494,48 @@ def test_call_with_repeated_input_actuals_merges_renamed_edges():
     assert set(points) == {1, 2}
     assert points[1] == ConstructOp("pair", 2)
     assert isinstance(points[2], PsiOp)
+
+
+# ---------------------------------------------------------------------------
+# The driver against the reference analysis (join_sets folds, naive closure)
+# ---------------------------------------------------------------------------
+
+
+def _reference_programs(group):
+    if group == "fixtures":
+        return [load_fixture(name) for name in fixture_names()]
+    if group == "corpus":  # the test-07 corpus
+        rng = random.Random(0xBEEF)
+        return [parse_program(gen_program_source(rng)) for _ in range(200)]
+    return [parse_program(wide_source(random.Random(seed), 11 + seed, 200)) for seed in range(2)]
+
+
+@pytest.mark.parametrize("group", ["fixtures", "corpus", "wide"])
+def test_run_analysis_matches_reference_analysis(group):
+    for program in _reference_programs(group):
+        env, _ = run_analysis(program)
+        assert env == reference_run_analysis(program)
+
+
+def test_call_sites_and_rounds_share_one_call_abstraction():
+    # On chain k=6 every call site of p_i, in every round's snapshot, holds
+    # the one PsiOp built when p_{i-1} was discharged.
+    program = parse_program(chain_source(6))
+    _, trace = run_analysis(program)
+    for name, pred in program.predicates.items():
+        points = {a.point for c in pred.clauses for a in c.body
+                  if isinstance(a, Call) and a.pred != name}
+        ops = [op for entry in trace if entry.predicate == name
+               for i in entry.snapshot for pt, op in i.by_point().items() if pt in points]
+        assert all(isinstance(op, PsiOp) for op in ops)
+        assert len(ops) >= 2 * len(points)
+        assert len({id(op) for op in ops}) == (1 if points else 0), name
+
+
+def test_wide_recursive_clause_analyzes_quickly():
+    # A relapse guard against a quadratic or exponential closure or join,
+    # not a measurement: the semi-naive closure takes well under 0.1 s here.
+    program = parse_program(wide_source(random.Random(3), 16, 200))
+    start = time.perf_counter()
+    run_analysis(program)
+    assert time.perf_counter() - start < 1.0
