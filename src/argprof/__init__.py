@@ -55,14 +55,6 @@ from .domain import (
     render_interaction_set,
     strip_points,
 )
-from .interp import (
-    GroundTerm,
-    RuntimeModeError,
-    SolveError,
-    StepLimitExceeded,
-    format_ground,
-    solve,
-)
 from .modecheck import (
     ValidationReport,
     Violation,
@@ -119,3 +111,22 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+# The interpreter is imported on first use, so the commands that do not run
+# queries do not load it.
+_INTERP_NAMES = {
+    "GroundTerm",
+    "RuntimeModeError",
+    "SolveError",
+    "StepLimitExceeded",
+    "format_ground",
+    "solve",
+}
+
+
+def __getattr__(name: str):
+    if name in _INTERP_NAMES:
+        from . import interp
+
+        return getattr(interp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

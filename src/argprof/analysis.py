@@ -13,16 +13,17 @@ The atomic analysis turns one body atom into interactions:
 
 Clause analysis joins the atom results, closes them transitively (data
 flowing through local variables composes into argument-to-argument flow)
-and projects onto the formal arguments. Each of these sets is built in
-place and frozen once. The closure is semi-naive: each step composes only
-the pairs the step before added or grew. The driver analyzes predicates
-bottom-up over the call graph: each predicate is iterated to a local
-fixpoint before any caller of it is considered, which is what makes call
-abstractions stable, so each one is built once, when its callee is
-discharged, and shared by every call site in every round. Directly
-recursive programs always converge because interaction sets over a
-predicate form a finite lattice and each round only ever grows or
-refreshes them.
+and projects onto the formal arguments. Each clause's set is built and
+closed in place, and only its argument-to-argument pairs are merged into
+the predicate's set, which is frozen once. The closure is semi-naive:
+each step composes only the pairs the step before added or grew. The
+driver analyzes predicates bottom-up over the call graph: each predicate
+is iterated to a local fixpoint before any caller of it is considered,
+which is what makes call abstractions stable, so each one is built once,
+when its callee is discharged, and shared by every call site in every
+round. Directly recursive programs always converge because interaction
+sets over a predicate form a finite lattice and each round only ever
+grows or refreshes them.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionS
     return out.freeze()
 
 
-def transitive_closure(s: InteractionSet) -> InteractionSet:
-    """Least fixpoint of composing interactions through shared variables.
+def _close(out: _Builder) -> None:
+    """Close ``out`` in place under composition through shared variables.
 
     For pairwise-distinct X, Y, Z with X ~{O}~> Y and Y ~{O'}~> Z, the
     interaction X ~{O u O'}~> Z is merged in (union keyed by program
@@ -149,8 +150,6 @@ def transitive_closure(s: InteractionSet) -> InteractionSet:
     is composed again in the next step, so every composition of the final
     pairs is made at least once.
     """
-    out = _Builder(s.owner, s.input_args)
-    out.add_set(s)
     ops = out.ops
     # Dicts as insertion-ordered sets, so every run composes in one order.
     succ: dict[str, dict[str, None]] = {}
@@ -171,6 +170,14 @@ def transitive_closure(s: InteractionSet) -> InteractionSet:
                 if w != y and out.add(w, y, {**ops[(w, x)], **ops[(x, y)]}):
                     grown[(w, y)] = None
         delta = grown
+
+
+def transitive_closure(s: InteractionSet) -> InteractionSet:
+    """Least fixpoint of composing interactions through shared variables
+    (see ``_close``)."""
+    out = _Builder(s.owner, s.input_args)
+    out.add_set(s)
+    _close(out)
     return out.freeze()
 
 
@@ -196,12 +203,18 @@ def analyze_predicate(
     it, the abstraction of a non-recursive call is built afresh.
     """
     input_args = pred.input_arg_names()
+    formals = set(pred.arg_names)
     acc = _Builder(pred.name, input_args)
     for clause in pred.clauses:
         clause_set = _Builder(pred.name, input_args)
         for atom in clause.body:
             _add_atom(clause_set, atom, env, program, psi_ops)
-        acc.add_set(project(clause_set.freeze(), pred))
+        _close(clause_set)
+        # Keep argument-to-argument flow; the clause set is dropped, so acc
+        # may take its operation dicts.
+        for (x, y), by_point in clause_set.ops.items():
+            if x in formals and y in formals:
+                acc.add(x, y, by_point)
     return acc.freeze()
 
 

@@ -20,7 +20,6 @@ from .analysis import (
     run_analysis,
 )
 from .domain import canon_op, render_interaction_set, strip_points
-from .interp import RuntimeModeError, SolveError, StepLimitExceeded, format_ground, solve
 from .modecheck import validate_program
 from .normalize import Distinct, Equivalent, compare, plan, rewrite
 from .ordering import oprof
@@ -199,6 +198,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # Only this command needs the interpreter, so only it imports it.
+    from .interp import RuntimeModeError, SolveError, StepLimitExceeded, format_ground, solve
+
     loaded = _load_validated(args.file)
     if isinstance(loaded, int):
         return loaded
@@ -269,7 +271,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # the query parser and the solver recurse on term depth
+    except RecursionError:  # last resort: no step is known to recurse on input depth
         print("error: input nested too deeply: Python recursion limit reached", file=sys.stderr)
         return 1
 

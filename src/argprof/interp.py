@@ -9,12 +9,47 @@ nested ground terms in input positions, unlike program text which is flat.
 
 A mandatory step limit bounds the search: every unification resolution and
 every clause tried for a call counts as one derivation step.
+
+The solver is one loop over an explicit machine, in the manner of the
+classic Prolog engine (Warren, "An abstract Prolog instruction set", SRI
+TN 309, 1983), so neither term depth nor derivation length touches
+Python's recursion limit:
+
+* **Instructions.** Each predicate's clauses are compiled on their first
+  call in a ``solve``: every body atom becomes one instruction holding its
+  variable names, and a call site holds its callee and the names at its
+  input and output positions. The instruction also keeps its atom, from
+  which the text of an error (``point N``) is built only when one is raised.
+* **Continuations.** The machine runs one clause body at a time: its
+  instructions, the index of the next one, its variable bindings and the
+  return record of the call that entered it. On reaching the end of a body
+  it copies the clause's output arguments into the caller's bindings and
+  resumes the caller after the call.
+* **Choice points and trail.** A call pushes a choice point: the callee's
+  clauses, the next one to try, the input values, the return record and
+  the trail height; its first clause is then entered the way backtracking
+  enters the next one. Every binding made in a clause body that existed
+  before the newest choice point is recorded on the trail; bodies entered
+  later are dropped whole on backtracking, so their bindings need no
+  record. Backtracking pops the trail down to the newest choice point's
+  height, undoing those bindings, and enters its next clause. A choice
+  point leaves the stack when its last clause is entered.
+* **Queries.** A query is compiled into one flat goal on the same machine.
+  Ground input terms are built once into bindings of fresh variables;
+  input terms that use query variables are built when their atom is
+  reached; both are built with an explicit stack. A query atom that holds
+  an unknown predicate, or a term or a repeated variable in an output
+  position, becomes an instruction that runs the atom's checks when
+  reached and raises the first one that fails. Errors name the query atom
+  as ``goal atom i``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import count
+from operator import itemgetter
 
 from .parse import (
     QAssign,
@@ -22,6 +57,7 @@ from .parse import (
     QCall,
     QConstruct,
     QDeconstruct,
+    QStruct,
     QTerm,
     QTest,
     Query,
@@ -33,7 +69,6 @@ from .syntax import (
     Call,
     Construct,
     Deconstruct,
-    Predicate,
     Program,
     Test,
     Var,
@@ -52,16 +87,69 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GroundTerm:
+    """A ground term. Equality, hashing and printing use explicit stacks or
+    look one level down, so they work at any depth."""
+
     functor: str
     args: tuple["GroundTerm", ...] = ()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroundTerm):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            pairs.extend(zip(a.args, b.args))
+        return True
+
+    def __hash__(self) -> int:
+        # The functors of the term and its arguments: equal terms agree on
+        # them, and the cost does not grow with depth.
+        return hash((self.functor, tuple(a.functor for a in self.args)))
+
+    def __repr__(self) -> str:
+        return _render(
+            self,
+            lambda t: f"GroundTerm(functor={t.functor!r}, args=())",
+            lambda t: f"GroundTerm(functor={t.functor!r}, args=(",
+            lambda t: ",))" if len(t.args) == 1 else "))",
+        )
+
+
+def _render(
+    t: GroundTerm,
+    leaf: Callable[[GroundTerm], str],
+    opening: Callable[[GroundTerm], str],
+    closing: Callable[[GroundTerm], str],
+) -> str:
+    """Print ``t`` depth-first: a leaf, or an opening, the arguments joined by
+    ``", "`` and a closing."""
+    out: list[str] = []
+    stack: list[GroundTerm | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not item.args:
+            out.append(leaf(item))
+        else:
+            out.append(opening(item))
+            stack.append(closing(item))
+            for k in range(len(item.args) - 1, -1, -1):
+                stack.append(item.args[k])
+                if k:
+                    stack.append(", ")
+    return "".join(out)
+
 
 def format_ground(t: GroundTerm) -> str:
-    if not t.args:
-        return t.functor
-    return f"{t.functor}({', '.join(format_ground(a) for a in t.args)})"
+    return _render(t, lambda g: g.functor, lambda g: g.functor + "(", lambda g: ")")
 
 
 class SolveError(Exception):
@@ -83,265 +171,268 @@ class StepLimitExceeded(SolveError):
         self.limit = limit
 
 
-@dataclass
-class _Steps:
-    limit: int
-    used: int = 0
-
-    def bump(self) -> None:
-        if self.used >= self.limit:
-            raise StepLimitExceeded(self.limit)
-        self.used += 1
-
-
 Answer = dict[str, GroundTerm]
 
 _Env = dict[str, GroundTerm]
 
 
-def _bind(env: _Env, name: str, value: GroundTerm, where: str) -> None:
-    if name in env:
-        raise RuntimeModeError(f"{name} already bound at {where}")
-    env[name] = value
-
-
-def _solve_body(
-    program: Program, atoms: tuple[Atom, ...], i: int, env: _Env, steps: _Steps
-) -> Iterator[None]:
-    if i == len(atoms):
-        yield None
-        return
-    atom = atoms[i]
-    where = f"point {atom.point}"
-
-    if isinstance(atom, Call):
-        callee = program.predicates[atom.pred]
-        in_vals: list[tuple[int, GroundTerm]] = []
-        out_vars: list[str] = []
-        for pos, (v, m) in enumerate(zip(atom.args, callee.modes)):
-            if m == "in":
-                if v.name not in env:
-                    raise RuntimeModeError(f"{v.name} unbound at {where}")
-                in_vals.append((pos, env[v.name]))
+def _build(t: QTerm, env: _Env) -> GroundTerm | None:
+    """The ground value of a query term, or None if a variable in it is unbound."""
+    values: list[GroundTerm] = []
+    # Terms still to build, and (functor, arity) markers that assemble the
+    # values of a term's arguments once they are built.
+    work: list[QTerm | tuple[str, int]] = [t]
+    while work:
+        item = work.pop()
+        if isinstance(item, Var):
+            value = env.get(item.name)
+            if value is None:
+                return None
+            values.append(value)
+        elif isinstance(item, QStruct):
+            if item.args:
+                work.append((item.functor, len(item.args)))
+                work.extend(reversed(item.args))
             else:
-                if v.name in env:
-                    raise RuntimeModeError(f"{v.name} already bound at {where}")
-                out_vars.append(v.name)
-        for out_vals in _solve_call(program, callee, in_vals, steps):
-            bound: list[str] = []
-            try:
-                for name, value in zip(out_vars, out_vals):
-                    _bind(env, name, value, where)
-                    bound.append(name)
-                yield from _solve_body(program, atoms, i + 1, env, steps)
-            finally:
-                for name in bound:
-                    del env[name]
-        return
-
-    steps.bump()
-    bound = _eval_unification(atom, env, where)
-    if bound is None:
-        return
-    try:
-        yield from _solve_body(program, atoms, i + 1, env, steps)
-    finally:
-        for name in bound:
-            del env[name]
+                values.append(GroundTerm(item.functor))
+        else:
+            functor, n = item
+            args = tuple(values[len(values) - n :])
+            del values[len(values) - n :]
+            values.append(GroundTerm(functor, args))
+    return values[0]
 
 
-def _eval_unification(atom: Atom, env: _Env, where: str) -> list[str] | None:
-    """Resolve a unification atom; returns newly bound names, None on failure."""
-    if isinstance(atom, Deconstruct):
-        if atom.var.name not in env:
-            raise RuntimeModeError(f"{atom.var.name} unbound at {where}")
-        value = env[atom.var.name]
+def _where(atom: Atom | QAtom, where: str | None) -> str:
+    return where if where is not None else f"point {atom.point}"
+
+
+def _fault(atom: Atom | QAtom, where: str | None, env: _Env, program: Program) -> SolveError | None:
+    """The error selecting ``atom`` in ``env`` raises, or None if it only fails.
+
+    The machine's instructions detect that a mode check failed; this walks
+    the atom's checks in their defined order to name the first one.
+    ``where`` is the text of a query atom, None for a program atom.
+    """
+    query = where is not None
+    where = _where(atom, where)
+    taken = set(env)  # bound names, including outputs this atom has bound
+
+    def need_ground(t: QTerm) -> SolveError | None:
+        if _build(t, env) is not None:
+            return None
+        return RuntimeModeError(f"non-ground input at {where}" if query else f"{t.name} unbound at {where}")
+
+    def need_free(t: QTerm) -> SolveError | None:
+        if not isinstance(t, Var):
+            return RuntimeModeError(f"output position holds a term at {where}")
+        if t.name in taken:
+            return RuntimeModeError(f"{t.name} already bound at {where}")
+        return None
+
+    if isinstance(atom, (Call, QCall)):
+        callee = program.predicates.get(atom.pred)
+        if callee is None:
+            return SolveError(f"unknown predicate '{atom.pred}' in query")
+        if len(atom.args) != callee.arity:
+            return SolveError(
+                f"'{atom.pred}' called with {len(atom.args)} arguments but declared with arity {callee.arity}"
+            )
+        outputs: set[str] = set()
+        for t, mode in zip(atom.args, callee.modes):
+            if mode == "in":
+                err = need_ground(t)
+            elif (err := need_free(t)) is None:
+                if query and t.name in outputs:
+                    err = RuntimeModeError(f"{t.name} repeated in output positions at {where}")
+                outputs.add(t.name)
+            if err is not None:
+                return err
+        return None
+    if isinstance(atom, (Deconstruct, QDeconstruct)):
+        value = _build(atom.var, env)
+        if value is None:
+            return need_ground(atom.var)
         if value.functor != atom.functor or len(value.args) != len(atom.args):
             return None
-        bound: list[str] = []
-        for v, sub in zip(atom.args, value.args):
-            try:
-                _bind(env, v.name, sub, where)
-            except RuntimeModeError:
-                for name in bound:
-                    del env[name]
-                raise
-            bound.append(v.name)
-        return bound
-    if isinstance(atom, Construct):
-        args = []
-        for v in atom.args:
-            if v.name not in env:
-                raise RuntimeModeError(f"{v.name} unbound at {where}")
-            args.append(env[v.name])
-        _bind(env, atom.var.name, GroundTerm(atom.functor, tuple(args)), where)
-        return [atom.var.name]
-    if isinstance(atom, Test):
-        for v in (atom.left, atom.right):
-            if v.name not in env:
-                raise RuntimeModeError(f"{v.name} unbound at {where}")
-        return [] if env[atom.left.name] == env[atom.right.name] else None
-    if isinstance(atom, Assign):
-        if atom.source.name not in env:
-            raise RuntimeModeError(f"{atom.source.name} unbound at {where}")
-        _bind(env, atom.target.name, env[atom.source.name], where)
-        return [atom.target.name]
-    raise TypeError(f"not a unification atom: {atom!r}")
-
-
-def _solve_call(
-    program: Program,
-    pred: Predicate,
-    in_vals: list[tuple[int, GroundTerm]],
-    steps: _Steps,
-) -> Iterator[tuple[GroundTerm, ...]]:
-    """Yield output-argument tuples, one per solution, in clause order."""
-    out_positions = [pos for pos, m in enumerate(pred.modes) if m == "out"]
-    for clause in pred.clauses:
-        steps.bump()
-        env: _Env = {clause.head_args[pos].name: val for pos, val in in_vals}
-        for _ in _solve_body(program, clause.body, 0, env, steps):
-            yield tuple(env[clause.head_args[pos].name] for pos in out_positions)
+        for t in atom.args:
+            if (err := need_free(t)) is not None:
+                return err
+            taken.add(t.name)
+        return None
+    if isinstance(atom, (Construct, QConstruct)):
+        for t in atom.args:
+            if (err := need_ground(t)) is not None:
+                return err
+        return need_free(atom.var)
+    if isinstance(atom, (Test, QTest)):
+        return need_ground(atom.left) or need_ground(atom.right)
+    if isinstance(atom, (Assign, QAssign)):
+        return need_ground(atom.source) or need_free(atom.target)
+    raise TypeError(f"not an atom: {atom!r}")
 
 
 # ---------------------------------------------------------------------------
-# Query-level evaluation (nested ground terms allowed in input positions)
+# Compilation
 # ---------------------------------------------------------------------------
 
+# Instruction kinds. Every instruction is a tuple that starts with its kind
+# and ends with the atom and query text it reports errors under:
+#   (_CALL, callee, input getter, output names, first repeated output, atom, where)
+#   (_DECONSTRUCT, var, functor, arity, names, names distinct, atom, where)
+#   (_CONSTRUCT, var, functor, argument getter, (var,), atom, where)
+#   (_TEST, left, right, atom, where)
+#   (_ASSIGN, target, source, (target,), atom, where)
+#   (_EVAL, name, query term, counts a step, (name,), atom, where)
+#   (_FAULT, counts a step, atom, where)
+_CALL, _DECONSTRUCT, _CONSTRUCT, _TEST, _ASSIGN, _EVAL, _FAULT = range(7)
 
-def _eval_qterm(t: QTerm, env: _Env) -> GroundTerm | None:
-    """Ground value of a query term, or None if a variable is unbound."""
-    if isinstance(t, Var):
-        return env.get(t.name)
-    args: list[GroundTerm] = []
-    for a in t.args:
-        v = _eval_qterm(a, env)
-        if v is None:
-            return None
-        args.append(v)
-    return GroundTerm(t.functor, tuple(args))
-
-
-def _require_ground(t: QTerm, env: _Env, where: str) -> GroundTerm:
-    value = _eval_qterm(t, env)
-    if value is None:
-        raise RuntimeModeError(f"non-ground input at {where}")
-    return value
+_Instr = tuple
+# A compiled clause: head input names, head output names, instructions.
+_Clause = tuple[tuple[str, ...], tuple[str, ...], tuple[_Instr, ...]]
 
 
-def _require_free_var(t: QTerm, env: _Env, where: str) -> str:
-    if not isinstance(t, Var):
-        raise RuntimeModeError(f"output position holds a term at {where}")
-    if t.name in env:
-        raise RuntimeModeError(f"{t.name} already bound at {where}")
-    return t.name
+def _first_repeat(names: Iterable[str]) -> str | None:
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
-def _solve_goal(
-    program: Program, goal: tuple[QAtom, ...], i: int, env: _Env, steps: _Steps
-) -> Iterator[None]:
-    if i == len(goal):
-        yield None
-        return
-    qa = goal[i]
-    where = f"goal atom {i + 1}"
-
-    if isinstance(qa, QCall):
-        if qa.pred not in program.predicates:
-            raise SolveError(f"unknown predicate '{qa.pred}' in query")
-        callee = program.predicates[qa.pred]
-        if len(qa.args) != callee.arity:
-            raise SolveError(
-                f"'{qa.pred}' called with {len(qa.args)} arguments but declared with arity {callee.arity}"
-            )
-        in_vals: list[tuple[int, GroundTerm]] = []
-        out_names: list[str] = []
-        seen_out: set[str] = set()
-        for pos, (t, m) in enumerate(zip(qa.args, callee.modes)):
-            if m == "in":
-                in_vals.append((pos, _require_ground(t, env, where)))
-            else:
-                name = _require_free_var(t, env, where)
-                if name in seen_out:
-                    raise RuntimeModeError(f"{name} repeated in output positions at {where}")
-                seen_out.add(name)
-                out_names.append(name)
-        for out_vals in _solve_call(program, callee, in_vals, steps):
-            for name, value in zip(out_names, out_vals):
-                env[name] = value
-            try:
-                yield from _solve_goal(program, goal, i + 1, env, steps)
-            finally:
-                for name in out_names:
-                    del env[name]
-        return
-
-    steps.bump()
-    bound: list[str] = []
-    ok = False
-    if isinstance(qa, QDeconstruct):
-        value = _require_ground(qa.var, env, where)
-        if value.functor == qa.functor and len(value.args) == len(qa.args):
-            ok = True
-            for t, sub in zip(qa.args, value.args):
-                name = _require_free_var(t, env, where)
-                env[name] = sub
-                bound.append(name)
-    elif isinstance(qa, QConstruct):
-        args = tuple(_require_ground(a, env, where) for a in qa.args)
-        name = _require_free_var(qa.var, env, where)
-        env[name] = GroundTerm(qa.functor, args)
-        bound.append(name)
-        ok = True
-    elif isinstance(qa, QTest):
-        ok = _require_ground(qa.left, env, where) == _require_ground(qa.right, env, where)
-    elif isinstance(qa, QAssign):
-        value = _require_ground(qa.source, env, where)
-        name = _require_free_var(qa.target, env, where)
-        env[name] = value
-        bound.append(name)
-        ok = True
-    else:
-        raise TypeError(f"not a query atom: {qa!r}")
-
-    if ok:
-        try:
-            yield from _solve_goal(program, goal, i + 1, env, steps)
-        finally:
-            for name in bound:
-                del env[name]
-    else:
-        for name in bound:
-            del env[name]
+def _getter(names: tuple[str, ...]) -> Callable[[_Env], tuple[GroundTerm, ...]]:
+    """The values of ``names`` in bindings, as a tuple; KeyError names the
+    first unbound one."""
+    if len(names) > 1:
+        return itemgetter(*names)
+    if names:
+        name = names[0]
+        return lambda env: (env[name],)
+    return lambda env: ()
 
 
-def _goal_vars(goal: tuple[QAtom, ...]) -> list[str]:
-    """Variable names in order of first occurrence."""
-    seen: list[str] = []
+def _compile_atom(flat: Atom, program: Program, atom: Atom | QAtom, where: str | None) -> _Instr:
+    """The instruction for ``flat``, an atom over variables; ``atom`` and
+    ``where`` name it in errors."""
+    if isinstance(flat, Deconstruct):
+        names = tuple([v.name for v in flat.args])
+        distinct = len(set(names)) == len(names)
+        return (_DECONSTRUCT, flat.var.name, flat.functor, len(names), names, distinct, atom, where)
+    if isinstance(flat, Call):
+        modes = program.predicates[flat.pred].modes
+        ins = tuple([v.name for v, m in zip(flat.args, modes) if m == "in"])
+        outs = tuple([v.name for v, m in zip(flat.args, modes) if m == "out"])
+        return (_CALL, flat.pred, _getter(ins), outs, _first_repeat(outs), atom, where)
+    if isinstance(flat, Construct):
+        args = _getter(tuple([v.name for v in flat.args]))
+        return (_CONSTRUCT, flat.var.name, flat.functor, args, (flat.var.name,), atom, where)
+    if isinstance(flat, Test):
+        return (_TEST, flat.left.name, flat.right.name, atom, where)
+    if isinstance(flat, Assign):
+        return (_ASSIGN, flat.target.name, flat.source.name, (flat.target.name,), atom, where)
+    raise TypeError(f"not an atom: {flat!r}")
 
-    def walk_term(t: QTerm) -> None:
+
+class _Procedures(dict):
+    """Predicate name -> compiled clauses, each predicate compiled on its
+    first call."""
+
+    def __init__(self, program: Program):
+        super().__init__()
+        self.program = program
+
+    def __missing__(self, name: str) -> tuple[_Clause, ...]:
+        pred = self.program.predicates[name]
+        ins = [pos for pos, m in enumerate(pred.modes) if m == "in"]
+        outs = [pos for pos, m in enumerate(pred.modes) if m == "out"]
+        clauses = tuple(
+            [
+                (
+                    tuple([clause.head_args[pos].name for pos in ins]),
+                    tuple([clause.head_args[pos].name for pos in outs]),
+                    tuple([_compile_atom(atom, self.program, atom, None) for atom in clause.body]),
+                )
+                for clause in pred.clauses
+            ]
+        )
+        self[name] = clauses
+        return clauses
+
+
+def _term_names(terms: Iterable[QTerm]) -> Iterator[str]:
+    """Variable names of ``terms``, depth-first, left to right."""
+    stack = list(terms)[::-1]
+    while stack:
+        t = stack.pop()
         if isinstance(t, Var):
-            if t.name not in seen:
-                seen.append(t.name)
+            yield t.name
         else:
-            for a in t.args:
-                walk_term(a)
+            stack.extend(reversed(t.args))
 
-    for qa in goal:
+
+def _query_terms(qa: QAtom) -> tuple[QTerm, ...]:
+    if isinstance(qa, QCall):
+        return qa.args
+    if isinstance(qa, (QDeconstruct, QConstruct)):
+        return (qa.var, *qa.args)
+    if isinstance(qa, QTest):
+        return (qa.left, qa.right)
+    if isinstance(qa, QAssign):
+        return (qa.target, qa.source)
+    raise TypeError(f"not a query atom: {qa!r}")
+
+
+def _compile_goal(goal: tuple[QAtom, ...], program: Program, env: _Env) -> tuple[_Instr, ...]:
+    """The instructions of a query, with its ground input terms bound in
+    ``env`` under fresh names."""
+    code: list[_Instr] = []
+    serial = count(1)
+    for index, qa in enumerate(goal, 1):
+        where = f"goal atom {index}"
+        counts_step = not isinstance(qa, QCall)
+
+        def holder(t: QTerm) -> Var:
+            """A variable holding input term ``t``."""
+            if isinstance(t, Var):
+                return t
+            name = f"#{next(serial)}"
+            value = _build(t, {})
+            if value is None:
+                code.append((_EVAL, name, t, counts_step, (name,), qa, where))
+            else:
+                env[name] = value
+            return Var(name)
+
+        flat: Atom | None = None
         if isinstance(qa, QCall):
-            for a in qa.args:
-                walk_term(a)
-        elif isinstance(qa, (QDeconstruct, QConstruct)):
-            walk_term(qa.var)
-            for a in qa.args:
-                walk_term(a)
+            callee = program.predicates.get(qa.pred)
+            if callee is not None and len(qa.args) == callee.arity:
+                outs = [t for t, m in zip(qa.args, callee.modes) if m == "out"]
+                if all(isinstance(t, Var) for t in outs) and _first_repeat(t.name for t in outs) is None:
+                    args = tuple(t if m == "out" else holder(t) for t, m in zip(qa.args, callee.modes))
+                    flat = Call(0, 0, 0, qa.pred, args)
+        elif isinstance(qa, QDeconstruct):
+            if all(isinstance(t, Var) for t in qa.args):
+                flat = Deconstruct(0, 0, 0, holder(qa.var), qa.functor, qa.args)
+        elif isinstance(qa, QConstruct):
+            if isinstance(qa.var, Var):
+                flat = Construct(0, 0, 0, qa.var, qa.functor, tuple(holder(t) for t in qa.args))
         elif isinstance(qa, QTest):
-            walk_term(qa.left)
-            walk_term(qa.right)
+            flat = Test(0, 0, 0, holder(qa.left), holder(qa.right))
         elif isinstance(qa, QAssign):
-            walk_term(qa.target)
-            walk_term(qa.source)
-    return seen
+            if isinstance(qa.target, Var):
+                flat = Assign(0, 0, 0, qa.target, holder(qa.source))
+        if flat is None:
+            code.append((_FAULT, counts_step, qa, where))
+        else:
+            code.append(_compile_atom(flat, program, qa, where))
+    return tuple(code)
+
+
+# ---------------------------------------------------------------------------
+# The machine
+# ---------------------------------------------------------------------------
 
 
 def solve(
@@ -353,13 +444,152 @@ def solve(
     """All answers to ``query`` within the step limit, in search order.
 
     Each answer maps the query's output variables (those not initially
-    bound) to ground terms. Raises StepLimitExceeded or RuntimeModeError.
+    bound) to ground terms. Raises StepLimitExceeded, RuntimeModeError or
+    SolveError.
     """
-    steps = _Steps(max_steps)
     env: _Env = dict(bindings or {})
-    initial = set(env)
-    order = [name for name in _goal_vars(query.goal) if name not in initial]
+    names = [
+        name
+        for name in dict.fromkeys(_term_names(t for qa in query.goal for t in _query_terms(qa)))
+        if name not in env
+    ]
+    body = _compile_goal(query.goal, program, env)
+    procs = _Procedures(program)
     answers: list[Answer] = []
-    for _ in _solve_goal(program, query.goal, 0, env, steps):
-        answers.append({name: env[name] for name in order if name in env})
-    return answers
+    budget = max_steps
+    # (bindings, names bound there) for each binding made before the newest
+    # choice point; choice points are
+    # [clauses, next clause, input values, return record, trail height, stamp].
+    trail: list[tuple[_Env, tuple[str, ...]]] = []
+    choices: list[list] = []
+    # Stamps order bodies and choice points by creation: a body's bindings
+    # go on the trail when its stamp is below the newest choice point's.
+    clock = 0
+    newest = -1
+    # The running body: instructions, next index, bindings, stamp, clause
+    # output names and return record
+    # (call instruction, caller's body, index, bindings, stamp, outputs, return).
+    i, estamp, heads_out, ret = 0, 0, (), None
+
+    while True:
+        while True:
+            if i == len(body):
+                if ret is None:
+                    answers.append({name: env[name] for name in names if name in env})
+                    break
+                values = [env[name] for name in heads_out]
+                instr, body, i, env, estamp, heads_out, ret = ret
+                outs = instr[3]
+                if instr[4] is not None:
+                    raise RuntimeModeError(f"{instr[4]} already bound at {_where(instr[5], instr[6])}")
+                env.update(zip(outs, values))
+                if estamp < newest:
+                    trail.append((env, outs))
+                continue
+
+            instr = body[i]
+            kind = instr[0]
+            if kind == _DECONSTRUCT:
+                budget -= 1
+                if budget < 0:
+                    raise StepLimitExceeded(max_steps)
+                _, var, functor, arity, bound, distinct, atom, where = instr
+                value = env.get(var)
+                if value is None:
+                    raise _fault(atom, where, env, program)
+                if value.functor != functor or len(value.args) != arity:
+                    break
+                if not distinct or not env.keys().isdisjoint(bound):
+                    raise _fault(atom, where, env, program)
+                env.update(zip(bound, value.args))
+            elif kind == _CALL:
+                try:
+                    values = instr[2](env)
+                except KeyError:
+                    raise _fault(instr[5], instr[6], env, program) from None
+                if not env.keys().isdisjoint(instr[3]):
+                    raise _fault(instr[5], instr[6], env, program)
+                clauses = procs[instr[1]]
+                if clauses:
+                    # Backtracking below enters the first clause.
+                    clock += 1
+                    record = (instr, body, i + 1, env, estamp, heads_out, ret)
+                    choices.append([clauses, 0, values, record, len(trail), clock])
+                break
+            elif kind == _CONSTRUCT:
+                budget -= 1
+                if budget < 0:
+                    raise StepLimitExceeded(max_steps)
+                _, var, functor, args, bound, atom, where = instr
+                try:
+                    value = GroundTerm(functor, args(env))
+                except KeyError:
+                    raise _fault(atom, where, env, program) from None
+                if var in env:
+                    raise _fault(atom, where, env, program)
+                env[var] = value
+            elif kind == _ASSIGN:
+                budget -= 1
+                if budget < 0:
+                    raise StepLimitExceeded(max_steps)
+                _, target, source, bound, atom, where = instr
+                value = env.get(source)
+                if value is None or target in env:
+                    raise _fault(atom, where, env, program)
+                env[target] = value
+            elif kind == _TEST:
+                budget -= 1
+                if budget < 0:
+                    raise StepLimitExceeded(max_steps)
+                _, left, right, atom, where = instr
+                a, b = env.get(left), env.get(right)
+                if a is None or b is None:
+                    raise _fault(atom, where, env, program)
+                if a != b:
+                    break
+                i += 1
+                continue
+            elif kind == _EVAL:
+                _, name, term, counts_step, bound, atom, where = instr
+                value = _build(term, env)
+                if value is None:
+                    if counts_step and budget <= 0:
+                        raise StepLimitExceeded(max_steps)
+                    raise _fault(atom, where, env, program)
+                env[name] = value
+            else:  # _FAULT
+                _, counts_step, atom, where = instr
+                if counts_step and budget <= 0:
+                    raise StepLimitExceeded(max_steps)
+                err = _fault(atom, where, env, program)
+                if err is not None:
+                    raise err
+                budget -= counts_step
+                break
+            if estamp < newest:
+                trail.append((env, bound))
+            i += 1
+
+        # Backtrack: undo the newest choice point's bindings and enter its
+        # next clause.
+        if not choices:
+            return answers
+        choice = choices[-1]
+        clauses, k, values, ret, height, stamp = choice
+        while len(trail) > height:
+            bound_env, bound = trail.pop()
+            for name in bound:
+                del bound_env[name]
+        if k + 1 < len(clauses):
+            choice[1] = k + 1
+            newest = stamp
+        else:
+            choices.pop()
+            newest = choices[-1][5] if choices else -1
+        budget -= 1
+        if budget < 0:
+            raise StepLimitExceeded(max_steps)
+        head_ins, heads_out, body = clauses[k]
+        env = dict(zip(head_ins, values))
+        estamp = clock
+        i = 0

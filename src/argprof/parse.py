@@ -417,20 +417,33 @@ def parse_query(source: str) -> Query:
     parser.expect("?-")
 
     def qterm() -> QTerm:
-        tok = parser.peek()
-        if tok.kind == "var":
-            return parser.variable()
-        ftok = parser.functor_name()
-        args: list[QTerm] = []
-        if parser.at("("):
-            parser.next()
-            if not parser.at(")"):
-                args.append(qterm())
-                while parser.at(","):
+        # An explicit stack of the terms whose arguments are being read, as
+        # (functor, arguments so far), so nesting depth costs no recursion.
+        open_terms: list[tuple[str, list[QTerm]]] = []
+        while True:
+            if parser.at("var"):
+                term: QTerm = parser.variable()
+            else:
+                ftok = parser.functor_name()
+                if parser.at("("):
                     parser.next()
-                    args.append(qterm())
-            parser.expect(")")
-        return QStruct(ftok.text, tuple(args))
+                    if not parser.at(")"):
+                        open_terms.append((ftok.text, []))
+                        continue
+                    parser.next()
+                term = QStruct(ftok.text)
+            # Attach the finished term to the terms it completes.
+            while open_terms:
+                functor, args = open_terms[-1]
+                args.append(term)
+                if parser.at(","):
+                    parser.next()
+                    break
+                parser.expect(")")
+                open_terms.pop()
+                term = QStruct(functor, tuple(args))
+            else:
+                return term
 
     def qatom() -> QAtom:
         tok = parser.peek()
@@ -441,28 +454,17 @@ def parse_query(source: str) -> Query:
             if isinstance(left, QStruct):
                 return QCall(left.functor, left.args)
             raise ParseError(f"expected atom, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-
+        parser.next()
+        rtok = parser.peek()
+        right = qterm()
         if op.kind in ("=>", "<="):
-            parser.next()
-            ftok = parser.functor_name()
-            args: list[QTerm] = []
-            if parser.at("("):
-                parser.next()
-                if not parser.at(")"):
-                    args.append(qterm())
-                    while parser.at(","):
-                        parser.next()
-                        args.append(qterm())
-                parser.expect(")")
+            if isinstance(right, Var):
+                raise ParseError(f"expected functor, found {rtok.text!r}", rtok.line, rtok.col)
             cls = QDeconstruct if op.kind == "=>" else QConstruct
-            return cls(left, ftok.text, tuple(args))
+            return cls(left, right.functor, right.args)
         if op.kind == ":=":
-            parser.next()
-            return QAssign(left, qterm())
-        if op.kind == "==":
-            parser.next()
-            return QTest(left, qterm())
-        raise ParseError(f"expected '=>', '<=', ':=' or '==', found {op.text!r}", op.line, op.col)
+            return QAssign(left, right)
+        return QTest(left, right)
 
     goal = [qatom()]
     while parser.at(","):

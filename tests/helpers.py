@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
 from argprof import (
@@ -32,6 +34,9 @@ from argprof import (
     make_interaction,
     parse_program,
 )
+from argprof.interp import DEFAULT_STEP_LIMIT, RuntimeModeError, SolveError, StepLimitExceeded
+from argprof.parse import QAssign, QAtom, QCall, QConstruct, QDeconstruct, QTerm, QTest, Query
+from argprof.syntax import Assign, Atom, Call, Construct, Deconstruct, Test, Var
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -411,6 +416,300 @@ def wide_source(rng: random.Random, arity: int, n_atoms: int) -> str:
         f"{head_text} :- {', '.join(atoms)}.",
         f"{head_text} :- w({','.join(call_args)}), {', '.join(back)}.",
     ]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the query interpreter as nested generators
+# ---------------------------------------------------------------------------
+#
+# The interpreter argprof had before its choice-point machine: depth-first
+# resolution written as recursive ``yield from`` chains, with a second
+# evaluator for query atoms. It recurses on term depth and on derivation
+# length, so only small queries can be given to it.
+
+
+@dataclass
+class ReferenceSteps:
+    limit: int
+    used: int = 0
+
+    def bump(self) -> None:
+        if self.used >= self.limit:
+            raise StepLimitExceeded(self.limit)
+        self.used += 1
+
+
+Answer = dict[str, GroundTerm]
+
+_Env = dict[str, GroundTerm]
+
+
+def _bind(env: _Env, name: str, value: GroundTerm, where: str) -> None:
+    if name in env:
+        raise RuntimeModeError(f"{name} already bound at {where}")
+    env[name] = value
+
+
+def _solve_body(
+    program: Program, atoms: tuple[Atom, ...], i: int, env: _Env, steps: ReferenceSteps
+) -> Iterator[None]:
+    if i == len(atoms):
+        yield None
+        return
+    atom = atoms[i]
+    where = f"point {atom.point}"
+
+    if isinstance(atom, Call):
+        callee = program.predicates[atom.pred]
+        in_vals: list[tuple[int, GroundTerm]] = []
+        out_vars: list[str] = []
+        for pos, (v, m) in enumerate(zip(atom.args, callee.modes)):
+            if m == "in":
+                if v.name not in env:
+                    raise RuntimeModeError(f"{v.name} unbound at {where}")
+                in_vals.append((pos, env[v.name]))
+            else:
+                if v.name in env:
+                    raise RuntimeModeError(f"{v.name} already bound at {where}")
+                out_vars.append(v.name)
+        for out_vals in _solve_call(program, callee, in_vals, steps):
+            bound: list[str] = []
+            try:
+                for name, value in zip(out_vars, out_vals):
+                    _bind(env, name, value, where)
+                    bound.append(name)
+                yield from _solve_body(program, atoms, i + 1, env, steps)
+            finally:
+                for name in bound:
+                    del env[name]
+        return
+
+    steps.bump()
+    bound = _eval_unification(atom, env, where)
+    if bound is None:
+        return
+    try:
+        yield from _solve_body(program, atoms, i + 1, env, steps)
+    finally:
+        for name in bound:
+            del env[name]
+
+
+def _eval_unification(atom: Atom, env: _Env, where: str) -> list[str] | None:
+    """Resolve a unification atom; returns newly bound names, None on failure."""
+    if isinstance(atom, Deconstruct):
+        if atom.var.name not in env:
+            raise RuntimeModeError(f"{atom.var.name} unbound at {where}")
+        value = env[atom.var.name]
+        if value.functor != atom.functor or len(value.args) != len(atom.args):
+            return None
+        bound: list[str] = []
+        for v, sub in zip(atom.args, value.args):
+            try:
+                _bind(env, v.name, sub, where)
+            except RuntimeModeError:
+                for name in bound:
+                    del env[name]
+                raise
+            bound.append(v.name)
+        return bound
+    if isinstance(atom, Construct):
+        args = []
+        for v in atom.args:
+            if v.name not in env:
+                raise RuntimeModeError(f"{v.name} unbound at {where}")
+            args.append(env[v.name])
+        _bind(env, atom.var.name, GroundTerm(atom.functor, tuple(args)), where)
+        return [atom.var.name]
+    if isinstance(atom, Test):
+        for v in (atom.left, atom.right):
+            if v.name not in env:
+                raise RuntimeModeError(f"{v.name} unbound at {where}")
+        return [] if env[atom.left.name] == env[atom.right.name] else None
+    if isinstance(atom, Assign):
+        if atom.source.name not in env:
+            raise RuntimeModeError(f"{atom.source.name} unbound at {where}")
+        _bind(env, atom.target.name, env[atom.source.name], where)
+        return [atom.target.name]
+    raise TypeError(f"not a unification atom: {atom!r}")
+
+
+def _solve_call(
+    program: Program,
+    pred: Predicate,
+    in_vals: list[tuple[int, GroundTerm]],
+    steps: ReferenceSteps,
+) -> Iterator[tuple[GroundTerm, ...]]:
+    """Yield output-argument tuples, one per solution, in clause order."""
+    out_positions = [pos for pos, m in enumerate(pred.modes) if m == "out"]
+    for clause in pred.clauses:
+        steps.bump()
+        env: _Env = {clause.head_args[pos].name: val for pos, val in in_vals}
+        for _ in _solve_body(program, clause.body, 0, env, steps):
+            yield tuple(env[clause.head_args[pos].name] for pos in out_positions)
+
+
+# ---------------------------------------------------------------------------
+# Query-level evaluation (nested ground terms allowed in input positions)
+# ---------------------------------------------------------------------------
+
+
+def _eval_qterm(t: QTerm, env: _Env) -> GroundTerm | None:
+    """Ground value of a query term, or None if a variable is unbound."""
+    if isinstance(t, Var):
+        return env.get(t.name)
+    args: list[GroundTerm] = []
+    for a in t.args:
+        v = _eval_qterm(a, env)
+        if v is None:
+            return None
+        args.append(v)
+    return GroundTerm(t.functor, tuple(args))
+
+
+def _require_ground(t: QTerm, env: _Env, where: str) -> GroundTerm:
+    value = _eval_qterm(t, env)
+    if value is None:
+        raise RuntimeModeError(f"non-ground input at {where}")
+    return value
+
+
+def _require_free_var(t: QTerm, env: _Env, where: str) -> str:
+    if not isinstance(t, Var):
+        raise RuntimeModeError(f"output position holds a term at {where}")
+    if t.name in env:
+        raise RuntimeModeError(f"{t.name} already bound at {where}")
+    return t.name
+
+
+def _solve_goal(
+    program: Program, goal: tuple[QAtom, ...], i: int, env: _Env, steps: ReferenceSteps
+) -> Iterator[None]:
+    if i == len(goal):
+        yield None
+        return
+    qa = goal[i]
+    where = f"goal atom {i + 1}"
+
+    if isinstance(qa, QCall):
+        if qa.pred not in program.predicates:
+            raise SolveError(f"unknown predicate '{qa.pred}' in query")
+        callee = program.predicates[qa.pred]
+        if len(qa.args) != callee.arity:
+            raise SolveError(
+                f"'{qa.pred}' called with {len(qa.args)} arguments but declared with arity {callee.arity}"
+            )
+        in_vals: list[tuple[int, GroundTerm]] = []
+        out_names: list[str] = []
+        seen_out: set[str] = set()
+        for pos, (t, m) in enumerate(zip(qa.args, callee.modes)):
+            if m == "in":
+                in_vals.append((pos, _require_ground(t, env, where)))
+            else:
+                name = _require_free_var(t, env, where)
+                if name in seen_out:
+                    raise RuntimeModeError(f"{name} repeated in output positions at {where}")
+                seen_out.add(name)
+                out_names.append(name)
+        for out_vals in _solve_call(program, callee, in_vals, steps):
+            for name, value in zip(out_names, out_vals):
+                env[name] = value
+            try:
+                yield from _solve_goal(program, goal, i + 1, env, steps)
+            finally:
+                for name in out_names:
+                    del env[name]
+        return
+
+    steps.bump()
+    bound: list[str] = []
+    ok = False
+    if isinstance(qa, QDeconstruct):
+        value = _require_ground(qa.var, env, where)
+        if value.functor == qa.functor and len(value.args) == len(qa.args):
+            ok = True
+            for t, sub in zip(qa.args, value.args):
+                name = _require_free_var(t, env, where)
+                env[name] = sub
+                bound.append(name)
+    elif isinstance(qa, QConstruct):
+        args = tuple(_require_ground(a, env, where) for a in qa.args)
+        name = _require_free_var(qa.var, env, where)
+        env[name] = GroundTerm(qa.functor, args)
+        bound.append(name)
+        ok = True
+    elif isinstance(qa, QTest):
+        ok = _require_ground(qa.left, env, where) == _require_ground(qa.right, env, where)
+    elif isinstance(qa, QAssign):
+        value = _require_ground(qa.source, env, where)
+        name = _require_free_var(qa.target, env, where)
+        env[name] = value
+        bound.append(name)
+        ok = True
+    else:
+        raise TypeError(f"not a query atom: {qa!r}")
+
+    if ok:
+        try:
+            yield from _solve_goal(program, goal, i + 1, env, steps)
+        finally:
+            for name in bound:
+                del env[name]
+    else:
+        for name in bound:
+            del env[name]
+
+
+def _goal_vars(goal: tuple[QAtom, ...]) -> list[str]:
+    """Variable names in order of first occurrence."""
+    seen: list[str] = []
+
+    def walk_term(t: QTerm) -> None:
+        if isinstance(t, Var):
+            if t.name not in seen:
+                seen.append(t.name)
+        else:
+            for a in t.args:
+                walk_term(a)
+
+    for qa in goal:
+        if isinstance(qa, QCall):
+            for a in qa.args:
+                walk_term(a)
+        elif isinstance(qa, (QDeconstruct, QConstruct)):
+            walk_term(qa.var)
+            for a in qa.args:
+                walk_term(a)
+        elif isinstance(qa, QTest):
+            walk_term(qa.left)
+            walk_term(qa.right)
+        elif isinstance(qa, QAssign):
+            walk_term(qa.target)
+            walk_term(qa.source)
+    return seen
+
+
+def reference_solve(
+    program: Program,
+    query: Query,
+    max_steps: int = DEFAULT_STEP_LIMIT,
+    bindings: Mapping[str, GroundTerm] | None = None,
+    steps: ReferenceSteps | None = None,
+) -> list[Answer]:
+    """All answers to ``query`` within the step limit, in search order.
+
+    Each answer maps the query's output variables (those not initially
+    bound) to ground terms. Raises StepLimitExceeded or RuntimeModeError.
+    Pass ``steps`` to read the steps used, also after a raise.
+    """
+    steps = steps or ReferenceSteps(max_steps)
+    env: _Env = dict(bindings or {})
+    initial = set(env)
+    order = [name for name in _goal_vars(query.goal) if name not in initial]
+    answers: list[Answer] = []
+    for _ in _solve_goal(program, query.goal, 0, env, steps):
+        answers.append({name: env[name] for name in order if name in env})
+    return answers
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import jsonschema
 import pytest
 
+import argprof.interp
 from argprof.cli import main
 from helpers import FIXTURES
 
@@ -247,11 +248,25 @@ def test_run_answer_without_outputs_prints_true(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_run_too_deep_query_is_a_diagnostic(capsys):
+def test_run_deep_query_answers(capsys):
     deep = "nil"
     for i in range(1000):
         deep = f"cons({i},{deep})"
-    assert main(["run", fixture("append.lp"), f"?- app({deep},nil,Z)."]) == 1
+    assert main(["run", fixture("append.lp"), f"?- app({deep},nil,Z)."]) == 0
+    captured = capsys.readouterr()
+    expected = "".join(f"cons({i}, " for i in reversed(range(1000))) + "nil" + ")" * 1000
+    assert captured.out == f"Z = {expected}\n"
+    assert captured.err == ""
+
+
+def test_run_recursion_error_is_a_diagnostic(monkeypatch, capsys):
+    # The last-resort handler in main, for input that some step still
+    # cannot take.
+    def deep_solve(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(argprof.interp, "solve", deep_solve)
+    assert main(["run", fixture("append.lp"), "?- app(nil,nil,Z)."]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err == "error: input nested too deeply: Python recursion limit reached\n"

@@ -3,23 +3,32 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
 from argprof import (
     GroundTerm,
     RuntimeModeError,
+    SolveError,
     StepLimitExceeded,
     format_ground,
+    parse_program,
     parse_query,
+    plan,
+    rewrite,
+    run_analysis,
     solve,
     validate_modes,
 )
 from helpers import (
     TIE_FREE_FIXTURES,
+    ReferenceSteps,
     answer_multiset,
+    fixture_names,
     gen_input_term,
     load_fixture,
+    reference_solve,
 )
 
 
@@ -166,3 +175,337 @@ def test_no_runtime_mode_errors_on_validated_fixtures():
                     pass
                 except RuntimeModeError as exc:
                     pytest.fail(f"{name}:{pname}: runtime mode error {exc}")
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the machine against the generator interpreter
+# ---------------------------------------------------------------------------
+
+ORACLE_LIMIT = 200_000
+
+# Not mode-checked: each predicate trips one runtime check of a program atom.
+UNCHECKED = """\
+:- pred q(in,out,out).
+q(X,Y,Z) :- Y := X, Z := X.
+:- pred dupout(in,out).
+dupout(X,Y) :- q(X,Y,Y).
+:- pred unbound(in,out).
+unbound(X,Y) :- Y := W.
+:- pred twice(in,out).
+twice(X,Y) :- Y := X, Y := X.
+:- pred decdup(in,out).
+decdup(X,Y) :- X => pair(A,A), Y := A.
+:- pred testfree(in,out).
+testfree(X,Y) :- X == W, Y := X.
+:- pred consfree(in,out).
+consfree(X,Y) :- Y <= f(X,W).
+:- pred consbound(in,out).
+consbound(X,Y) :- Y := X, Y <= f(X,X).
+:- pred callbound(in,out).
+callbound(X,Y) :- Y := X, q(X,Y,Z).
+:- pred callfree(in,out).
+callfree(X,Y) :- q(W,Y,Z).
+:- pred noout(in,out).
+noout(X,Y) :- X => nil.
+:- pred alt(in,out).
+alt(X,Y) :- X => nil, Y := X.
+alt(X,Y) :- X => cons(H,T), Y := H.
+alt(X,Y) :- Y := W.
+"""
+
+
+def _outcome(run):
+    """Answers with their binding order, or the error's class and text."""
+    try:
+        return "answers", [list(answer.items()) for answer in run()]
+    except (SolveError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_agrees(program, query, bindings=None):
+    """``solve`` gives the reference's outcome at a large limit, again at
+    exactly the steps the reference used, and runs out one step earlier."""
+    steps = ReferenceSteps(ORACLE_LIMIT)
+    expected = _outcome(lambda: reference_solve(program, query, bindings=bindings, steps=steps))
+    assert _outcome(lambda: solve(program, query, ORACLE_LIMIT, bindings)) == expected
+    if expected[0] is not StepLimitExceeded:
+        assert _outcome(lambda: solve(program, query, steps.used, bindings)) == expected
+        if steps.used:
+            short = _outcome(lambda: solve(program, query, steps.used - 1, bindings))
+            assert short == (StepLimitExceeded, f"step limit exceeded ({steps.used - 1})")
+    return expected
+
+
+def _fixture_queries(program, rng):
+    """Well- and ill-moded queries on every predicate of ``program``."""
+    for pname, pred in program.predicates.items():
+        ground = [format_ground(gen_input_term(rng)) for _ in pred.modes]
+        outs = [f"O{k}" for k in range(len(pred.modes))]
+
+        def call(args):
+            return f"{pname}({', '.join(args)})" if args else pname
+
+        plain = [g if m == "in" else o for g, o, m in zip(ground, outs, pred.modes)]
+        yield f"?- {call(plain)}."
+        for k, mode in enumerate(pred.modes):
+            args = list(plain)
+            if mode == "in":
+                args[k] = "U"  # unbound input
+                yield f"?- {call(args)}."
+                args[k] = f"cons(V,{ground[k]})"  # nested input, V bound first
+                yield f"?- V := a, {call(args)}."
+                yield f"?- {call(args)}."
+            else:
+                args[k] = "f(a)"  # term in an output position
+                yield f"?- {call(args)}."
+                yield f"?- {outs[k]} := a, {call(plain)}."  # bound output
+        out_positions = [k for k, m in enumerate(pred.modes) if m == "out"]
+        if len(out_positions) > 1:
+            args = list(plain)
+            args[out_positions[1]] = outs[out_positions[0]]  # repeated output
+            yield f"?- {call(args)}."
+        # A second call after the first (and, in pick.lp, backtracking into
+        # an earlier atom with several answers).
+        yield f"?- {call(plain)}, {call(plain)}."
+        yield f"?- pick(cons(a,cons(b,nil)), P), {call(plain)}."
+
+
+def test_oracle_fixture_predicates():
+    rng = random.Random(404)
+    checked = 0
+    for name in fixture_names():
+        program = load_fixture(name)
+        for text in _fixture_queries(program, rng):
+            assert_agrees(program, parse_query(text))
+            checked += 1
+    assert checked > 130
+
+
+def test_oracle_query_atoms():
+    program = load_fixture("pick.lp")
+    texts = [
+        "?- X := cons(a,nil), X => cons(H,T).",
+        "?- X := cons(a,nil), X => cons(H,H).",
+        "?- X := cons(a,nil), X => cons(a,T).",
+        "?- X := cons(a,nil), X => nil.",
+        "?- X := cons(a,nil), X => pair(a,T).",
+        "?- X => cons(H,T).",
+        "?- f(X) => cons(H,T).",
+        "?- cons(a,nil) => cons(H,T), H == a.",
+        "?- Z <= pair(1,2).",
+        "?- Z <= pair(X,2).",
+        "?- X := 1, Z <= pair(f(X),2), Z == pair(f(1),2).",
+        "?- f(a) <= pair(1,2).",
+        "?- f(a) <= pair(X,2).",
+        "?- X := 1, X <= pair(X,2).",
+        "?- X := 1, Y := 2, X == Y.",
+        "?- X := f(a,b), X == f(a,b).",
+        "?- X == f(a,b).",
+        "?- f(a) == f(Y).",
+        "?- a := b.",
+        "?- X := Y.",
+        "?- X := a, X := b.",
+        "?- nosuch(a, X).",
+        "?- pick(cons(a,nil), X), nosuch(X).",
+        "?- pick(nil, X), nosuch(X).",
+        "?- pick(cons(a,nil)).",
+        "?- pick(cons(a,cons(b,cons(c,nil))), X), pick(cons(X,cons(b,nil)), Y), Y == b.",
+        "?- pick(cons(a,cons(b,nil)), X), X => a, Y := X.",
+        "?- pick(cons(a,cons(b,nil)), X), Y <= cons(X,nil), pick(Y, Z).",
+        "?- pick(cons(a,cons(b,nil)), X), pick(cons(X,Y), Z).",
+        "?- pick(cons(a,cons(b,nil)), X), X => b, pick(nil, Z).",
+    ]
+    for text in texts:
+        assert_agrees(program, parse_query(text))
+
+
+def test_oracle_unchecked_program_atoms():
+    program = parse_program(UNCHECKED)
+    outcomes = {}
+    for pname in program.predicates:
+        if pname == "q":
+            continue
+        for arg in ("nil", "pair(a,a)", "cons(a,nil)"):
+            outcomes[pname, arg] = assert_agrees(program, parse_query(f"?- {pname}({arg}, Y)."))
+    # Each check is reached, and each reports its atom's point.
+    assert outcomes["unbound", "nil"] == (RuntimeModeError, "W unbound at point 4")
+    assert outcomes["twice", "nil"] == (RuntimeModeError, "Y already bound at point 6")
+    assert outcomes["dupout", "nil"] == (RuntimeModeError, "Y already bound at point 3")
+    assert outcomes["decdup", "pair(a,a)"] == (RuntimeModeError, "A already bound at point 7")
+    assert outcomes["noout", "nil"] == (KeyError, "'Y'")
+    # The third clause is reached after the first clause's answer too.
+    assert outcomes["alt", "nil"] == (RuntimeModeError, "W unbound at point 22")
+    assert outcomes["alt", "pair(a,a)"] == (RuntimeModeError, "W unbound at point 22")
+
+
+# Clauses that bind their own variables after a call that leaves choice
+# points, so backtracking must undo bindings in a clause still running.
+NONDET = """\
+:- pred pick(in,out).
+pick(L,X) :- L => cons(E,Es), X := E.
+pick(L,X) :- L => cons(E,Es), pick(Es,X).
+:- pred pairs(in,out).
+pairs(L,P) :- pick(L,X), pick(L,Y), P <= pair(X,Y).
+:- pred firstb(in,out).
+firstb(L,Y) :- pick(L,X), X => b, Y := X.
+:- pred twob(in,out).
+twob(L,P) :- pairs(L,P), P => pair(X,Y), X == Y, Y => b.
+:- pred two(out).
+two(X) :- X <= a.
+two(X) :- X <= b.
+"""
+
+
+def test_oracle_backtracking_inside_clauses():
+    program = parse_program(NONDET)
+    assert validate_modes(program).ok()
+    for lst in ("nil", "cons(a,nil)", "cons(a,cons(b,nil))", "cons(b,cons(a,cons(b,cons(c,nil))))"):
+        for pname in ("pairs", "firstb", "twob"):
+            assert_agrees(program, parse_query(f"?- {pname}({lst}, R)."))
+    # The last alternative of the second call is entered while the first
+    # call's choice point remains, so later bindings must still be undone.
+    assert len(assert_agrees(program, parse_query("?- two(X), two(Y), Z := X."))[1]) == 4
+    answers = solve(program, parse_query("?- pairs(cons(a,cons(b,nil)), P)."))
+    assert [format_ground(a["P"]) for a in answers] == ["pair(a, a)", "pair(a, b)", "pair(b, a)", "pair(b, b)"]
+
+
+def test_oracle_nrev_and_bindings():
+    program = parse_program((Path(__file__).parent.parent / "perfbench" / "nrev.lp").read_text())
+    for n in range(13):
+        items = ",".join("abcd"[k % 4] for k in range(n))
+        lst = "nil"
+        for e in reversed(items.split(",") if n else []):
+            lst = f"cons({e},{lst})"
+        assert_agrees(program, parse_query(f"?- nrev({lst}, R)."))
+        assert_agrees(program, parse_query(f"?- app({lst}, {lst}, R)."))
+    query = parse_query("?- nrev(L, R), app(R, L, S).")
+    one = GroundTerm("cons", (GroundTerm("a"), GroundTerm("cons", (GroundTerm("b"), GroundTerm("nil")))))
+    assert_agrees(program, query, bindings={"L": one})
+    assert_agrees(program, query, bindings={"L": one, "S": one})
+
+
+def test_oracle_every_step_limit():
+    # Each limit below what a query needs ends it at the same step, with
+    # the same error, as in the reference.
+    cases = [
+        ("pick.lp", "?- pick(cons(a,cons(b,cons(c,nil))), X), X => c, Y := X."),
+        ("pick.lp", "?- X := cons(a,nil), pick(X, Y), Y => cons(H,T)."),
+        ("pick.lp", "?- X := a, f(X) <= g(X)."),
+        ("mixed.lp", "?- swap_all(cons(pair(1,2),cons(pair(3,4),nil)), R), same(R, R)."),
+        ("reverse.lp", "?- rev(cons(1,cons(2,cons(3,nil))), R), rev(R, S)."),
+    ]
+    for name, text in cases:
+        program, query = load_fixture(name), parse_query(text)
+        steps = ReferenceSteps(ORACLE_LIMIT)
+        _outcome(lambda: reference_solve(program, query, steps=steps))
+        for limit in range(steps.used + 1):
+            expected = _outcome(lambda: reference_solve(program, query, limit))
+            assert _outcome(lambda: solve(program, query, limit)) == expected, (text, limit)
+
+
+def test_oracle_soundness_queries():
+    # The random ground queries of acceptance test 09, on every fixture
+    # predicate, original and normalized.
+    from test_acceptance import _query_for
+
+    rng = random.Random(0xC0FFEE)
+    for name in fixture_names():
+        program = load_fixture(name)
+        normalized = rewrite(program, plan(program, run_analysis(program)[0]))
+        for pname, pred in program.predicates.items():
+            for _ in range(10):
+                query, _args = _query_for(pred, rng)
+                assert_agrees(program, query)
+                assert_agrees(normalized, query)
+
+
+@pytest.mark.parametrize(
+    ("program_file", "text", "steps"),
+    [
+        ("append.lp", "?- app(nil, nil, Z).", 5),
+        ("pick.lp", "?- pick(cons(a,cons(b,nil)),X).", 14),
+        ("mixed.lp", "?- swap_all(cons(pair(1,2),cons(pair(3,4),nil)), R).", 21),
+        ("append.lp", "?- X <= cons(a,nil), app(X, X, Z).", 11),
+        ("nrev.lp", "?- nrev(" + "".join(f"cons({e}," for e in "abcdefghij") + "nil" + ")" * 10 + ", R).", 340),
+    ],
+)
+def test_step_counts(program_file, text, steps):
+    if program_file == "nrev.lp":
+        program = parse_program((Path(__file__).parent.parent / "perfbench" / "nrev.lp").read_text())
+    else:
+        program = load_fixture(program_file)
+    query = parse_query(text)
+    assert solve(program, query, max_steps=steps)
+    with pytest.raises(StepLimitExceeded):
+        solve(program, query, max_steps=steps - 1)
+
+
+# ---------------------------------------------------------------------------
+# Depth: long inputs and answers use no recursion
+# ---------------------------------------------------------------------------
+
+
+def _list_text(elements) -> str:
+    return "".join(f"cons({e}," for e in elements) + "nil" + ")" * len(elements)
+
+
+def _list_term(elements) -> GroundTerm:
+    term = GroundTerm("nil")
+    for e in reversed(elements):
+        term = GroundTerm("cons", (GroundTerm(e), term))
+    return term
+
+
+def test_deep_terms_print_compare_and_hash():
+    deep = _list_term(["1"] * 5000)
+    same = _list_term(["1"] * 5000)
+    other = _list_term(["1"] * 4999 + ["2"])
+    text = format_ground(deep)
+    assert text == "cons(1, " * 5000 + "nil" + ")" * 5000
+    assert deep == same and deep is not same
+    assert deep != other and not deep == other
+    assert hash(deep) == hash(same)
+    assert repr(deep).count("GroundTerm(") == 10001
+    assert len({deep, same, other}) == 2
+
+
+def test_repr_matches_the_field_layout():
+    assert repr(GroundTerm("nil")) == "GroundTerm(functor='nil', args=())"
+    assert repr(GroundTerm("s", (GroundTerm("z"),))) == (
+        "GroundTerm(functor='s', args=(GroundTerm(functor='z', args=()),))"
+    )
+    assert repr(GroundTerm("pair", (GroundTerm("1"), GroundTerm("2")))) == (
+        "GroundTerm(functor='pair', args=(GroundTerm(functor='1', args=()), "
+        "GroundTerm(functor='2', args=())))"
+    )
+
+
+def test_same_on_deep_terms():
+    program = load_fixture("mixed.lp")
+    deep = _list_text(["a"] * 5000)
+    assert solve(program, parse_query(f"?- same({deep}, {deep}).")) == [{}]
+    assert solve(program, parse_query(f"?- same({deep}, {_list_text(['a'] * 4999 + ['b'])}).")) == []
+
+
+def test_app_and_rev_on_1000_elements():
+    elements = [str(k % 7) for k in range(1000)]
+    answers = solve(load_fixture("append.lp"), parse_query(f"?- app({_list_text(elements)}, nil, Z)."))
+    assert answers == [{"Z": _list_term(elements)}]
+    answers = solve(load_fixture("reverse.lp"), parse_query(f"?- rev({_list_text(elements)}, R)."))
+    assert answers == [{"R": _list_term(elements[::-1])}]
+
+
+def test_app_on_20000_elements_within_the_default_limit():
+    elements = ["a", "b", "c", "d"] * 5000
+    answers = solve(load_fixture("append.lp"), parse_query(f"?- app({_list_text(elements)}, cons(z,nil), Z)."))
+    assert answers == [{"Z": _list_term(elements + ["z"])}]
+
+
+def test_deep_query_parses_without_recursion():
+    query = parse_query(f"?- app({_list_text(['a'] * 5000)}, nil, Z).")
+    term = query.goal[0].args[0]
+    depth = 0
+    while term.args:
+        term = term.args[1]
+        depth += 1
+    assert depth == 5000 and term.functor == "nil"
