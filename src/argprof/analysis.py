@@ -13,22 +13,29 @@ The atomic analysis turns one body atom into interactions:
 
 Clause analysis joins the atom results, closes them transitively (data
 flowing through local variables composes into argument-to-argument flow)
-and projects onto the formal arguments. Each clause's set is built and
-closed in place, and only its argument-to-argument pairs are merged into
-the predicate's set, which is frozen once. The closure is semi-naive:
-each step composes only the pairs the step before added or grew. The
-driver analyzes predicates bottom-up over the call graph: each predicate
-is iterated to a local fixpoint before any caller of it is considered,
-which is what makes call abstractions stable, so each one is built once,
-when its callee is discharged, and shared by every call site in every
-round. Directly recursive programs always converge because interaction
-sets over a predicate form a finite lattice and each round only ever
-grows or refreshes them.
+and projects onto the formal arguments. The closure is semi-naive: each
+step composes only the pairs the step before added or grew.
+
+The driver analyzes predicates bottom-up over the call graph: each
+predicate is iterated to a local fixpoint before any caller of it is
+considered, which is what makes call abstractions stable, so each one is
+built once, when its callee is discharged, and shared by every call site
+in every round. The rounds of one predicate are incremental too. The
+first round builds and closes each clause's set once, from every atom but
+the environment entry its self-calls read; a clause without a self-call
+is then finished. Each later round joins only the renamed entry into the
+clauses that call themselves and closes over just the pairs it grew, and
+only argument-to-argument pairs that grew reach the predicate's set. A
+predicate that never calls itself reads only discharged callees, so its
+second round cannot differ from its first: that confirming round is
+recorded without being computed. Directly recursive programs always
+converge because interaction sets over a predicate form a finite lattice
+and each round only ever grows them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .domain import (
@@ -37,6 +44,7 @@ from .domain import (
     ConstructOp,
     DeconstructOp,
     InteractionSet,
+    Operation,
     PsiOp,
     _Builder,
     bottom,
@@ -82,6 +90,35 @@ def call_abstraction(callee: Predicate, callee_set: InteractionSet) -> PsiOp:
     return PsiOp(oprof(callee_set, callee.arg_names, callee.modes).profiles)
 
 
+def _add_renamed(
+    out: _Builder,
+    callee: Predicate,
+    atom: Call,
+    callee_set: InteractionSet,
+    grown: dict[tuple[str, str], None],
+) -> None:
+    """Join ``callee_set`` with the callee's formals renamed to the call's
+    actuals into ``out``, noting in ``grown`` each pair added or grown."""
+    rename = {f.name: a.name for f, a in zip(callee.args, atom.args)}
+    for i in callee_set:
+        src, tgt = rename[i.source], rename[i.target]
+        # Aliased actuals collapse the edge.
+        if src != tgt and out.add(src, tgt, i.by_point()):
+            grown[(src, tgt)] = None
+
+
+def _add_call_op(out: _Builder, atom: Call, callee: Predicate, call_op: Operation) -> None:
+    """One interaction per (input actual, output actual) pair of a call,
+    carrying ``call_op`` at the call's point."""
+    point = atom.point
+    inputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "in"}
+    outputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "out"}
+    for src in sorted(inputs):
+        for tgt in sorted(outputs):
+            if src != tgt:
+                out.add(src, tgt, {point: call_op})
+
+
 def _add_atom(
     out: _Builder,
     atom: Atom,
@@ -107,24 +144,14 @@ def _add_atom(
             raise AnalysisError(f"predicate '{atom.pred}' missing from environment")
         callee = program.predicates[atom.pred]
         callee_set = env[atom.pred]
-        rename = {f.name: a.name for f, a in zip(callee.args, atom.args)}
-        for i in callee_set:
-            src, tgt = rename[i.source], rename[i.target]
-            if src == tgt:  # aliased actuals collapse the edge
-                continue
-            out.add(src, tgt, i.by_point())
+        _add_renamed(out, callee, atom, callee_set, {})
         if atom.pred == out.owner:
-            call_op = PSI_BOT
+            call_op: Operation = PSI_BOT
         elif psi_ops is not None:
             call_op = psi_ops[atom.pred]
         else:
             call_op = call_abstraction(callee, callee_set)
-        inputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "in"}
-        outputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "out"}
-        for src in sorted(inputs):
-            for tgt in sorted(outputs):
-                if src != tgt:
-                    out.add(src, tgt, {point: call_op})
+        _add_call_op(out, atom, callee, call_op)
     elif not isinstance(atom, Test):
         raise TypeError(f"not an atom: {atom!r}")
 
@@ -137,8 +164,12 @@ def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionS
     return out.freeze()
 
 
-def _close(out: _Builder) -> None:
-    """Close ``out`` in place under composition through shared variables.
+Pair = tuple[str, str]
+
+
+def _close(out: _Builder, delta: dict[Pair, None] | None = None) -> dict[Pair, None]:
+    """Close ``out`` in place under composition through shared variables,
+    and return the pairs added or grown (every pair when ``delta`` is None).
 
     For pairwise-distinct X, Y, Z with X ~{O}~> Y and Y ~{O'}~> Z, the
     interaction X ~{O u O'}~> Z is merged in (union keyed by program
@@ -148,18 +179,23 @@ def _close(out: _Builder) -> None:
     grown by the step before, on either side, with the current pairs they
     meet through the successor and predecessor indexes. A pair that grows
     is composed again in the next step, so every composition of the final
-    pairs is made at least once.
+    pairs is made at least once. ``delta`` names the pairs added or grown
+    since ``out`` was last closed; the first step composes only those, with
+    indexes over all pairs.
     """
     ops = out.ops
     # Dicts as insertion-ordered sets, so every run composes in one order.
     succ: dict[str, dict[str, None]] = {}
     pred: dict[str, dict[str, None]] = {}
-    delta = dict.fromkeys(ops)
+    if delta is None:
+        delta = dict.fromkeys(ops)
+    changed = dict(delta)
+    unindexed: Iterable[Pair] = ops  # every pair, then each step's new ones
     while delta:
-        for x, y in delta:
+        for x, y in unindexed:
             succ.setdefault(x, {})[y] = None
             pred.setdefault(y, {})[x] = None
-        grown: dict[tuple[str, str], None] = {}
+        grown: dict[Pair, None] = {}
         for x, y in delta:
             # (x, y) then (y, z); y != z since there are no self-edges.
             for z in succ.get(y, ()):
@@ -169,7 +205,9 @@ def _close(out: _Builder) -> None:
             for w in pred.get(x, ()):
                 if w != y and out.add(w, y, {**ops[(w, x)], **ops[(x, y)]}):
                     grown[(w, y)] = None
-        delta = grown
+        changed.update(grown)
+        delta = unindexed = grown
+    return changed
 
 
 def transitive_closure(s: InteractionSet) -> InteractionSet:
@@ -191,31 +229,76 @@ def project(s: InteractionSet, pred: Predicate) -> InteractionSet:
     return InteractionSet(s.owner, s.input_args, kept)
 
 
+class RoundState:
+    """What one predicate's fixpoint rounds carry from round to round.
+
+    ``acc`` is the predicate's set, joined over the clauses. ``open`` is
+    None until the first round, which fills it with each clause that has a
+    self-call, as its closed builder and its self-calls.
+    """
+
+    __slots__ = ("acc", "formals", "open")
+
+    def __init__(self, pred: Predicate) -> None:
+        self.acc = _Builder(pred.name, pred.input_arg_names())
+        self.formals = frozenset(pred.arg_names)
+        self.open: list[tuple[_Builder, list[Call]]] | None = None
+
+    def keep_formal_pairs(self, clause: _Builder, pairs: Iterable[Pair]) -> None:
+        """Join the argument-to-argument pairs among ``pairs`` of a closed
+        clause builder into ``acc``, copying their operation dicts, which
+        the clause builder keeps using."""
+        formals, ops, acc = self.formals, clause.ops, self.acc
+        for x, y in pairs:
+            if x in formals and y in formals:
+                acc.add(x, y, dict(ops[(x, y)]))
+
+
 def analyze_predicate(
     pred: Predicate,
     env: Environment,
     program: Program,
     psi_ops: Mapping[str, PsiOp] | None = None,
+    state: RoundState | None = None,
 ) -> InteractionSet:
     """Join, over the clauses, the projected closure of the body analysis.
 
     ``psi_ops`` maps discharged callees to their call abstractions; without
     it, the abstraction of a non-recursive call is built afresh.
+
+    ``state`` carries the work of earlier rounds of the same predicate;
+    without it, this is a one-shot analysis. The first round fills and
+    closes each clause's builder from every atom except the sets its
+    self-calls read from ``env``, which is all a clause without a self-call
+    contributes. Every round then joins only those renamed sets and closes
+    over just the pairs they grew. Within one run each program point
+    carries one operation and ``env[pred.name]`` only grows, so this equals
+    closing every clause afresh.
     """
-    input_args = pred.input_arg_names()
-    formals = set(pred.arg_names)
-    acc = _Builder(pred.name, input_args)
-    for clause in pred.clauses:
-        clause_set = _Builder(pred.name, input_args)
-        for atom in clause.body:
-            _add_atom(clause_set, atom, env, program, psi_ops)
-        _close(clause_set)
-        # Keep argument-to-argument flow; the clause set is dropped, so acc
-        # may take its operation dicts.
-        for (x, y), by_point in clause_set.ops.items():
-            if x in formals and y in formals:
-                acc.add(x, y, by_point)
-    return acc.freeze()
+    if state is None:
+        state = RoundState(pred)
+    if state.open is None:
+        state.open = []
+        for clause in pred.clauses:
+            builder = _Builder(pred.name, state.acc.input_args)
+            self_calls = []
+            for atom in clause.body:
+                if isinstance(atom, Call) and atom.pred == pred.name:
+                    self_calls.append(atom)
+                    _add_call_op(builder, atom, pred, PSI_BOT)
+                else:
+                    _add_atom(builder, atom, env, program, psi_ops)
+            state.keep_formal_pairs(builder, _close(builder))
+            if self_calls:
+                state.open.append((builder, self_calls))
+    own_set = env[pred.name]
+    for builder, self_calls in state.open:
+        grown: dict[Pair, None] = {}
+        for atom in self_calls:
+            _add_renamed(builder, pred, atom, own_set, grown)
+        if grown:
+            state.keep_formal_pairs(builder, _close(builder, grown))
+    return state.acc.freeze()
 
 
 def leafs(
@@ -253,14 +336,22 @@ def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:
             raise NonDirectRecursionError(sorted(remaining))
         name = min(eligible)
         pred = program.predicates[name]
+        state = RoundState(pred)
+        self_recursive = name in program.call_graph.get(name, ())
         while True:
             round_index += 1
-            new = analyze_predicate(pred, env, program, psi_ops)
+            new = analyze_predicate(pred, env, program, psi_ops, state)
             changed = new != env[name]
             trace.append(TraceEntry(round_index, name, new, changed))
             if not changed:
                 break
             env[name] = new
+            if not self_recursive:
+                # The next round reads only discharged callees, so it would
+                # repeat this one: record it as the confirming round.
+                round_index += 1
+                trace.append(TraceEntry(round_index, name, new, False))
+                break
         if name in called:
             psi_ops[name] = call_abstraction(pred, env[name])
         analyzed.add(name)

@@ -53,7 +53,7 @@ def _profile_json(program: Program, env: Environment) -> dict:
     predicates = []
     for name, pred in program.predicates.items():
         profile = strip_points(env[name], pred.arg_names, pred.modes)
-        ordered = oprof(env[name], pred.arg_names, pred.modes)
+        ordered = oprof(profile, pred.arg_names, pred.modes)
         predicates.append(
             {
                 "name": name,
@@ -205,8 +205,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(loaded, int):
         return loaded
     program, label = loaded
+    text = sys.stdin.read() if args.query == "-" else args.query
     try:
-        query = parse_query(args.query)
+        query = parse_query(text)
     except SourceError as exc:
         print(exc.render("<query>"), file=sys.stderr)
         return 1
@@ -256,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a query against the program")
     p_run.add_argument("file", help="program file, or - for stdin")
-    p_run.add_argument("query", help="query text, e.g. '?- app(cons(1,nil),nil,Z).'")
+    p_run.add_argument(
+        "query", help="query text, e.g. '?- app(cons(1,nil),nil,Z).', or - for stdin"
+    )
     p_run.add_argument("--limit", type=int, default=1_000_000, help="derivation step limit")
     p_run.set_defaults(func=cmd_run)
 
@@ -266,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.file == args.query == "-":
+        parser.error("the program and the query cannot both be read from stdin")
     try:
         return args.func(args)
     except OSError as exc:

@@ -296,9 +296,9 @@ class _Builder:
     """An interaction set under construction, the one place sets are merged.
 
     ``ops`` maps each (source, target) pair to its operations keyed by
-    program point. A pair taken whole from a frozen set keeps its
-    ``Interaction`` until it grows, so ``freeze`` rebuilds only the pairs
-    that were merged into.
+    program point. A pair taken whole from a frozen set, or frozen by this
+    builder, keeps its ``Interaction`` until it grows, so ``freeze``
+    rebuilds only the pairs that were merged into since.
     """
 
     __slots__ = ("owner", "input_args", "ops", "_kept")
@@ -347,6 +347,7 @@ class _Builder:
             key: kept.get(key) or _interaction(key[0], key[1], ops)
             for key, ops in self.ops.items()
         }
+        self._kept = dict(interactions)
         return InteractionSet(self.owner, self.input_args, interactions)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Assign,
@@ -65,70 +66,53 @@ class ProgramError(SourceError):
     """Structural errors: duplicate definitions, arity conflicts, undefined calls."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'name' | 'var' | 'int' | punctuation | 'eof'
     text: str
     line: int
     col: int
 
 
-_PUNCT = (":-", "?-", ":=", "=>", "<=", "==", "(", ")", ",", ".")
-_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
-_VAR_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+# One alternation, tried at each position; the group that matched (by
+# number) says what was read.
+_TOKEN_RE = re.compile(
+    r"(\n)|([ \t\r]+)|(%[^\n]*)"  # 1 newline, 2 blanks, 3 comment
+    r"|(:-|\?-|:=|=>|<=|==|[(),.])"  # 4 punctuation
+    r"|([a-z][A-Za-z0-9_]*)|([A-Z_][A-Za-z0-9_]*)|([0-9]+)"  # 5 name, 6 var, 7 int
+)
+_KINDS = {5: "name", 6: "var", 7: "int"}
 
 
 def tokenize(source: str) -> list[Token]:
+    """Split ``source`` into tokens, ending with an ``eof`` token.
+
+    Columns are 1-based offsets from the start of the line. The ``eof``
+    token sits just past the last character, or at the ``%`` of a comment
+    that runs to the end of the input.
+    """
     tokens: list[Token] = []
-    line, col = 1, 1
+    append = tokens.append
+    match = _TOKEN_RE.match
+    line, line_start = 1, 0
     i, n = 0, len(source)
+    comment = -1  # offset of the last comment
     while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
+        m = match(source, i)
+        if m is None:
+            raise LexError(f"unexpected character {source[i]!r}", line, i - line_start + 1)
+        group = m.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        two = source[i : i + 2]
-        if two in _PUNCT:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "(),.":
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NAME_RE.match(source, i)
-        if m:
-            tokens.append(Token("name", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _VAR_RE.match(source, i)
-        if m:
-            tokens.append(Token("var", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT_RE.match(source, i)
-        if m:
-            tokens.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = i + 1
+        elif group == 3:
+            comment = i
+        elif group != 2:
+            text = m.group()
+            append(Token(_KINDS.get(group, text), text, line, i - line_start + 1))
+        i = m.end()
+    # A comment on the last line runs to the end of the input.
+    end = comment if comment >= line_start else n
+    append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 

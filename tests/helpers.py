@@ -4,6 +4,7 @@ generators for programs, interaction sets and ground terms."""
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from argprof import (
     parse_program,
 )
 from argprof.interp import DEFAULT_STEP_LIMIT, RuntimeModeError, SolveError, StepLimitExceeded
-from argprof.parse import QAssign, QAtom, QCall, QConstruct, QDeconstruct, QTerm, QTest, Query
+from argprof.parse import LexError, QAssign, QAtom, QCall, QConstruct, QDeconstruct, QTerm, QTest, Query
 from argprof.syntax import Assign, Atom, Call, Construct, Deconstruct, Test, Var
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,21 +139,106 @@ def reference_analyze_predicate(pred: Predicate, env: dict, program: Program) ->
     return acc
 
 
-def reference_run_analysis(program: Program) -> dict[str, InteractionSet]:
+def reference_run_analysis(
+    program: Program,
+) -> tuple[dict[str, InteractionSet], list[tuple[int, str, InteractionSet, bool]]]:
     """The bottom-up driver over ``reference_analyze_predicate``: the first
-    eligible predicate by name, iterated until its set stops changing."""
+    eligible predicate by name, iterated from scratch every round until its
+    set stops changing. Returns the environment and the trace, one
+    (round, predicate, set, changed) per round."""
     env = {name: bottom(name, p.input_arg_names()) for name, p in program.predicates.items()}
+    trace = []
     remaining, analyzed = set(program.predicates), set()
     while remaining:
         name = min(leafs(remaining, analyzed, program.call_graph))
         while True:
             new = reference_analyze_predicate(program.predicates[name], env, program)
-            if new == env[name]:
+            changed = new != env[name]
+            trace.append((len(trace) + 1, name, new, changed))
+            if not changed:
                 break
             env[name] = new
         analyzed.add(name)
         remaining.discard(name)
-    return env
+    return env, trace
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the character-by-character tokenizer
+# ---------------------------------------------------------------------------
+#
+# The tokenizer argprof had before its one-regex scanner, kept verbatim
+# apart from its token class: every token and every LexError must agree,
+# except the end-of-input column after a final '(', ')', ',' or '.', which
+# this version advances by two.
+
+
+@dataclass(frozen=True)
+class ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT = (":-", "?-", ":=", "=>", "<=", "==", "(", ")", ",", ".")
+_NAME_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_VAR_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"[0-9]+")
+
+
+def reference_tokenize(source: str) -> list[ReferenceToken]:
+    Token = ReferenceToken
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "%":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        two = source[i : i + 2]
+        if two in _PUNCT:
+            tokens.append(Token(two, two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "(),.":
+            tokens.append(Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        m = _NAME_RE.match(source, i)
+        if m:
+            tokens.append(Token("name", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _VAR_RE.match(source, i)
+        if m:
+            tokens.append(Token("var", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _INT_RE.match(source, i)
+        if m:
+            tokens.append(Token("int", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        raise LexError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from argprof import (
     transitive_closure,
     validate_program,
 )
+from argprof import analysis
 from argprof.syntax import Call
 from helpers import (
     as_edge_dict,
@@ -507,14 +508,36 @@ def _reference_programs(group):
     if group == "corpus":  # the test-07 corpus
         rng = random.Random(0xBEEF)
         return [parse_program(gen_program_source(rng)) for _ in range(200)]
+    if group == "chain":
+        return [parse_program(chain_source(k)) for k in range(1, 7)]
     return [parse_program(wide_source(random.Random(seed), 11 + seed, 200)) for seed in range(2)]
 
 
-@pytest.mark.parametrize("group", ["fixtures", "corpus", "wide"])
-def test_run_analysis_matches_reference_analysis(group):
+@pytest.mark.parametrize("group", ["fixtures", "corpus", "wide", "chain"])
+def test_run_analysis_matches_reference_analysis(group, monkeypatch):
+    # Each round of the reference analyzes every clause from scratch; the
+    # driver carries closed clause sets across rounds and does not compute
+    # the confirming round of a predicate that never calls itself. The
+    # traces agree entry by entry all the same, and the driver analyzes
+    # exactly the rounds it does not skip.
+    calls = 0
+    analyze = analysis.analyze_predicate
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "analyze_predicate", counted)
     for program in _reference_programs(group):
-        env, _ = run_analysis(program)
-        assert env == reference_run_analysis(program)
+        calls = 0
+        env, trace = run_analysis(program)
+        ref_env, ref_trace = reference_run_analysis(program)
+        assert env == ref_env
+        assert [(t.round, t.predicate, t.snapshot, t.changed) for t in trace] == ref_trace
+        confirming = [name for name, (_, total) in round_counts(trace).items()
+                      if name not in program.call_graph[name] and total == 2]
+        assert calls == len(ref_trace) - len(confirming)
 
 
 def test_call_sites_and_rounds_share_one_call_abstraction():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import jsonschema
@@ -139,8 +140,6 @@ def test_analyze_parse_error_has_position(tmp_path, capsys):
 
 
 def test_analyze_reads_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(":- pred p(out).\np(X) :- X <= nil.\n"))
     assert main(["analyze", "-"]) == 0
     assert "pred p/1" in capsys.readouterr().out
@@ -270,3 +269,30 @@ def test_run_recursion_error_is_a_diagnostic(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: input nested too deeply: Python recursion limit reached\n"
+
+
+def test_run_reads_query_from_stdin(capsys, monkeypatch):
+    # A 20 000-element list does not fit in one command-line argument
+    # (Linux allows 128 KiB), so the query comes through stdin.
+    deep = "nil"
+    for i in range(20_000):
+        deep = f"cons({i},{deep})"
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"?- app({deep},nil,Z).\n"))
+    assert main(["run", fixture("append.lp"), "-"]) == 0
+    captured = capsys.readouterr()
+    expected = "".join(f"cons({i}, " for i in reversed(range(20_000))) + "nil" + ")" * 20_000
+    assert captured.out == f"Z = {expected}\n"
+    assert captured.err == ""
+
+
+def test_run_query_errors_from_stdin_name_the_query(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("?- app(nil,nil,Z)"))
+    assert main(["run", fixture("append.lp"), "-"]) == 1
+    assert capsys.readouterr().err == "<query>:1:18: error: expected '.', found 'end of input'\n"
+
+
+def test_run_program_and_query_both_from_stdin_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-", "-"])
+    assert exc.value.code == 2
+    assert "cannot both be read from stdin" in capsys.readouterr().err

@@ -11,14 +11,17 @@ from argprof import (
     Call,
     Construct,
     Deconstruct,
+    LexError,
     ParseError,
     ProgramError,
     build_call_graph,
     format_program,
     parse_program,
+    parse_query,
 )
 from argprof import syntax
-from helpers import fixture_names, gen_program_source, load_fixture
+from argprof.parse import tokenize
+from helpers import FIXTURES, fixture_names, gen_program_source, load_fixture, reference_tokenize
 
 APP_SRC = """\
 :- pred app(in,in,out).
@@ -185,3 +188,93 @@ def test_lexical_error_position():
     with pytest.raises(LexError) as exc:
         parse_program(":- pred p(in).\np(X) :- X => @nil.")
     assert (exc.value.line, exc.value.col) == (2, 14)
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer against the character-by-character reference
+# ---------------------------------------------------------------------------
+
+_MUTATION_CHARS = "abXY_09 \t\r\n%(),.:-?=<>&é\f"
+
+
+def _lex(tokenize_fn, source):
+    """Tokens as tuples, or the LexError as (message, line, col)."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize_fn(source)]
+    except LexError as exc:
+        return (exc.message, exc.line, exc.col)
+
+
+def _reference_lex(source):
+    """The reference result, with its one known defect mended: after a
+    '(', ')', ',' or '.' that ends the input it puts end of input one
+    column too far."""
+    expected = _lex(reference_tokenize, source)
+    if isinstance(expected, list) and len(expected) >= 2:
+        kind, _, line, col = expected[-2]
+        line_start = source.rfind("\n") + 1
+        if kind in "(),." and line == expected[-1][2] and line_start + col == len(source):
+            expected[-1] = ("eof", "", line, col + 1)
+    return expected
+
+
+def _token_sources():
+    sources = [(FIXTURES / name).read_text() for name in fixture_names()]
+    rng = random.Random(0xBEEF)  # the test-07 corpus
+    sources += [gen_program_source(rng) for _ in range(200)]
+    sources += ["?- app(cons(1,nil), cons(2,nil), Z).", "?- X <= s(z), n(X, Y)."]
+    return sources
+
+
+def test_tokenize_matches_reference_on_fixtures_and_corpus():
+    for source in _token_sources():
+        assert _lex(tokenize, source) == _reference_lex(source)
+
+
+def test_tokenize_matches_reference_on_mutated_sources():
+    rng = random.Random(7)
+    sources = _token_sources()
+    for _ in range(10_000):
+        source = rng.choice(sources)
+        start = rng.randrange(len(source))  # a window of a few lines
+        chars = list(source[start:start + rng.randint(1, 160)])
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            edit = rng.random()
+            if edit < 0.3 and i < len(chars):
+                del chars[i]
+            elif edit < 0.6 and i < len(chars):
+                chars[i] = rng.choice(_MUTATION_CHARS)
+            else:
+                chars.insert(i, rng.choice(_MUTATION_CHARS))
+        source = "".join(chars)
+        assert _lex(tokenize, source) == _reference_lex(source), repr(source)
+
+
+@pytest.mark.parametrize(
+    ("source", "eof"),
+    [
+        ("", (1, 1)),
+        ("p(X)", (1, 5)),
+        ("p(X).", (1, 6)),
+        ("p(X,", (1, 5)),
+        ("p(", (1, 3)),
+        ("p(X).\n", (2, 1)),
+        ("p(X) % done", (1, 6)),
+        ("p(X). % done (", (1, 7)),
+        ("p(X)\n  %", (2, 3)),
+        ("p(X)\t\r", (1, 7)),
+    ],
+)
+def test_end_of_input_column(source, eof):
+    kind, _, line, col = tokenize(source)[-1]
+    assert (kind, line, col) == ("eof", *eof)
+
+
+def test_end_of_input_diagnostic_column():
+    with pytest.raises(ParseError) as exc:
+        parse_program(":- pred p(in).\np(X)")
+    assert (exc.value.line, exc.value.col) == (2, 5)
+    with pytest.raises(ParseError) as exc:
+        parse_query("?- app(nil,nil,Z)")
+    assert (exc.value.line, exc.value.col) == (1, 18)
