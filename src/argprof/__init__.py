@@ -31,14 +31,12 @@ from .domain import (
     ConstructOp,
     DeconstructOp,
     DomainError,
-    Interaction,
     InteractionSet,
     OSet,
     Operation,
     PredicateProfile,
     PsiBotOp,
     PsiOp,
-    SitedOperation,
     TestOp,
     WellDefinednessError,
     bottom,
@@ -46,10 +44,9 @@ from .domain import (
     canon_oset,
     canon_profile,
     canon_profile_seq,
-    join_interaction,
     join_sets,
     leq_sets,
-    make_interaction,
+    make_interaction_set,
     make_oset,
     make_profile,
     render_interaction_set,

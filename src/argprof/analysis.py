@@ -45,6 +45,7 @@ from .domain import (
     DeconstructOp,
     InteractionSet,
     Operation,
+    Pair,
     PsiOp,
     _Builder,
     bottom,
@@ -100,10 +101,10 @@ def _add_renamed(
     """Join ``callee_set`` with the callee's formals renamed to the call's
     actuals into ``out``, noting in ``grown`` each pair added or grown."""
     rename = {f.name: a.name for f, a in zip(callee.args, atom.args)}
-    for i in callee_set:
-        src, tgt = rename[i.source], rename[i.target]
+    for (source, target), ops in callee_set.pairs.items():
+        src, tgt = rename[source], rename[target]
         # Aliased actuals collapse the edge.
-        if src != tgt and out.add(src, tgt, i.by_point()):
+        if src != tgt and out.add(src, tgt, ops):
             grown[(src, tgt)] = None
 
 
@@ -164,9 +165,6 @@ def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionS
     return out.freeze()
 
 
-Pair = tuple[str, str]
-
-
 def _close(out: _Builder, delta: dict[Pair, None] | None = None) -> dict[Pair, None]:
     """Close ``out`` in place under composition through shared variables,
     and return the pairs added or grown (every pair when ``delta`` is None).
@@ -224,7 +222,7 @@ def project(s: InteractionSet, pred: Predicate) -> InteractionSet:
     closed = transitive_closure(s)
     formals = set(pred.arg_names)
     kept = {
-        (x, y): i for (x, y), i in closed.interactions.items() if x in formals and y in formals
+        (x, y): ops for (x, y), ops in closed.pairs.items() if x in formals and y in formals
     }
     return InteractionSet(s.owner, s.input_args, kept)
 
@@ -246,12 +244,11 @@ class RoundState:
 
     def keep_formal_pairs(self, clause: _Builder, pairs: Iterable[Pair]) -> None:
         """Join the argument-to-argument pairs among ``pairs`` of a closed
-        clause builder into ``acc``, copying their operation dicts, which
-        the clause builder keeps using."""
+        clause builder into ``acc``, which shares their operation dicts."""
         formals, ops, acc = self.formals, clause.ops, self.acc
         for x, y in pairs:
             if x in formals and y in formals:
-                acc.add(x, y, dict(ops[(x, y)]))
+                acc.add(x, y, ops[(x, y)])
 
 
 def analyze_predicate(

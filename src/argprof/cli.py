@@ -1,8 +1,10 @@
 """Command-line interface: analyze, normalize, compare and run.
 
 Exit codes: 0 on success (including a Distinct compare verdict), 1 on
-validation or analysis failure, 2 on usage errors. All output is
-deterministic: canonical operation strings, sorted JSON keys.
+validation or analysis failure, 2 on usage errors. Any other exception (a
+bug, or memory exhausted) is reported as one ``argprof: internal error:``
+line with exit 1. All output is deterministic: canonical operation
+strings, sorted JSON keys.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .analysis import (
     round_counts,
     run_analysis,
 )
-from .domain import canon_op, render_interaction_set, strip_points
+from .domain import ArgumentProfile, canon_op, render_interaction_set, strip_points
 from .modecheck import validate_program
 from .normalize import Distinct, Equivalent, compare, plan, rewrite
 from .ordering import oprof
@@ -50,6 +52,18 @@ def _load_validated(path: str) -> tuple[Program, str] | int:
 
 
 def _profile_json(program: Program, env: Environment) -> dict:
+    def args_json(profiles: Sequence[ArgumentProfile]) -> list[dict]:
+        return [
+            {
+                "arg": idx + 1,
+                "osets": [
+                    {"ops": [canon_op(op) for op in oset.ops], "target": oset.target}
+                    for oset in arg_profile.osets
+                ],
+            }
+            for idx, arg_profile in enumerate(profiles)
+        ]
+
     predicates = []
     for name, pred in program.predicates.items():
         profile = strip_points(env[name], pred.arg_names, pred.modes)
@@ -59,26 +73,8 @@ def _profile_json(program: Program, env: Environment) -> dict:
                 "name": name,
                 "arity": pred.arity,
                 "modes": list(pred.modes),
-                "profile": [
-                    {
-                        "arg": idx + 1,
-                        "osets": [
-                            {"ops": [canon_op(op) for op in oset.ops], "target": oset.target}
-                            for oset in arg_profile.osets
-                        ],
-                    }
-                    for idx, arg_profile in enumerate(profile.per_arg)
-                ],
-                "ordered": [
-                    {
-                        "arg": idx + 1,
-                        "osets": [
-                            {"ops": [canon_op(op) for op in oset.ops], "target": oset.target}
-                            for oset in arg_profile.osets
-                        ],
-                    }
-                    for idx, arg_profile in enumerate(ordered.profiles)
-                ],
+                "profile": args_json(profile.per_arg),
+                "ordered": args_json(ordered.profiles),
                 "permutation": list(ordered.permutation),
             }
         )
@@ -278,6 +274,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except RecursionError:  # last resort: no step is known to recurse on input depth
         print("error: input nested too deeply: Python recursion limit reached", file=sys.stderr)
+        return 1
+    except Exception as exc:  # last resort: one line, not a traceback
+        print(f"argprof: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,10 +8,17 @@ output formal arguments as argument targets. Interaction sets over a fixed
 predicate form a join semi-lattice: the join unions interactions pairwise
 and, within a pair, unions their operations keyed by program point (an
 incoming operation replaces any previous operation at the same point,
-which is how re-analysis refreshes call abstractions). Sets stay immutable
-to callers: each join fills a private builder, the one place where
-interactions are merged and checked for well-definedness, and freezes it
-once, so joining costs time linear in the sizes of its arguments.
+which is how re-analysis refreshes call abstractions).
+
+A set and the private builder that makes it store interactions the same
+way: a dict from each (source, target) pair to a dict from program point
+to operation. Every join fills a builder, the one place where interactions
+are merged and checked for well-definedness, and freezes it once, so
+joining costs time linear in the sizes of its arguments. One rule makes
+sharing safe: once a set or a builder stores an op dict, nothing mutates
+it. A pair that grows gets a new dict, so sets and builders share the op
+dicts of every pair they have in common, freezing copies only the outer
+dict, and unchanged pairs of successive sets compare by identity.
 
 Stripping program points turns an interaction set over formal arguments
 into a predicate profile: per argument, a set of o-sets (operation
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -123,12 +130,6 @@ PSI_BOT = PsiBotOp()
 
 def is_psi_based(op: Operation) -> bool:
     return isinstance(op, (PsiBotOp, PsiOp))
-
-
-@dataclass(frozen=True)
-class SitedOperation:
-    op: Operation
-    point: int
 
 
 # ---------------------------------------------------------------------------
@@ -210,72 +211,35 @@ def canon_profile_seq(profiles: Sequence[ArgumentProfile]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Interactions
+# Interaction sets
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Interaction:
-    source: str
-    target: str
-    ops: tuple[SitedOperation, ...]  # sorted by point, one per point
-
-    def by_point(self) -> dict[int, Operation]:
-        return {s.point: s.op for s in self.ops}
-
-    def points(self) -> tuple[int, ...]:
-        return tuple(s.point for s in self.ops)
-
-    def stripped_ops(self) -> tuple[Operation, ...]:
-        """Operation multiset with points dropped, canonically sorted."""
-        return tuple(sorted((s.op for s in self.ops), key=canon_op))
-
-
-def make_interaction(source: str, target: str, sited: Iterable[tuple[Operation, int]]) -> Interaction:
-    """Build an interaction from (operation, point) pairs.
-
-    A later pair at an already-seen point replaces the earlier one.
-    """
-    if source == target:
-        raise WellDefinednessError(f"self-interaction on {source}")
-    by_point: dict[int, Operation] = {}
-    for op, point in sited:
-        by_point[point] = op
-    if not by_point:
-        raise WellDefinednessError(f"empty operation set on {source} ~> {target}")
-    return _interaction(source, target, by_point)
-
-
-def _interaction(source: str, target: str, by_point: dict[int, Operation]) -> Interaction:
-    ops = tuple(SitedOperation(op, pt) for pt, op in sorted(by_point.items()))
-    return Interaction(source, target, ops)
+Pair = tuple[str, str]
+PointOps = dict[int, Operation]
 
 
 @dataclass(frozen=True)
 class InteractionSet:
     """A well-defined interaction set for one predicate.
 
-    ``input_args`` are the owner's input formal argument names; they are
-    the only variables that may never appear as interaction targets.
-    Instances are immutable to callers: every lattice operation returns a
-    new set, built in place by a private builder and frozen once.
+    ``pairs`` maps each (source, target) pair to its operations keyed by
+    program point. ``input_args`` are the owner's input formal argument
+    names; they are the only variables that may never appear as targets.
+    Neither ``pairs`` nor any op dict in it is ever mutated.
     """
 
     owner: str
     input_args: frozenset[str]
-    interactions: dict[tuple[str, str], Interaction]
-
-    def __iter__(self) -> Iterator[Interaction]:
-        return iter(self.interactions.values())
+    pairs: dict[Pair, PointOps]
 
     def __len__(self) -> int:
-        return len(self.interactions)
+        return len(self.pairs)
 
-    def get(self, source: str, target: str) -> Interaction | None:
-        return self.interactions.get((source, target))
+    def get(self, source: str, target: str) -> PointOps | None:
+        return self.pairs.get((source, target))
 
     def is_empty(self) -> bool:
-        return not self.interactions
+        return not self.pairs
 
 
 def bottom(owner: str, input_args: Iterable[str] = ()) -> InteractionSet:
@@ -283,38 +247,44 @@ def bottom(owner: str, input_args: Iterable[str] = ()) -> InteractionSet:
     return InteractionSet(owner, frozenset(input_args), {})
 
 
-def _check_well_defined(source: str, target: str, s: InteractionSet | _Builder) -> None:
-    if source == target:
-        raise WellDefinednessError(f"self-interaction on {source}")
-    if target in s.input_args:
-        raise WellDefinednessError(
-            f"interaction targets input argument {target} of {s.owner}"
-        )
+def make_interaction_set(
+    owner: str, input_args: Iterable[str], pairs: dict[Pair, PointOps]
+) -> InteractionSet:
+    """The set holding ``pairs``, checked for well-definedness. The op
+    dicts are copied, so the caller may go on using its own."""
+    builder = _Builder(owner, frozenset(input_args))
+    for (source, target), ops in pairs.items():
+        builder.add(source, target, dict(ops))
+    return builder.freeze()
 
 
 class _Builder:
-    """An interaction set under construction, the one place sets are merged.
+    """An interaction set under construction, the one place sets are merged
+    and checked for well-definedness.
 
-    ``ops`` maps each (source, target) pair to its operations keyed by
-    program point. A pair taken whole from a frozen set, or frozen by this
-    builder, keeps its ``Interaction`` until it grows, so ``freeze``
-    rebuilds only the pairs that were merged into since.
+    ``ops`` is laid out as ``InteractionSet.pairs``. Only the outer dict
+    changes: a pair that grows gets a new op dict, so op dicts are shared
+    with the sets they came from and the sets frozen from this builder.
     """
 
-    __slots__ = ("owner", "input_args", "ops", "_kept")
+    __slots__ = ("owner", "input_args", "ops")
 
     def __init__(self, owner: str, input_args: frozenset[str]):
         self.owner = owner
         self.input_args = input_args
-        self.ops: dict[tuple[str, str], dict[int, Operation]] = {}
-        self._kept: dict[tuple[str, str], Interaction] = {}
+        self.ops: dict[Pair, PointOps] = {}
 
-    def add(self, source: str, target: str, by_point: dict[int, Operation]) -> bool:
+    def add(self, source: str, target: str, by_point: PointOps) -> bool:
         """Join ``source ~> target`` with the operations ``by_point`` into
         the set; an incoming operation replaces the one at the same point.
-        A new pair keeps ``by_point`` itself, so callers pass a dict they
-        no longer use. Returns whether the pair was added or changed."""
-        _check_well_defined(source, target, self)
+        A new pair stores ``by_point`` itself, so it must never be mutated
+        afterwards. Returns whether the pair was added or changed."""
+        if source == target:
+            raise WellDefinednessError(f"self-interaction on {source}")
+        if target in self.input_args:
+            raise WellDefinednessError(
+                f"interaction targets input argument {target} of {self.owner}"
+            )
         if not by_point:
             raise WellDefinednessError(f"empty operation set on {source} ~> {target}")
         key = (source, target)
@@ -322,46 +292,21 @@ class _Builder:
         if have is None:
             self.ops[key] = by_point
             return True
-        grown = False
         for point, op in by_point.items():
             old = have.get(point)
             if old is not op and old != op:
-                have[point] = op
-                grown = True
-        if grown:
-            self._kept.pop(key, None)
-        return grown
+                self.ops[key] = {**have, **by_point}
+                return True
+        return False
 
     def add_set(self, s: InteractionSet) -> None:
         if s.owner != self.owner:
             raise DomainError(f"cannot join sets for {s.owner} and {self.owner}")
-        for key, i in s.interactions.items():
-            new = key not in self.ops
-            self.add(i.source, i.target, i.by_point())
-            if new:
-                self._kept[key] = i
+        for (source, target), ops in s.pairs.items():
+            self.add(source, target, ops)
 
     def freeze(self) -> InteractionSet:
-        kept = self._kept
-        interactions = {
-            key: kept.get(key) or _interaction(key[0], key[1], ops)
-            for key, ops in self.ops.items()
-        }
-        self._kept = dict(interactions)
-        return InteractionSet(self.owner, self.input_args, interactions)
-
-
-def join_interaction(i: Interaction, s: InteractionSet) -> InteractionSet:
-    """Add one interaction to a set.
-
-    If the pair is new the interaction is inserted; otherwise the operation
-    sets are unioned per program point, the incoming operation replacing
-    any previous operation at the same point.
-    """
-    builder = _Builder(s.owner, s.input_args)
-    builder.add_set(s)
-    builder.add(i.source, i.target, i.by_point())
-    return builder.freeze()
+        return InteractionSet(self.owner, self.input_args, dict(self.ops))
 
 
 def join_sets(a: InteractionSet, b: InteractionSet) -> InteractionSet:
@@ -378,11 +323,9 @@ def leq_sets(a: InteractionSet, b: InteractionSet) -> bool:
     (operation, point) set is a superset."""
     if a.owner != b.owner:
         raise DomainError(f"cannot compare sets for {a.owner} and {b.owner}")
-    for key, i in a.interactions.items():
-        j = b.interactions.get(key)
-        if j is None:
-            return False
-        if not set(i.ops) <= set(j.ops):
+    for key, ops in a.pairs.items():
+        have = b.pairs.get(key)
+        if have is None or not ops.items() <= have.items():
             return False
     return True
 
@@ -398,17 +341,17 @@ def strip_points(
     """
     position = {name: idx + 1 for idx, name in enumerate(args)}
     osets: dict[int, list[OSet]] = {idx + 1: [] for idx in range(len(args))}
-    for i in s:
-        if i.source not in position or i.target not in position:
+    for (source, target), ops in s.pairs.items():
+        if source not in position or target not in position:
             raise DomainError(
-                f"interaction {i.source} ~> {i.target} involves a non-argument variable"
+                f"interaction {source} ~> {target} involves a non-argument variable"
             )
-        tpos = position[i.target]
+        tpos = position[target]
         if modes[tpos - 1] != "out":
             raise WellDefinednessError(
-                f"interaction targets input argument {i.target} of {s.owner}"
+                f"interaction targets input argument {target} of {s.owner}"
             )
-        osets[position[i.source]].append(make_oset(i.stripped_ops(), tpos))
+        osets[position[source]].append(make_oset(ops.values(), tpos))
     return PredicateProfile(
         tuple(make_profile(osets[idx + 1]) for idx in range(len(args)))
     )
@@ -419,11 +362,12 @@ def strip_points(
 # ---------------------------------------------------------------------------
 
 
-def render_interaction(i: Interaction) -> str:
-    ops = ", ".join(f"{canon_op(s.op)}@{s.point}" for s in i.ops)
-    return f"{i.source} ~> {i.target} {{{ops}}}"
-
-
 def render_interaction_set(s: InteractionSet) -> str:
-    lines = [render_interaction(i) for _, i in sorted(s.interactions.items())]
+    """One line per pair, sorted by pair, each listing its operations
+    sorted by point."""
+    lines = []
+    for source, target in sorted(s.pairs):
+        ops = s.pairs[(source, target)]
+        sited = ", ".join(f"{canon_op(ops[pt])}@{pt}" for pt in sorted(ops))
+        lines.append(f"{source} ~> {target} {{{sited}}}")
     return "\n".join(lines)

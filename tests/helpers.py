@@ -18,7 +18,6 @@ from argprof import (
     ConstructOp,
     DeconstructOp,
     GroundTerm,
-    Interaction,
     InteractionSet,
     OSet,
     Operation,
@@ -29,10 +28,9 @@ from argprof import (
     Predicate,
     analyze_atom,
     bottom,
-    join_interaction,
     join_sets,
     leafs,
-    make_interaction,
+    make_interaction_set,
     parse_program,
 )
 from argprof.interp import DEFAULT_STEP_LIMIT, RuntimeModeError, SolveError, StepLimitExceeded
@@ -65,11 +63,12 @@ TIE_FREE_FIXTURES = [
 
 
 def iset(owner: str, inputs: list[str], edges: list[tuple[str, str, list[tuple[Operation, int]]]]) -> InteractionSet:
-    """Build an interaction set from (source, target, [(op, point)]) triples."""
-    s = bottom(owner, inputs)
+    """Build an interaction set from (source, target, [(op, point)]) triples;
+    a later operation at a point a pair already has replaces the earlier."""
+    pairs: dict[tuple[str, str], dict[int, Operation]] = {}
     for source, target, sited in edges:
-        s = join_interaction(make_interaction(source, target, sited), s)
-    return s
+        pairs.setdefault((source, target), {}).update((pt, op) for op, pt in sited)
+    return make_interaction_set(owner, inputs, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +104,6 @@ def naive_closure(
             return current
 
 
-def as_edge_dict(s: InteractionSet) -> dict[tuple[str, str], dict[int, Operation]]:
-    return {(i.source, i.target): i.by_point() for i in s}
-
-
-def from_edge_dict(
-    owner: str, inputs: frozenset[str], edges: dict[tuple[str, str], dict[int, Operation]]
-) -> InteractionSet:
-    return iset(owner, sorted(inputs), [(x, y, [(op, pt) for pt, op in ops.items()])
-                                        for (x, y), ops in edges.items()])
-
-
 # ---------------------------------------------------------------------------
 # Independent oracle: the analysis written as plain folds over join_sets
 # and naive_closure
@@ -133,9 +121,9 @@ def reference_analyze_predicate(pred: Predicate, env: dict, program: Program) ->
         clause_set = bottom(pred.name, inputs)
         for atom in clause.body:
             clause_set = join_sets(analyze_atom(atom, env, program), clause_set)
-        closed = naive_closure(as_edge_dict(clause_set))
+        closed = naive_closure(clause_set.pairs)
         projected = {pair: ops for pair, ops in closed.items() if set(pair) <= formals}
-        acc = join_sets(from_edge_dict(pred.name, inputs, projected), acc)
+        acc = join_sets(make_interaction_set(pred.name, inputs, projected), acc)
     return acc
 
 
@@ -310,14 +298,12 @@ class SetContext:
         ]
 
     def random_set(self, rng: random.Random) -> InteractionSet:
-        s = bottom(self.owner, self.inputs)
+        pairs = {}
         for pair in self.pairs:
             if rng.random() < 0.35:
                 points = rng.sample(sorted(self.op_at), rng.randint(1, min(3, len(self.op_at))))
-                s = join_interaction(
-                    make_interaction(pair[0], pair[1], [(self.op_at[pt], pt) for pt in points]), s
-                )
-        return s
+                pairs[pair] = {pt: self.op_at[pt] for pt in points}
+        return make_interaction_set(self.owner, self.inputs, pairs)
 
 
 def random_chained_set(rng: random.Random) -> InteractionSet:

@@ -175,7 +175,7 @@ def test_05_double_append_reference():
     program = load_fixture("double_append.lp")
     env, _ = run_analysis(program)
     exact = env["dapp"] == _expected_dapp_fixpoint()
-    ops = env["dapp"].get("L1", "L4").by_point()
+    ops = env["dapp"].get("L1", "L4")
     from argprof import canon_op
 
     psi_stable = canon_op(ops[11]) == canon_op(ops[12])

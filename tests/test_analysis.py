@@ -35,7 +35,6 @@ from argprof import (
 from argprof import analysis
 from argprof.syntax import Call
 from helpers import (
-    as_edge_dict,
     chain_source,
     fixture_names,
     gen_program_source,
@@ -136,12 +135,12 @@ def test_atom_nonrecursive_call_uses_psi_profile():
     env, _ = run_analysis(program)
     call_app = next(a for a in program.atoms() if a.point == 11)
     result = analyze_atom(call_app, env, program)
-    ops_l1 = result.get("L1", "L12").by_point()
+    ops_l1 = result.get("L1", "L12")
     assert ops_l1[11] == PSI_A
     # same abstraction at the concat call site
     call_concat = next(a for a in program.atoms() if a.point == 12)
     result2 = analyze_atom(call_concat, env, program)
-    assert result2.get("L12", "L4").by_point()[12] == PSI_A
+    assert result2.get("L12", "L4")[12] == PSI_A
 
 
 def test_atom_call_with_aliased_actuals_drops_self_edges():
@@ -166,7 +165,7 @@ def test_atom_call_with_aliased_actuals_drops_self_edges():
 def test_closure_composes_through_local():
     s = iset("app", APP_INPUTS, [("Y", "Zs", [(ASSIGN, 2)]), ("Zs", "Z", [(CONS, 5)])])
     closed = transitive_closure(s)
-    assert closed.get("Y", "Z").by_point() == {2: ASSIGN, 5: CONS}
+    assert closed.get("Y", "Z") == {2: ASSIGN, 5: CONS}
 
 
 def test_closure_of_empty_is_empty():
@@ -181,8 +180,8 @@ def test_closure_chain_matches_naive_oracle():
         [("A", "B", [ops[0]]), ("B", "C", [ops[1]]), ("C", "D", [ops[2]])],
     )
     closed = transitive_closure(s)
-    assert closed.get("A", "D").by_point() == {1: ASSIGN, 2: CONS, 3: DECONS}
-    assert as_edge_dict(closed) == naive_closure(as_edge_dict(s))
+    assert closed.get("A", "D") == {1: ASSIGN, 2: CONS, 3: DECONS}
+    assert closed.pairs == naive_closure(s.pairs)
 
 
 def test_closure_matches_naive_oracle_on_random_sets():
@@ -192,14 +191,14 @@ def test_closure_matches_naive_oracle_on_random_sets():
     for _ in range(60):
         ctx = SetContext(rng)
         s = ctx.random_set(rng)
-        assert as_edge_dict(transitive_closure(s)) == naive_closure(as_edge_dict(s))
+        assert transitive_closure(s).pairs == naive_closure(s.pairs)
 
 
 def test_closure_matches_naive_oracle_on_chained_sets():
     rng = random.Random(7)
     for _ in range(60):
         s = random_chained_set(rng)
-        assert as_edge_dict(transitive_closure(s)) == naive_closure(as_edge_dict(s))
+        assert transitive_closure(s).pairs == naive_closure(s.pairs)
 
 
 def test_project_of_displayed_round_one_set():
@@ -260,9 +259,9 @@ def test_projection_soundness_on_fixtures():
             pred = program.predicates[pname]
             formals = set(pred.arg_names)
             outputs = pred.output_arg_names()
-            for i in s:
-                assert i.source in formals and i.target in formals
-                assert i.target in outputs
+            for source, target in s.pairs:
+                assert source in formals and target in formals
+                assert target in outputs
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +408,7 @@ def test_run_analysis_double_append():
 def test_psi_canonical_string_stable_across_call_sites():
     program = load_fixture("double_append.lp")
     env, _ = run_analysis(program)
-    ops = env["dapp"].get("L1", "L4").by_point()
+    ops = env["dapp"].get("L1", "L4")
     assert canon_op(ops[11]) == canon_op(ops[12])
     # a further analysis round leaves the abstraction untouched
     again = analyze_predicate(program.predicates["dapp"], env, program)
@@ -489,9 +488,8 @@ def test_call_with_repeated_input_actuals_merges_renamed_edges():
     """
     program = parse_program(src)
     env, _ = run_analysis(program)
-    (interaction,) = list(env["dup"])
-    assert (interaction.source, interaction.target) == ("V", "W")
-    points = interaction.by_point()
+    ((pair, points),) = env["dup"].pairs.items()
+    assert pair == ("V", "W")
     assert set(points) == {1, 2}
     assert points[1] == ConstructOp("pair", 2)
     assert isinstance(points[2], PsiOp)
@@ -549,7 +547,7 @@ def test_call_sites_and_rounds_share_one_call_abstraction():
         points = {a.point for c in pred.clauses for a in c.body
                   if isinstance(a, Call) and a.pred != name}
         ops = [op for entry in trace if entry.predicate == name
-               for i in entry.snapshot for pt, op in i.by_point().items() if pt in points]
+               for sited in entry.snapshot.pairs.values() for pt, op in sited.items() if pt in points]
         assert all(isinstance(op, PsiOp) for op in ops)
         assert len(ops) >= 2 * len(points)
         assert len({id(op) for op in ops}) == (1 if points else 0), name

@@ -38,7 +38,7 @@ def _programs(group: str):
 
 
 def _env_ops(env):
-    return [s.op for interactions in env.values() for i in interactions for s in i.ops]
+    return [op for s in env.values() for ops in s.pairs.values() for op in ops.values()]
 
 
 @pytest.mark.parametrize("group", ["fixtures", "corpus", "chain"])

@@ -10,7 +10,7 @@ import pytest
 
 import argprof.interp
 from argprof.cli import main
-from helpers import FIXTURES
+from helpers import FIXTURES, fixture_names
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -105,6 +105,14 @@ def test_analyze_trace_lines(capsys):
     assert "round=1 pred=app interactions=2 changed=true" in out
     assert "round=2 pred=app interactions=2 changed=false" in out
     assert "X ~> Z" in out
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_analyze_trace_output_is_pinned(name, capsys):
+    # The whole --trace report, byte for byte, as recorded in fixtures/trace.
+    assert main(["analyze", "--trace", fixture(name)]) == 0
+    expected = (FIXTURES / "trace" / name.replace(".lp", ".out")).read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_analyze_empty_file(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 Programs and queries are the fixtures and queries on them, with lexemes
 deleted, inserted and substituted. Every subcommand must end with one of
-the documented exit codes (0, 1 or 2) and never with a traceback.
+the documented exit codes (0, 1 or 2), never with a traceback, and never
+through the last-resort ``internal error`` handler, which would hide the
+crash. Faults injected into each subcommand check that handler itself.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import argprof.cli
+import argprof.interp
 from argprof.cli import main
 from helpers import FIXTURES, fixture_names
 
@@ -60,17 +65,20 @@ def mutated(draw, texts):
     return "".join(lexemes)
 
 
-def _run(argv: list[str], stdin_text: str) -> int:
+def _run(argv: list[str], stdin_text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call."""
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(err):
             try:
-                return main(argv)
+                code = main(argv)
             except SystemExit as exc:  # argparse rejects the command line
-                return exc.code
+                code = exc.code
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=1000, deadline=None)
@@ -85,4 +93,30 @@ def test_mutated_inputs_never_raise(source, query, data):
         ["compare", "-", data.draw(names), data.draw(names)],
         ["run", "-", query, "--limit", "10000"],
     ):
-        assert _run(argv, source) in (0, 1, 2), argv
+        code, _, err = _run(argv, source)
+        assert code in (0, 1, 2), argv
+        assert "internal error" not in err, (argv, err)
+
+
+APPEND = (FIXTURES / "append.lp").read_text()
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), KeyError("boom")])
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["analyze", "-"], argprof.cli, "run_analysis"),
+        (["normalize", "-"], argprof.cli, "plan"),
+        (["compare", "-", "app", "app"], argprof.cli, "compare"),
+        (["run", "-", "?- app(nil, nil, Z)."], argprof.interp, "solve"),
+    ],
+)
+def test_unexpected_exception_is_one_internal_error_line(argv, module, name, exc, monkeypatch):
+    def fault(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, fault)
+    code, out, err = _run(argv, APPEND)
+    assert code == 1
+    assert out == ""
+    assert err == f"argprof: internal error: {type(exc).__name__}: {exc}\n"

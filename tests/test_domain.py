@@ -18,10 +18,9 @@ from argprof import (
     bottom,
     canon_op,
     canon_profile,
-    join_interaction,
     join_sets,
     leq_sets,
-    make_interaction,
+    make_interaction_set,
     make_oset,
     make_profile,
     strip_points,
@@ -44,14 +43,19 @@ def app_inputs():
     return ["X", "Y"]
 
 
+def one_pair(source, target, ops):
+    """The set holding the single interaction ``source ~{ops}~> target``."""
+    return make_interaction_set("app", app_inputs(), {(source, target): ops})
+
+
 def test_join_interaction_into_empty():
-    s = join_interaction(make_interaction("X", "E", [(DECONS, 3)]), bottom("app", app_inputs()))
+    s = join_sets(one_pair("X", "E", {3: DECONS}), bottom("app", app_inputs()))
     assert s == iset("app", app_inputs(), [("X", "E", [(DECONS, 3)])])
 
 
 def test_join_interaction_unions_points():
     base = iset("app", app_inputs(), [("Y", "Z", [(ASSIGN, 2)])])
-    joined = join_interaction(make_interaction("Y", "Z", [(PSI_BOT, 4)]), base)
+    joined = join_sets(one_pair("Y", "Z", {4: PSI_BOT}), base)
     assert joined == iset("app", app_inputs(), [("Y", "Z", [(ASSIGN, 2), (PSI_BOT, 4)])])
 
 
@@ -59,20 +63,31 @@ def test_join_interaction_replaces_at_same_point():
     # Incremental replacement must agree with re-deriving the set from
     # scratch under the new operation at that point.
     before = iset("app", app_inputs(), [("X", "Z", [(PSI_BOT, 4)])])
-    incremental = join_interaction(make_interaction("X", "Z", [(PSI_A, 4)]), before)
+    incremental = join_sets(one_pair("X", "Z", {4: PSI_A}), before)
     from_scratch = iset("app", app_inputs(), [("X", "Z", [(PSI_A, 4)])])
     assert incremental == from_scratch
 
 
 def test_join_rejects_self_interaction():
     with pytest.raises(WellDefinednessError):
-        make_interaction("X", "X", [(ASSIGN, 1)])
+        one_pair("X", "X", {1: ASSIGN})
 
 
 def test_join_rejects_input_argument_target():
-    s = bottom("app", app_inputs())
     with pytest.raises(WellDefinednessError):
-        join_interaction(make_interaction("Z", "X", [(ASSIGN, 1)]), s)
+        one_pair("Z", "X", {1: ASSIGN})
+
+
+def test_join_rejects_empty_operation_set():
+    with pytest.raises(WellDefinednessError):
+        one_pair("X", "Z", {})
+
+
+def test_constructor_copies_op_dicts():
+    ops = {3: DECONS}
+    s = one_pair("X", "Z", ops)
+    ops[4] = PSI_BOT
+    assert s.get("X", "Z") == {3: DECONS}
 
 
 def test_join_sets_bottom_is_unit():
@@ -119,12 +134,12 @@ def test_insertion_order_independence():
     rng = random.Random(3)
     ctx = SetContext(rng)
     s = ctx.random_set(rng)
-    interactions = list(s)
+    pairs = list(s.pairs.items())
     for _ in range(10):
-        rng.shuffle(interactions)
+        rng.shuffle(pairs)
         rebuilt = bottom(ctx.owner, ctx.inputs)
-        for i in interactions:
-            rebuilt = join_interaction(i, rebuilt)
+        for pair, ops in pairs:
+            rebuilt = join_sets(make_interaction_set(ctx.owner, ctx.inputs, {pair: ops}), rebuilt)
         assert rebuilt == s
 
 

@@ -10,9 +10,9 @@ from argprof import (
     bottom,
     canon_profile,
     compare_profiles,
-    join_interaction,
     join_sets,
     leq_sets,
+    make_interaction_set,
     make_oset,
     make_profile,
 )
@@ -79,16 +79,15 @@ def test_order_join_coherence(triple):
 def test_join_preserves_well_definedness(triple):
     ctx, a, b, _ = triple
     joined = join_sets(a, b)
-    for i in joined:
-        assert i.source != i.target
-        assert i.target not in joined.input_args
-        assert i.ops
-        points = [s.point for s in i.ops]
-        assert len(points) == len(set(points))
+    for (source, target), ops in joined.pairs.items():
+        assert source != target
+        assert target not in joined.input_args
+        assert ops
+        assert all(isinstance(point, int) for point in ops)
     # re-adding every interaction is a no-op
     rebuilt = joined
-    for i in list(joined):
-        rebuilt = join_interaction(i, rebuilt)
+    for pair, ops in joined.pairs.items():
+        rebuilt = join_sets(make_interaction_set(ctx.owner, ctx.inputs, {pair: ops}), rebuilt)
     assert rebuilt == joined
 
 
