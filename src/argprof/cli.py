@@ -30,9 +30,11 @@ from .syntax import Program, format_program
 
 
 def _read_source(path: str) -> tuple[str, str]:
+    # A byte that is not UTF-8 becomes a lone surrogate, which the lexer
+    # reports with its position.
     if path == "-":
         return sys.stdin.read(), "<stdin>"
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read(), path
 
 
@@ -262,13 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, when the module is imported: parsing reads the parser and
+# never changes it, so every main call in a process can share it.
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "run" and args.file == args.query == "-":
-        parser.error("the program and the query cannot both be read from stdin")
+        _PARSER.error("the program and the query cannot both be read from stdin")
     try:
         return args.func(args)
+    except UnicodeDecodeError as exc:  # files never raise it; a strict stdin can
+        print(f"<stdin>: error: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -120,6 +120,13 @@ class PsiOp:
     def __hash__(self) -> int:
         return hash(self.canon)
 
+    def __repr__(self) -> str:
+        # The payload grows exponentially with call depth: show its head.
+        canon = self.canon
+        if len(canon) <= 80:
+            return f"PsiOp({canon!r})"
+        return f"PsiOp({canon[:60]!r}... {len(canon)} chars)"
+
 
 Operation = AssignOp | TestOp | ConstructOp | DeconstructOp | PsiBotOp | PsiOp
 

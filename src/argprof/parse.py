@@ -73,14 +73,25 @@ class Token(NamedTuple):
     col: int
 
 
-# One alternation, tried at each position; the group that matched (by
-# number) says what was read.
+# One match per token: whole lines of blanks and comments (group 1), the
+# blanks before the token (group 2), then the token by kind (groups 3-6);
+# at the end of the input, a last comment with no newline (group 7); or
+# any other single character (group 8), which is an error.
 _TOKEN_RE = re.compile(
-    r"(\n)|([ \t\r]+)|(%[^\n]*)"  # 1 newline, 2 blanks, 3 comment
-    r"|(:-|\?-|:=|=>|<=|==|[(),.])"  # 4 punctuation
-    r"|([a-z][A-Za-z0-9_]*)|([A-Z_][A-Za-z0-9_]*)|([0-9]+)"  # 5 name, 6 var, 7 int
+    r"((?:[ \t\r]*(?:%[^\n]*)?\n)*)([ \t\r]*)"
+    r"(?:(:-|\?-|:=|=>|<=|==|[(),.])|([a-z][A-Za-z0-9_]*)|([A-Z_][A-Za-z0-9_]*)|([0-9]+)"
+    r"|((?:%[^\n]*)?)\Z|(.))",
+    re.DOTALL,
 )
-_KINDS = {5: "name", 6: "var", 7: "int"}
+_new_token = tuple.__new__  # skips the NamedTuple's Python-level __new__
+
+
+def _bad_character(char: str) -> str:
+    # Input is decoded with surrogateescape, so a byte that is not UTF-8
+    # arrives as a lone surrogate U+DC80..U+DCFF.
+    if "\udc80" <= char <= "\udcff":
+        return f"invalid UTF-8 byte 0x{ord(char) - 0xDC00:02x}"
+    return f"unexpected character {char!r}"
 
 
 def tokenize(source: str) -> list[Token]:
@@ -92,27 +103,30 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
-    match = _TOKEN_RE.match
-    line, line_start = 1, 0
-    i, n = 0, len(source)
-    comment = -1  # offset of the last comment
-    while i < n:
-        m = match(source, i)
-        if m is None:
-            raise LexError(f"unexpected character {source[i]!r}", line, i - line_start + 1)
-        group = m.lastindex
-        if group == 1:
-            line += 1
-            line_start = i + 1
-        elif group == 3:
-            comment = i
-        elif group != 2:
-            text = m.group()
-            append(Token(_KINDS.get(group, text), text, line, i - line_start + 1))
-        i = m.end()
-    # A comment on the last line runs to the end of the input.
-    end = comment if comment >= line_start else n
-    append(Token("eof", "", line, end - line_start + 1))
+    line, col = 1, 1
+    for lines, blanks, punct, name, var, num, _, bad in _TOKEN_RE.findall(source):
+        if lines:
+            line += lines.count("\n")
+            col = 1 + len(blanks)
+        else:
+            col += len(blanks)
+        if punct:
+            append(_new_token(Token, (punct, punct, line, col)))
+            col += len(punct)
+        elif name:
+            append(_new_token(Token, ("name", name, line, col)))
+            col += len(name)
+        elif var:
+            append(_new_token(Token, ("var", var, line, col)))
+            col += len(var)
+        elif num:
+            append(_new_token(Token, ("int", num, line, col)))
+            col += len(num)
+        elif bad:
+            raise LexError(_bad_character(bad), line, col)
+        else:  # the end of the input, which every source reaches
+            break
+    append(_new_token(Token, ("eof", "", line, col)))
     return tokens
 
 
@@ -146,16 +160,24 @@ class _Parser:
 
     def var_list(self) -> tuple[Var, ...]:
         """Parenthesized comma-separated variables; absent parens mean arity 0."""
-        if not self.at("("):
+        # The parser's hottest loop, so it reads the tokens directly.
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos].kind != "(":
             return ()
-        self.next()
-        if self.at(")"):
-            self.next()
-            return ()
-        out = [self.variable()]
-        while self.at(","):
-            self.next()
-            out.append(self.variable())
+        out = []
+        pos += 1  # at the token after '(' or after a ','
+        if tokens[pos].kind != ")":
+            while True:
+                tok = tokens[pos]
+                if tok.kind != "var":
+                    self.pos = pos
+                    self.expect("var")  # raises
+                out.append(Var(tok.text))
+                pos += 1
+                if tokens[pos].kind != ",":
+                    break
+                pos += 1
+        self.pos = pos
         self.expect(")")
         return tuple(out)
 
@@ -237,12 +259,13 @@ def parse_program(source: str) -> Program:
 
     def parse_atom() -> Atom:
         nonlocal point
-        tok = parser.peek()
+        tokens, pos = parser.tokens, parser.pos
+        tok = tokens[pos]
         if tok.kind == "var":
-            left = parser.variable()
-            op = parser.peek()
+            left = Var(tok.text)
+            op = tokens[pos + 1]
+            parser.pos = pos + 2
             if op.kind in ("=>", "<="):
-                parser.next()
                 ftok = parser.functor_name()
                 args = parser.var_list()
                 note_functor(ftok.text, len(args), ftok.line, ftok.col)
@@ -250,21 +273,19 @@ def parse_program(source: str) -> Program:
                 cls = Deconstruct if op.kind == "=>" else Construct
                 return cls(point, tok.line, tok.col, left, ftok.text, args)
             if op.kind == ":=":
-                parser.next()
                 right = parser.variable()
                 point += 1
                 return Assign(point, tok.line, tok.col, left, right)
             if op.kind == "==":
-                parser.next()
                 right = parser.variable()
                 point += 1
                 return Test(point, tok.line, tok.col, left, right)
             raise ParseError(f"expected '=>', '<=', ':=' or '==', found {op.text!r}", op.line, op.col)
         if tok.kind == "name":
-            name = parser.next()
+            parser.pos = pos + 1
             args = parser.var_list()
             point += 1
-            return Call(point, tok.line, tok.col, name.text, args)
+            return Call(point, tok.line, tok.col, tok.text, args)
         raise ParseError(f"expected atom, found {tok.text or 'end of input'!r}", tok.line, tok.col)
 
     def parse_clause() -> None:

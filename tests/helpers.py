@@ -224,6 +224,8 @@ def reference_tokenize(source: str) -> list[ReferenceToken]:
             col += len(m.group())
             i = m.end()
             continue
+        if 0xDC80 <= ord(ch) <= 0xDCFF:  # a non-UTF-8 byte, decoded with surrogateescape
+            raise LexError(f"invalid UTF-8 byte 0x{ord(ch) - 0xDC00:02x}", line, col)
         raise LexError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens

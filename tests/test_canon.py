@@ -94,3 +94,32 @@ def test_chain_8_analyzes_and_plans_quickly():
     env, _ = run_analysis(program)
     plan(program, env)
     assert time.perf_counter() - start < 2.0
+
+
+def _nested_psi_ops(ops):
+    """Every PsiOp among ``ops`` and inside their payloads, once each."""
+    seen: dict[int, PsiOp] = {}
+    stack = [op for op in ops if isinstance(op, PsiOp)]
+    while stack:
+        op = stack.pop()
+        if id(op) in seen:
+            continue
+        seen[id(op)] = op
+        for profile in op.profiles:
+            for oset in profile.osets:
+                stack.extend(o for o in oset.ops if isinstance(o, PsiOp))
+    return list(seen.values())
+
+
+def test_psi_repr_is_bounded_and_identity_follows_canon():
+    env, _ = run_analysis(parse_program(chain_source(6)))
+    psi_ops = _nested_psi_ops(_env_ops(env))
+    assert max(len(op.canon) for op in psi_ops) > 300_000
+    for op in psi_ops:
+        assert len(repr(op)) < 200
+        twin = PsiOp(op.profiles)
+        assert repr(twin) == repr(op)
+        assert twin == op and hash(twin) == hash(op) == hash(op.canon)
+    for a in psi_ops:
+        for b in psi_ops:
+            assert (a == b) == (a.canon == b.canon)

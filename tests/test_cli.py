@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
 
+import argprof.cli
 import argprof.interp
 from argprof.cli import main
 from helpers import FIXTURES, fixture_names
@@ -304,3 +306,102 @@ def test_run_program_and_query_both_from_stdin_is_a_usage_error(capsys):
         main(["run", "-", "-"])
     assert exc.value.code == 2
     assert "cannot both be read from stdin" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Input that is not UTF-8
+# ---------------------------------------------------------------------------
+
+# A byte 0xff at line 2, column 15.
+NOT_UTF8 = b":- pred p(in).\np(X) :- X => n\xff.\n"
+
+
+def test_non_utf8_file_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "bad.lp"
+    path.write_bytes(NOT_UTF8)
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:2:15: error: invalid UTF-8 byte 0xff\n"
+
+
+def test_non_utf8_stdin_is_a_diagnostic(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["analyze", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "<stdin>:2:15: error: invalid UTF-8 byte 0xff\n"
+
+
+def test_non_utf8_on_a_strict_stdin_is_a_diagnostic(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["analyze", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "<stdin>: error: invalid UTF-8 byte 0xff\n"
+
+
+# ---------------------------------------------------------------------------
+# The argument parser, built once and shared by every main call
+# ---------------------------------------------------------------------------
+
+
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_gives_the_same_results_in_either_order(tmp_path):
+    program = fixture("double_append.lp")
+    written = tmp_path / "normalized.lp"
+    calls = [
+        ["analyze"],
+        ["analyze", "--json", program],
+        ["analyze", program],
+        ["normalize", "-o", str(written), program],
+        ["normalize", program],
+        ["run", "-", "-"],
+        ["--help"],
+    ]
+
+    def run_all(order):
+        results = {}
+        for i in order:
+            code, out, err = _call(calls[i])
+            results[i] = (code, out, err, written.read_text() if written.exists() else None)
+            written.unlink(missing_ok=True)
+        return results
+
+    forward = run_all(range(len(calls)))
+    assert forward == run_all(reversed(range(len(calls))))
+    assert [forward[i][0] for i in range(len(calls))] == [2, 0, 0, 0, 0, 2, 0]
+    assert forward[1][1].startswith("{") and not forward[2][1].startswith("{")
+    assert forward[3][3] == forward[4][1]
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch):
+    # Recorded before the parser was shared; argparse wraps at $COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = json.loads((FIXTURES / "usage.json").read_text())
+    assert len(recorded) == 11
+    for case in recorded:
+        assert _call(case["argv"]) == (case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_main_never_builds_a_parser(monkeypatch, capsys):
+    def fail():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(argprof.cli, "build_parser", fail)
+    assert main(["analyze", fixture("append.lp")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"])
+    assert exc.value.code == 2

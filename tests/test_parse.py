@@ -20,7 +20,7 @@ from argprof import (
     parse_query,
 )
 from argprof import syntax
-from argprof.parse import tokenize
+from argprof.parse import Token, tokenize
 from helpers import FIXTURES, fixture_names, gen_program_source, load_fixture, reference_tokenize
 
 APP_SRC = """\
@@ -249,6 +249,37 @@ def test_tokenize_matches_reference_on_mutated_sources():
                 chars.insert(i, rng.choice(_MUTATION_CHARS))
         source = "".join(chars)
         assert _lex(tokenize, source) == _reference_lex(source), repr(source)
+
+
+# Where a match that folds blanks, newlines and comments in front of its
+# token could misplace a position, with the position each case must give.
+@pytest.mark.parametrize(
+    ("source", "last"),
+    [
+        (":- pred p(in).\r\np(X) :-\r\n\tX => nil.\r\n", ("eof", "", 4, 1)),
+        ("p(X) :-\t\tX\t:= Y.", ("eof", "", 1, 17)),
+        (":- pred p(in).\np(X) :-\n   \t  @ X.", ("unexpected character '@'", 3, 7)),
+        ("\n\n \t \r\x0c", ("unexpected character '\\x0c'", 3, 5)),
+        ("p(X).\n% the last line, no newline", ("eof", "", 2, 1)),
+        ("p(X).\n  % the last line\n% and another", ("eof", "", 3, 1)),
+        ("", ("eof", "", 1, 1)),
+        (" \t\r\n\n  ", ("eof", "", 3, 3)),
+        ("% only\n   % comments\n", ("eof", "", 3, 1)),
+        ("% only\n\t% comments", ("eof", "", 2, 2)),
+        ("p(X) :-\n  X => n\udcff.", ("invalid UTF-8 byte 0xff", 2, 9)),
+        ("\n \udc80", ("invalid UTF-8 byte 0x80", 2, 2)),
+        ("p(\ud800)", ("unexpected character '\\ud800'", 1, 3)),
+        ("% \udcff in a comment\n", ("eof", "", 2, 1)),
+    ],
+)
+def test_tokenize_matches_reference_where_gaps_fold(source, last):
+    result = _lex(tokenize, source)
+    assert result == _reference_lex(source)
+    if isinstance(result, list):
+        assert result[-1] == last
+        assert all(type(token) is Token for token in tokenize(source))
+    else:
+        assert result == last
 
 
 @pytest.mark.parametrize(
