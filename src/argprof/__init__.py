@@ -104,7 +104,6 @@ from .syntax import (
     format_atom,
     format_program,
     make_program,
-    renumber_points,
 )
 
 __version__ = "0.1.0"

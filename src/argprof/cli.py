@@ -29,12 +29,22 @@ from .parse import SourceError, parse_program, parse_query
 from .syntax import Program, format_program
 
 
+def _read_stdin() -> str:
+    """All of standard input, decoded as ``_read_source`` decodes a file; a
+    stream with no byte buffer (a ``StringIO`` put in its place) is read as
+    the text it holds."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8", "surrogateescape")
+    return text.removeprefix("\ufeff")
+
+
 def _read_source(path: str) -> tuple[str, str]:
-    # A byte that is not UTF-8 becomes a lone surrogate, which the lexer
+    # UTF-8 whatever the locale, with one leading byte-order mark dropped. A
+    # byte that is not UTF-8 becomes a lone surrogate, which the lexer
     # reports with its position.
     if path == "-":
-        return sys.stdin.read(), "<stdin>"
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        return _read_stdin(), "<stdin>"
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         return handle.read(), path
 
 
@@ -203,7 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(loaded, int):
         return loaded
     program, label = loaded
-    text = sys.stdin.read() if args.query == "-" else args.query
+    text = _read_stdin() if args.query == "-" else args.query
     try:
         query = parse_query(text)
     except SourceError as exc:
@@ -275,9 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         _PARSER.error("the program and the query cannot both be read from stdin")
     try:
         return args.func(args)
-    except UnicodeDecodeError as exc:  # files never raise it; a strict stdin can
-        print(f"<stdin>: error: invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -168,9 +168,6 @@ class PredicateProfile:
     per_arg: tuple[ArgumentProfile, ...]
 
 
-EMPTY_PROFILE = ArgumentProfile(())
-
-
 def make_oset(ops: Iterable[Operation], target: int) -> OSet:
     return OSet(tuple(sorted(ops, key=canon_op)), target)
 

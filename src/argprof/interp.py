@@ -51,25 +51,16 @@ from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 
-from .parse import (
-    QAssign,
-    QAtom,
-    QCall,
-    QConstruct,
-    QDeconstruct,
-    QStruct,
-    QTerm,
-    QTest,
-    Query,
-    parse_query,
-)
+from .parse import Query, parse_query
 from .syntax import (
     Assign,
     Atom,
     Call,
     Construct,
     Deconstruct,
+    FunctorTerm,
     Program,
+    Term,
     Test,
     Var,
 )
@@ -176,12 +167,12 @@ Answer = dict[str, GroundTerm]
 _Env = dict[str, GroundTerm]
 
 
-def _build(t: QTerm, env: _Env) -> GroundTerm | None:
+def _build(t: Term, env: _Env) -> GroundTerm | None:
     """The ground value of a query term, or None if a variable in it is unbound."""
     values: list[GroundTerm] = []
     # Terms still to build, and (functor, arity) markers that assemble the
     # values of a term's arguments once they are built.
-    work: list[QTerm | tuple[str, int]] = [t]
+    work: list[Term | tuple[str, int]] = [t]
     while work:
         item = work.pop()
         if isinstance(item, Var):
@@ -189,7 +180,7 @@ def _build(t: QTerm, env: _Env) -> GroundTerm | None:
             if value is None:
                 return None
             values.append(value)
-        elif isinstance(item, QStruct):
+        elif isinstance(item, FunctorTerm):
             if item.args:
                 work.append((item.functor, len(item.args)))
                 work.extend(reversed(item.args))
@@ -203,11 +194,11 @@ def _build(t: QTerm, env: _Env) -> GroundTerm | None:
     return values[0]
 
 
-def _where(atom: Atom | QAtom, where: str | None) -> str:
+def _where(atom: Atom, where: str | None) -> str:
     return where if where is not None else f"point {atom.point}"
 
 
-def _fault(atom: Atom | QAtom, where: str | None, env: _Env, program: Program) -> SolveError | None:
+def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveError | None:
     """The error selecting ``atom`` in ``env`` raises, or None if it only fails.
 
     The machine's instructions detect that a mode check failed; this walks
@@ -218,19 +209,19 @@ def _fault(atom: Atom | QAtom, where: str | None, env: _Env, program: Program) -
     where = _where(atom, where)
     taken = set(env)  # bound names, including outputs this atom has bound
 
-    def need_ground(t: QTerm) -> SolveError | None:
+    def need_ground(t: Term) -> SolveError | None:
         if _build(t, env) is not None:
             return None
         return RuntimeModeError(f"non-ground input at {where}" if query else f"{t.name} unbound at {where}")
 
-    def need_free(t: QTerm) -> SolveError | None:
+    def need_free(t: Term) -> SolveError | None:
         if not isinstance(t, Var):
             return RuntimeModeError(f"output position holds a term at {where}")
         if t.name in taken:
             return RuntimeModeError(f"{t.name} already bound at {where}")
         return None
 
-    if isinstance(atom, (Call, QCall)):
+    if isinstance(atom, Call):
         callee = program.predicates.get(atom.pred)
         if callee is None:
             return SolveError(f"unknown predicate '{atom.pred}' in query")
@@ -249,7 +240,7 @@ def _fault(atom: Atom | QAtom, where: str | None, env: _Env, program: Program) -
             if err is not None:
                 return err
         return None
-    if isinstance(atom, (Deconstruct, QDeconstruct)):
+    if isinstance(atom, Deconstruct):
         value = _build(atom.var, env)
         if value is None:
             return need_ground(atom.var)
@@ -260,14 +251,14 @@ def _fault(atom: Atom | QAtom, where: str | None, env: _Env, program: Program) -
                 return err
             taken.add(t.name)
         return None
-    if isinstance(atom, (Construct, QConstruct)):
+    if isinstance(atom, Construct):
         for t in atom.args:
             if (err := need_ground(t)) is not None:
                 return err
         return need_free(atom.var)
-    if isinstance(atom, (Test, QTest)):
+    if isinstance(atom, Test):
         return need_ground(atom.left) or need_ground(atom.right)
-    if isinstance(atom, (Assign, QAssign)):
+    if isinstance(atom, Assign):
         return need_ground(atom.source) or need_free(atom.target)
     raise TypeError(f"not an atom: {atom!r}")
 
@@ -312,7 +303,7 @@ def _getter(names: tuple[str, ...]) -> Callable[[_Env], tuple[GroundTerm, ...]]:
     return lambda env: ()
 
 
-def _compile_atom(flat: Atom, program: Program, atom: Atom | QAtom, where: str | None) -> _Instr:
+def _compile_atom(flat: Atom, program: Program, atom: Atom, where: str | None) -> _Instr:
     """The instruction for ``flat``, an atom over variables; ``atom`` and
     ``where`` name it in errors."""
     if isinstance(flat, Deconstruct):
@@ -360,7 +351,7 @@ class _Procedures(dict):
         return clauses
 
 
-def _term_names(terms: Iterable[QTerm]) -> Iterator[str]:
+def _term_names(terms: Iterable[Term]) -> Iterator[str]:
     """Variable names of ``terms``, depth-first, left to right."""
     stack = list(terms)[::-1]
     while stack:
@@ -371,28 +362,28 @@ def _term_names(terms: Iterable[QTerm]) -> Iterator[str]:
             stack.extend(reversed(t.args))
 
 
-def _query_terms(qa: QAtom) -> tuple[QTerm, ...]:
-    if isinstance(qa, QCall):
+def _query_terms(qa: Atom) -> tuple[Term, ...]:
+    if isinstance(qa, Call):
         return qa.args
-    if isinstance(qa, (QDeconstruct, QConstruct)):
+    if isinstance(qa, (Deconstruct, Construct)):
         return (qa.var, *qa.args)
-    if isinstance(qa, QTest):
+    if isinstance(qa, Test):
         return (qa.left, qa.right)
-    if isinstance(qa, QAssign):
+    if isinstance(qa, Assign):
         return (qa.target, qa.source)
     raise TypeError(f"not a query atom: {qa!r}")
 
 
-def _compile_goal(goal: tuple[QAtom, ...], program: Program, env: _Env) -> tuple[_Instr, ...]:
+def _compile_goal(goal: tuple[Atom, ...], program: Program, env: _Env) -> tuple[_Instr, ...]:
     """The instructions of a query, with its ground input terms bound in
     ``env`` under fresh names."""
     code: list[_Instr] = []
     serial = count(1)
     for index, qa in enumerate(goal, 1):
         where = f"goal atom {index}"
-        counts_step = not isinstance(qa, QCall)
+        counts_step = not isinstance(qa, Call)
 
-        def holder(t: QTerm) -> Var:
+        def holder(t: Term) -> Var:
             """A variable holding input term ``t``."""
             if isinstance(t, Var):
                 return t
@@ -405,22 +396,22 @@ def _compile_goal(goal: tuple[QAtom, ...], program: Program, env: _Env) -> tuple
             return Var(name)
 
         flat: Atom | None = None
-        if isinstance(qa, QCall):
+        if isinstance(qa, Call):
             callee = program.predicates.get(qa.pred)
             if callee is not None and len(qa.args) == callee.arity:
                 outs = [t for t, m in zip(qa.args, callee.modes) if m == "out"]
                 if all(isinstance(t, Var) for t in outs) and _first_repeat(t.name for t in outs) is None:
                     args = tuple(t if m == "out" else holder(t) for t, m in zip(qa.args, callee.modes))
                     flat = Call(0, 0, 0, qa.pred, args)
-        elif isinstance(qa, QDeconstruct):
+        elif isinstance(qa, Deconstruct):
             if all(isinstance(t, Var) for t in qa.args):
                 flat = Deconstruct(0, 0, 0, holder(qa.var), qa.functor, qa.args)
-        elif isinstance(qa, QConstruct):
+        elif isinstance(qa, Construct):
             if isinstance(qa.var, Var):
                 flat = Construct(0, 0, 0, qa.var, qa.functor, tuple(holder(t) for t in qa.args))
-        elif isinstance(qa, QTest):
+        elif isinstance(qa, Test):
             flat = Test(0, 0, 0, holder(qa.left), holder(qa.right))
-        elif isinstance(qa, QAssign):
+        elif isinstance(qa, Assign):
             if isinstance(qa.target, Var):
                 flat = Assign(0, 0, 0, qa.target, holder(qa.source))
         if flat is None:

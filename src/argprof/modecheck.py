@@ -19,11 +19,9 @@ class Violation:
     line: int
     col: int
     message: str
-    severity: str = "error"
-    point: int | None = None
 
     def render(self, filename: str = "<input>") -> str:
-        return f"{filename}:{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{filename}:{self.line}:{self.col}: error: {self.message}"
 
 
 @dataclass
@@ -33,8 +31,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, line: int, col: int, message: str, point: int | None = None) -> None:
-        self.violations.append(Violation(line, col, message, point=point))
+    def add(self, line: int, col: int, message: str) -> None:
+        self.violations.append(Violation(line, col, message))
 
     def render(self, filename: str = "<input>") -> str:
         return "\n".join(v.render(filename) for v in self.violations)
@@ -55,11 +53,11 @@ def validate_modes(program: Program) -> ValidationReport:
             for atom in clause.body:
                 for v in atom_inputs(atom, modes_of):
                     if v.name not in bound:
-                        report.add(atom.line, atom.col, f"{v.name} unbound at point {atom.point}", atom.point)
+                        report.add(atom.line, atom.col, f"{v.name} unbound at point {atom.point}")
                 seen_out: set[str] = set()
                 for v in atom_outputs(atom, modes_of):
                     if v.name in bound or v.name in seen_out:
-                        report.add(atom.line, atom.col, f"{v.name} already bound at point {atom.point}", atom.point)
+                        report.add(atom.line, atom.col, f"{v.name} already bound at point {atom.point}")
                     seen_out.add(v.name)
                 # Bind inputs too, to suppress cascading reports.
                 bound.update(v.name for v in atom_inputs(atom, modes_of))

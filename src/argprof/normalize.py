@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .analysis import Environment
 from .domain import canon_profile
 from .ordering import OrderedProfile, canon_ordered, oprof
-from .syntax import Atom, Call, Clause, Predicate, Program, make_program, renumber_points
+from .syntax import Atom, Call, Clause, Predicate, Program, make_program
 
 NormalizationPlan = dict[str, tuple[int, ...]]
 
@@ -49,9 +49,9 @@ def rewrite(program: Program, normalization: NormalizationPlan) -> Program:
 
     Heads, mode declarations and call atoms are permuted by the owning or
     called predicate's permutation; atom order, variable names and
-    everything else stay untouched. Program points are re-assigned in the
-    new textual order (which leaves them unchanged, since atom order is
-    preserved).
+    everything else stay untouched, program points included: predicates
+    and atoms keep their order, so the points still run 1..N in the order
+    ``format_program`` prints them.
     """
     for name in program.predicates:
         if name not in normalization:
@@ -73,7 +73,7 @@ def rewrite(program: Program, normalization: NormalizationPlan) -> Program:
         preds[name] = Predicate(
             name, pred.arity, _permute(pred.modes, perm), tuple(clauses), pred.line, pred.col
         )
-    return renumber_points(make_program(preds))
+    return make_program(preds)
 
 
 @dataclass(frozen=True)

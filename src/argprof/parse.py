@@ -14,9 +14,9 @@ functors. Zero-arity functors may be written bare (``nil``) or as ``nil()``;
 they are emitted bare. A mode declaration is mandatory for every predicate
 and clauses of one predicate must be contiguous.
 
-Queries use the same lexer: ``?- app(cons(1,nil), cons(2,nil), Z).`` where
-input positions may hold nested ground terms and output positions hold
-fresh variables.
+Queries use the same lexer and build the same atom classes:
+``?- app(cons(1,nil), cons(2,nil), Z).`` where input positions may hold
+nested ground terms and output positions hold fresh variables.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from .syntax import (
     Clause,
     Construct,
     Deconstruct,
+    FunctorTerm,
     Mode,
     Predicate,
     Program,
+    Term,
     Test,
     Var,
     make_program,
@@ -357,7 +359,15 @@ def parse_program(source: str) -> Program:
                             atom.col,
                         )
 
-    return make_program(built)
+    # Points follow the text, so keep the predicates in the order of their
+    # first clauses (a clause-less one at its declaration): the order in
+    # which points run and format_program prints. The checks above report
+    # in order of first mention.
+    def first_position(pred: Predicate) -> tuple[int, int]:
+        first = pred.clauses[0] if pred.clauses else pred
+        return first.line, first.col
+
+    return make_program({pred.name: pred for pred in sorted(built.values(), key=first_position)})
 
 
 # ---------------------------------------------------------------------------
@@ -366,54 +376,11 @@ def parse_program(source: str) -> Program:
 
 
 @dataclass(frozen=True)
-class QStruct:
-    """A possibly nested term in a query; ground once variables are bound."""
-
-    functor: str
-    args: tuple["QTerm", ...] = ()
-
-
-QTerm = Var | QStruct
-
-
-@dataclass(frozen=True)
-class QCall:
-    pred: str
-    args: tuple[QTerm, ...]
-
-
-@dataclass(frozen=True)
-class QDeconstruct:
-    var: QTerm
-    functor: str
-    args: tuple[QTerm, ...]
-
-
-@dataclass(frozen=True)
-class QConstruct:
-    var: QTerm
-    functor: str
-    args: tuple[QTerm, ...]
-
-
-@dataclass(frozen=True)
-class QTest:
-    left: QTerm
-    right: QTerm
-
-
-@dataclass(frozen=True)
-class QAssign:
-    target: QTerm
-    source: QTerm
-
-
-QAtom = QCall | QDeconstruct | QConstruct | QTest | QAssign
-
-
-@dataclass(frozen=True)
 class Query:
-    goal: tuple[QAtom, ...]
+    """A goal: atoms of the program's classes with point 0, whose argument
+    positions may hold nested terms."""
+
+    goal: tuple[Atom, ...]
 
 
 def parse_query(source: str) -> Query:
@@ -421,13 +388,13 @@ def parse_query(source: str) -> Query:
     parser = _Parser(tokenize(source))
     parser.expect("?-")
 
-    def qterm() -> QTerm:
+    def qterm() -> Term:
         # An explicit stack of the terms whose arguments are being read, as
         # (functor, arguments so far), so nesting depth costs no recursion.
-        open_terms: list[tuple[str, list[QTerm]]] = []
+        open_terms: list[tuple[str, list[Term]]] = []
         while True:
             if parser.at("var"):
-                term: QTerm = parser.variable()
+                term: Term = parser.variable()
             else:
                 ftok = parser.functor_name()
                 if parser.at("("):
@@ -436,7 +403,7 @@ def parse_query(source: str) -> Query:
                         open_terms.append((ftok.text, []))
                         continue
                     parser.next()
-                term = QStruct(ftok.text)
+                term = FunctorTerm(ftok.text)
             # Attach the finished term to the terms it completes.
             while open_terms:
                 functor, args = open_terms[-1]
@@ -446,18 +413,18 @@ def parse_query(source: str) -> Query:
                     break
                 parser.expect(")")
                 open_terms.pop()
-                term = QStruct(functor, tuple(args))
+                term = FunctorTerm(functor, tuple(args))
             else:
                 return term
 
-    def qatom() -> QAtom:
+    def qatom() -> Atom:
         tok = parser.peek()
         left = qterm()
         op = parser.peek()
         if op.kind not in ("=>", "<=", ":=", "=="):
             # No unification operator follows: the term itself is a call.
-            if isinstance(left, QStruct):
-                return QCall(left.functor, left.args)
+            if isinstance(left, FunctorTerm):
+                return Call(0, tok.line, tok.col, left.functor, left.args)
             raise ParseError(f"expected atom, found {tok.text or 'end of input'!r}", tok.line, tok.col)
         parser.next()
         rtok = parser.peek()
@@ -465,11 +432,11 @@ def parse_query(source: str) -> Query:
         if op.kind in ("=>", "<="):
             if isinstance(right, Var):
                 raise ParseError(f"expected functor, found {rtok.text!r}", rtok.line, rtok.col)
-            cls = QDeconstruct if op.kind == "=>" else QConstruct
-            return cls(left, right.functor, right.args)
+            cls = Deconstruct if op.kind == "=>" else Construct
+            return cls(0, tok.line, tok.col, left, right.functor, right.args)
         if op.kind == ":=":
-            return QAssign(left, right)
-        return QTest(left, right)
+            return Assign(0, tok.line, tok.col, left, right)
+        return Test(0, tok.line, tok.col, left, right)
 
     goal = [qatom()]
     while parser.at(","):

@@ -1,15 +1,21 @@
-"""Abstract syntax for the flat moded logic language.
+"""Abstract syntax for the moded logic language: one vocabulary of atoms
+for programs and queries.
 
 A program is a set of predicates, each with a mandatory mode declaration
-and a set of clauses sharing one head. Clause bodies are flat: every term
-has an outermost functor applied to variables only, and calls take
-variables only. Each body atom carries a program point, unique across the
-whole file and assigned in textual order starting at 1.
+and a set of clauses sharing one head. Clause bodies are flat:
+``parse_program`` stores only ``Var``s in the argument positions of an
+atom, so every term is an outermost functor applied to variables. Each
+body atom carries a program point, unique across the whole program and
+running 1..N in the order predicates are kept (the order of their first
+clauses) and, within a predicate, in textual order.
+
+A query (``parse.parse_query``) is a goal of the same atom classes, with
+point 0; its argument positions may hold nested ``FunctorTerm``s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Literal, Mapping
 
 Mode = Literal["in", "out"]
@@ -25,14 +31,10 @@ class Var:
 
 @dataclass(frozen=True)
 class FunctorTerm:
-    """A flat term: a functor applied to variables only."""
+    """A functor applied to terms; only queries hold them."""
 
-    name: str
-    args: tuple[Var, ...] = ()
-
-    @property
-    def arity(self) -> int:
-        return len(self.args)
+    functor: str
+    args: tuple[Term, ...] = ()
 
 
 Term = Var | FunctorTerm
@@ -40,7 +42,8 @@ Term = Var | FunctorTerm
 
 @dataclass(frozen=True)
 class Atom:
-    """Base of all body atoms. ``point`` is the global program point."""
+    """Base of all body atoms. ``point`` is the global program point (0 in a
+    query); ``line`` and ``col`` place the atom's first token."""
 
     point: int
     line: int = field(compare=False)
@@ -51,34 +54,34 @@ class Atom:
 class Deconstruct(Atom):
     """``V => f(X1,...,Xn)``: V is input, the Xi are output."""
 
-    var: Var
+    var: Term
     functor: str
-    args: tuple[Var, ...]
+    args: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
 class Construct(Atom):
     """``V <= f(X1,...,Xn)``: the Xi are input, V is output."""
 
-    var: Var
+    var: Term
     functor: str
-    args: tuple[Var, ...]
+    args: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
 class Test(Atom):
     """``V == W``: both input."""
 
-    left: Var
-    right: Var
+    left: Term
+    right: Term
 
 
 @dataclass(frozen=True)
 class Assign(Atom):
     """``V := W``: W is input, V is output."""
 
-    target: Var
-    source: Var
+    target: Term
+    source: Term
 
 
 @dataclass(frozen=True)
@@ -86,11 +89,11 @@ class Call(Atom):
     """``p(X1,...,Xn)``: moded per the callee's declaration."""
 
     pred: str
-    args: tuple[Var, ...]
+    args: tuple[Term, ...]
 
 
 def atom_inputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[Var, ...]:
-    """Variables at input positions of ``atom`` (with repetitions)."""
+    """Variables at input positions of program atom ``atom`` (with repetitions)."""
     if isinstance(atom, Deconstruct):
         return (atom.var,)
     if isinstance(atom, Construct):
@@ -106,7 +109,7 @@ def atom_inputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[V
 
 
 def atom_outputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[Var, ...]:
-    """Variables at output positions of ``atom`` (with repetitions)."""
+    """Variables at output positions of program atom ``atom`` (with repetitions)."""
     if isinstance(atom, Deconstruct):
         return atom.args
     if isinstance(atom, Construct):
@@ -256,19 +259,3 @@ def format_predicate(pred: Predicate) -> str:
 def format_program(program: Program) -> str:
     blocks = [format_predicate(p) for p in program.predicates.values()]
     return "\n\n".join(blocks) + "\n" if blocks else ""
-
-
-def renumber_points(program: Program) -> Program:
-    """Re-assign program points 1..N in textual order of body atoms."""
-    preds: dict[str, Predicate] = {}
-    point = 0
-    for name, pred in program.predicates.items():
-        clauses = []
-        for clause in pred.clauses:
-            body = []
-            for atom in clause.body:
-                point += 1
-                body.append(replace(atom, point=point))
-            clauses.append(replace(clause, body=tuple(body)))
-        preds[name] = replace(pred, clauses=tuple(clauses))
-    return make_program(preds)

@@ -34,8 +34,8 @@ from argprof import (
     parse_program,
 )
 from argprof.interp import DEFAULT_STEP_LIMIT, RuntimeModeError, SolveError, StepLimitExceeded
-from argprof.parse import LexError, QAssign, QAtom, QCall, QConstruct, QDeconstruct, QTerm, QTest, Query
-from argprof.syntax import Assign, Atom, Call, Construct, Deconstruct, Test, Var
+from argprof.parse import LexError, Query
+from argprof.syntax import Assign, Atom, Call, Construct, Deconstruct, Term, Test, Var
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -628,7 +628,7 @@ def _solve_call(
 # ---------------------------------------------------------------------------
 
 
-def _eval_qterm(t: QTerm, env: _Env) -> GroundTerm | None:
+def _eval_qterm(t: Term, env: _Env) -> GroundTerm | None:
     """Ground value of a query term, or None if a variable is unbound."""
     if isinstance(t, Var):
         return env.get(t.name)
@@ -641,14 +641,14 @@ def _eval_qterm(t: QTerm, env: _Env) -> GroundTerm | None:
     return GroundTerm(t.functor, tuple(args))
 
 
-def _require_ground(t: QTerm, env: _Env, where: str) -> GroundTerm:
+def _require_ground(t: Term, env: _Env, where: str) -> GroundTerm:
     value = _eval_qterm(t, env)
     if value is None:
         raise RuntimeModeError(f"non-ground input at {where}")
     return value
 
 
-def _require_free_var(t: QTerm, env: _Env, where: str) -> str:
+def _require_free_var(t: Term, env: _Env, where: str) -> str:
     if not isinstance(t, Var):
         raise RuntimeModeError(f"output position holds a term at {where}")
     if t.name in env:
@@ -657,7 +657,7 @@ def _require_free_var(t: QTerm, env: _Env, where: str) -> str:
 
 
 def _solve_goal(
-    program: Program, goal: tuple[QAtom, ...], i: int, env: _Env, steps: ReferenceSteps
+    program: Program, goal: tuple[Atom, ...], i: int, env: _Env, steps: ReferenceSteps
 ) -> Iterator[None]:
     if i == len(goal):
         yield None
@@ -665,7 +665,7 @@ def _solve_goal(
     qa = goal[i]
     where = f"goal atom {i + 1}"
 
-    if isinstance(qa, QCall):
+    if isinstance(qa, Call):
         if qa.pred not in program.predicates:
             raise SolveError(f"unknown predicate '{qa.pred}' in query")
         callee = program.predicates[qa.pred]
@@ -698,7 +698,7 @@ def _solve_goal(
     steps.bump()
     bound: list[str] = []
     ok = False
-    if isinstance(qa, QDeconstruct):
+    if isinstance(qa, Deconstruct):
         value = _require_ground(qa.var, env, where)
         if value.functor == qa.functor and len(value.args) == len(qa.args):
             ok = True
@@ -706,15 +706,15 @@ def _solve_goal(
                 name = _require_free_var(t, env, where)
                 env[name] = sub
                 bound.append(name)
-    elif isinstance(qa, QConstruct):
+    elif isinstance(qa, Construct):
         args = tuple(_require_ground(a, env, where) for a in qa.args)
         name = _require_free_var(qa.var, env, where)
         env[name] = GroundTerm(qa.functor, args)
         bound.append(name)
         ok = True
-    elif isinstance(qa, QTest):
+    elif isinstance(qa, Test):
         ok = _require_ground(qa.left, env, where) == _require_ground(qa.right, env, where)
-    elif isinstance(qa, QAssign):
+    elif isinstance(qa, Assign):
         value = _require_ground(qa.source, env, where)
         name = _require_free_var(qa.target, env, where)
         env[name] = value
@@ -734,11 +734,11 @@ def _solve_goal(
             del env[name]
 
 
-def _goal_vars(goal: tuple[QAtom, ...]) -> list[str]:
+def _goal_vars(goal: tuple[Atom, ...]) -> list[str]:
     """Variable names in order of first occurrence."""
     seen: list[str] = []
 
-    def walk_term(t: QTerm) -> None:
+    def walk_term(t: Term) -> None:
         if isinstance(t, Var):
             if t.name not in seen:
                 seen.append(t.name)
@@ -747,17 +747,17 @@ def _goal_vars(goal: tuple[QAtom, ...]) -> list[str]:
                 walk_term(a)
 
     for qa in goal:
-        if isinstance(qa, QCall):
+        if isinstance(qa, Call):
             for a in qa.args:
                 walk_term(a)
-        elif isinstance(qa, (QDeconstruct, QConstruct)):
+        elif isinstance(qa, (Deconstruct, Construct)):
             walk_term(qa.var)
             for a in qa.args:
                 walk_term(a)
-        elif isinstance(qa, QTest):
+        elif isinstance(qa, Test):
             walk_term(qa.left)
             walk_term(qa.right)
-        elif isinstance(qa, QAssign):
+        elif isinstance(qa, Assign):
             walk_term(qa.target)
             walk_term(qa.source)
     return seen

@@ -42,8 +42,8 @@ from argprof import (
     validate_program,
 )
 from argprof.normalize import Equivalent, ordered_profile_of
-from argprof.parse import QCall, Query
-from argprof.syntax import Var
+from argprof.parse import Query
+from argprof.syntax import Call, FunctorTerm, Var
 from helpers import (
     SetContext,
     TIE_FREE_FIXTURES,
@@ -273,13 +273,11 @@ def _query_for(pred, rng) -> tuple[Query, tuple]:
         else:
             outs += 1
             args.append(Var(f"O{outs}"))
-    return Query((QCall(pred.name, tuple(args)),)), tuple(args)
+    return Query((Call(0, 0, 0, pred.name, tuple(args)),)), tuple(args)
 
 
 def _to_qterm(term):
-    from argprof.parse import QStruct
-
-    return QStruct(term.functor, tuple(_to_qterm(a) for a in term.args))
+    return FunctorTerm(term.functor, tuple(_to_qterm(a) for a in term.args))
 
 
 def _outcome(program, query):
@@ -305,7 +303,7 @@ def test_09_normalization_soundness():
             perm = normalization[pname]
             for _ in range(queries):
                 query, args = _query_for(pred, rng)
-                permuted = Query((QCall(pname, tuple(args[orig - 1] for orig in perm)),))
+                permuted = Query((Call(0, 0, 0, pname, tuple(args[orig - 1] for orig in perm)),))
                 total += 1
                 if _outcome(program, query) != _outcome(normalized, permuted):
                     mismatches.append((name, pname, query))

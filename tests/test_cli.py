@@ -340,7 +340,41 @@ def test_non_utf8_on_a_strict_stdin_is_a_diagnostic(capsys, monkeypatch):
     assert main(["analyze", "-"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "<stdin>: error: invalid UTF-8 byte 0xff\n"
+    assert captured.err == "<stdin>:2:15: error: invalid UTF-8 byte 0xff\n"
+
+
+# ---------------------------------------------------------------------------
+# A UTF-8 byte-order mark
+# ---------------------------------------------------------------------------
+
+BOM = "\ufeff"
+P_SOURCE = ":- pred p(out).\np(X) :- X <= nil.\n"
+
+
+def test_byte_order_mark_in_a_file_is_dropped_once(tmp_path, capsys):
+    path = tmp_path / "bom.lp"
+    path.write_text(BOM + P_SOURCE, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("pred p/1 ")
+    path.write_text(BOM + BOM + P_SOURCE, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:1:1: error: unexpected character '\\ufeff'\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "stdin", "out"),
+    [
+        (["analyze", "-"], io.TextIOWrapper(io.BytesIO((BOM + P_SOURCE).encode()), encoding="utf-8"),
+         "pred p/1 "),
+        (["run", fixture("append.lp"), "-"], io.StringIO(BOM + "?- app(nil,nil,Z)."), "Z = nil\n"),
+    ],
+)
+def test_byte_order_mark_on_stdin_is_dropped(argv, stdin, out, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out)
+    assert captured.err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,10 @@ def test_run_query_rejects_bound_output():
 
 def test_initial_bindings():
     program = load_fixture("append.lp")
-    from argprof.parse import QCall, Query
-    from argprof.syntax import Var
+    from argprof.parse import Query
+    from argprof.syntax import Call, Var
 
-    query = Query((QCall("app", (Var("X"), Var("X"), Var("Z"))),))
+    query = Query((Call(0, 0, 0, "app", (Var("X"), Var("X"), Var("Z"))),))
     one = GroundTerm("cons", (GroundTerm("1"), GroundTerm("nil")))
     answers = solve(program, query, bindings={"X": one})
     assert [format_ground(a["Z"]) for a in answers] == ["cons(1, cons(1, nil))"]

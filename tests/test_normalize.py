@@ -23,8 +23,10 @@ from argprof import (
 from argprof.normalize import ordered_profile_of
 from argprof.ordering import canon_ordered
 from helpers import (
+    FIXTURES,
     TIE_FREE_FIXTURES,
     answer_multiset,
+    fixture_names,
     gen_input_term,
     load_fixture,
 )
@@ -73,6 +75,22 @@ def test_rewrite_call_site_permutation():
         if isinstance(a, Call) and a.pred == "concat" and rewritten.owner_of_point(a.point) == "dapp"
     )
     assert tuple(v.name for v in call.args) == ("L12", "L3", "L4")
+
+
+def test_rewrite_keeps_every_point():
+    # The last program's declarations are grouped above clauses written in
+    # another order.
+    sources = [(FIXTURES / name).read_text() for name in fixture_names()]
+    sources.append(
+        ":- pred q(in,out).\n:- pred p(in,out).\np(X,Y) :- Y := X.\nq(X,Y) :- p(X,Z), Y := Z.\n"
+    )
+    for source in sources:
+        program = parse_program(source)
+        env, _ = run_analysis(program)
+        rewritten = rewrite(program, plan(program, env))
+        placed = [(a.point, a.line, a.col) for a in program.atoms()]
+        assert [(a.point, a.line, a.col) for a in rewritten.atoms()] == placed
+        assert rewritten.point_owner == program.point_owner
 
 
 def test_rewrite_missing_predicate_rejected():
@@ -169,7 +187,7 @@ def test_compare_is_equivalence_on_fixture():
 
 
 def test_rewritten_concat_answers_match():
-    from argprof.parse import QCall, Query
+    from argprof.parse import Query
     from argprof.syntax import Var
 
     program, env = _analyzed("concat.lp")
@@ -180,13 +198,13 @@ def test_rewritten_concat_answers_match():
     for _ in range(30):
         front, back = gen_input_term(rng), gen_input_term(rng)
         args = (Var("A"), _to_q(front), _to_q(back))
-        original = solve(program, Query((QCall("concat", args),)))
+        original = solve(program, Query((Call(0, 0, 0, "concat", args),)))
         permuted_args = tuple(args[orig - 1] for orig in perm)
-        normalized = solve(rewritten, Query((QCall("concat", permuted_args),)))
+        normalized = solve(rewritten, Query((Call(0, 0, 0, "concat", permuted_args),)))
         assert answer_multiset(original) == answer_multiset(normalized)
 
 
 def _to_q(term):
-    from argprof.parse import QStruct
+    from argprof.syntax import FunctorTerm
 
-    return QStruct(term.functor, tuple(_to_q(a) for a in term.args))
+    return FunctorTerm(term.functor, tuple(_to_q(a) for a in term.args))

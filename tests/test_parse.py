@@ -162,6 +162,19 @@ def test_round_trip_random_programs():
         assert parse_program(format_program(program)) == program
 
 
+def test_round_trip_declarations_grouped_above_clauses_in_another_order():
+    src = (
+        ":- pred q(in,out).\n:- pred p(in,out).\n:- pred r(in).\n"
+        "p(X,Y) :- Y := X.\nq(X,Y) :- p(X,Z), Y := Z.\n"
+    )
+    program = parse_program(src)
+    assert list(program.predicates) == ["r", "p", "q"]
+    assert {name: pred.body_points() for name, pred in program.predicates.items()} == {
+        "r": [], "p": [1], "q": [2, 3]
+    }
+    assert parse_program(format_program(program)) == program
+
+
 def test_comments_and_whitespace_ignored():
     src = "% leading comment\n:- pred p(out).\n  p(X) :-\n     X <= nil. % trailing\n"
     program = parse_program(src)
@@ -309,3 +322,25 @@ def test_end_of_input_diagnostic_column():
     with pytest.raises(ParseError) as exc:
         parse_query("?- app(nil,nil,Z)")
     assert (exc.value.line, exc.value.col) == (1, 18)
+
+
+# ---------------------------------------------------------------------------
+# Queries: the program's atom classes, with nested terms
+# ---------------------------------------------------------------------------
+
+
+def test_parse_query_builds_syntax_atoms():
+    F, V = syntax.FunctorTerm, syntax.Var
+    query = parse_query(
+        "?- app(cons(1,nil), N, Z),\n  s(z) => s(A), X <= f(g(Y), c),\n   nil == W, P := cons(a, Q)."
+    )
+    assert query.goal == (
+        Call(0, 0, 0, "app", (F("cons", (F("1"), F("nil"))), V("N"), V("Z"))),
+        Deconstruct(0, 0, 0, F("s", (F("z"),)), "s", (V("A"),)),
+        Construct(0, 0, 0, V("X"), "f", (F("g", (V("Y"),)), F("c"))),
+        syntax.Test(0, 0, 0, F("nil"), V("W")),
+        Assign(0, 0, 0, V("P"), F("cons", (F("a"), V("Q")))),
+    )
+    assert [(a.point, a.line, a.col) for a in query.goal] == [
+        (0, 1, 4), (0, 2, 3), (0, 2, 17), (0, 3, 4), (0, 3, 14)
+    ]
