@@ -102,6 +102,7 @@ from .syntax import (
     Var,
     build_call_graph,
     format_atom,
+    format_ground,
     format_program,
     make_program,
 )
@@ -111,11 +112,9 @@ __version__ = "0.1.0"
 # The interpreter is imported on first use, so the commands that do not run
 # queries do not load it.
 _INTERP_NAMES = {
-    "GroundTerm",
     "RuntimeModeError",
     "SolveError",
     "StepLimitExceeded",
-    "format_ground",
     "solve",
 }
 

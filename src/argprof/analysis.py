@@ -35,6 +35,8 @@ and each round only ever grows them.
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -321,17 +323,22 @@ def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:
     length two or more blocks progress.
     """
     env = initial_environment(program)
-    remaining = set(program.predicates)
-    analyzed: set[str] = set()
     trace: AnalysisTrace = []
     psi_ops: dict[str, PsiOp] = {}
-    called = {q for p, callees in program.call_graph.items() for q in callees if q != p}
+    # Per predicate, how many of its callees other than itself are not yet
+    # analyzed, and who calls it; the heap holds the eligible predicates,
+    # those with no such callee left.
+    pending: dict[str, int] = {}
+    callers: defaultdict[str, list[str]] = defaultdict(list)
+    for p in program.predicates:
+        callees = program.call_graph.get(p, frozenset()) - {p}
+        pending[p] = len(callees)
+        for q in callees:
+            callers[q].append(p)
+    ready = sorted(p for p, n in pending.items() if not n)  # a sorted list is a heap
     round_index = 0
-    while remaining:
-        eligible = leafs(remaining, analyzed, program.call_graph)
-        if not eligible:
-            raise NonDirectRecursionError(sorted(remaining))
-        name = min(eligible)
+    while ready:
+        name = heapq.heappop(ready)
         pred = program.predicates[name]
         state = RoundState(pred)
         self_recursive = name in program.call_graph.get(name, ())
@@ -349,10 +356,15 @@ def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:
                 round_index += 1
                 trace.append(TraceEntry(round_index, name, new, False))
                 break
-        if name in called:
+        if callers[name]:
             psi_ops[name] = call_abstraction(pred, env[name])
-        analyzed.add(name)
-        remaining.discard(name)
+        for caller in callers[name]:
+            pending[caller] -= 1
+            if not pending[caller]:
+                heapq.heappush(ready, caller)
+        del pending[name]
+    if pending:
+        raise NonDirectRecursionError(sorted(pending))
     return env, trace
 
 

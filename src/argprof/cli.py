@@ -26,7 +26,7 @@ from .modecheck import validate_program
 from .normalize import Distinct, Equivalent, compare, plan, rewrite
 from .ordering import oprof
 from .parse import SourceError, parse_program, parse_query
-from .syntax import Program, format_program
+from .syntax import Program, format_ground, format_program
 
 
 def _read_stdin() -> str:
@@ -48,19 +48,28 @@ def _read_source(path: str) -> tuple[str, str]:
         return handle.read(), path
 
 
-def _load_validated(path: str) -> tuple[Program, str] | int:
-    """Parse and validate; on failure print diagnostics and return exit 1."""
+class _Failure(Exception):
+    """A diagnostic: ``main`` prints it to stderr and returns exit 1."""
+
+
+def _load_validated(path: str) -> tuple[Program, str]:
+    """The parsed and validated program and its label for diagnostics."""
     source, label = _read_source(path)
     try:
         program = parse_program(source)
     except SourceError as exc:
-        print(exc.render(label), file=sys.stderr)
-        return 1
+        raise _Failure(exc.render(label)) from None
     report = validate_program(program)
     if not report.ok():
-        print(report.render(label), file=sys.stderr)
-        return 1
+        raise _Failure(report.render(label))
     return program, label
+
+
+def _analyze(program: Program, label: str) -> tuple[Environment, AnalysisTrace]:
+    try:
+        return run_analysis(program)
+    except AnalysisError as exc:
+        raise _Failure(f"{label}: error: {exc}") from None
 
 
 def _profile_json(program: Program, env: Environment) -> dict:
@@ -122,24 +131,20 @@ def _print_text_report(report: dict) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    loaded = _load_validated(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    program, label = loaded
-    try:
-        env, trace = run_analysis(program)
-    except AnalysisError as exc:
-        print(f"{label}: error: {exc}", file=sys.stderr)
-        return 1
+    program, label = _load_validated(args.file)
+    env, trace = _analyze(program, label)
     if args.trace:
+        # With --json, stdout holds only the JSON document.
+        out = sys.stderr if args.json else sys.stdout
         for entry in trace:
             print(
                 f"round={entry.round} pred={entry.predicate} "
-                f"interactions={len(entry.snapshot)} changed={str(entry.changed).lower()}"
+                f"interactions={len(entry.snapshot)} changed={str(entry.changed).lower()}",
+                file=out,
             )
             dump = render_interaction_set(entry.snapshot)
             if dump:
-                print(dump)
+                print(dump, file=out)
     report = _profile_json(program, env)
     _attach_rounds(report, trace)
     if args.json:
@@ -150,15 +155,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    loaded = _load_validated(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    program, label = loaded
-    try:
-        env, _ = run_analysis(program)
-    except AnalysisError as exc:
-        print(f"{label}: error: {exc}", file=sys.stderr)
-        return 1
+    program, label = _load_validated(args.file)
+    env, _ = _analyze(program, label)
     normalization = plan(program, env)
     rewritten = rewrite(program, normalization)
     output = format_program(rewritten)
@@ -172,8 +170,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(output)
         except OSError as exc:
-            print(f"{args.output}: error: {exc}", file=sys.stderr)
-            return 1
+            raise _Failure(f"{args.output}: error: {exc}") from None
         print("\n".join(plan_lines))
     else:
         sys.stdout.write(output)
@@ -182,19 +179,11 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    loaded = _load_validated(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    program, label = loaded
+    program, label = _load_validated(args.file)
     for name in (args.pred1, args.pred2):
         if name not in program.predicates:
-            print(f"{label}: error: unknown predicate '{name}'", file=sys.stderr)
-            return 1
-    try:
-        env, _ = run_analysis(program)
-    except AnalysisError as exc:
-        print(f"{label}: error: {exc}", file=sys.stderr)
-        return 1
+            raise _Failure(f"{label}: error: unknown predicate '{name}'")
+    env, _ = _analyze(program, label)
     verdict = compare(program.predicates[args.pred1], program.predicates[args.pred2], env)
     if isinstance(verdict, Equivalent):
         print(f"equivalent: {args.pred1} <-> {args.pred2}")
@@ -207,26 +196,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     # Only this command needs the interpreter, so only it imports it.
-    from .interp import RuntimeModeError, SolveError, StepLimitExceeded, format_ground, solve
+    from .interp import SolveError, StepLimitExceeded, solve
 
-    loaded = _load_validated(args.file)
-    if isinstance(loaded, int):
-        return loaded
-    program, label = loaded
+    program, label = _load_validated(args.file)
     text = _read_stdin() if args.query == "-" else args.query
     try:
         query = parse_query(text)
     except SourceError as exc:
-        print(exc.render("<query>"), file=sys.stderr)
-        return 1
+        raise _Failure(exc.render("<query>")) from None
     try:
         answers = solve(program, query, max_steps=args.limit)
     except StepLimitExceeded:
-        print("step limit exceeded", file=sys.stderr)
-        return 1
-    except (RuntimeModeError, SolveError) as exc:
-        print(f"{label}: error: {exc}", file=sys.stderr)
-        return 1
+        raise _Failure("step limit exceeded") from None
+    except SolveError as exc:
+        raise _Failure(f"{label}: error: {exc}") from None
     blocks = []
     for answer in answers:
         if answer:
@@ -285,6 +268,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _PARSER.error("the program and the query cannot both be read from stdin")
     try:
         return args.func(args)
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,6 @@ Python's recursion limit:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 
@@ -66,81 +65,15 @@ from .syntax import (
 )
 
 __all__ = [
-    "GroundTerm",
+    "FunctorTerm",
     "Query",
     "parse_query",
     "solve",
-    "format_ground",
     "RuntimeModeError",
     "StepLimitExceeded",
 ]
 
 DEFAULT_STEP_LIMIT = 1_000_000
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class GroundTerm:
-    """A ground term. Equality, hashing and printing use explicit stacks or
-    look one level down, so they work at any depth."""
-
-    functor: str
-    args: tuple["GroundTerm", ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroundTerm):
-            return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.functor != b.functor or len(a.args) != len(b.args):
-                return False
-            pairs.extend(zip(a.args, b.args))
-        return True
-
-    def __hash__(self) -> int:
-        # The functors of the term and its arguments: equal terms agree on
-        # them, and the cost does not grow with depth.
-        return hash((self.functor, tuple(a.functor for a in self.args)))
-
-    def __repr__(self) -> str:
-        return _render(
-            self,
-            lambda t: f"GroundTerm(functor={t.functor!r}, args=())",
-            lambda t: f"GroundTerm(functor={t.functor!r}, args=(",
-            lambda t: ",))" if len(t.args) == 1 else "))",
-        )
-
-
-def _render(
-    t: GroundTerm,
-    leaf: Callable[[GroundTerm], str],
-    opening: Callable[[GroundTerm], str],
-    closing: Callable[[GroundTerm], str],
-) -> str:
-    """Print ``t`` depth-first: a leaf, or an opening, the arguments joined by
-    ``", "`` and a closing."""
-    out: list[str] = []
-    stack: list[GroundTerm | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif not item.args:
-            out.append(leaf(item))
-        else:
-            out.append(opening(item))
-            stack.append(closing(item))
-            for k in range(len(item.args) - 1, -1, -1):
-                stack.append(item.args[k])
-                if k:
-                    stack.append(", ")
-    return "".join(out)
-
-
-def format_ground(t: GroundTerm) -> str:
-    return _render(t, lambda g: g.functor, lambda g: g.functor + "(", lambda g: ")")
 
 
 class SolveError(Exception):
@@ -162,14 +95,14 @@ class StepLimitExceeded(SolveError):
         self.limit = limit
 
 
-Answer = dict[str, GroundTerm]
+Answer = dict[str, FunctorTerm]
 
-_Env = dict[str, GroundTerm]
+_Env = dict[str, FunctorTerm]
 
 
-def _build(t: Term, env: _Env) -> GroundTerm | None:
+def _build(t: Term, env: _Env) -> FunctorTerm | None:
     """The ground value of a query term, or None if a variable in it is unbound."""
-    values: list[GroundTerm] = []
+    values: list[FunctorTerm] = []
     # Terms still to build, and (functor, arity) markers that assemble the
     # values of a term's arguments once they are built.
     work: list[Term | tuple[str, int]] = [t]
@@ -185,12 +118,12 @@ def _build(t: Term, env: _Env) -> GroundTerm | None:
                 work.append((item.functor, len(item.args)))
                 work.extend(reversed(item.args))
             else:
-                values.append(GroundTerm(item.functor))
+                values.append(item)
         else:
             functor, n = item
             args = tuple(values[len(values) - n :])
             del values[len(values) - n :]
-            values.append(GroundTerm(functor, args))
+            values.append(FunctorTerm(functor, args))
     return values[0]
 
 
@@ -292,7 +225,7 @@ def _first_repeat(names: Iterable[str]) -> str | None:
     return None
 
 
-def _getter(names: tuple[str, ...]) -> Callable[[_Env], tuple[GroundTerm, ...]]:
+def _getter(names: tuple[str, ...]) -> Callable[[_Env], tuple[FunctorTerm, ...]]:
     """The values of ``names`` in bindings, as a tuple; KeyError names the
     first unbound one."""
     if len(names) > 1:
@@ -430,7 +363,7 @@ def solve(
     program: Program,
     query: Query,
     max_steps: int = DEFAULT_STEP_LIMIT,
-    bindings: Mapping[str, GroundTerm] | None = None,
+    bindings: Mapping[str, FunctorTerm] | None = None,
 ) -> list[Answer]:
     """All answers to ``query`` within the step limit, in search order.
 
@@ -513,7 +446,7 @@ def solve(
                     raise StepLimitExceeded(max_steps)
                 _, var, functor, args, bound, atom, where = instr
                 try:
-                    value = GroundTerm(functor, args(env))
+                    value = FunctorTerm(functor, args(env))
                 except KeyError:
                     raise _fault(atom, where, env, program) from None
                 if var in env:

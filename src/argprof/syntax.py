@@ -10,13 +10,15 @@ running 1..N in the order predicates are kept (the order of their first
 clauses) and, within a predicate, in textual order.
 
 A query (``parse.parse_query``) is a goal of the same atom classes, with
-point 0; its argument positions may hold nested ``FunctorTerm``s.
+point 0; its argument positions may hold nested ``FunctorTerm``s. The
+interpreter's values are ground ``FunctorTerm``s too, so a query's input
+and the answers it computes are terms of one class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Mapping
+from typing import Callable, Iterator, Literal, Mapping
 
 Mode = Literal["in", "out"]
 
@@ -29,15 +31,80 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FunctorTerm:
-    """A functor applied to terms; only queries hold them."""
+    """A functor applied to terms: a nested term of a query, or a ground
+    value the interpreter computes. Equality, hashing and printing use
+    explicit stacks or look one level down, so they work at any depth."""
 
     functor: str
     args: tuple[Term, ...] = ()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FunctorTerm):
+            return NotImplemented
+        pairs: list[tuple[Term, Term]] = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, Var) or isinstance(b, Var):
+                if a != b:  # a Var equals only a Var of its name
+                    return False
+            elif a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            else:
+                pairs.extend(zip(a.args, b.args))
+        return True
+
+    def __hash__(self) -> int:
+        # The functors of the term and its arguments, a Var argument standing
+        # for itself: equal terms agree on them, and the cost does not grow
+        # with depth.
+        return hash((self.functor, tuple(getattr(a, "functor", a) for a in self.args)))
+
+    def __repr__(self) -> str:
+        return _render(
+            self,
+            repr,
+            lambda t: f"FunctorTerm(functor={t.functor!r}, args=(",
+            lambda t: ",))" if len(t.args) == 1 else "))",
+        )
+
 
 Term = Var | FunctorTerm
+
+
+def _render(
+    t: Term,
+    show_var: Callable[[Var], str],
+    opening: Callable[[FunctorTerm], str],
+    closing: Callable[[FunctorTerm], str],
+) -> str:
+    """Print ``t`` depth-first: a ``Var`` by ``show_var``, a ``FunctorTerm``
+    as its opening, its arguments joined by ``", "`` and its closing."""
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(show_var(item))
+        else:
+            out.append(opening(item))
+            stack.append(closing(item))
+            for k in range(len(item.args) - 1, -1, -1):
+                stack.append(item.args[k])
+                if k:
+                    stack.append(", ")
+    return "".join(out)
+
+
+def format_ground(t: Term) -> str:
+    """``t`` in surface syntax, e.g. ``cons(1, nil)``; a variable prints as
+    its name."""
+    return _render(t, str, lambda g: g.functor + "(" if g.args else g.functor, lambda g: ")" if g.args else "")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from argprof import (
     AssignOp,
     ConstructOp,
     DeconstructOp,
-    GroundTerm,
+    FunctorTerm,
     InteractionSet,
     OSet,
     Operation,
@@ -513,12 +513,12 @@ class ReferenceSteps:
         self.used += 1
 
 
-Answer = dict[str, GroundTerm]
+Answer = dict[str, FunctorTerm]
 
-_Env = dict[str, GroundTerm]
+_Env = dict[str, FunctorTerm]
 
 
-def _bind(env: _Env, name: str, value: GroundTerm, where: str) -> None:
+def _bind(env: _Env, name: str, value: FunctorTerm, where: str) -> None:
     if name in env:
         raise RuntimeModeError(f"{name} already bound at {where}")
     env[name] = value
@@ -535,7 +535,7 @@ def _solve_body(
 
     if isinstance(atom, Call):
         callee = program.predicates[atom.pred]
-        in_vals: list[tuple[int, GroundTerm]] = []
+        in_vals: list[tuple[int, FunctorTerm]] = []
         out_vars: list[str] = []
         for pos, (v, m) in enumerate(zip(atom.args, callee.modes)):
             if m == "in":
@@ -593,7 +593,7 @@ def _eval_unification(atom: Atom, env: _Env, where: str) -> list[str] | None:
             if v.name not in env:
                 raise RuntimeModeError(f"{v.name} unbound at {where}")
             args.append(env[v.name])
-        _bind(env, atom.var.name, GroundTerm(atom.functor, tuple(args)), where)
+        _bind(env, atom.var.name, FunctorTerm(atom.functor, tuple(args)), where)
         return [atom.var.name]
     if isinstance(atom, Test):
         for v in (atom.left, atom.right):
@@ -611,9 +611,9 @@ def _eval_unification(atom: Atom, env: _Env, where: str) -> list[str] | None:
 def _solve_call(
     program: Program,
     pred: Predicate,
-    in_vals: list[tuple[int, GroundTerm]],
+    in_vals: list[tuple[int, FunctorTerm]],
     steps: ReferenceSteps,
-) -> Iterator[tuple[GroundTerm, ...]]:
+) -> Iterator[tuple[FunctorTerm, ...]]:
     """Yield output-argument tuples, one per solution, in clause order."""
     out_positions = [pos for pos, m in enumerate(pred.modes) if m == "out"]
     for clause in pred.clauses:
@@ -628,20 +628,20 @@ def _solve_call(
 # ---------------------------------------------------------------------------
 
 
-def _eval_qterm(t: Term, env: _Env) -> GroundTerm | None:
+def _eval_qterm(t: Term, env: _Env) -> FunctorTerm | None:
     """Ground value of a query term, or None if a variable is unbound."""
     if isinstance(t, Var):
         return env.get(t.name)
-    args: list[GroundTerm] = []
+    args: list[FunctorTerm] = []
     for a in t.args:
         v = _eval_qterm(a, env)
         if v is None:
             return None
         args.append(v)
-    return GroundTerm(t.functor, tuple(args))
+    return FunctorTerm(t.functor, tuple(args))
 
 
-def _require_ground(t: Term, env: _Env, where: str) -> GroundTerm:
+def _require_ground(t: Term, env: _Env, where: str) -> FunctorTerm:
     value = _eval_qterm(t, env)
     if value is None:
         raise RuntimeModeError(f"non-ground input at {where}")
@@ -673,7 +673,7 @@ def _solve_goal(
             raise SolveError(
                 f"'{qa.pred}' called with {len(qa.args)} arguments but declared with arity {callee.arity}"
             )
-        in_vals: list[tuple[int, GroundTerm]] = []
+        in_vals: list[tuple[int, FunctorTerm]] = []
         out_names: list[str] = []
         seen_out: set[str] = set()
         for pos, (t, m) in enumerate(zip(qa.args, callee.modes)):
@@ -709,7 +709,7 @@ def _solve_goal(
     elif isinstance(qa, Construct):
         args = tuple(_require_ground(a, env, where) for a in qa.args)
         name = _require_free_var(qa.var, env, where)
-        env[name] = GroundTerm(qa.functor, args)
+        env[name] = FunctorTerm(qa.functor, args)
         bound.append(name)
         ok = True
     elif isinstance(qa, Test):
@@ -767,7 +767,7 @@ def reference_solve(
     program: Program,
     query: Query,
     max_steps: int = DEFAULT_STEP_LIMIT,
-    bindings: Mapping[str, GroundTerm] | None = None,
+    bindings: Mapping[str, FunctorTerm] | None = None,
     steps: ReferenceSteps | None = None,
 ) -> list[Answer]:
     """All answers to ``query`` within the step limit, in search order.
@@ -791,24 +791,24 @@ def reference_solve(
 # ---------------------------------------------------------------------------
 
 
-def gen_ground_term(rng: random.Random, depth: int = 4) -> GroundTerm:
+def gen_ground_term(rng: random.Random, depth: int = 4) -> FunctorTerm:
     if depth == 0 or rng.random() < 0.3:
-        return GroundTerm(rng.choice(["nil", "z", "0", "1", "2"]))
+        return FunctorTerm(rng.choice(["nil", "z", "0", "1", "2"]))
     f, n = rng.choice([f for f in _FUNCTORS if f[1] > 0])
-    return GroundTerm(f, tuple(gen_ground_term(rng, depth - 1) for _ in range(n)))
+    return FunctorTerm(f, tuple(gen_ground_term(rng, depth - 1) for _ in range(n)))
 
 
-def gen_ground_list(rng: random.Random, max_len: int = 4) -> GroundTerm:
-    term = GroundTerm("nil")
+def gen_ground_list(rng: random.Random, max_len: int = 4) -> FunctorTerm:
+    term = FunctorTerm("nil")
     for _ in range(rng.randint(0, max_len)):
-        head = GroundTerm(rng.choice(["0", "1", "2", "a", "b"]))
-        term = GroundTerm("cons", (head, term))
+        head = FunctorTerm(rng.choice(["0", "1", "2", "a", "b"]))
+        term = FunctorTerm("cons", (head, term))
     return term
 
 
-def gen_input_term(rng: random.Random) -> GroundTerm:
+def gen_input_term(rng: random.Random) -> FunctorTerm:
     return gen_ground_list(rng) if rng.random() < 0.6 else gen_ground_term(rng)
 
 
-def answer_multiset(answers: list[dict[str, GroundTerm]]) -> Counter:
+def answer_multiset(answers: list[dict[str, FunctorTerm]]) -> Counter:
     return Counter(tuple(sorted(a.items())) for a in answers)

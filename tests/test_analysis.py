@@ -42,6 +42,7 @@ from helpers import (
     load_fixture,
     naive_closure,
     random_chained_set,
+    reference_analyze_predicate,
     reference_run_analysis,
     wide_source,
 )
@@ -456,6 +457,59 @@ def test_mutual_recursion_raises():
     """
     with pytest.raises(NonDirectRecursionError):
         run_analysis(parse_program(src))
+
+
+def test_blocked_driver_lists_every_unanalyzed_predicate():
+    # a and b are analyzed; p and q call each other, r waits on p, and s
+    # waits on r: all four are left.
+    src = """
+    :- pred s(in). s(X) :- r(X).
+    :- pred r(in). r(X) :- p(X), a(X).
+    :- pred p(in). p(X) :- q(X).
+    :- pred q(in). q(X) :- p(X), b(X).
+    :- pred a(in). a(X) :- b(X).
+    :- pred b(in). b(X) :- X == X.
+    """
+    with pytest.raises(NonDirectRecursionError) as exc:
+        run_analysis(parse_program(src))
+    assert exc.value.remaining == ["p", "q", "r", "s"]
+
+
+def test_driver_order_matches_reference_on_a_shuffled_call_dag():
+    # 400 predicates declared in random order; each of the upper 300 calls
+    # one or two of those below it, so the eligible set changes on every
+    # step and its first predicate by name is seldom the next declared.
+    rng = random.Random(7)
+    names = [f"p{i}" for i in range(400)]
+    lines = []
+    for i, name in enumerate(names):
+        calls = rng.sample(names[:i], min(i, rng.randint(1, 2))) if i >= 100 else []
+        body = "".join(f"{q}(X,Z{k}), " for k, q in enumerate(calls))
+        lines.append(f":- pred {name}(in,out). {name}(X,Y) :- {body}Y := X.")
+    rng.shuffle(lines)
+    program = parse_program("\n".join(lines))
+    _, trace = run_analysis(program)
+    _, ref_trace = reference_run_analysis(program)
+    assert [(t.round, t.predicate, t.snapshot, t.changed) for t in trace] == ref_trace
+
+
+def test_driver_scales_to_thousands_of_predicates():
+    # A relapse guard against rescanning every remaining predicate on each
+    # step, which took about 7 s on a 2-core machine; the heap takes about
+    # 0.1 s. The predicates call nothing, so the reference driver takes them
+    # by name, each in two rounds; its own scan is quadratic, so its trace
+    # is built directly.
+    names = [f"p{i}" for i in range(4000)]
+    program = parse_program("".join(f":- pred {n}(in,out).\n{n}(X,Y) :- Y := X.\n" for n in names))
+    start = time.perf_counter()
+    _, trace = run_analysis(program)
+    assert time.perf_counter() - start < 1.0
+    env = initial_environment(program)
+    expected = []
+    for name in sorted(names):
+        new = reference_analyze_predicate(program.predicates[name], env, program)
+        expected += [(len(expected) + 1, name, new, True), (len(expected) + 2, name, new, False)]
+    assert [(t.round, t.predicate, t.snapshot, t.changed) for t in trace] == expected
 
 
 def test_termination_and_bound_on_random_programs():

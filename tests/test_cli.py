@@ -117,6 +117,21 @@ def test_analyze_trace_output_is_pinned(name, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name", fixture_names())
+def test_analyze_json_trace_writes_the_trace_to_stderr(name, capsys):
+    # stdout is the JSON document alone; stderr is the trace part of the
+    # pinned --trace report, which ends where the text report begins.
+    assert main(["analyze", "--json", fixture(name)]) == 0
+    report = capsys.readouterr().out
+    assert main(["analyze", "--json", "--trace", fixture(name)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == report
+    json.loads(captured.out)
+    pinned = (FIXTURES / "trace" / name.replace(".lp", ".out")).read_text()
+    assert captured.err == pinned[: pinned.index("\npred ") + 1]
+    assert captured.err.startswith("round=1 ")
+
+
 def test_analyze_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.lp"
     empty.write_text("% nothing here\n")

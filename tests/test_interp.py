@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from argprof import (
-    GroundTerm,
+    FunctorTerm,
     RuntimeModeError,
     SolveError,
     StepLimitExceeded,
@@ -42,7 +42,7 @@ def test_append_ground_lists():
 def test_append_base_case():
     program = load_fixture("append.lp")
     answers = solve(program, parse_query("?- app(nil, nil, Z)."))
-    assert [a["Z"] for a in answers] == [GroundTerm("nil")]
+    assert [a["Z"] for a in answers] == [FunctorTerm("nil")]
 
 
 def test_concat_agrees_with_append_on_permuted_arguments():
@@ -120,14 +120,14 @@ def test_initial_bindings():
     from argprof.syntax import Call, Var
 
     query = Query((Call(0, 0, 0, "app", (Var("X"), Var("X"), Var("Z"))),))
-    one = GroundTerm("cons", (GroundTerm("1"), GroundTerm("nil")))
+    one = FunctorTerm("cons", (FunctorTerm("1"), FunctorTerm("nil")))
     answers = solve(program, query, bindings={"X": one})
     assert [format_ground(a["Z"]) for a in answers] == ["cons(1, cons(1, nil))"]
 
 
 def test_answers_are_ground():
-    def check(term: GroundTerm) -> None:
-        assert isinstance(term, GroundTerm)
+    def check(term: FunctorTerm) -> None:
+        assert isinstance(term, FunctorTerm)
         for a in term.args:
             check(a)
 
@@ -379,7 +379,7 @@ def test_oracle_nrev_and_bindings():
         assert_agrees(program, parse_query(f"?- nrev({lst}, R)."))
         assert_agrees(program, parse_query(f"?- app({lst}, {lst}, R)."))
     query = parse_query("?- nrev(L, R), app(R, L, S).")
-    one = GroundTerm("cons", (GroundTerm("a"), GroundTerm("cons", (GroundTerm("b"), GroundTerm("nil")))))
+    one = FunctorTerm("cons", (FunctorTerm("a"), FunctorTerm("cons", (FunctorTerm("b"), FunctorTerm("nil")))))
     assert_agrees(program, query, bindings={"L": one})
     assert_agrees(program, query, bindings={"L": one, "S": one})
 
@@ -449,10 +449,10 @@ def _list_text(elements) -> str:
     return "".join(f"cons({e}," for e in elements) + "nil" + ")" * len(elements)
 
 
-def _list_term(elements) -> GroundTerm:
-    term = GroundTerm("nil")
+def _list_term(elements) -> FunctorTerm:
+    term = FunctorTerm("nil")
     for e in reversed(elements):
-        term = GroundTerm("cons", (GroundTerm(e), term))
+        term = FunctorTerm("cons", (FunctorTerm(e), term))
     return term
 
 
@@ -465,18 +465,18 @@ def test_deep_terms_print_compare_and_hash():
     assert deep == same and deep is not same
     assert deep != other and not deep == other
     assert hash(deep) == hash(same)
-    assert repr(deep).count("GroundTerm(") == 10001
+    assert repr(deep).count("FunctorTerm(") == 10001
     assert len({deep, same, other}) == 2
 
 
 def test_repr_matches_the_field_layout():
-    assert repr(GroundTerm("nil")) == "GroundTerm(functor='nil', args=())"
-    assert repr(GroundTerm("s", (GroundTerm("z"),))) == (
-        "GroundTerm(functor='s', args=(GroundTerm(functor='z', args=()),))"
+    assert repr(FunctorTerm("nil")) == "FunctorTerm(functor='nil', args=())"
+    assert repr(FunctorTerm("s", (FunctorTerm("z"),))) == (
+        "FunctorTerm(functor='s', args=(FunctorTerm(functor='z', args=()),))"
     )
-    assert repr(GroundTerm("pair", (GroundTerm("1"), GroundTerm("2")))) == (
-        "GroundTerm(functor='pair', args=(GroundTerm(functor='1', args=()), "
-        "GroundTerm(functor='2', args=())))"
+    assert repr(FunctorTerm("pair", (FunctorTerm("1"), FunctorTerm("2")))) == (
+        "FunctorTerm(functor='pair', args=(FunctorTerm(functor='1', args=()), "
+        "FunctorTerm(functor='2', args=())))"
     )
 
 

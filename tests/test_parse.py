@@ -344,3 +344,38 @@ def test_parse_query_builds_syntax_atoms():
     assert [(a.point, a.line, a.col) for a in query.goal] == [
         (0, 1, 4), (0, 2, 3), (0, 2, 17), (0, 3, 4), (0, 3, 14)
     ]
+
+
+def test_deep_queries_compare_hash_and_print():
+    # Two separately parsed 5 000-deep lists share no subterm, so equality
+    # walks them to the bottom; none of it may recurse on the depth.
+    def query(last: str) -> str:
+        return "?- p(" + "cons(1," * 4999 + f"cons({last},nil)" + ")" * 4999 + ", X)."
+
+    one, two, other = parse_query(query("1")), parse_query(query("1")), parse_query(query("2"))
+    assert one == two and one.goal[0].args[0] is not two.goal[0].args[0]
+    assert one != other and not one == other
+    assert hash(one) == hash(two)
+    assert len({one, two, other}) == 2
+    text = repr(one)
+    assert text == repr(two) != repr(other)
+    assert text.startswith(
+        "Query(goal=(Call(point=0, line=1, col=4, pred='p', args=(FunctorTerm(functor='cons', "
+        "args=(FunctorTerm(functor='1', args=()), FunctorTerm(functor='cons', args=("
+    )
+    assert text.endswith("FunctorTerm(functor='nil', args=())" + "))" * 5000 + ", Var(name='X'))),))")
+    assert text.count("FunctorTerm(") == 10001
+
+
+def test_functor_terms_holding_variables_compare_and_hash():
+    F, V = syntax.FunctorTerm, syntax.Var
+    t = F("f", (V("X"), F("g", (V("Y"),))))
+    same = F("f", (V("X"), F("g", (V("Y"),))))
+    assert t == same and hash(t) == hash(same)
+    assert t != F("f", (V("Z"), F("g", (V("Y"),))))
+    assert t != F("f", (V("X"), F("g", (F("Y"),))))
+    assert F("X") != V("X") and V("X") != F("X")
+    assert F("f", (V("X"),)) != F("f", (F("X"),))
+    assert len({t, same, F("f", (V("X"), F("g", (V("Z"),))))}) == 2
+    assert repr(F("f", (V("X"),))) == "FunctorTerm(functor='f', args=(Var(name='X'),))"
+    assert syntax.format_ground(t) == "f(X, g(Y))"
