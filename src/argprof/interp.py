@@ -33,11 +33,25 @@ Python's recursion limit:
   later are dropped whole on backtracking, so their bindings need no
   record. Backtracking pops the trail down to the newest choice point's
   height, undoing those bindings, and enters its next clause. A choice
-  point leaves the stack when its last clause is entered.
+  point leaves the stack when no clause after the one entered can match.
+* **Clause selection.** As with ``switch_on_term`` in that engine, a clause
+  whose body starts by deconstructing a head input has a key: the input's
+  position and the functor and arity it expects. If the name is repeated
+  among the head inputs, the key takes its last position, whose value the
+  clause binds. A clause whose key differs from the call's input would
+  fail its first atom, so backtracking passes over it without entering it
+  and charges the 2 steps of entering it and failing, at the point where
+  it would have tried it. A clause without a key, or whose key agrees, is
+  entered and runs its deconstruct like any atom, so checks and errors are
+  unchanged. When no later clause can match, the call is determinate: it
+  leaves no choice point, so later bindings are not trailed, and the
+  steps of the clauses after the entered one stay on the choice stack as
+  a charge-only entry. Backtracking onto it only charges them; it does
+  not count as the newest choice point, and adjacent ones merge.
 * **Queries.** A query is compiled into one flat goal on the same machine.
-  Ground input terms are built once into bindings of fresh variables;
-  input terms that use query variables are built when their atom is
-  reached; both are built with an explicit stack. A query atom that holds
+  Ground input terms are bound to fresh variables as parsed; input terms
+  that use query variables are built when their atom is reached, with an
+  explicit stack, and share every subterm that holds no variable. A query atom that holds
   an unknown predicate, or a term or a repeated variable in an output
   position, becomes an instruction that runs the atom's checks when
   reached and raises the first one that fails. Errors name the query atom
@@ -48,7 +62,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import count
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from .parse import Query, parse_query
 from .syntax import (
@@ -103,9 +117,9 @@ _Env = dict[str, FunctorTerm]
 def _build(t: Term, env: _Env) -> FunctorTerm | None:
     """The ground value of a query term, or None if a variable in it is unbound."""
     values: list[FunctorTerm] = []
-    # Terms still to build, and (functor, arity) markers that assemble the
-    # values of a term's arguments once they are built.
-    work: list[Term | tuple[str, int]] = [t]
+    # Terms still to build, and one-tuples holding a term whose argument
+    # values are built: it is its own value when they are its arguments.
+    work: list[Term | tuple[FunctorTerm]] = [t]
     while work:
         item = work.pop()
         if isinstance(item, Var):
@@ -115,15 +129,15 @@ def _build(t: Term, env: _Env) -> FunctorTerm | None:
             values.append(value)
         elif isinstance(item, FunctorTerm):
             if item.args:
-                work.append((item.functor, len(item.args)))
+                work.append((item,))
                 work.extend(reversed(item.args))
             else:
                 values.append(item)
         else:
-            functor, n = item
-            args = tuple(values[len(values) - n :])
-            del values[len(values) - n :]
-            values.append(FunctorTerm(functor, args))
+            (term,) = item
+            args = tuple(values[len(values) - len(term.args) :])
+            del values[len(values) - len(term.args) :]
+            values.append(term if all(map(is_, args, term.args)) else FunctorTerm(term.functor, args))
     return values[0]
 
 
@@ -212,8 +226,11 @@ def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveE
 _CALL, _DECONSTRUCT, _CONSTRUCT, _TEST, _ASSIGN, _EVAL, _FAULT = range(7)
 
 _Instr = tuple
-# A compiled clause: head input names, head output names, instructions.
-_Clause = tuple[tuple[str, ...], tuple[str, ...], tuple[_Instr, ...]]
+# A selection key: (input position, functor, arity) of the deconstruct a
+# clause starts with, when it deconstructs a head input.
+_Key = tuple[int, str, int]
+# A compiled clause: head input names, head output names, instructions, key.
+_Clause = tuple[tuple[str, ...], tuple[str, ...], tuple[_Instr, ...], _Key | None]
 
 
 def _first_repeat(names: Iterable[str]) -> str | None:
@@ -270,18 +287,35 @@ class _Procedures(dict):
         pred = self.program.predicates[name]
         ins = [pos for pos, m in enumerate(pred.modes) if m == "in"]
         outs = [pos for pos, m in enumerate(pred.modes) if m == "out"]
-        clauses = tuple(
-            [
+        clauses: list[_Clause] = []
+        for clause in pred.clauses:
+            head_ins = tuple([clause.head_args[pos].name for pos in ins])
+            # Each name's last input position, whose value its binding keeps.
+            position = {name: pos for pos, name in enumerate(head_ins)}
+            key = None
+            first = clause.body[0] if clause.body else None
+            if isinstance(first, Deconstruct) and first.var.name in position:
+                key = (position[first.var.name], first.functor, len(first.args))
+            clauses.append(
                 (
-                    tuple([clause.head_args[pos].name for pos in ins]),
+                    head_ins,
                     tuple([clause.head_args[pos].name for pos in outs]),
                     tuple([_compile_atom(atom, self.program, atom, None) for atom in clause.body]),
+                    key,
                 )
-                for clause in pred.clauses
-            ]
-        )
-        self[name] = clauses
-        return clauses
+            )
+        self[name] = result = tuple(clauses)
+        return result
+
+
+def _admits(clause: _Clause, values: tuple[FunctorTerm, ...]) -> bool:
+    """Whether ``clause`` may match a call with input ``values``: a clause
+    whose key names another functor or arity fails its first atom."""
+    key = clause[3]
+    if key is None:
+        return True
+    value = values[key[0]]
+    return value.functor == key[1] and len(value.args) == key[2]
 
 
 def _term_names(terms: Iterable[Term]) -> Iterator[str]:
@@ -382,8 +416,9 @@ def solve(
     answers: list[Answer] = []
     budget = max_steps
     # (bindings, names bound there) for each binding made before the newest
-    # choice point; choice points are
-    # [clauses, next clause, input values, return record, trail height, stamp].
+    # choice point. The choice stack holds choice points,
+    # [clauses, next clause, stamp, input values, return record, trail height],
+    # and charge-only entries, [None, steps, stamp of the newest choice point].
     trail: list[tuple[_Env, tuple[str, ...]]] = []
     choices: list[list] = []
     # Stamps order bodies and choice points by creation: a body's bindings
@@ -435,10 +470,10 @@ def solve(
                     raise _fault(instr[5], instr[6], env, program)
                 clauses = procs[instr[1]]
                 if clauses:
-                    # Backtracking below enters the first clause.
+                    # Backtracking below enters the first clause that can match.
                     clock += 1
                     record = (instr, body, i + 1, env, estamp, heads_out, ret)
-                    choices.append([clauses, 0, values, record, len(trail), clock])
+                    choices.append([clauses, 0, clock, values, record, len(trail)])
                 break
             elif kind == _CONSTRUCT:
                 budget -= 1
@@ -495,25 +530,51 @@ def solve(
             i += 1
 
         # Backtrack: undo the newest choice point's bindings and enter its
-        # next clause.
-        if not choices:
-            return answers
-        choice = choices[-1]
-        clauses, k, values, ret, height, stamp = choice
-        while len(trail) > height:
-            bound_env, bound = trail.pop()
-            for name in bound:
-                del bound_env[name]
-        if k + 1 < len(clauses):
-            choice[1] = k + 1
-            newest = stamp
-        else:
-            choices.pop()
-            newest = choices[-1][5] if choices else -1
-        budget -= 1
-        if budget < 0:
-            raise StepLimitExceeded(max_steps)
-        head_ins, heads_out, body = clauses[k]
-        env = dict(zip(head_ins, values))
-        estamp = clock
-        i = 0
+        # next clause that admits the input. Passing over a clause costs the
+        # 2 steps of entering it and failing its first atom.
+        while True:
+            if not choices:
+                return answers
+            choice = choices.pop()
+            clauses = choice[0]
+            if clauses is None:  # a charge-only entry
+                budget -= choice[1]
+                if budget < 0:
+                    raise StepLimitExceeded(max_steps)
+                continue
+            _, k, stamp, values, ret, height = choice
+            while len(trail) > height:
+                bound_env, bound = trail.pop()
+                for name in bound:
+                    del bound_env[name]
+            n = len(clauses)
+            first = k
+            while k < n and not _admits(clauses[k], values):
+                k += 1
+            # The clauses passed over, and entering clause k if there is one.
+            budget -= 2 * (k - first) + (k < n)
+            if budget < 0:
+                raise StepLimitExceeded(max_steps)
+            if k == n:
+                continue
+            later = k + 1
+            while later < n and not _admits(clauses[later], values):
+                later += 1
+            if later < n:
+                choice[1] = k + 1
+                choices.append(choice)
+                newest = stamp
+            else:
+                # A determinate call: the clauses after this one only cost
+                # their steps, charged when backtracking reaches them.
+                newest = choices[-1][2] if choices else -1
+                if k + 1 < n:
+                    if choices and choices[-1][0] is None:
+                        choices[-1][1] += 2 * (n - k - 1)
+                    else:
+                        choices.append([None, 2 * (n - k - 1), newest])
+            head_ins, heads_out, body, _ = clauses[k]
+            env = dict(zip(head_ins, values))
+            estamp = clock
+            i = 0
+            break

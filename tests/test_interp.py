@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,12 @@ def test_query_unification_atoms():
     assert solve(program, parse_query("?- X := 1, Y := 2, X == Y.")) == []
     answers = solve(program, parse_query("?- Z <= pair(1,2)."))
     assert [format_ground(a["Z"]) for a in answers] == ["pair(1, 2)"]
+
+
+def test_ground_query_input_is_not_copied():
+    query = parse_query("?- X := cons(a,cons(b,nil)).")
+    [answer] = solve(load_fixture("append.lp"), query)
+    assert answer["X"] is query.goal[0].source
 
 
 def test_step_limit_zero():
@@ -338,6 +346,87 @@ def test_oracle_unchecked_program_atoms():
     assert outcomes["alt", "pair(a,a)"] == (RuntimeModeError, "W unbound at point 22")
 
 
+# Not mode-checked: clauses whose first atom may or may not select them. A
+# clause starting with a deconstruct of a head input is passed over, at the
+# reference's step cost, when its functor or arity differs from the input.
+SELECTION = """\
+:- pred mid(in,out).
+mid(X,Y) :- X => nil, Y := X.
+mid(X,Y) :- Y := X.
+mid(X,Y) :- X => cons(H,T), Y := H.
+:- pred outdec(in,out).
+outdec(X,Y) :- X => nil, Y := X.
+outdec(X,Y) :- Y => nil.
+:- pred localdec(in,out).
+localdec(X,Y) :- X => cons(H,T), Y := H.
+localdec(X,Y) :- W => nil, Y := X.
+:- pred rep(in,in,out).
+rep(X,Z,Y) :- X => nil, Y := X.
+rep(X,Z,Y) :- X => cons(H,T), Y := H.
+:- pred arity(in,out).
+arity(X,Y) :- X => f(A), Y := A.
+arity(X,Y) :- X => g(A,B), Y := B.
+arity(X,Y) :- X => h, Y := X.
+:- pred dd(in,out).
+dd(X,Y) :- X => nil, Y := X.
+dd(X,Y) :- X => pair(A,A), Y := A.
+dd(X,Y) :- X => cons(H,T), Y := H.
+:- pred empty(in,out).
+empty(X,Y) :- X => nil, Y := X.
+empty(X,Y).
+empty(X,Y) :- X => cons(H,T), Y := H.
+"""
+
+
+def _selection_program():
+    """SELECTION, with two things the parser rejects: the heads of ``rep``
+    made ``rep(X,X,Y)``, and every functor ``arity`` deconstructs made
+    ``f``, at arities 1, 2 and 0."""
+    program = parse_program(SELECTION)
+    preds = dict(program.predicates)
+    rep = preds["rep"]
+    clauses = tuple(replace(c, head_args=(c.head_args[0], c.head_args[0], c.head_args[2])) for c in rep.clauses)
+    preds["rep"] = replace(rep, clauses=clauses)
+    arity = preds["arity"]
+    clauses = tuple(replace(c, body=(replace(c.body[0], functor="f"), *c.body[1:])) for c in arity.clauses)
+    preds["arity"] = replace(arity, clauses=clauses)
+    return replace(program, predicates=preds)
+
+
+def test_oracle_clause_selection():
+    program = _selection_program()
+    inputs = ("nil", "cons(a,nil)", "pair(a,a)", "pair(a,b)", "f", "f(a)", "f(a,b)", "g(a)")
+    outcomes = {}
+    for pname in ("mid", "outdec", "localdec", "arity", "dd", "empty"):
+        for arg in inputs:
+            outcomes[pname, arg] = assert_agrees(program, parse_query(f"?- {pname}({arg}, Y)."))
+            assert_agrees(program, parse_query(f"?- {pname}({arg}, Y), mid({arg}, Z)."))
+            # A fault after the call comes before the steps of the clauses
+            # the call passed over.
+            assert_agrees(program, parse_query(f"?- {pname}({arg}, Y), Y := a."))
+    for first in inputs[:3]:
+        for second in inputs[:3]:
+            outcomes["rep", first, second] = assert_agrees(program, parse_query(f"?- rep({first}, {second}, Y)."))
+    # A keyless clause between keyed ones is still entered.
+    assert outcomes["mid", "nil"] == ("answers", [[("Y", FunctorTerm("nil"))]] * 2)
+    assert outcomes["mid", "pair(a,a)"][1] == [[("Y", FunctorTerm("pair", (FunctorTerm("a"), FunctorTerm("a"))))]]
+    # A first deconstruct of a head output or a local variable selects
+    # nothing and raises its fault.
+    assert outcomes["outdec", "cons(a,nil)"] == (RuntimeModeError, "Y unbound at point 8")
+    assert outcomes["outdec", "nil"] == (RuntimeModeError, "Y unbound at point 8")
+    assert outcomes["localdec", "nil"] == (RuntimeModeError, "W unbound at point 11")
+    # With rep(X,X,Y) the clause binds X to the second input.
+    assert outcomes["rep", "nil", "cons(a,nil)"] == ("answers", [[("Y", FunctorTerm("a"))]])
+    assert outcomes["rep", "cons(a,nil)", "nil"] == ("answers", [[("Y", FunctorTerm("nil"))]])
+    # The same functor at another arity is another key.
+    assert outcomes["arity", "f(a,b)"] == ("answers", [[("Y", FunctorTerm("b"))]])
+    assert outcomes["arity", "f"] == ("answers", [[("Y", FunctorTerm("f"))]])
+    # A matching deconstruct still checks its outputs.
+    assert outcomes["dd", "pair(a,b)"] == (RuntimeModeError, "A already bound at point 25")
+    # A clause with an empty body admits every input.
+    assert outcomes["empty", "g(a)"] == (KeyError, "'Y'")
+
+
 # Clauses that bind their own variables after a call that leaves choice
 # points, so backtracking must undo bindings in a clause still running.
 NONDET = """\
@@ -387,15 +476,18 @@ def test_oracle_nrev_and_bindings():
 def test_oracle_every_step_limit():
     # Each limit below what a query needs ends it at the same step, with
     # the same error, as in the reference.
+    nrev = parse_program((Path(__file__).parent.parent / "perfbench" / "nrev.lp").read_text())
     cases = [
-        ("pick.lp", "?- pick(cons(a,cons(b,cons(c,nil))), X), X => c, Y := X."),
-        ("pick.lp", "?- X := cons(a,nil), pick(X, Y), Y => cons(H,T)."),
-        ("pick.lp", "?- X := a, f(X) <= g(X)."),
-        ("mixed.lp", "?- swap_all(cons(pair(1,2),cons(pair(3,4),nil)), R), same(R, R)."),
-        ("reverse.lp", "?- rev(cons(1,cons(2,cons(3,nil))), R), rev(R, S)."),
+        (load_fixture("pick.lp"), "?- pick(cons(a,cons(b,cons(c,nil))), X), X => c, Y := X."),
+        (load_fixture("pick.lp"), "?- X := cons(a,nil), pick(X, Y), Y => cons(H,T)."),
+        (load_fixture("pick.lp"), "?- X := a, f(X) <= g(X)."),
+        (load_fixture("mixed.lp"), "?- swap_all(cons(pair(1,2),cons(pair(3,4),nil)), R), same(R, R)."),
+        (load_fixture("reverse.lp"), "?- rev(cons(1,cons(2,cons(3,nil))), R), rev(R, S)."),
+        (nrev, "?- nrev(cons(a,cons(b,cons(c,cons(d,nil)))), R)."),
+        (parse_program(UNCHECKED), "?- alt(nil, Y)."),
     ]
-    for name, text in cases:
-        program, query = load_fixture(name), parse_query(text)
+    for program, text in cases:
+        query = parse_query(text)
         steps = ReferenceSteps(ORACLE_LIMIT)
         _outcome(lambda: reference_solve(program, query, steps=steps))
         for limit in range(steps.used + 1):
@@ -499,6 +591,22 @@ def test_app_on_20000_elements_within_the_default_limit():
     elements = ["a", "b", "c", "d"] * 5000
     answers = solve(load_fixture("append.lp"), parse_query(f"?- app({_list_text(elements)}, cons(z,nil), Z)."))
     assert answers == [{"Z": _list_term(elements + ["z"])}]
+
+
+def test_determinate_calls_leave_nothing_to_undo():
+    # Every call of nrev and app selects its one matching clause, so no
+    # binding is kept for backtracking: the peak stays far below the
+    # trail of one entry per binding that a choice point per call keeps.
+    program = parse_program((Path(__file__).parent.parent / "perfbench" / "nrev.lp").read_text())
+    query = parse_query(f"?- nrev({_list_text(['a', 'b', 'c'] * 100)}, R).")
+    tracemalloc.start()
+    try:
+        answers = solve(program, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [{"R": _list_term(["c", "b", "a"] * 100)}]
+    assert peak < 2 * 2**20
 
 
 def test_deep_query_parses_without_recursion():
