@@ -10,9 +10,8 @@ strings, sorted JSON keys.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .analysis import (
     AnalysisError,
@@ -72,62 +71,109 @@ def _analyze(program: Program, label: str) -> tuple[Environment, AnalysisTrace]:
         raise _Failure(f"{label}: error: {exc}") from None
 
 
-def _profile_json(program: Program, env: Environment) -> dict:
-    def args_json(profiles: Sequence[ArgumentProfile]) -> list[dict]:
-        return [
-            {
-                "arg": idx + 1,
-                "osets": [
-                    {"ops": [canon_op(op) for op in oset.ops], "target": oset.target}
-                    for oset in arg_profile.osets
-                ],
-            }
-            for idx, arg_profile in enumerate(profiles)
-        ]
+def _json_texts(parts: list[str], texts: Sequence[str], pad: str) -> None:
+    """A JSON list of strings whose closing bracket sits at indent ``pad``."""
+    if not texts:
+        parts.append("[]")
+        return
+    head, sep = "[\n" + pad + '  "', '",\n' + pad + '  "'
+    for text in texts:
+        parts += (head, text)
+        head = sep
+    parts.append('"\n' + pad + "]")
 
-    predicates = []
+
+def _json_ints(values: Sequence[int], pad: str) -> str:
+    if not values:
+        return "[]"
+    return "[\n" + ",\n".join(f"{pad}  {v}" for v in values) + "\n" + pad + "]"
+
+
+def _json_profiles(parts: list[str], profiles: Sequence[ArgumentProfile]) -> None:
+    if not profiles:
+        parts.append("[]")
+        return
+    head = "[\n"
+    for idx, arg in enumerate(profiles, 1):
+        parts.append(f'{head}        {{\n          "arg": {idx},\n          "osets": ')
+        if arg.osets:
+            oset_head = "[\n"
+            for oset in arg.osets:
+                parts.append(oset_head + '            {\n              "ops": ')
+                _json_texts(parts, [canon_op(op) for op in oset.ops], "              ")
+                parts.append(f',\n              "target": {oset.target}\n            }}')
+                oset_head = ",\n"
+            parts.append("\n          ]\n        }")
+        else:
+            parts.append("[]\n        }")
+        head = ",\n"
+    parts.append("\n      ]")
+
+
+def _text_profiles(parts: list[str], label: str, profiles: Sequence[ArgumentProfile]) -> None:
+    parts.append(f"  {label}:\n")
+    for idx, arg in enumerate(profiles, 1):
+        # Punctuation waits in ``pending`` until the next op text is written.
+        pending = f"    arg {idx}: " + ("" if arg.osets else "(empty)")
+        for n, oset in enumerate(arg.osets):
+            pending += "; {" if n else "{"
+            for k, op in enumerate(oset.ops):
+                parts += (", " if k else pending, canon_op(op))
+                pending = ""
+            pending += f"}} -> {oset.target}"
+        parts.append(pending + "\n")
+
+
+def write_report(
+    out: TextIO, program: Program, env: Environment, trace: AnalysisTrace, as_json: bool
+) -> None:
+    """Write the ``analyze`` report of every predicate to ``out``.
+
+    Each predicate is stripped, ordered and counted once, and written with
+    one ``out.writelines`` call. An op's canonical text is always a part of
+    its own, never joined to punctuation, so a psi payload kept on its
+    ``PsiOp`` is written by reference and never copied.
+
+    The JSON form is laid out exactly as ``json.dumps(report, indent=2,
+    sort_keys=True)`` lays it out, but without escaping, because no string
+    in it needs any: predicate names and functors are lexer names
+    (``[a-z][A-Za-z0-9_]*``) or integers (``[0-9]+``), modes are ``in`` and
+    ``out``, and canonical punctuation holds no ``"``, no ``\\`` and
+    nothing outside ASCII.
+    """
+    counts = round_counts(trace)
+    head = '{\n  "predicates": [\n'
     for name, pred in program.predicates.items():
         profile = strip_points(env[name], pred.arg_names, pred.modes)
         ordered = oprof(profile, pred.arg_names, pred.modes)
-        predicates.append(
-            {
-                "name": name,
-                "arity": pred.arity,
-                "modes": list(pred.modes),
-                "profile": args_json(profile.per_arg),
-                "ordered": args_json(ordered.profiles),
-                "permutation": list(ordered.permutation),
-            }
-        )
-    return {"predicates": predicates}
-
-
-def _attach_rounds(report: dict, trace: AnalysisTrace) -> None:
-    counts = round_counts(trace)
-    for entry in report["predicates"]:
-        changing, total = counts.get(entry["name"], (0, 0))
-        entry["rounds"] = {"changing": changing, "total": total}
-
-
-def _print_text_report(report: dict) -> None:
-    for entry in report["predicates"]:
-        rounds = entry["rounds"]
-        print(
-            f"pred {entry['name']}/{entry['arity']} modes=({','.join(entry['modes'])}) "
-            f"rounds={rounds['changing']}+{rounds['total'] - rounds['changing']}"
-        )
-        for part, key in (("profile", "profile"), ("ordered", "ordered")):
-            print(f"  {part}:")
-            for arg in entry[key]:
-                if arg["osets"]:
-                    rendered = "; ".join(
-                        "{" + ", ".join(o["ops"]) + "} -> " + str(o["target"]) for o in arg["osets"]
-                    )
-                else:
-                    rendered = "(empty)"
-                print(f"    arg {arg['arg']}: {rendered}")
-        perm = ",".join(str(i) for i in entry["permutation"])
-        print(f"  permutation: ({perm})")
+        changing, total = counts.get(name, (0, 0))
+        parts: list[str] = []
+        if as_json:
+            parts.append(f'{head}    {{\n      "arity": {pred.arity},\n      "modes": ')
+            _json_texts(parts, pred.modes, "      ")
+            parts.append(f',\n      "name": "{name}",\n      "ordered": ')
+            _json_profiles(parts, ordered.profiles)
+            parts.append(
+                ',\n      "permutation": ' + _json_ints(ordered.permutation, "      ")
+                + ',\n      "profile": '
+            )
+            _json_profiles(parts, profile.per_arg)
+            parts.append(
+                f',\n      "rounds": {{\n        "changing": {changing},\n'
+                f'        "total": {total}\n      }}\n    }}'
+            )
+            head = ",\n"
+        else:
+            parts.append(
+                f"pred {name}/{pred.arity} modes=({','.join(pred.modes)}) "
+                f"rounds={changing}+{total - changing}\n"
+            )
+            _text_profiles(parts, "profile", profile.per_arg)
+            _text_profiles(parts, "ordered", ordered.profiles)
+            parts.append(f"  permutation: ({','.join(map(str, ordered.permutation))})\n")
+        out.writelines(parts)
+    if as_json:
+        out.write("\n  ]\n}\n" if program.predicates else '{\n  "predicates": []\n}\n')
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -145,12 +191,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             dump = render_interaction_set(entry.snapshot)
             if dump:
                 print(dump, file=out)
-    report = _profile_json(program, env)
-    _attach_rounds(report, trace)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _print_text_report(report)
+    write_report(sys.stdout, program, env, trace, args.json)
     return 0
 
 
@@ -221,6 +262,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+class _StepLimit(argparse.Action):
+    """Stores ``--limit``; a negative limit, which would stop the query
+    before its first step, is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must not be negative: {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="argprof",
@@ -251,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "query", help="query text, e.g. '?- app(cons(1,nil),nil,Z).', or - for stdin"
     )
-    p_run.add_argument("--limit", type=int, default=1_000_000, help="derivation step limit")
+    p_run.add_argument(
+        "--limit", type=int, action=_StepLimit, default=1_000_000, help="derivation step limit"
+    )
     p_run.set_defaults(func=cmd_run)
 
     return parser

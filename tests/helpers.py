@@ -3,20 +3,25 @@ generators for programs, interaction sets and ground terms."""
 
 from __future__ import annotations
 
+import io
+import json
 import random
 import re
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 
 from argprof import (
     ASSIGN,
     PSI_BOT,
+    AnalysisTrace,
     ArgumentProfile,
     AssignOp,
     ConstructOp,
     DeconstructOp,
+    Environment,
     FunctorTerm,
     InteractionSet,
     OSet,
@@ -28,10 +33,15 @@ from argprof import (
     Predicate,
     analyze_atom,
     bottom,
+    canon_op,
     join_sets,
     leafs,
     make_interaction_set,
+    oprof,
     parse_program,
+    round_counts,
+    run_analysis,
+    strip_points,
 )
 from argprof.interp import DEFAULT_STEP_LIMIT, RuntimeModeError, SolveError, StepLimitExceeded
 from argprof.parse import LexError, Query
@@ -265,6 +275,86 @@ def reference_canon_profile(profile: ArgumentProfile) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Independent oracle: the analyze report through a dict and json.dumps
+# ---------------------------------------------------------------------------
+#
+# The report builder argprof had before its streaming writer, kept verbatim:
+# it copies every op into a dict and prints it with json.dumps or print.
+
+
+def _profile_json(program: Program, env: Environment) -> dict:
+    def args_json(profiles: Sequence[ArgumentProfile]) -> list[dict]:
+        return [
+            {
+                "arg": idx + 1,
+                "osets": [
+                    {"ops": [canon_op(op) for op in oset.ops], "target": oset.target}
+                    for oset in arg_profile.osets
+                ],
+            }
+            for idx, arg_profile in enumerate(profiles)
+        ]
+
+    predicates = []
+    for name, pred in program.predicates.items():
+        profile = strip_points(env[name], pred.arg_names, pred.modes)
+        ordered = oprof(profile, pred.arg_names, pred.modes)
+        predicates.append(
+            {
+                "name": name,
+                "arity": pred.arity,
+                "modes": list(pred.modes),
+                "profile": args_json(profile.per_arg),
+                "ordered": args_json(ordered.profiles),
+                "permutation": list(ordered.permutation),
+            }
+        )
+    return {"predicates": predicates}
+
+
+def _attach_rounds(report: dict, trace: AnalysisTrace) -> None:
+    counts = round_counts(trace)
+    for entry in report["predicates"]:
+        changing, total = counts.get(entry["name"], (0, 0))
+        entry["rounds"] = {"changing": changing, "total": total}
+
+
+def _print_text_report(report: dict) -> None:
+    for entry in report["predicates"]:
+        rounds = entry["rounds"]
+        print(
+            f"pred {entry['name']}/{entry['arity']} modes=({','.join(entry['modes'])}) "
+            f"rounds={rounds['changing']}+{rounds['total'] - rounds['changing']}"
+        )
+        for part, key in (("profile", "profile"), ("ordered", "ordered")):
+            print(f"  {part}:")
+            for arg in entry[key]:
+                if arg["osets"]:
+                    rendered = "; ".join(
+                        "{" + ", ".join(o["ops"]) + "} -> " + str(o["target"]) for o in arg["osets"]
+                    )
+                else:
+                    rendered = "(empty)"
+                print(f"    arg {arg['arg']}: {rendered}")
+        perm = ",".join(str(i) for i in entry["permutation"])
+        print(f"  permutation: ({perm})")
+
+
+def reference_report(program: Program, as_json: bool) -> str:
+    """What ``argprof analyze [--json]`` printed for ``program`` before the
+    report was streamed."""
+    env, trace = run_analysis(program)
+    report = _profile_json(program, env)
+    _attach_rounds(report, trace)
+    if as_json:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _print_text_report(report)
+    return out.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # Random well-defined interaction sets over a fixed predicate context
 # ---------------------------------------------------------------------------
 
@@ -446,6 +536,16 @@ def chain_source(k: int) -> str:
     for i in range(1, k + 1):
         lines.append(f":- pred p{i}(in,in,out).")
         lines.append(f"p{i}(X,Y,Z) :- p{i - 1}(X,Y,T), p{i - 1}(T,Y,Z).")
+    return "\n".join(lines) + "\n"
+
+
+def one_call_chain_source(depth: int) -> str:
+    """``p0(X,Y) :- Y := X.`` and ``pI(X,Y) :- p(I-1)(X,Y).``: each level's
+    one op is its callee's whole profile, so the longest op doubles per
+    level."""
+    lines = [":- pred p0(in,out).", "p0(X,Y) :- Y := X."]
+    for i in range(1, depth + 1):
+        lines += [f":- pred p{i}(in,out).", f"p{i}(X,Y) :- p{i - 1}(X,Y)."]
     return "\n".join(lines) + "\n"
 
 

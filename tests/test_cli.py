@@ -239,6 +239,13 @@ def test_run_step_limit_zero(capsys):
     assert "step limit exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit, shown", [(["--limit", "-1"], "-1"), (["--limit=-7"], "-7")])
+def test_run_negative_step_limit_is_a_usage_error(limit, shown):
+    code, out, err = _call(["run", fixture("append.lp"), "?- app(nil,nil,Z).", *limit])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argprof run: error: argument --limit: must not be negative: {shown}\n")
+
+
 def test_run_normalized_program_with_permuted_query(tmp_path, capsys):
     normalized = tmp_path / "norm.lp"
     assert main(["normalize", fixture("concat.lp"), "-o", str(normalized)]) == 0
