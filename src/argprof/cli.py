@@ -3,8 +3,9 @@
 Exit codes: 0 on success (including a Distinct compare verdict), 1 on
 validation or analysis failure, 2 on usage errors. Any other exception (a
 bug, or memory exhausted) is reported as one ``argprof: internal error:``
-line with exit 1. All output is deterministic: canonical operation
-strings, sorted JSON keys.
+line with exit 1. When standard output closes early (its reader, such as
+``head``, stops), the command ends quietly with exit 1. All output is
+deterministic: canonical operation strings, sorted JSON keys.
 """
 
 from __future__ import annotations
@@ -320,9 +321,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "run" and args.file == args.query == "-":
         _PARSER.error("the program and the query cannot both be read from stdin")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except _Failure as exc:
         print(exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader went away, as ``head`` does: stop quietly
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,7 @@ Operations are either base unification operators (assign, test,
 construct_f, deconstruct_f), the recursion placeholder ``psi_bot``, or
 ``psi(<ordered profile>)`` abstracting a call to an analyzed predicate.
 Every operation has a canonical string form (see ``canon_op``); this
-grammar is a stable external format used for equivalence keys and JSON
-output:
+grammar is a stable external format used for JSON and text output:
 
     assign | test | construct:f/n | deconstruct:f/n | psi_bot
     psi:[profile|profile|...]
@@ -39,19 +38,28 @@ output:
 
 A psi payload holds its callee's profile, which holds the callee's own psi
 operations, so the expanded text grows exponentially with call depth even
-though the values themselves are shared. Each ``PsiOp`` therefore computes
-its canonical string once, on first use, and keeps it; every later
-serialization that meets the operation (a sort key, a profile, an enclosing
-payload, a JSON op) reuses that shared string, so serializing costs time
-linear in the length of the output. ``PsiOp`` equality and hashing go
-through the same string. The external format is unchanged.
+though the values themselves are shared, so only output builds it.
+``PsiOp`` is hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): one live object per distinct payload, so equality
+and hashing are identity, and structural equality of profiles is equality
+of their canonical strings. The order of canonical strings, which sorts
+the ops of an o-set and breaks ties between profiles, is computed by
+walking two values side by side (``cmp_canon_op``, ``cmp_canon_profile``),
+with each psi-against-psi result memoized on the older op, so a comparison
+costs at most the size of the shared structure. Each ``PsiOp`` builds its
+canonical string only when output asks for it, and keeps it, so writing
+costs time linear in the length of the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, cmp_to_key
+from itertools import count
+from operator import attrgetter
+from threading import Lock
+from typing import ClassVar, Iterable, Sequence
+from weakref import WeakValueDictionary
 
 
 class DomainError(ValueError):
@@ -69,12 +77,12 @@ class WellDefinednessError(DomainError):
 
 @dataclass(frozen=True)
 class AssignOp:
-    pass
+    canon: ClassVar[str] = "assign"
 
 
 @dataclass(frozen=True)
 class TestOp:
-    pass
+    canon: ClassVar[str] = "test"
 
 
 @dataclass(frozen=True)
@@ -82,19 +90,28 @@ class ConstructOp:
     functor: str
     arity: int
 
+    @cached_property
+    def canon(self) -> str:
+        return f"construct:{self.functor}/{self.arity}"
+
 
 @dataclass(frozen=True)
 class DeconstructOp:
     functor: str
     arity: int
 
+    @cached_property
+    def canon(self) -> str:
+        return f"deconstruct:{self.functor}/{self.arity}"
+
 
 @dataclass(frozen=True)
 class PsiBotOp:
     """Placeholder for a directly recursive call with no profile yet."""
 
+    canon: ClassVar[str] = "psi_bot"
 
-@dataclass(frozen=True)
+
 class PsiOp:
     """Abstraction of a call: the callee's ordered, point-free profile.
 
@@ -102,23 +119,43 @@ class PsiOp:
     callees have equal ordered profiles produce the same operation no
     matter how each callee's arguments were originally arranged.
 
-    Equality and hashing compare the canonical string, which ``canon_op``
-    makes injective, instead of walking the nested payload.
+    Psi ops are hash-consed: ``PsiOp(profiles)`` returns the live op with an
+    equal payload if there is one, so structurally equal ops are the same
+    object, and equality and hashing are identity. There is one table per
+    process, so that ops from two analyses are equal exactly when their
+    payloads are. It holds its ops weakly: an op lives only as long as
+    something else refers to it. Never assign to an op's attributes.
     """
 
+    __slots__ = ("profiles", "serial", "order", "_canon", "__weakref__")
+    __match_args__ = ("profiles",)
+
     profiles: tuple["ArgumentProfile", ...]
+    serial: int  # creation number, never reused
+    order: dict[int, int]  # serial of a later op -> sign of comparing with it
+    _canon: str | None
 
-    @cached_property
+    def __new__(cls, profiles: Iterable["ArgumentProfile"]) -> PsiOp:
+        # The payload hashes in time linear in its top-level size: nested
+        # psi ops hash by identity.
+        profiles = tuple(profiles)
+        with _PSI_LOCK:
+            op = _PSI_TABLE.get(profiles)
+            if op is None:
+                op = object.__new__(cls)
+                op.profiles = profiles
+                op.serial = next(_PSI_SERIALS)
+                op.order = {}
+                op._canon = None
+                _PSI_TABLE[profiles] = op
+        return op
+
+    @property
     def canon(self) -> str:
-        return "psi:" + canon_profile_seq(self.profiles)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PsiOp:
-            return NotImplemented
-        return self.canon == other.canon
-
-    def __hash__(self) -> int:
-        return hash(self.canon)
+        """The canonical string, built on first use and kept."""
+        if self._canon is None:
+            self._canon = "psi:" + canon_profile_seq(self.profiles)
+        return self._canon
 
     def __repr__(self) -> str:
         # The payload grows exponentially with call depth: show its head.
@@ -127,6 +164,10 @@ class PsiOp:
             return f"PsiOp({canon!r})"
         return f"PsiOp({canon[:60]!r}... {len(canon)} chars)"
 
+
+_PSI_TABLE: WeakValueDictionary[tuple["ArgumentProfile", ...], PsiOp] = WeakValueDictionary()
+_PSI_SERIALS = count()
+_PSI_LOCK = Lock()
 
 Operation = AssignOp | TestOp | ConstructOp | DeconstructOp | PsiBotOp | PsiOp
 
@@ -169,7 +210,26 @@ class PredicateProfile:
 
 
 def make_oset(ops: Iterable[Operation], target: int) -> OSet:
-    return OSet(tuple(sorted(ops, key=canon_op)), target)
+    """The o-set of ``ops`` (a multiset) flowing into ``target``, its ops in
+    the order of their canonical strings.
+
+    Base ops sort by their short text. Every psi op's text starts with
+    ``psi:[``, which sorts after ``assign``, ``construct:...`` and
+    ``deconstruct:...`` and before ``psi_bot`` and ``test``; psi ops among
+    themselves sort by a walk over their payloads (``cmp_canon_op``)."""
+    base: list[Operation] = []
+    psi: list[PsiOp] = []
+    for op in ops:
+        (psi if op.__class__ is PsiOp else base).append(op)
+    base.sort(key=_canon_attr)
+    if not psi:
+        return OSet(tuple(base), target)
+    if len(psi) > 1:
+        psi.sort(key=_psi_order)
+    cut = 0
+    while cut < len(base) and base[cut].canon < "psi:":
+        cut += 1
+    return OSet((*base[:cut], *psi, *base[cut:]), target)
 
 
 def make_profile(osets: Iterable[OSet]) -> ArgumentProfile:
@@ -187,19 +247,7 @@ def make_profile(osets: Iterable[OSet]) -> ArgumentProfile:
 
 def canon_op(op: Operation) -> str:
     """Injective, deterministic text form of an operation."""
-    if isinstance(op, AssignOp):
-        return "assign"
-    if isinstance(op, TestOp):
-        return "test"
-    if isinstance(op, ConstructOp):
-        return f"construct:{op.functor}/{op.arity}"
-    if isinstance(op, DeconstructOp):
-        return f"deconstruct:{op.functor}/{op.arity}"
-    if isinstance(op, PsiBotOp):
-        return "psi_bot"
-    if isinstance(op, PsiOp):
-        return op.canon
-    raise TypeError(f"not an operation: {op!r}")
+    return op.canon
 
 
 def canon_oset(oset: OSet) -> str:
@@ -212,6 +260,77 @@ def canon_profile(profile: ArgumentProfile) -> str:
 
 def canon_profile_seq(profiles: Sequence[ArgumentProfile]) -> str:
     return "[" + "|".join(canon_profile(p) for p in profiles) + "]"
+
+
+# ---------------------------------------------------------------------------
+# Canonical order without the strings
+# ---------------------------------------------------------------------------
+#
+# Each function below gives the sign of comparing two canonical strings
+# (``canon_op``, ``canon_profile``) by walking the two values side by side,
+# so no string is built. The walk follows the grammar: a list compares its
+# elements in turn, and when the elements it shares are equal, the
+# punctuation after the shorter one decides. One element's text can be a
+# proper prefix of another's only where the text ends in digits
+# (``construct:cons/2`` against ``construct:cons/20``, target 3 against
+# 35); bracketed texts never can. Ops are followed by ``,`` or ``)``, which
+# sort below every digit, so within an o-set the shorter op and the shorter
+# op list sort first. Targets are followed by ``;`` or ``}``, which sort
+# above every digit, so within a profile the shorter target and the shorter
+# o-set list sort last. Payload profiles are followed by ``|`` or ``]``, and
+# ``]`` sorts below ``|``: the shorter payload sorts first.
+
+
+def _sign(a: object, b: object) -> int:
+    return (a > b) - (a < b)  # type: ignore[operator]
+
+
+def cmp_canon_op(a: Operation, b: Operation) -> int:
+    """The sign of ``canon_op(a)`` against ``canon_op(b)``."""
+    if a is b:
+        return 0
+    a_psi, b_psi = a.__class__ is PsiOp, b.__class__ is PsiOp
+    if a_psi and b_psi:
+        return _cmp_psi(a, b)  # type: ignore[arg-type]
+    # A psi text and a base text differ within their first four characters.
+    return _sign("psi:" if a_psi else a.canon, "psi:" if b_psi else b.canon)
+
+
+def _cmp_psi(a: PsiOp, b: PsiOp) -> int:
+    """``cmp_canon_op`` of two distinct psi ops, kept on the older one."""
+    if a.serial > b.serial:
+        return -_cmp_psi(b, a)
+    sign = a.order.get(b.serial)
+    if sign is None:
+        for x, y in zip(a.profiles, b.profiles):
+            sign = cmp_canon_profile(x, y)
+            if sign:
+                break
+        else:
+            sign = _sign(len(a.profiles), len(b.profiles))
+        a.order[b.serial] = sign
+    return sign
+
+
+def cmp_canon_profile(a: ArgumentProfile, b: ArgumentProfile) -> int:
+    """The sign of ``canon_profile(a)`` against ``canon_profile(b)``."""
+    for x, y in zip(a.osets, b.osets):
+        if x is y:
+            continue
+        for p, q in zip(x.ops, y.ops):
+            if p is not q:
+                sign = cmp_canon_op(p, q)
+                if sign:
+                    return sign
+        if len(x.ops) != len(y.ops):
+            return _sign(len(x.ops), len(y.ops))
+        if x.target != y.target:
+            return _sign(f"{x.target};", f"{y.target};")
+    return _sign(len(b.osets), len(a.osets))
+
+
+_canon_attr = attrgetter("canon")
+_psi_order = cmp_to_key(cmp_canon_op)
 
 
 # ---------------------------------------------------------------------------

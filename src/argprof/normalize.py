@@ -4,11 +4,12 @@ Normalization reorders every predicate's arguments into the order of its
 ordered profile: clause heads, mode declarations and all call sites are
 permuted consistently, so the rewritten program computes the same answers
 with permuted argument positions. Two predicates are profile-equivalent
-when their ordered profiles have identical canonical serializations; the
-witness maps argument positions of one onto the other through the two
-permutations. Equivalence of ordered profiles is a necessary condition for
-one predicate being a renaming of the other modulo argument order, not a
-sufficient one, so results are reported as profile equivalence.
+when their ordered profiles have identical canonical serializations, that
+is, when they are structurally equal; the witness maps argument positions
+of one onto the other through the two permutations. Equivalence of
+ordered profiles is a necessary condition for one predicate being a
+renaming of the other modulo argument order, not a sufficient one, so
+results are reported as profile equivalence.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from .analysis import Environment
 from .domain import canon_profile
-from .ordering import OrderedProfile, canon_ordered, oprof
+from .ordering import OrderedProfile, oprof
 from .syntax import Atom, Call, Clause, Predicate, Program, make_program
 
 NormalizationPlan = dict[str, tuple[int, ...]]
@@ -96,11 +97,11 @@ def compare(p: Predicate, q: Predicate, env: Environment) -> Equivalent | Distin
         return Distinct(f"arity mismatch ({p.arity} vs {q.arity})")
     op_p = ordered_profile_of(p, env)
     op_q = ordered_profile_of(q, env)
-    if canon_ordered(op_p) != canon_ordered(op_q):
-        for k, (a, b) in enumerate(zip(op_p.profiles, op_q.profiles), start=1):
-            ca, cb = canon_profile(a), canon_profile(b)
-            if ca != cb:
-                return Distinct(f"ordered profiles differ at position {k}: {ca} vs {cb}")
-        return Distinct("ordered profiles differ")
+    # Structural equality is canonical equality: psi ops are hash-consed.
+    for k, (a, b) in enumerate(zip(op_p.profiles, op_q.profiles), start=1):
+        if a != b:
+            return Distinct(
+                f"ordered profiles differ at position {k}: {canon_profile(a)} vs {canon_profile(b)}"
+            )
     mapping = {op_p.permutation[k]: op_q.permutation[k] for k in range(p.arity)}
     return Equivalent(mapping)

@@ -7,6 +7,17 @@ first. Profiles with equal features are ordered by their canonical
 serialization, which makes the order total and deterministic; profiles
 with identical serializations are equal.
 
+Features come first, and the tie-break never builds a string: only when
+two feature vectors are equal does it walk the two profiles side by side
+(``domain.cmp_canon_profile``), in exactly the lexicographic order of
+their canonical strings. Psi ops are hash-consed, so the walk passes over
+an op shared by both profiles by identity, and two profiles are
+canonically equal exactly when they are structurally equal. Where one
+text is a proper prefix of the other, the punctuation after it decides: a
+target is followed by ``;`` or ``}``, above every digit, so target 3
+sorts after 35; an op is followed by ``,`` or ``)``, below every digit, so
+``construct:cons/2`` sorts before ``construct:cons/20``.
+
 ``oprof`` sorts a predicate's argument profiles by this order (stable on
 the original argument index for canonically equal profiles), keeps empty
 profiles in the sequence, and rewrites every o-set target to the target
@@ -19,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .domain import (
     ArgumentProfile,
@@ -28,8 +40,8 @@ from .domain import (
     InteractionSet,
     OSet,
     PredicateProfile,
-    canon_profile,
     canon_profile_seq,
+    cmp_canon_profile,
     is_psi_based,
     make_profile,
     strip_points,
@@ -72,15 +84,17 @@ def features(profile: ArgumentProfile) -> FeatureVector:
     return FeatureVector(len(profile.osets), n_ops, n_psi, n_con, n_dec, n_asn)
 
 
-def sort_key(profile: ArgumentProfile) -> tuple[tuple[int, ...], str]:
-    """Ascending order of this key is the profile order."""
-    return tuple(-f for f in features(profile).as_tuple()), canon_profile(profile)
+def _feature_key(profile: ArgumentProfile) -> tuple[int, ...]:
+    """Ascending order of this key is the profile order, up to ties."""
+    return tuple(-f for f in features(profile).as_tuple())
 
 
 def compare_profiles(a: ArgumentProfile, b: ArgumentProfile) -> int:
     """-1 if a sorts before b, 1 if after, 0 if canonically equal."""
-    ka, kb = sort_key(a), sort_key(b)
-    return (ka > kb) - (ka < kb)
+    ka, kb = _feature_key(a), _feature_key(b)
+    if ka != kb:
+        return -1 if ka < kb else 1
+    return cmp_canon_profile(a, b)
 
 
 @dataclass(frozen=True)
@@ -104,13 +118,23 @@ def oprof(
     the identity.
     """
     profile = strip_points(phi, args, modes) if isinstance(phi, InteractionSet) else phi
-    keys = [sort_key(p) for p in profile.per_arg]
+    per_arg = profile.per_arg
+    keys = [_feature_key(p) for p in per_arg]
     indexed = sorted(range(len(keys)), key=keys.__getitem__)
+    if len(set(keys)) < len(keys):
+        # Some feature vectors tie: sorting the sorted list again compares
+        # neighbours, and walks the profiles only where their features tie.
+        def cmp(i: int, j: int) -> int:
+            if keys[i] != keys[j]:
+                return -1 if keys[i] < keys[j] else 1
+            return cmp_canon_profile(per_arg[i], per_arg[j])
+
+        indexed.sort(key=cmp_to_key(cmp))
     permutation = tuple(i + 1 for i in indexed)
     new_pos = {orig: new + 1 for new, orig in enumerate(permutation)}
     remapped = tuple(
         make_profile(
-            OSet(o.ops, new_pos[o.target]) for o in profile.per_arg[orig - 1].osets
+            OSet(o.ops, new_pos[o.target]) for o in per_arg[orig - 1].osets
         )
         for orig in permutation
     )

@@ -34,6 +34,8 @@ from argprof import (
     analyze_atom,
     bottom,
     canon_op,
+    canon_profile,
+    features,
     join_sets,
     leafs,
     make_interaction_set,
@@ -272,6 +274,14 @@ def reference_canon_profile(profile: ArgumentProfile) -> str:
         for oset in profile.osets
     )
     return "{" + ";".join(osets) + "}"
+
+
+def reference_sort_key(profile: ArgumentProfile) -> tuple[tuple[int, ...], str]:
+    """Ascending order of this key is the profile order.
+
+    The key argprof sorted profiles by before its structural comparison,
+    kept verbatim: it builds the profile's whole canonical string."""
+    return tuple(-f for f in features(profile).as_tuple()), canon_profile(profile)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_psi_equality_and_hash_follow_canonical_string():
     env, _ = run_analysis(parse_program(chain_source(3)))
     op = next(op for op in _env_ops(env) if isinstance(op, PsiOp))
     twin = PsiOp(tuple(op.profiles))
-    assert twin is not op
+    assert twin is op  # hash-consed
     assert twin == op and hash(twin) == hash(op)
     assert len({op, twin}) == 1
     assert op != PsiOp(op.profiles[:-1])
@@ -119,7 +119,7 @@ def test_psi_repr_is_bounded_and_identity_follows_canon():
         assert len(repr(op)) < 200
         twin = PsiOp(op.profiles)
         assert repr(twin) == repr(op)
-        assert twin == op and hash(twin) == hash(op) == hash(op.canon)
+        assert twin is op
     for a in psi_ops:
         for b in psi_ops:
-            assert (a == b) == (a.canon == b.canon)
+            assert (a is b) == (a.canon == b.canon)

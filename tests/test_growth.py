@@ -1,0 +1,96 @@
+"""Growth in call depth, and what hash-consed psi ops leave behind.
+
+Ordering, equality and comparison build no canonical string, so analysis,
+planning, ``normalize`` and an ``equivalent`` verdict stay polynomial in
+call depth while the canonical strings grow exponentially."""
+
+from __future__ import annotations
+
+import gc
+import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from argprof import PsiOp, compare, parse_program, plan, run_analysis
+from argprof.cli import main
+from argprof.domain import _PSI_TABLE
+from helpers import chain_source, one_call_chain_source
+
+
+def _main_quietly(argv: list[str]) -> int:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def test_chain_12_analyzes_and_plans_in_under_a_second():
+    start = time.perf_counter()
+    program = parse_program(chain_source(12))
+    env, _ = run_analysis(program)
+    plan(program, env)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "source", [chain_source(12), one_call_chain_source(25)], ids=["chain12", "one_call25"]
+)
+def test_normalize_deep_chains_in_under_a_second(tmp_path, source):
+    path = tmp_path / "deep.lp"
+    path.write_text(source)
+    start = time.perf_counter()
+    assert _main_quietly(["normalize", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def _psi_ops_reachable(ops) -> list[PsiOp]:
+    seen: dict[int, PsiOp] = {}
+    stack = [op for op in ops if isinstance(op, PsiOp)]
+    while stack:
+        op = stack.pop()
+        if id(op) not in seen:
+            seen[id(op)] = op
+            for profile in op.profiles:
+                for oset in profile.osets:
+                    stack.extend(o for o in oset.ops if isinstance(o, PsiOp))
+    return list(seen.values())
+
+
+def test_chain_10_builds_no_canonical_string():
+    # Psi ops are shared process-wide, and output by another test may have
+    # built the strings of its own; no other test uses the functor link/2.
+    # q10 is p10 with its two inputs swapped, so the verdict is equivalent.
+    source = chain_source(10).replace("cons(", "link(") + (
+        ":- pred q10(in,in,out).\nq10(Y,X,Z) :- p9(X,Y,T), p9(T,Y,Z).\n"
+    )
+    program = parse_program(source)
+    env, _ = run_analysis(program)
+    plan(program, env)
+    verdict = compare(program.predicates["p10"], program.predicates["q10"], env)
+    assert verdict.mapping == {1: 2, 2: 1, 3: 3}
+    ops = [op for s in env.values() for ops in s.pairs.values() for op in ops.values()]
+    psi_ops = _psi_ops_reachable(ops)
+    assert len(psi_ops) >= 10
+    assert all(op._canon is None for op in psi_ops)
+
+
+def _table_sizes() -> tuple[int, int]:
+    gc.collect()
+    ops = list(_PSI_TABLE.values())
+    return len(ops), sum(len(op.order) for op in ops)
+
+
+def test_repeated_runs_leave_no_psi_ops_behind(tmp_path):
+    # No other test uses the functor ring/2, so none of these psi ops is
+    # live before the first run.
+    path = tmp_path / "chain6.lp"
+    path.write_text(chain_source(6).replace("cons(", "ring("))
+    before = _table_sizes()
+    assert _main_quietly(["analyze", str(path)]) == 0
+    after_one = _table_sizes()
+    for _ in range(49):
+        assert _main_quietly(["analyze", str(path)]) == 0
+    after_fifty = _table_sizes()
+    assert after_fifty[0] <= after_one[0] and after_fifty[1] <= after_one[1]
+    # The table holds its ops weakly: a finished run leaves none behind.
+    assert after_one == before
