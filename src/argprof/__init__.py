@@ -34,7 +34,6 @@ from .domain import (
     InteractionSet,
     OSet,
     Operation,
-    PredicateProfile,
     PsiBotOp,
     PsiOp,
     TestOp,
@@ -70,9 +69,7 @@ from .normalize import (
     rewrite,
 )
 from .ordering import (
-    FeatureVector,
     OrderedProfile,
-    canon_ordered,
     compare_profiles,
     features,
     oprof,

@@ -51,6 +51,7 @@ from .domain import (
     PsiOp,
     _Builder,
     bottom,
+    strip_points,
 )
 from .ordering import oprof
 from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Test
@@ -90,7 +91,7 @@ def initial_environment(program: Program) -> Environment:
 
 def call_abstraction(callee: Predicate, callee_set: InteractionSet) -> PsiOp:
     """``psi(<callee's ordered profile>)`` for a call to an analyzed callee."""
-    return PsiOp(oprof(callee_set, callee.arg_names, callee.modes).profiles)
+    return PsiOp(oprof(strip_points(callee_set, callee.arg_names)).profiles)
 
 
 def _add_renamed(

@@ -145,8 +145,8 @@ def write_report(
     counts = round_counts(trace)
     head = '{\n  "predicates": [\n'
     for name, pred in program.predicates.items():
-        profile = strip_points(env[name], pred.arg_names, pred.modes)
-        ordered = oprof(profile, pred.arg_names, pred.modes)
+        profile = strip_points(env[name], pred.arg_names)
+        ordered = oprof(profile)
         changing, total = counts.get(name, (0, 0))
         parts: list[str] = []
         if as_json:
@@ -158,7 +158,7 @@ def write_report(
                 ',\n      "permutation": ' + _json_ints(ordered.permutation, "      ")
                 + ',\n      "profile": '
             )
-            _json_profiles(parts, profile.per_arg)
+            _json_profiles(parts, profile)
             parts.append(
                 f',\n      "rounds": {{\n        "changing": {changing},\n'
                 f'        "total": {total}\n      }}\n    }}'
@@ -169,7 +169,7 @@ def write_report(
                 f"pred {name}/{pred.arity} modes=({','.join(pred.modes)}) "
                 f"rounds={changing}+{total - changing}\n"
             )
-            _text_profiles(parts, "profile", profile.per_arg)
+            _text_profiles(parts, "profile", profile)
             _text_profiles(parts, "ordered", ordered.profiles)
             parts.append(f"  permutation: ({','.join(map(str, ordered.permutation))})\n")
         out.writelines(parts)
@@ -238,7 +238,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     # Only this command needs the interpreter, so only it imports it.
-    from .interp import SolveError, StepLimitExceeded, solve
+    from . import interp
 
     program, label = _load_validated(args.file)
     text = _read_stdin() if args.query == "-" else args.query
@@ -246,11 +246,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         query = parse_query(text)
     except SourceError as exc:
         raise _Failure(exc.render("<query>")) from None
+    limit = interp.DEFAULT_STEP_LIMIT if args.limit is None else args.limit
     try:
-        answers = solve(program, query, max_steps=args.limit)
-    except StepLimitExceeded:
+        answers = interp.solve(program, query, max_steps=limit)
+    except interp.StepLimitExceeded:
         raise _Failure("step limit exceeded") from None
-    except SolveError as exc:
+    except interp.SolveError as exc:
         raise _Failure(f"{label}: error: {exc}") from None
     blocks = []
     for answer in answers:
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="query text, e.g. '?- app(cons(1,nil),nil,Z).', or - for stdin"
     )
     p_run.add_argument(
-        "--limit", type=int, action=_StepLimit, default=1_000_000, help="derivation step limit"
+        "--limit", type=int, action=_StepLimit, default=None, help="derivation step limit"
     )
     p_run.set_defaults(func=cmd_run)
 

@@ -21,9 +21,9 @@ dicts of every pair they have in common, freezing copies only the outer
 dict, and unchanged pairs of successive sets compare by identity.
 
 Stripping program points turns an interaction set over formal arguments
-into a predicate profile: per argument, a set of o-sets (operation
-multiset, target position). Profiles are the values ordered, compared and
-embedded in call abstractions.
+into a predicate profile: a tuple with one argument profile per argument,
+each a set of o-sets (operation multiset, target position). Profiles are
+the values ordered, compared and embedded in call abstractions.
 
 Operations are either base unification operators (assign, test,
 construct_f, deconstruct_f), the recursion placeholder ``psi_bot``, or
@@ -176,10 +176,6 @@ TEST = TestOp()
 PSI_BOT = PsiBotOp()
 
 
-def is_psi_based(op: Operation) -> bool:
-    return isinstance(op, (PsiBotOp, PsiOp))
-
-
 # ---------------------------------------------------------------------------
 # Profiles (point-free view)
 # ---------------------------------------------------------------------------
@@ -200,13 +196,6 @@ class ArgumentProfile:
 
     def is_empty(self) -> bool:
         return not self.osets
-
-
-@dataclass(frozen=True)
-class PredicateProfile:
-    """Per-argument profiles in original argument order."""
-
-    per_arg: tuple[ArgumentProfile, ...]
 
 
 def make_oset(ops: Iterable[Operation], target: int) -> OSet:
@@ -453,10 +442,9 @@ def leq_sets(a: InteractionSet, b: InteractionSet) -> bool:
     return True
 
 
-def strip_points(
-    s: InteractionSet, args: Sequence[str], modes: Sequence[str]
-) -> PredicateProfile:
-    """Turn a projected interaction set into a predicate profile.
+def strip_points(s: InteractionSet, args: Sequence[str]) -> tuple[ArgumentProfile, ...]:
+    """Turn a projected interaction set into its argument profiles, in
+    original argument order.
 
     ``args`` are the formal argument names in order; every interaction must
     relate two of them. Positions are 1-based; operation multiplicity is
@@ -469,15 +457,12 @@ def strip_points(
             raise DomainError(
                 f"interaction {source} ~> {target} involves a non-argument variable"
             )
-        tpos = position[target]
-        if modes[tpos - 1] != "out":
+        if target in s.input_args:
             raise WellDefinednessError(
                 f"interaction targets input argument {target} of {s.owner}"
             )
-        osets[position[source]].append(make_oset(ops.values(), tpos))
-    return PredicateProfile(
-        tuple(make_profile(osets[idx + 1]) for idx in range(len(args)))
-    )
+        osets[position[source]].append(make_oset(ops.values(), position[target]))
+    return tuple(make_profile(osets[idx + 1]) for idx in range(len(args)))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from itertools import count
 from operator import is_, itemgetter
 
-from .parse import Query, parse_query
+from .parse import Query
 from .syntax import (
     Assign,
     Atom,
@@ -79,10 +79,9 @@ from .syntax import (
 )
 
 __all__ = [
-    "FunctorTerm",
-    "Query",
-    "parse_query",
+    "DEFAULT_STEP_LIMIT",
     "solve",
+    "SolveError",
     "RuntimeModeError",
     "StepLimitExceeded",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .analysis import Environment
-from .domain import canon_profile
+from .domain import canon_profile, strip_points
 from .ordering import OrderedProfile, oprof
 from .syntax import Atom, Call, Clause, Predicate, Program, make_program
 
@@ -29,7 +29,7 @@ class PlanError(Exception):
 
 
 def ordered_profile_of(pred: Predicate, env: Environment) -> OrderedProfile:
-    return oprof(env[pred.name], pred.arg_names, pred.modes)
+    return oprof(strip_points(env[pred.name], pred.arg_names))
 
 
 def plan(program: Program, env: Environment) -> NormalizationPlan:

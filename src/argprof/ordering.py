@@ -12,11 +12,9 @@ two feature vectors are equal does it walk the two profiles side by side
 (``domain.cmp_canon_profile``), in exactly the lexicographic order of
 their canonical strings. Psi ops are hash-consed, so the walk passes over
 an op shared by both profiles by identity, and two profiles are
-canonically equal exactly when they are structurally equal. Where one
-text is a proper prefix of the other, the punctuation after it decides: a
-target is followed by ``;`` or ``}``, above every digit, so target 3
-sorts after 35; an op is followed by ``,`` or ``)``, below every digit, so
-``construct:cons/2`` sorts before ``construct:cons/20``.
+canonically equal exactly when they are structurally equal. How the walk
+settles a text that is a proper prefix of another is set out in the
+comment block "Canonical order without the strings" in ``domain``.
 
 ``oprof`` sorts a predicate's argument profiles by this order (stable on
 the original argument index for canonically equal profiles), keeps empty
@@ -37,43 +35,23 @@ from .domain import (
     AssignOp,
     ConstructOp,
     DeconstructOp,
-    InteractionSet,
     OSet,
-    PredicateProfile,
-    canon_profile_seq,
+    PsiBotOp,
+    PsiOp,
     cmp_canon_profile,
-    is_psi_based,
     make_profile,
-    strip_points,
 )
 
-@dataclass(frozen=True)
-class FeatureVector:
-    n_osets: int
-    n_ops: int
-    n_psi: int
-    n_construct: int
-    n_deconstruct: int
-    n_assign: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (
-            self.n_osets,
-            self.n_ops,
-            self.n_psi,
-            self.n_construct,
-            self.n_deconstruct,
-            self.n_assign,
-        )
-
-
-def features(profile: ArgumentProfile) -> FeatureVector:
-    """Count features over all o-sets; psi payloads are treated opaquely."""
+def features(profile: ArgumentProfile) -> tuple[int, int, int, int, int, int]:
+    """The feature vector (o-sets, ops, psi-based ops, constructions,
+    deconstructions, assignments), counted over all o-sets; psi payloads
+    are treated opaquely."""
     n_ops = n_psi = n_con = n_dec = n_asn = 0
     for oset in profile.osets:
         for op in oset.ops:
             n_ops += 1
-            if is_psi_based(op):
+            if isinstance(op, (PsiBotOp, PsiOp)):
                 n_psi += 1
             elif isinstance(op, ConstructOp):
                 n_con += 1
@@ -81,12 +59,12 @@ def features(profile: ArgumentProfile) -> FeatureVector:
                 n_dec += 1
             elif isinstance(op, AssignOp):
                 n_asn += 1
-    return FeatureVector(len(profile.osets), n_ops, n_psi, n_con, n_dec, n_asn)
+    return (len(profile.osets), n_ops, n_psi, n_con, n_dec, n_asn)
 
 
 def _feature_key(profile: ArgumentProfile) -> tuple[int, ...]:
     """Ascending order of this key is the profile order, up to ties."""
-    return tuple(-f for f in features(profile).as_tuple())
+    return tuple(-f for f in features(profile))
 
 
 def compare_profiles(a: ArgumentProfile, b: ArgumentProfile) -> int:
@@ -107,18 +85,14 @@ class OrderedProfile:
     permutation: tuple[int, ...]
 
 
-def oprof(
-    phi: InteractionSet | PredicateProfile, args: Sequence[str], modes: Sequence[str]
-) -> OrderedProfile:
-    """Order a predicate profile (or a projected interaction set) by the
-    profile order.
+def oprof(per_arg: Sequence[ArgumentProfile]) -> OrderedProfile:
+    """Order a predicate's argument profiles (``strip_points`` of its
+    interaction set) by the profile order.
 
     Canonically equal profiles keep their original relative order, so the
     permutation is unique and re-applying oprof to an ordered profile is
     the identity.
     """
-    profile = strip_points(phi, args, modes) if isinstance(phi, InteractionSet) else phi
-    per_arg = profile.per_arg
     keys = [_feature_key(p) for p in per_arg]
     indexed = sorted(range(len(keys)), key=keys.__getitem__)
     if len(set(keys)) < len(keys):
@@ -139,8 +113,3 @@ def oprof(
         for orig in permutation
     )
     return OrderedProfile(remapped, permutation)
-
-
-def canon_ordered(ordered: OrderedProfile) -> str:
-    """Canonical string of an ordered profile (permutation excluded)."""
-    return canon_profile_seq(ordered.profiles)

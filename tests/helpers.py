@@ -281,7 +281,7 @@ def reference_sort_key(profile: ArgumentProfile) -> tuple[tuple[int, ...], str]:
 
     The key argprof sorted profiles by before its structural comparison,
     kept verbatim: it builds the profile's whole canonical string."""
-    return tuple(-f for f in features(profile).as_tuple()), canon_profile(profile)
+    return tuple(-f for f in features(profile)), canon_profile(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +307,14 @@ def _profile_json(program: Program, env: Environment) -> dict:
 
     predicates = []
     for name, pred in program.predicates.items():
-        profile = strip_points(env[name], pred.arg_names, pred.modes)
-        ordered = oprof(profile, pred.arg_names, pred.modes)
+        profile = strip_points(env[name], pred.arg_names)
+        ordered = oprof(profile)
         predicates.append(
             {
                 "name": name,
                 "arity": pred.arity,
                 "modes": list(pred.modes),
-                "profile": args_json(profile.per_arg),
+                "profile": args_json(profile),
                 "ordered": args_json(ordered.profiles),
                 "permutation": list(ordered.permutation),
             }

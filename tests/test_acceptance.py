@@ -27,7 +27,7 @@ from argprof import (
     analyze_atom,
     analyze_predicate,
     bottom,
-    canon_ordered,
+    canon_profile_seq,
     compare,
     format_program,
     initial_environment,
@@ -150,8 +150,8 @@ def test_04_clone_reordering():
     program = load_fixture("double_append.lp")
     env, _ = run_analysis(program)
     app, concat = program.predicates["app"], program.predicates["concat"]
-    same_profile = canon_ordered(ordered_profile_of(app, env)) == canon_ordered(
-        ordered_profile_of(concat, env)
+    same_profile = canon_profile_seq(ordered_profile_of(app, env).profiles) == (
+        canon_profile_seq(ordered_profile_of(concat, env).profiles)
     )
     rewritten = format_program(rewrite(program, plan(program, env)))
     heads_ok = (
@@ -240,7 +240,7 @@ def test_08_permutation_invariance():
         program = load_fixture(name)
         env, _ = run_analysis(program)
         baseline = {
-            p: canon_ordered(ordered_profile_of(program.predicates[p], env))
+            p: canon_profile_seq(ordered_profile_of(program.predicates[p], env).profiles)
             for p in program.predicates
         }
         for pname, pred in program.predicates.items():
@@ -254,7 +254,9 @@ def test_08_permutation_invariance():
                 shuffle_plan[pname] = tuple(perm)
                 permuted = rewrite(program, shuffle_plan)
                 env2, _ = run_analysis(permuted)
-                after = canon_ordered(ordered_profile_of(permuted.predicates[pname], env2))
+                after = canon_profile_seq(
+                    ordered_profile_of(permuted.predicates[pname], env2).profiles
+                )
                 checked += 1
                 if after != baseline[pname]:
                     mismatches.append((name, pname, tuple(perm)))

@@ -50,8 +50,8 @@ def test_canon_matches_reference_serializer(group):
             assert canon_op(op) == reference_canon_op(op)
             checked_ops += 1
         for name, pred in program.predicates.items():
-            profiles = strip_points(env[name], pred.arg_names, pred.modes).per_arg
-            ordered = oprof(env[name], pred.arg_names, pred.modes).profiles
+            profiles = strip_points(env[name], pred.arg_names)
+            ordered = oprof(profiles).profiles
             for profile in profiles + ordered:
                 assert canon_profile(profile) == reference_canon_profile(profile)
                 checked_profiles += 1

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -13,6 +17,8 @@ import argprof.cli
 import argprof.interp
 from argprof.cli import main
 from helpers import FIXTURES, fixture_names
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -239,6 +245,14 @@ def test_run_step_limit_zero(capsys):
     assert "step limit exceeded" in capsys.readouterr().err
 
 
+def test_run_default_step_limit_is_the_interpreter_constant(monkeypatch, capsys):
+    # With no --limit, run reads the interpreter's default when it runs: the
+    # query needs more than 10 steps.
+    monkeypatch.setattr(argprof.interp, "DEFAULT_STEP_LIMIT", 10)
+    assert main(["run", fixture("append.lp"), "?- app(cons(1,cons(2,nil)),nil,Z)."]) == 1
+    assert capsys.readouterr().err == "step limit exceeded\n"
+
+
 @pytest.mark.parametrize("limit, shown", [(["--limit", "-1"], "-1"), (["--limit=-7"], "-7")])
 def test_run_negative_step_limit_is_a_usage_error(limit, shown):
     code, out, err = _call(["run", fixture("append.lp"), "?- app(nil,nil,Z).", *limit])
@@ -254,6 +268,34 @@ def test_run_normalized_program_with_permuted_query(tmp_path, capsys):
     original = capsys.readouterr().out
     assert main(["run", str(normalized), "?- concat(cons(1,nil),cons(2,nil),A)."]) == 0
     assert capsys.readouterr().out == original
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["analyze", "--json", "double_append.lp"], False),
+        (["normalize", "double_append.lp"], False),
+        (["compare", "double_append.lp", "app", "concat"], False),
+        (["run", "append.lp", "?- app(nil,nil,Z)."], True),
+    ],
+)
+def test_only_run_imports_the_interpreter(argv, loaded):
+    argv = [fixture(a) if a.endswith(".lp") else a for a in argv]
+    code = (
+        "import sys\n"
+        "from argprof.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('argprof.interp' in sys.modules, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    # normalize writes its plan to stderr first: the flag is the last line.
+    assert (result.returncode, result.stderr.splitlines()[-1]) == (0, str(loaded))
 
 
 def test_missing_file_exit_1(capsys):

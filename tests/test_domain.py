@@ -13,6 +13,7 @@ from argprof import (
     ArgumentProfile,
     ConstructOp,
     DeconstructOp,
+    InteractionSet,
     PsiOp,
     WellDefinednessError,
     bottom,
@@ -152,8 +153,8 @@ def test_strip_points_app_fixpoint():
             ("Y", "Z", [(ASSIGN, 2), (PSI_BOT, 4), (CONS, 5)]),
         ],
     )
-    profile = strip_points(s, ["X", "Y", "Z"], ["in", "in", "out"])
-    assert profile.per_arg == (
+    profile = strip_points(s, ["X", "Y", "Z"])
+    assert profile == (
         make_profile([make_oset([DECONS, CONS, PSI_BOT], 3)]),
         make_profile([make_oset([CONS, ASSIGN, PSI_BOT], 3)]),
         ArgumentProfile(()),
@@ -161,8 +162,8 @@ def test_strip_points_app_fixpoint():
 
 
 def test_strip_points_empty():
-    profile = strip_points(bottom("p", ["A"]), ["A", "B"], ["in", "out"])
-    assert profile.per_arg == (ArgumentProfile(()), ArgumentProfile(()))
+    profile = strip_points(bottom("p", ["A"]), ["A", "B"])
+    assert profile == (ArgumentProfile(()), ArgumentProfile(()))
 
 
 def test_strip_points_concat_fixpoint():
@@ -174,8 +175,8 @@ def test_strip_points_concat_fixpoint():
             ("C", "A", [(ASSIGN, 2), (PSI_BOT, 4), (CONS, 5)]),
         ],
     )
-    profile = strip_points(s, ["A", "B", "C"], ["out", "in", "in"])
-    assert profile.per_arg == (
+    profile = strip_points(s, ["A", "B", "C"])
+    assert profile == (
         ArgumentProfile(()),
         make_profile([make_oset([DECONS, CONS, PSI_BOT], 1)]),
         make_profile([make_oset([CONS, ASSIGN, PSI_BOT], 1)]),
@@ -184,14 +185,21 @@ def test_strip_points_concat_fixpoint():
 
 def test_strip_points_keeps_multiplicity():
     s = iset("p", ["A"], [("A", "B", [(DECONS, 1), (DECONS, 5)])])
-    profile = strip_points(s, ["A", "B"], ["in", "out"])
-    assert profile.per_arg[0].osets[0].ops == (DECONS, DECONS)
+    profile = strip_points(s, ["A", "B"])
+    assert profile[0].osets[0].ops == (DECONS, DECONS)
 
 
 def test_strip_points_rejects_locals():
     s = iset("p", ["A"], [("A", "L", [(ASSIGN, 1)])])
     with pytest.raises(Exception):
-        strip_points(s, ["A", "B"], ["in", "out"])
+        strip_points(s, ["A", "B"])
+
+
+def test_strip_points_rejects_input_targets():
+    # Built directly: the checked constructors never let an input target in.
+    s = InteractionSet("p", frozenset({"A", "B"}), {("A", "B"): {1: ASSIGN}})
+    with pytest.raises(WellDefinednessError):
+        strip_points(s, ["A", "B"])
 
 
 def test_canon_op_base_forms():

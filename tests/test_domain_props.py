@@ -149,5 +149,5 @@ def test_order_transitive(a, b, c):
 def test_feature_counts_partition_operations(a):
     from argprof import features
 
-    fv = features(a)
-    assert fv.n_ops == fv.n_psi + fv.n_construct + fv.n_deconstruct + fv.n_assign
+    _, n_ops, n_psi, n_construct, n_deconstruct, n_assign = features(a)
+    assert n_ops == n_psi + n_construct + n_deconstruct + n_assign

@@ -8,16 +8,15 @@ from argprof import (
     ArgumentProfile,
     ConstructOp,
     DeconstructOp,
-    FeatureVector,
-    PredicateProfile,
     PsiOp,
-    canon_ordered,
+    canon_profile_seq,
     compare_profiles,
     features,
     make_oset,
     make_profile,
     oprof,
     run_analysis,
+    strip_points,
 )
 from helpers import load_fixture
 
@@ -38,11 +37,11 @@ PSI_A = PsiOp(
 
 
 def test_features_of_app_first_argument():
-    assert features(ALPHA_X) == FeatureVector(1, 3, 1, 1, 1, 0)
+    assert features(ALPHA_X) == (1, 3, 1, 1, 1, 0)
 
 
 def test_features_of_empty_profile():
-    assert features(EMPTY) == FeatureVector(0, 0, 0, 0, 0, 0)
+    assert features(EMPTY) == (0, 0, 0, 0, 0, 0)
 
 
 def test_features_of_dapp_second_argument():
@@ -51,13 +50,13 @@ def test_features_of_dapp_second_argument():
     alpha = make_profile(
         [make_oset([ASSIGN, PSI_BOT, CONS, PSI_A, DECONS, CONS, PSI_BOT, PSI_A], 4)]
     )
-    assert features(alpha) == FeatureVector(1, 8, 4, 2, 1, 1)
+    assert features(alpha) == (1, 8, 4, 2, 1, 1)
 
 
 def test_psi_payloads_are_opaque():
     nested = PsiOp((make_profile([make_oset([ASSIGN, CONS, DECONS], 2)]),))
     alpha = make_profile([make_oset([nested], 2)])
-    assert features(alpha) == FeatureVector(1, 1, 1, 0, 0, 0)
+    assert features(alpha) == (1, 1, 1, 0, 0, 0)
 
 
 def test_compare_app_arguments():
@@ -87,7 +86,7 @@ def _analyzed_profile(fixture: str, name: str):
     program = load_fixture(fixture)
     env, _ = run_analysis(program)
     pred = program.predicates[name]
-    return oprof(env[name], pred.arg_names, pred.modes)
+    return oprof(strip_points(env[name], pred.arg_names))
 
 
 def test_oprof_app():
@@ -100,7 +99,7 @@ def test_oprof_concat_matches_app():
     app = _analyzed_profile("append.lp", "app")
     concat = _analyzed_profile("concat.lp", "concat")
     assert concat.permutation == (2, 3, 1)
-    assert canon_ordered(concat) == canon_ordered(app)
+    assert canon_profile_seq(concat.profiles) == canon_profile_seq(app.profiles)
     assert concat.profiles == app.profiles
 
 
@@ -110,7 +109,7 @@ def test_oprof_dapp_order():
     # (2 vs 1), the third has only 4 operations, the fourth is empty.
     ordered = _analyzed_profile("double_append.lp", "dapp")
     assert ordered.permutation == (1, 2, 3, 4)
-    fvs = [features(p).as_tuple() for p in ordered.profiles]
+    fvs = [features(p) for p in ordered.profiles]
     assert fvs == [
         (1, 8, 4, 2, 2, 0),
         (1, 8, 4, 2, 1, 1),
@@ -135,18 +134,13 @@ def test_oprof_keeps_empty_profiles():
 
 def test_oprof_idempotent():
     ordered = _analyzed_profile("double_append.lp", "dapp")
-    again = oprof(
-        PredicateProfile(ordered.profiles),
-        ["N1", "N2", "N3", "N4"],
-        ["in", "in", "in", "out"],
-    )
+    again = oprof(ordered.profiles)
     assert again.permutation == (1, 2, 3, 4)
     assert again.profiles == ordered.profiles
 
 
 def test_oprof_stable_on_ties():
-    profile = PredicateProfile((EMPTY, EMPTY, EMPTY))
-    ordered = oprof(profile, ["A", "B", "C"], ["in", "out", "out"])
+    ordered = oprof((EMPTY, EMPTY, EMPTY))
     assert ordered.permutation == (1, 2, 3)
 
 

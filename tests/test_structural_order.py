@@ -60,8 +60,8 @@ def test_permutations_and_op_order_match_string_key(group):
     for program in _programs(group):
         env, _ = run_analysis(program)
         for name, pred in program.predicates.items():
-            per_arg = strip_points(env[name], pred.arg_names, pred.modes).per_arg
-            ordered = oprof(env[name], pred.arg_names, pred.modes)
+            per_arg = strip_points(env[name], pred.arg_names)
+            ordered = oprof(per_arg)
             keys = [reference_sort_key(p) for p in per_arg]
             expected = sorted(range(len(keys)), key=keys.__getitem__)
             assert ordered.permutation == tuple(i + 1 for i in expected), name
