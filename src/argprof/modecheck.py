@@ -51,7 +51,8 @@ def validate_modes(program: Program) -> ValidationReport:
         for clause in pred.clauses:
             bound = {v.name for v in clause.head_args if v.name in in_names}
             for atom in clause.body:
-                for v in atom_inputs(atom, modes_of):
+                inputs = atom_inputs(atom, modes_of)
+                for v in inputs:
                     if v.name not in bound:
                         report.add(atom.line, atom.col, f"{v.name} unbound at point {atom.point}")
                 seen_out: set[str] = set()
@@ -60,7 +61,7 @@ def validate_modes(program: Program) -> ValidationReport:
                         report.add(atom.line, atom.col, f"{v.name} already bound at point {atom.point}")
                     seen_out.add(v.name)
                 # Bind inputs too, to suppress cascading reports.
-                bound.update(v.name for v in atom_inputs(atom, modes_of))
+                bound.update(v.name for v in inputs)
                 bound.update(seen_out)
             for v in clause.head_args:
                 if v.name in out_names and v.name not in bound:

@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for the surface syntax.
+"""Lexer and parsers for the surface syntax.
 
 Surface syntax, one program per UTF-8 file:
 
@@ -22,8 +22,9 @@ nested ground terms and output positions hold fresh variables.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate, compress, islice
 
 from .syntax import (
     Assign,
@@ -68,126 +69,108 @@ class ProgramError(SourceError):
     """Structural errors: duplicate definitions, arity conflicts, undefined calls."""
 
 
-class Token(NamedTuple):
-    kind: str  # 'name' | 'var' | 'int' | punctuation | 'eof'
-    text: str
-    line: int
-    col: int
+# Tokens by kind, the most frequent first: one-character punctuation, names
+# and variables, two-character operators, integers; and comments, split out
+# with the tokens so that the gaps between them hold only blanks, newlines
+# and characters that start no token.
+_SPLIT_RE = re.compile(r"([(),.]|[A-Za-z_][A-Za-z0-9_]*|:-|:=|=>|<=|==|\?-|[0-9]+|%[^\n]*)")
+
+# The parsers tell a token's kind from its text with string comparisons. In
+# ASCII '(' ')' ',' '.' sort below the digits, ':' '<' '=' '?' between the
+# digits and the uppercase letters, and '_' between uppercase and lowercase,
+# while the end of input is "". So a token t is
+#   a name        iff t >= "a"
+#   a variable    iff "A" <= t < "a"
+#   an integer    iff "0" <= t < ":"
 
 
-# One match per token: whole lines of blanks and comments (group 1), the
-# blanks before the token (group 2), then the token by kind (groups 3-6);
-# at the end of the input, a last comment with no newline (group 7); or
-# any other single character (group 8), which is an error.
-_TOKEN_RE = re.compile(
-    r"((?:[ \t\r]*(?:%[^\n]*)?\n)*)([ \t\r]*)"
-    r"(?:(:-|\?-|:=|=>|<=|==|[(),.])|([a-z][A-Za-z0-9_]*)|([A-Z_][A-Za-z0-9_]*)|([0-9]+)"
-    r"|((?:%[^\n]*)?)\Z|(.))",
-    re.DOTALL,
-)
-_new_token = tuple.__new__  # skips the NamedTuple's Python-level __new__
+class Tokens:
+    """The tokens of one source. ``texts`` ends with "" for the end of
+    input; ``starts`` holds the offset in the source at which each starts."""
+
+    __slots__ = ("texts", "starts", "_source", "_line_starts")
+
+    def __init__(self, source: str, texts: list[str], starts: list[int]):
+        self.texts = texts
+        self.starts = starts
+        self._source = source
+        self._line_starts: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def position(self, i: int) -> tuple[int, int]:
+        """Line and 1-based column of token ``i``."""
+        if self._line_starts is None:
+            self._line_starts = _line_starts(self._source)
+        return _position(self._line_starts, self.starts[i])
 
 
-def _bad_character(char: str) -> str:
+def _line_starts(source: str) -> list[int]:
+    """The offset at which each line starts (and one past the end)."""
+    return list(accumulate((len(line) + 1 for line in source.split("\n")), initial=0))
+
+
+def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+def tokenize(source: str) -> Tokens:
+    """Split ``source`` into tokens, ending with the end of input.
+
+    The end of input sits just past the last character, or at the ``%``
+    of a comment that runs to the end of the input.
+    """
+    parts = _SPLIT_RE.split(source)  # gap, token, gap, ..., token, gap
+    if "".join(parts[::2]).strip(" \t\r\n"):
+        raise _bad_character(source, parts)
+    texts = parts[1::2]
+    texts.append("")
+    # A token starts where the gap before it ends, and the last gap ends
+    # where the input does.
+    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    if "%" in source:
+        if not parts[-1] and texts[-2][0] == "%":
+            del texts[-2], starts[-1]  # the end of input moves to the comment
+        keep = [text[:1] != "%" for text in texts]
+        texts = list(compress(texts, keep))
+        starts = list(compress(starts, keep))
+    return Tokens(source, texts, starts)
+
+
+def _bad_character(source: str, parts: list[str]) -> LexError:
+    """The error for the first character of a gap that is not a blank or a
+    newline."""
+    offset = 0
+    for k in range(0, len(parts), 2):
+        rest = parts[k].lstrip(" \t\r\n")
+        if rest:
+            offset += len(parts[k]) - len(rest)
+            break
+        offset += len(parts[k]) + len(parts[k + 1])
+    char = rest[0]
     # Input is decoded with surrogateescape, so a byte that is not UTF-8
     # arrives as a lone surrogate U+DC80..U+DCFF.
     if "\udc80" <= char <= "\udcff":
-        return f"invalid UTF-8 byte 0x{ord(char) - 0xDC00:02x}"
-    return f"unexpected character {char!r}"
+        message = f"invalid UTF-8 byte 0x{ord(char) - 0xDC00:02x}"
+    else:
+        message = f"unexpected character {char!r}"
+    return LexError(message, *_position(_line_starts(source), offset))
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split ``source`` into tokens, ending with an ``eof`` token.
+class _Vars(dict):
+    """One ``Var`` per name within a parse; ``Var`` is frozen and compares
+    by name, so sharing it is safe."""
 
-    Columns are 1-based offsets from the start of the line. The ``eof``
-    token sits just past the last character, or at the ``%`` of a comment
-    that runs to the end of the input.
-    """
-    tokens: list[Token] = []
-    append = tokens.append
-    line, col = 1, 1
-    for lines, blanks, punct, name, var, num, _, bad in _TOKEN_RE.findall(source):
-        if lines:
-            line += lines.count("\n")
-            col = 1 + len(blanks)
-        else:
-            col += len(blanks)
-        if punct:
-            append(_new_token(Token, (punct, punct, line, col)))
-            col += len(punct)
-        elif name:
-            append(_new_token(Token, ("name", name, line, col)))
-            col += len(name)
-        elif var:
-            append(_new_token(Token, ("var", var, line, col)))
-            col += len(var)
-        elif num:
-            append(_new_token(Token, ("int", num, line, col)))
-            col += len(num)
-        elif bad:
-            raise LexError(_bad_character(bad), line, col)
-        else:  # the end of the input, which every source reaches
-            break
-    append(_new_token(Token, ("eof", "", line, col)))
-    return tokens
+    def __missing__(self, name: str) -> Var:
+        var = self[name] = Var(name)
+        return var
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
-
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
-
-    # -- shared small pieces -------------------------------------------------
-
-    def variable(self) -> Var:
-        tok = self.expect("var")
-        return Var(tok.text)
-
-    def var_list(self) -> tuple[Var, ...]:
-        """Parenthesized comma-separated variables; absent parens mean arity 0."""
-        # The parser's hottest loop, so it reads the tokens directly.
-        tokens, pos = self.tokens, self.pos
-        if tokens[pos].kind != "(":
-            return ()
-        out = []
-        pos += 1  # at the token after '(' or after a ','
-        if tokens[pos].kind != ")":
-            while True:
-                tok = tokens[pos]
-                if tok.kind != "var":
-                    self.pos = pos
-                    self.expect("var")  # raises
-                out.append(Var(tok.text))
-                pos += 1
-                if tokens[pos].kind != ",":
-                    break
-                pos += 1
-        self.pos = pos
-        self.expect(")")
-        return tuple(out)
-
-    def functor_name(self) -> Token:
-        tok = self.peek()
-        if tok.kind not in ("name", "int"):
-            raise ParseError(f"expected functor, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.next()
+def _expected(tokens: Tokens, what: str, i: int) -> ParseError:
+    found = tokens.texts[i] or "end of input"
+    return ParseError(f"expected {what}, found {found!r}", *tokens.position(i))
 
 
 # ---------------------------------------------------------------------------
@@ -195,155 +178,161 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _RawPred:
-    name: str
-    modes: tuple[Mode, ...] | None = None
-    decl_line: int = 0
-    decl_col: int = 0
-    head_args: tuple[Var, ...] | None = None
-    clauses: list[Clause] | None = None
-    closed: bool = False  # a later predicate started; new clauses are an error
-
-
 def parse_program(source: str) -> Program:
     """Parse a program, assign program points and build the call graph.
 
     Raises LexError, ParseError or ProgramError, each carrying line/col.
     """
-    parser = _Parser(tokenize(source))
-    preds: dict[str, _RawPred] = {}
-    functor_arity: dict[str, tuple[int, int, int]] = {}  # name -> (arity, line, col)
+    tokens = tokenize(source)
+    texts, where = tokens.texts, tokens.position
+    variables = _Vars()
+    functor_arity: dict[str, int] = {}
+    # Predicates in order of first mention; None until declared.
+    modes: dict[str, tuple[Mode, ...] | None] = {}
+    declared_at: dict[str, int] = {}  # the index of the declaration's ':-'
+    clauses: dict[str, list[Clause]] = {}
+    current: str | None = None  # the predicate of the last clause
     point = 0
-    current: str | None = None
 
-    def note_functor(name: str, arity: int, line: int, col: int) -> None:
-        seen = functor_arity.get(name)
-        if seen is None:
-            functor_arity[name] = (arity, line, col)
-        elif seen[0] != arity:
-            raise ProgramError(
-                f"functor '{name}' used with arity {arity} but previously with arity {seen[0]}",
-                line,
-                col,
-            )
-
-    def raw(name: str) -> _RawPred:
-        if name not in preds:
-            preds[name] = _RawPred(name)
-        return preds[name]
-
-    def parse_decl() -> None:
-        tok = parser.expect(":-")
-        kw = parser.expect("name")
-        if kw.text != "pred":
-            raise ParseError(f"expected 'pred' after ':-', found {kw.text!r}", kw.line, kw.col)
-        name_tok = parser.expect("name")
-        modes: list[Mode] = []
-        parser.expect("(")
-        if not parser.at(")"):
+    def var_list(i: int) -> tuple[tuple[Var, ...], int]:
+        """The variables in parentheses from token ``i`` (none if it is not
+        '('), and the index after them."""
+        if texts[i] != "(":
+            return (), i
+        i += 1
+        out = []
+        if texts[i] != ")":
             while True:
-                mtok = parser.expect("name")
-                if mtok.text not in ("in", "out"):
-                    raise ParseError(f"expected mode 'in' or 'out', found {mtok.text!r}", mtok.line, mtok.col)
-                modes.append(mtok.text)
-                if parser.at(","):
-                    parser.next()
-                    continue
-                break
-        parser.expect(")")
-        parser.expect(".")
-        pred = raw(name_tok.text)
-        if pred.modes is not None:
-            raise ProgramError(f"duplicate predicate definition for '{name_tok.text}'", name_tok.line, name_tok.col)
-        pred.modes = tuple(modes)
-        pred.decl_line, pred.decl_col = tok.line, tok.col
+                text = texts[i]
+                if not "A" <= text < "a":
+                    raise _expected(tokens, "'var'", i)
+                out.append(variables[text])
+                i += 1
+                if texts[i] != ",":
+                    break
+                i += 1
+        if texts[i] != ")":
+            raise _expected(tokens, "')'", i)
+        return tuple(out), i + 1
 
-    def parse_atom() -> Atom:
+    def declaration(i: int) -> int:
+        """``:- pred name(mode, ...).`` from the ':-' at ``i``; returns the
+        index after it."""
+        keyword = texts[i + 1]
+        if not keyword >= "a":
+            raise _expected(tokens, "'name'", i + 1)
+        if keyword != "pred":
+            raise ParseError(f"expected 'pred' after ':-', found {keyword!r}", *where(i + 1))
+        name = texts[i + 2]
+        if not name >= "a":
+            raise _expected(tokens, "'name'", i + 2)
+        if texts[i + 3] != "(":
+            raise _expected(tokens, "'('", i + 3)
+        j = i + 4
+        declared: list[Mode] = []
+        if texts[j] != ")":
+            while True:
+                mode = texts[j]
+                if not mode >= "a":
+                    raise _expected(tokens, "'name'", j)
+                if mode != "in" and mode != "out":
+                    raise ParseError(f"expected mode 'in' or 'out', found {mode!r}", *where(j))
+                declared.append(mode)
+                j += 1
+                if texts[j] != ",":
+                    break
+                j += 1
+        if texts[j] != ")":
+            raise _expected(tokens, "')'", j)
+        if texts[j + 1] != ".":
+            raise _expected(tokens, "'.'", j + 1)
+        if modes.get(name) is not None:
+            raise ProgramError(f"duplicate predicate definition for '{name}'", *where(i + 2))
+        modes[name] = tuple(declared)
+        declared_at[name] = i
+        return j + 2
+
+    def atom(i: int) -> tuple[Atom, int]:
+        """The body atom from token ``i``, and the index after it."""
         nonlocal point
-        tokens, pos = parser.tokens, parser.pos
-        tok = tokens[pos]
-        if tok.kind == "var":
-            left = Var(tok.text)
-            op = tokens[pos + 1]
-            parser.pos = pos + 2
-            if op.kind in ("=>", "<="):
-                ftok = parser.functor_name()
-                args = parser.var_list()
-                note_functor(ftok.text, len(args), ftok.line, ftok.col)
-                point += 1
-                cls = Deconstruct if op.kind == "=>" else Construct
-                return cls(point, tok.line, tok.col, left, ftok.text, args)
-            if op.kind == ":=":
-                right = parser.variable()
-                point += 1
-                return Assign(point, tok.line, tok.col, left, right)
-            if op.kind == "==":
-                right = parser.variable()
-                point += 1
-                return Test(point, tok.line, tok.col, left, right)
-            raise ParseError(f"expected '=>', '<=', ':=' or '==', found {op.text!r}", op.line, op.col)
-        if tok.kind == "name":
-            parser.pos = pos + 1
-            args = parser.var_list()
+        text = texts[i]
+        if text >= "a":
+            args, j = var_list(i + 1)
             point += 1
-            return Call(point, tok.line, tok.col, tok.text, args)
-        raise ParseError(f"expected atom, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            return Call(point, *where(i), text, args), j
+        if not "A" <= text < "a":
+            raise _expected(tokens, "atom", i)
+        op = texts[i + 1]
+        if op == "=>" or op == "<=":
+            functor = texts[i + 2]
+            if not (functor >= "a" or "0" <= functor < ":"):
+                raise _expected(tokens, "functor", i + 2)
+            args, j = var_list(i + 3)
+            seen = functor_arity.setdefault(functor, len(args))
+            if seen != len(args):
+                raise ProgramError(
+                    f"functor '{functor}' used with arity {len(args)} but previously with arity {seen}",
+                    *where(i + 2),
+                )
+            point += 1
+            cls = Deconstruct if op == "=>" else Construct
+            return cls(point, *where(i), variables[text], functor, args), j
+        if op == ":=" or op == "==":
+            right = texts[i + 2]
+            if not "A" <= right < "a":
+                raise _expected(tokens, "'var'", i + 2)
+            point += 1
+            cls = Assign if op == ":=" else Test
+            return cls(point, *where(i), variables[text], variables[right]), i + 3
+        raise ParseError(f"expected '=>', '<=', ':=' or '==', found {op!r}", *where(i + 1))
 
-    def parse_clause() -> None:
+    def clause(i: int) -> int:
+        """A clause from its head's name at ``i``; returns the index after it."""
         nonlocal current
-        name_tok = parser.expect("name")
-        head_args = parser.var_list()
-        if len(set(head_args)) != len(head_args):
-            raise ProgramError("head arguments must be pairwise distinct variables", name_tok.line, name_tok.col)
+        name = texts[i]
+        if not name >= "a":
+            raise _expected(tokens, "'name'", i)
+        head, j = var_list(i + 1)
+        if len(set(head)) != len(head):
+            raise ProgramError("head arguments must be pairwise distinct variables", *where(i))
         body: list[Atom] = []
-        if parser.at(":-"):
-            parser.next()
-            body.append(parse_atom())
-            while parser.at(","):
-                parser.next()
-                body.append(parse_atom())
-        parser.expect(".")
-        pred = raw(name_tok.text)
-        if pred.closed:
-            raise ProgramError(
-                f"clauses of '{name_tok.text}' must be contiguous", name_tok.line, name_tok.col
-            )
-        if pred.head_args is None:
-            pred.head_args = head_args
-            pred.clauses = []
-        elif pred.head_args != head_args:
-            raise ProgramError(
-                f"clause head of '{name_tok.text}' differs from previous clauses", name_tok.line, name_tok.col
-            )
-        if current is not None and current != name_tok.text:
-            prev = preds.get(current)
-            if prev is not None:
-                prev.closed = True
-        current = name_tok.text
-        pred.clauses.append(Clause(head_args, tuple(body), name_tok.line, name_tok.col))
+        if texts[j] == ":-":
+            while True:
+                next_atom, j = atom(j + 1)
+                body.append(next_atom)
+                if texts[j] != ",":
+                    break
+        if texts[j] != ".":
+            raise _expected(tokens, "'.'", j)
+        modes.setdefault(name, None)
+        same = clauses.get(name)
+        if same is None:
+            same = clauses[name] = []
+        elif name != current:  # another predicate's clause came in between
+            raise ProgramError(f"clauses of '{name}' must be contiguous", *where(i))
+        elif same[0].head_args != head:
+            raise ProgramError(f"clause head of '{name}' differs from previous clauses", *where(i))
+        current = name
+        same.append(Clause(head, tuple(body), *where(i)))
+        return j + 1
 
-    while not parser.at("eof"):
-        if parser.at(":-"):
-            parse_decl()
-        else:
-            parse_clause()
+    i = 0
+    while texts[i]:
+        i = declaration(i) if texts[i] == ":-" else clause(i)
 
     built: dict[str, Predicate] = {}
-    for name, rp in preds.items():
-        if rp.modes is None:
-            line, col = (rp.clauses[0].line, rp.clauses[0].col) if rp.clauses else (0, 0)
-            raise ProgramError(f"missing mode declaration for '{name}'", line, col)
-        arity = len(rp.modes)
-        clauses = tuple(rp.clauses or [])
-        for cl in clauses:
-            if len(cl.head_args) != arity:
-                raise ProgramError(
-                    f"'{name}' declared with arity {arity} but clause head has {len(cl.head_args)} arguments",
-                    cl.line,
-                    cl.col,
-                )
-        built[name] = Predicate(name, arity, rp.modes, clauses, rp.decl_line, rp.decl_col)
+    for name, declared in modes.items():
+        own = clauses.get(name, [])
+        if declared is None:  # mentioned only by its clauses
+            raise ProgramError(f"missing mode declaration for '{name}'", own[0].line, own[0].col)
+        arity = len(declared)
+        if own and len(own[0].head_args) != arity:  # every clause has the first one's head
+            raise ProgramError(
+                f"'{name}' declared with arity {arity} but clause head has {len(own[0].head_args)} arguments",
+                own[0].line,
+                own[0].col,
+            )
+        built[name] = Predicate(name, arity, declared, tuple(own), *where(declared_at[name]))
 
     for name, pred in built.items():
         for cl in pred.clauses:
@@ -385,63 +374,78 @@ class Query:
 
 def parse_query(source: str) -> Query:
     """Parse ``?- atom1, ..., atomN.`` with nested terms allowed."""
-    parser = _Parser(tokenize(source))
-    parser.expect("?-")
+    tokens = tokenize(source)
+    texts, where = tokens.texts, tokens.position
+    variables = _Vars()
 
-    def qterm() -> Term:
+    def term(i: int) -> tuple[Term, int]:
+        """The term from token ``i``, and the index after it."""
         # An explicit stack of the terms whose arguments are being read, as
         # (functor, arguments so far), so nesting depth costs no recursion.
         open_terms: list[tuple[str, list[Term]]] = []
         while True:
-            if parser.at("var"):
-                term: Term = parser.variable()
-            else:
-                ftok = parser.functor_name()
-                if parser.at("("):
-                    parser.next()
-                    if not parser.at(")"):
-                        open_terms.append((ftok.text, []))
+            text = texts[i]
+            if "A" <= text < "a":
+                done: Term = variables[text]
+                i += 1
+            elif text >= "a" or "0" <= text < ":":
+                if texts[i + 1] == "(":
+                    if texts[i + 2] != ")":
+                        open_terms.append((text, []))
+                        i += 2
                         continue
-                    parser.next()
-                term = FunctorTerm(ftok.text)
+                    i += 3
+                else:
+                    i += 1
+                done = FunctorTerm(text)
+            else:
+                raise _expected(tokens, "functor", i)
             # Attach the finished term to the terms it completes.
             while open_terms:
                 functor, args = open_terms[-1]
-                args.append(term)
-                if parser.at(","):
-                    parser.next()
+                args.append(done)
+                if texts[i] == ",":
+                    i += 1
                     break
-                parser.expect(")")
+                if texts[i] != ")":
+                    raise _expected(tokens, "')'", i)
+                i += 1
                 open_terms.pop()
-                term = FunctorTerm(functor, tuple(args))
+                done = FunctorTerm(functor, tuple(args))
             else:
-                return term
+                return done, i
 
-    def qatom() -> Atom:
-        tok = parser.peek()
-        left = qterm()
-        op = parser.peek()
-        if op.kind not in ("=>", "<=", ":=", "=="):
+    def atom(i: int) -> tuple[Atom, int]:
+        """The goal atom from token ``i``, and the index after it."""
+        start = i
+        left, i = term(i)
+        op = texts[i]
+        if op != "=>" and op != "<=" and op != ":=" and op != "==":
             # No unification operator follows: the term itself is a call.
             if isinstance(left, FunctorTerm):
-                return Call(0, tok.line, tok.col, left.functor, left.args)
-            raise ParseError(f"expected atom, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        parser.next()
-        rtok = parser.peek()
-        right = qterm()
-        if op.kind in ("=>", "<="):
+                return Call(0, *where(start), left.functor, left.args), i
+            raise _expected(tokens, "atom", start)
+        right, j = term(i + 1)
+        if op == "=>" or op == "<=":
             if isinstance(right, Var):
-                raise ParseError(f"expected functor, found {rtok.text!r}", rtok.line, rtok.col)
-            cls = Deconstruct if op.kind == "=>" else Construct
-            return cls(0, tok.line, tok.col, left, right.functor, right.args)
-        if op.kind == ":=":
-            return Assign(0, tok.line, tok.col, left, right)
-        return Test(0, tok.line, tok.col, left, right)
+                raise _expected(tokens, "functor", i + 1)
+            cls = Deconstruct if op == "=>" else Construct
+            return cls(0, *where(start), left, right.functor, right.args), j
+        cls = Assign if op == ":=" else Test
+        return cls(0, *where(start), left, right), j
 
-    goal = [qatom()]
-    while parser.at(","):
-        parser.next()
-        goal.append(qatom())
-    parser.expect(".")
-    parser.expect("eof")
+    if texts[0] != "?-":
+        raise _expected(tokens, "'?-'", 0)
+    goal = []
+    i = 1
+    while True:
+        next_atom, i = atom(i)
+        goal.append(next_atom)
+        if texts[i] != ",":
+            break
+        i += 1
+    if texts[i] != ".":
+        raise _expected(tokens, "'.'", i)
+    if texts[i + 1]:
+        raise _expected(tokens, "'eof'", i + 1)
     return Query(tuple(goal))

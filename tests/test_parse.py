@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,14 +15,26 @@ from argprof import (
     LexError,
     ParseError,
     ProgramError,
+    SourceError,
     build_call_graph,
     format_program,
     parse_program,
     parse_query,
 )
 from argprof import syntax
-from argprof.parse import Token, tokenize
-from helpers import FIXTURES, fixture_names, gen_program_source, load_fixture, reference_tokenize
+from argprof.parse import Tokens, tokenize
+from helpers import (
+    FIXTURES,
+    chain_source,
+    fixture_names,
+    gen_input_term,
+    gen_program_source,
+    load_fixture,
+    reference_parse_program,
+    reference_parse_query,
+    reference_tokenize,
+    wide_source,
+)
 
 APP_SRC = """\
 :- pred app(in,in,out).
@@ -210,12 +223,26 @@ def test_lexical_error_position():
 _MUTATION_CHARS = "abXY_09 \t\r\n%(),.:-?=<>&é\f"
 
 
+def _kind(text):
+    """The kind the reference tokenizer gives a token with this text."""
+    if not text:
+        return "eof"
+    if text[0].islower():
+        return "name"
+    if text[0].isupper() or text[0] == "_":
+        return "var"
+    return "int" if text[0].isdigit() else text
+
+
 def _lex(tokenize_fn, source):
-    """Tokens as tuples, or the LexError as (message, line, col)."""
+    """Tokens as (kind, text, line, col), or the LexError as (message, line, col)."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize_fn(source)]
+        tokens = tokenize_fn(source)
     except LexError as exc:
         return (exc.message, exc.line, exc.col)
+    if isinstance(tokens, Tokens):
+        return [(_kind(text), text, *tokens.position(i)) for i, text in enumerate(tokens.texts)]
+    return [(t.kind, t.text, t.line, t.col) for t in tokens]
 
 
 def _reference_lex(source):
@@ -290,7 +317,8 @@ def test_tokenize_matches_reference_where_gaps_fold(source, last):
     assert result == _reference_lex(source)
     if isinstance(result, list):
         assert result[-1] == last
-        assert all(type(token) is Token for token in tokenize(source))
+        assert len(tokenize(source)) == len(result)
+        assert all(type(text) is str for text in tokenize(source).texts)
     else:
         assert result == last
 
@@ -311,7 +339,7 @@ def test_tokenize_matches_reference_where_gaps_fold(source, last):
     ],
 )
 def test_end_of_input_column(source, eof):
-    kind, _, line, col = tokenize(source)[-1]
+    kind, _, line, col = _lex(tokenize, source)[-1]
     assert (kind, line, col) == ("eof", *eof)
 
 
@@ -322,6 +350,130 @@ def test_end_of_input_diagnostic_column():
     with pytest.raises(ParseError) as exc:
         parse_query("?- app(nil,nil,Z)")
     assert (exc.value.line, exc.value.col) == (1, 18)
+
+
+# ---------------------------------------------------------------------------
+# The parsers against the parsers over per-token objects
+# ---------------------------------------------------------------------------
+
+
+def _program_nodes(program):
+    """Where every predicate, clause and atom is, by name, kind or point."""
+    nodes = []
+    for pred in program.predicates.values():
+        nodes.append((pred.name, pred.line, pred.col))
+        for clause in pred.clauses:
+            nodes.append(("clause", clause.line, clause.col))
+            nodes.extend((atom.point, atom.line, atom.col) for atom in clause.body)
+    return nodes
+
+
+def _query_nodes(query):
+    return [(atom.point, atom.line, atom.col) for atom in query.goal]
+
+
+def _outcome(parse, nodes, source):
+    """The parse and where its nodes are, or the error's class, message and
+    position."""
+    try:
+        result = parse(source)
+    except SourceError as exc:
+        return type(exc), exc.message, exc.line, exc.col
+    return result, nodes(result)
+
+
+_PROGRAMS = (parse_program, reference_parse_program, _program_nodes)
+_QUERIES = (parse_query, reference_parse_query, _query_nodes)
+
+
+def _agree(parsers, source):
+    """Require both parsers' outcomes to be equal; return the error class,
+    or None."""
+    parse, reference, nodes = parsers
+    expected = _outcome(reference, nodes, source)
+    assert _outcome(parse, nodes, source) == expected, repr(source)
+    return expected[0] if isinstance(expected[0], type) else None
+
+
+def _parser_programs():
+    sources = [(FIXTURES / name).read_text() for name in fixture_names()]
+    rng = random.Random(0xBEEF)  # the test-07 corpus
+    sources += [gen_program_source(rng) for _ in range(200)]
+    sources += [wide_source(random.Random(seed), 11 + seed, 200) for seed in range(2)]
+    sources += [chain_source(k) for k in range(1, 7)]
+    return sources
+
+
+def _parser_queries():
+    rng = random.Random(11)
+    queries = ["?- app(cons(1,nil), cons(2,nil), Z).", "?- X <= s(z), n(X, Y).", "?- p."]
+    for _ in range(40):
+        one, two = (syntax.format_ground(gen_input_term(rng)) for _ in range(2))
+        queries.append(f"?- app({one}, {two}, Z),\n  {two} => cons(E, T), W <= pair({one}, E), V := W, V == nil().")
+    return queries
+
+
+_SNIPPETS = (":-", "?-", ":=", "=>", "<=", "==", "(", ")", ",", ".", "pred", "in", "out", "Z", "nil", "f(", "\n")
+
+
+def _mutate(rng, source):
+    """One to three edits: a character deleted, replaced or inserted, a
+    token inserted, or a comment inserted between tokens or at the end."""
+    chars = list(source)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        edit = rng.random()
+        if edit < 0.15 and i < len(chars):
+            del chars[i]
+        elif edit < 0.3 and i < len(chars):
+            chars[i] = rng.choice(_MUTATION_CHARS)
+        elif edit < 0.45:
+            chars.insert(i, rng.choice(_MUTATION_CHARS))
+        elif edit < 0.6:
+            chars.insert(i, rng.choice(_SNIPPETS))
+        else:
+            gaps = [k for k, char in enumerate(chars) if char in " \n"]
+            if gaps and edit < 0.95:
+                chars.insert(rng.choice(gaps), rng.choice((" % note\n", "%\n", "\t% (.\n")))
+            else:
+                chars.append(rng.choice(("% last", "\n  %", " %%")))
+    return "".join(chars)
+
+
+def test_parsers_match_reference_on_fixtures_corpus_wide_and_chain():
+    for source in _parser_programs():
+        assert _agree(_PROGRAMS, source) is None
+    for source in _parser_queries():
+        assert _agree(_QUERIES, source) is None
+
+
+def test_parsers_match_reference_on_mutated_sources():
+    rng = random.Random(0xC0FFEE)
+    programs = [(FIXTURES / name).read_text() for name in fixture_names()]
+    programs += [gen_program_source(rng, 3, 3, 5) for _ in range(60)]
+    queries = _parser_queries()
+    program_outcomes, query_outcomes = set(), set()
+    for _ in range(10_000):
+        program_outcomes.add(_agree(_PROGRAMS, _mutate(rng, rng.choice(programs))))
+        query_outcomes.add(_agree(_QUERIES, _mutate(rng, rng.choice(queries))))
+    # The mutations reach every outcome.
+    assert program_outcomes == {None, LexError, ParseError, ProgramError}
+    assert query_outcomes == {None, LexError, ParseError}
+
+
+def test_deep_list_query_parses_in_bounded_memory():
+    # A 100 000-element list, 500 011 tokens. With a tuple and a computed
+    # line and column per token, parsing it peaked at 116 MiB.
+    source = "?- app(" + "cons(1," * 100_000 + "nil" + ")" * 100_000 + ", nil, Z)."
+    tracemalloc.start()
+    try:
+        query = parse_query(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 90 * 2**20
+    assert len(tokenize(source)) == 500_011
+    assert query.goal[0].args[1:] == (syntax.FunctorTerm("nil"), syntax.Var("Z"))
 
 
 # ---------------------------------------------------------------------------

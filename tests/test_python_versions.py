@@ -4,9 +4,10 @@ pyproject.toml declares ``requires-python >= 3.10``. For each of
 python3.10, python3.12 and python3.13 that can be started from PATH
 (directly, or through pyenv when PATH holds its shims), run
 ``python -m argprof.cli`` with ``analyze --json`` and ``normalize`` on
-every fixture, and require the stdout of the in-process run. The child
-needs only the standard library, and ``-m`` runs the module-level parser
-build as the entry point does.
+every fixture, and ``analyze`` on a few malformed programs, and require
+the exit code, stdout and stderr of the in-process run. The child needs
+only the standard library, and ``-m`` runs the module-level parser build
+as the entry point does.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from helpers import FIXTURES, fixture_names
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = [["analyze", "--json"], ["normalize"]]
+# Diagnostics: a lexical error, a parse error at the end of the input, and
+# one at the '%' of a final comment with no newline.
+MALFORMED = {
+    "lex_error.lp": ":- pred p(in).\np(X) :- X => @nil.\n",
+    "end_of_input.lp": ":- pred p(in).\np(X)",
+    "final_comment.lp": ":- pred p(in).\np(X) :- X => nil % no period",
+}
 
 
 def _interpreter(version: str) -> str | None:
@@ -46,15 +54,15 @@ def _interpreter(version: str) -> str | None:
     return None
 
 
-def _in_process(argv: list[str]) -> str:
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        assert main(argv) == 0
-    return out.getvalue()
+def _in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
-def test_cli_output_matches_on_other_python_versions(version):
+def test_cli_output_matches_on_other_python_versions(version, tmp_path):
     if sys.version_info[:2] == tuple(map(int, version.split("."))):
         pytest.skip(f"python{version} runs this suite")
     exe = _interpreter(version)
@@ -62,11 +70,15 @@ def test_cli_output_matches_on_other_python_versions(version):
         pytest.skip(f"python{version} is not on PATH")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     calls = [[*command, str(FIXTURES / name)] for name in fixture_names() for command in COMMANDS]
+    for name, text in MALFORMED.items():
+        (tmp_path / name).write_text(text)
+        calls.append(["analyze", str(tmp_path / name)])
 
     def child(argv: list[str]) -> subprocess.CompletedProcess:
         return subprocess.run([exe, "-m", "argprof.cli", *argv], capture_output=True, text=True, env=env)
 
     with ThreadPoolExecutor(max_workers=2) as pool:  # two children at a time
         for argv, ran in zip(calls, pool.map(child, calls)):
-            assert ran.returncode == 0, (argv, ran.stderr)
-            assert ran.stdout == _in_process(argv), argv
+            expected = _in_process(argv)
+            assert expected[0] == (Path(argv[-1]).name in MALFORMED), (argv, expected)
+            assert (ran.returncode, ran.stdout, ran.stderr) == expected, argv
