@@ -40,7 +40,6 @@ from .domain import (
     WellDefinednessError,
     bottom,
     canon_op,
-    canon_oset,
     canon_profile,
     canon_profile_seq,
     join_sets,

@@ -232,7 +232,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for i in sorted(verdict.mapping):
             print(f"  {i} <-> {verdict.mapping[i]}")
     else:
-        print(f"distinct: {args.pred1} vs {args.pred2}: {verdict.reason}")
+        # The profiles' text can be exponential in call depth: write it in
+        # parts, never joined.
+        sys.stdout.writelines(
+            [f"distinct: {args.pred1} vs {args.pred2}: ", *verdict.reason_parts(), "\n"]
+        )
     return 0
 
 

@@ -239,16 +239,35 @@ def canon_op(op: Operation) -> str:
     return op.canon
 
 
-def canon_oset(oset: OSet) -> str:
-    return "(" + ",".join(canon_op(o) for o in oset.ops) + ")->" + str(oset.target)
+def canon_profile_parts(parts: list[str], profile: ArgumentProfile) -> None:
+    """Append the text of ``canon_profile(profile)`` to ``parts``. Every
+    op's text is a part of its own, so a psi payload kept on its ``PsiOp``
+    is referred to, never copied, until the parts are joined or written."""
+    parts.append("{")
+    for n, oset in enumerate(profile.osets):
+        parts.append(";(" if n else "(")
+        for k, op in enumerate(oset.ops):
+            if k:
+                parts.append(",")
+            parts.append(canon_op(op))
+        parts.append(f")->{oset.target}")
+    parts.append("}")
 
 
 def canon_profile(profile: ArgumentProfile) -> str:
-    return "{" + ";".join(canon_oset(o) for o in profile.osets) + "}"
+    parts: list[str] = []
+    canon_profile_parts(parts, profile)
+    return "".join(parts)
 
 
 def canon_profile_seq(profiles: Sequence[ArgumentProfile]) -> str:
-    return "[" + "|".join(canon_profile(p) for p in profiles) + "]"
+    parts = ["["]
+    for n, profile in enumerate(profiles):
+        if n:
+            parts.append("|")
+        canon_profile_parts(parts, profile)
+    parts.append("]")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,16 @@ Python's recursion limit:
 * **Continuations.** The machine runs one clause body at a time: its
   instructions, the index of the next one, its variable bindings and the
   return record of the call that entered it. On reaching the end of a body
-  it copies the clause's output arguments into the caller's bindings and
-  resumes the caller after the call.
-* **Choice points and trail.** A call pushes a choice point: the callee's
-  clauses, the next one to try, the input values, the return record and
-  the trail height; its first clause is then entered the way backtracking
-  enters the next one. Every binding made in a clause body that existed
-  before the newest choice point is recorded on the trail; bodies entered
-  later are dropped whole on backtracking, so their bindings need no
-  record. Backtracking pops the trail down to the newest choice point's
-  height, undoing those bindings, and enters its next clause. A choice
-  point leaves the stack when no clause after the one entered can match.
+  it resumes the caller after the call, in a fresh copy of the caller's
+  bindings with the clause's output arguments added.
+* **Choice points.** A call pushes a choice point: the callee's clauses,
+  the next one to try, the input values and the return record; its first
+  clause is then entered the way backtracking enters the next one. Each
+  clause entered gets bindings of its own, and a call returns into a copy
+  of its caller's, so no bindings a return record holds are written after
+  the call. Backtracking has nothing to undo: it enters the next clause of
+  the choice point on top of the stack. A choice point leaves the stack
+  when no clause after the one entered can match.
 * **Clause selection.** As with ``switch_on_term`` in that engine, a clause
   whose body starts by deconstructing a head input has a key: the input's
   position and the functor and arity it expects. If the name is repeated
@@ -44,10 +43,9 @@ Python's recursion limit:
   it would have tried it. A clause without a key, or whose key agrees, is
   entered and runs its deconstruct like any atom, so checks and errors are
   unchanged. When no later clause can match, the call is determinate: it
-  leaves no choice point, so later bindings are not trailed, and the
-  steps of the clauses after the entered one stay on the choice stack as
-  a charge-only entry. Backtracking onto it only charges them; it does
-  not count as the newest choice point, and adjacent ones merge.
+  leaves no choice point, and the steps of the clauses after the entered
+  one stay on the choice stack as a charge-only entry. Backtracking onto
+  it only charges them, and adjacent ones merge.
 * **Queries.** A query is compiled into one flat goal on the same machine.
   Ground input terms are bound to fresh variables as parsed; input terms
   that use query variables are built when their atom is reached, with an
@@ -217,10 +215,10 @@ def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveE
 # and ends with the atom and query text it reports errors under:
 #   (_CALL, callee, input getter, output names, first repeated output, atom, where)
 #   (_DECONSTRUCT, var, functor, arity, names, names distinct, atom, where)
-#   (_CONSTRUCT, var, functor, argument getter, (var,), atom, where)
+#   (_CONSTRUCT, var, functor, argument getter, atom, where)
 #   (_TEST, left, right, atom, where)
-#   (_ASSIGN, target, source, (target,), atom, where)
-#   (_EVAL, name, query term, counts a step, (name,), atom, where)
+#   (_ASSIGN, target, source, atom, where)
+#   (_EVAL, name, query term, counts a step, atom, where)
 #   (_FAULT, counts a step, atom, where)
 _CALL, _DECONSTRUCT, _CONSTRUCT, _TEST, _ASSIGN, _EVAL, _FAULT = range(7)
 
@@ -266,11 +264,11 @@ def _compile_atom(flat: Atom, program: Program, atom: Atom, where: str | None) -
         return (_CALL, flat.pred, _getter(ins), outs, _first_repeat(outs), atom, where)
     if isinstance(flat, Construct):
         args = _getter(tuple([v.name for v in flat.args]))
-        return (_CONSTRUCT, flat.var.name, flat.functor, args, (flat.var.name,), atom, where)
+        return (_CONSTRUCT, flat.var.name, flat.functor, args, atom, where)
     if isinstance(flat, Test):
         return (_TEST, flat.left.name, flat.right.name, atom, where)
     if isinstance(flat, Assign):
-        return (_ASSIGN, flat.target.name, flat.source.name, (flat.target.name,), atom, where)
+        return (_ASSIGN, flat.target.name, flat.source.name, atom, where)
     raise TypeError(f"not an atom: {flat!r}")
 
 
@@ -317,9 +315,9 @@ def _admits(clause: _Clause, values: tuple[FunctorTerm, ...]) -> bool:
     return value.functor == key[1] and len(value.args) == key[2]
 
 
-def _term_names(terms: Iterable[Term]) -> Iterator[str]:
-    """Variable names of ``terms``, depth-first, left to right."""
-    stack = list(terms)[::-1]
+def _term_names(term: Term) -> Iterator[str]:
+    """Variable names of ``term``, depth-first, left to right."""
+    stack = [term]
     while stack:
         t = stack.pop()
         if isinstance(t, Var):
@@ -340,25 +338,38 @@ def _query_terms(qa: Atom) -> tuple[Term, ...]:
     raise TypeError(f"not a query atom: {qa!r}")
 
 
-def _compile_goal(goal: tuple[Atom, ...], program: Program, env: _Env) -> tuple[_Instr, ...]:
-    """The instructions of a query, with its ground input terms bound in
-    ``env`` under fresh names."""
+def _compile_goal(
+    goal: tuple[Atom, ...], program: Program, env: _Env
+) -> tuple[tuple[_Instr, ...], list[str]]:
+    """The instructions of a query and its variable names in order of first
+    occurrence, with its ground input terms bound in ``env`` under fresh
+    names."""
     code: list[_Instr] = []
+    names: dict[str, None] = {}
     serial = count(1)
     for index, qa in enumerate(goal, 1):
         where = f"goal atom {index}"
         counts_step = not isinstance(qa, Call)
+        # One walk of each term records its variable names and tells
+        # whether it is ground.
+        ground: set[int] = set()  # ids of the atom's terms without variables
+        for t in _query_terms(qa):
+            has_var = False
+            for name in _term_names(t):
+                names[name] = None
+                has_var = True
+            if not has_var:
+                ground.add(id(t))
 
         def holder(t: Term) -> Var:
             """A variable holding input term ``t``."""
             if isinstance(t, Var):
                 return t
             name = f"#{next(serial)}"
-            value = _build(t, {})
-            if value is None:
-                code.append((_EVAL, name, t, counts_step, (name,), qa, where))
+            if id(t) in ground:
+                env[name] = t
             else:
-                env[name] = value
+                code.append((_EVAL, name, t, counts_step, qa, where))
             return Var(name)
 
         flat: Atom | None = None
@@ -384,7 +395,7 @@ def _compile_goal(goal: tuple[Atom, ...], program: Program, env: _Env) -> tuple[
             code.append((_FAULT, counts_step, qa, where))
         else:
             code.append(_compile_atom(flat, program, qa, where))
-    return tuple(code)
+    return tuple(code), list(names)
 
 
 # ---------------------------------------------------------------------------
@@ -405,29 +416,19 @@ def solve(
     SolveError.
     """
     env: _Env = dict(bindings or {})
-    names = [
-        name
-        for name in dict.fromkeys(_term_names(t for qa in query.goal for t in _query_terms(qa)))
-        if name not in env
-    ]
-    body = _compile_goal(query.goal, program, env)
+    body, names = _compile_goal(query.goal, program, env)
+    names = [name for name in names if name not in env]
     procs = _Procedures(program)
     answers: list[Answer] = []
     budget = max_steps
-    # (bindings, names bound there) for each binding made before the newest
-    # choice point. The choice stack holds choice points,
-    # [clauses, next clause, stamp, input values, return record, trail height],
-    # and charge-only entries, [None, steps, stamp of the newest choice point].
-    trail: list[tuple[_Env, tuple[str, ...]]] = []
+    # The choice stack holds choice points,
+    # [clauses, next clause, input values, return record],
+    # and charge-only entries, [None, steps].
     choices: list[list] = []
-    # Stamps order bodies and choice points by creation: a body's bindings
-    # go on the trail when its stamp is below the newest choice point's.
-    clock = 0
-    newest = -1
-    # The running body: instructions, next index, bindings, stamp, clause
-    # output names and return record
-    # (call instruction, caller's body, index, bindings, stamp, outputs, return).
-    i, estamp, heads_out, ret = 0, 0, (), None
+    # The running body: instructions, next index, bindings, clause output
+    # names and return record
+    # (call instruction, caller's body, index, bindings, outputs, return).
+    i, heads_out, ret = 0, (), None
 
     while True:
         while True:
@@ -436,13 +437,13 @@ def solve(
                     answers.append({name: env[name] for name in names if name in env})
                     break
                 values = [env[name] for name in heads_out]
-                instr, body, i, env, estamp, heads_out, ret = ret
-                outs = instr[3]
+                instr, body, i, env, heads_out, ret = ret
                 if instr[4] is not None:
                     raise RuntimeModeError(f"{instr[4]} already bound at {_where(instr[5], instr[6])}")
-                env.update(zip(outs, values))
-                if estamp < newest:
-                    trail.append((env, outs))
+                # A choice point may re-enter the caller's bindings as they
+                # were at the call: continue in a copy.
+                env = dict(env)
+                env.update(zip(instr[3], values))
                 continue
 
             instr = body[i]
@@ -470,15 +471,13 @@ def solve(
                 clauses = procs[instr[1]]
                 if clauses:
                     # Backtracking below enters the first clause that can match.
-                    clock += 1
-                    record = (instr, body, i + 1, env, estamp, heads_out, ret)
-                    choices.append([clauses, 0, clock, values, record, len(trail)])
+                    choices.append([clauses, 0, values, (instr, body, i + 1, env, heads_out, ret)])
                 break
             elif kind == _CONSTRUCT:
                 budget -= 1
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                _, var, functor, args, bound, atom, where = instr
+                _, var, functor, args, atom, where = instr
                 try:
                     value = FunctorTerm(functor, args(env))
                 except KeyError:
@@ -490,7 +489,7 @@ def solve(
                 budget -= 1
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                _, target, source, bound, atom, where = instr
+                _, target, source, atom, where = instr
                 value = env.get(source)
                 if value is None or target in env:
                     raise _fault(atom, where, env, program)
@@ -505,10 +504,8 @@ def solve(
                     raise _fault(atom, where, env, program)
                 if a != b:
                     break
-                i += 1
-                continue
             elif kind == _EVAL:
-                _, name, term, counts_step, bound, atom, where = instr
+                _, name, term, counts_step, atom, where = instr
                 value = _build(term, env)
                 if value is None:
                     if counts_step and budget <= 0:
@@ -524,13 +521,11 @@ def solve(
                     raise err
                 budget -= counts_step
                 break
-            if estamp < newest:
-                trail.append((env, bound))
             i += 1
 
-        # Backtrack: undo the newest choice point's bindings and enter its
-        # next clause that admits the input. Passing over a clause costs the
-        # 2 steps of entering it and failing its first atom.
+        # Backtrack: enter the top choice point's next clause that admits
+        # the input. Passing over a clause costs the 2 steps of entering it
+        # and failing its first atom.
         while True:
             if not choices:
                 return answers
@@ -541,11 +536,7 @@ def solve(
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
                 continue
-            _, k, stamp, values, ret, height = choice
-            while len(trail) > height:
-                bound_env, bound = trail.pop()
-                for name in bound:
-                    del bound_env[name]
+            _, k, values, ret = choice
             n = len(clauses)
             first = k
             while k < n and not _admits(clauses[k], values):
@@ -562,18 +553,14 @@ def solve(
             if later < n:
                 choice[1] = k + 1
                 choices.append(choice)
-                newest = stamp
-            else:
+            elif k + 1 < n:
                 # A determinate call: the clauses after this one only cost
                 # their steps, charged when backtracking reaches them.
-                newest = choices[-1][2] if choices else -1
-                if k + 1 < n:
-                    if choices and choices[-1][0] is None:
-                        choices[-1][1] += 2 * (n - k - 1)
-                    else:
-                        choices.append([None, 2 * (n - k - 1), newest])
+                if choices and choices[-1][0] is None:
+                    choices[-1][1] += 2 * (n - k - 1)
+                else:
+                    choices.append([None, 2 * (n - k - 1)])
             head_ins, heads_out, body, _ = clauses[k]
             env = dict(zip(head_ins, values))
-            estamp = clock
             i = 0
             break

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .analysis import Environment
-from .domain import canon_profile, strip_points
+from .domain import ArgumentProfile, canon_profile_parts, strip_points
 from .ordering import OrderedProfile, oprof
 from .syntax import Atom, Call, Clause, Predicate, Program, make_program
 
@@ -88,20 +88,39 @@ class Equivalent:
 
 @dataclass(frozen=True)
 class Distinct:
-    reason: str
+    """Why two predicates are not profile-equivalent: their arities differ,
+    or their ordered profiles first differ at ``position`` (1-based), where
+    they are ``profiles``."""
+
+    arities: tuple[int, int]
+    position: int | None = None
+    profiles: tuple[ArgumentProfile, ArgumentProfile] | None = None
+
+    def reason_parts(self) -> list[str]:
+        """The text of ``reason`` in parts, every op's text a part of its
+        own (see ``canon_profile_parts``), for writing without joining."""
+        if self.profiles is None:
+            return [f"arity mismatch ({self.arities[0]} vs {self.arities[1]})"]
+        parts = [f"ordered profiles differ at position {self.position}: "]
+        canon_profile_parts(parts, self.profiles[0])
+        parts.append(" vs ")
+        canon_profile_parts(parts, self.profiles[1])
+        return parts
+
+    @property
+    def reason(self) -> str:
+        return "".join(self.reason_parts())
 
 
 def compare(p: Predicate, q: Predicate, env: Environment) -> Equivalent | Distinct:
     """Decide profile equivalence of two analyzed predicates."""
     if p.arity != q.arity:
-        return Distinct(f"arity mismatch ({p.arity} vs {q.arity})")
+        return Distinct((p.arity, q.arity))
     op_p = ordered_profile_of(p, env)
     op_q = ordered_profile_of(q, env)
     # Structural equality is canonical equality: psi ops are hash-consed.
     for k, (a, b) in enumerate(zip(op_p.profiles, op_q.profiles), start=1):
         if a != b:
-            return Distinct(
-                f"ordered profiles differ at position {k}: {canon_profile(a)} vs {canon_profile(b)}"
-            )
+            return Distinct((p.arity, q.arity), k, (a, b))
     mapping = {op_p.permutation[k]: op_q.permutation[k] for k in range(p.arity)}
     return Equivalent(mapping)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from argprof import (
+    Call,
     FunctorTerm,
+    Query,
     RuntimeModeError,
     SolveError,
     StepLimitExceeded,
@@ -29,6 +32,7 @@ from helpers import (
     answer_multiset,
     fixture_names,
     gen_input_term,
+    gen_program_source,
     load_fixture,
     reference_solve,
 )
@@ -230,12 +234,12 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-def assert_agrees(program, query, bindings=None):
-    """``solve`` gives the reference's outcome at a large limit, again at
+def assert_agrees(program, query, bindings=None, limit=ORACLE_LIMIT):
+    """``solve`` gives the reference's outcome at ``limit``, again at
     exactly the steps the reference used, and runs out one step earlier."""
-    steps = ReferenceSteps(ORACLE_LIMIT)
+    steps = ReferenceSteps(limit)
     expected = _outcome(lambda: reference_solve(program, query, bindings=bindings, steps=steps))
-    assert _outcome(lambda: solve(program, query, ORACLE_LIMIT, bindings)) == expected
+    assert _outcome(lambda: solve(program, query, limit, bindings)) == expected
     if expected[0] is not StepLimitExceeded:
         assert _outcome(lambda: solve(program, query, steps.used, bindings)) == expected
         if steps.used:
@@ -511,6 +515,57 @@ def test_oracle_soundness_queries():
                 assert_agrees(normalized, query)
 
 
+# The test-07 corpus backtracks into calls far more than the fixtures do.
+# The reference nests generator frames as it takes steps: at a 500-step
+# limit it exceeds Python's default recursion limit on 97 of the corpus
+# queries, at 300 on none.
+CORPUS_ORACLE_LIMIT = 300
+CORPUS_SOUNDNESS_LIMIT = 2_000
+
+
+def _corpus_queries():
+    """Each test-07 corpus program, with one seeded well-moded query per
+    predicate: (predicate, query, query arguments)."""
+    from test_acceptance import _query_for
+
+    corpus = random.Random(0xBEEF)
+    rng = random.Random(0x5EED)
+    for _ in range(200):
+        program = parse_program(gen_program_source(corpus))
+        yield program, [(pred, *_query_for(pred, rng)) for pred in program.predicates.values()]
+
+
+def test_oracle_corpus_predicates():
+    outcomes = Counter()
+    for program, queries in _corpus_queries():
+        for _pred, query, _args in queries:
+            outcomes[assert_agrees(program, query, limit=CORPUS_ORACLE_LIMIT)[0]] += 1
+    assert sum(outcomes.values()) == 656
+    assert outcomes["answers"] > 100 and outcomes[StepLimitExceeded] > 100
+
+
+def _limited_outcome(program, query):
+    try:
+        return answer_multiset(solve(program, query, CORPUS_SOUNDNESS_LIMIT))
+    except StepLimitExceeded:
+        return "step-limit"
+
+
+def test_corpus_normalization_soundness():
+    # Test 09 on the corpus: the original and the normalized program give
+    # the same outcome on each query, its arguments permuted for the latter.
+    answered = 0
+    for program, queries in _corpus_queries():
+        normalization = plan(program, run_analysis(program)[0])
+        normalized = rewrite(program, normalization)
+        for pred, query, args in queries:
+            permuted = tuple(args[orig - 1] for orig in normalization[pred.name])
+            expected = _limited_outcome(program, query)
+            assert _limited_outcome(normalized, Query((Call(0, 0, 0, pred.name, permuted),))) == expected
+            answered += expected != "step-limit"
+    assert answered > 100
+
+
 @pytest.mark.parametrize(
     ("program_file", "text", "steps"),
     [
@@ -595,8 +650,9 @@ def test_app_on_20000_elements_within_the_default_limit():
 
 def test_determinate_calls_leave_nothing_to_undo():
     # Every call of nrev and app selects its one matching clause, so no
-    # binding is kept for backtracking: the peak stays far below the
-    # trail of one entry per binding that a choice point per call keeps.
+    # choice point, and no bindings it could return to, outlive the call:
+    # the peak stays far below the bindings of every body entered, which a
+    # choice point per call would keep alive.
     program = parse_program((Path(__file__).parent.parent / "perfbench" / "nrev.lp").read_text())
     query = parse_query(f"?- nrev({_list_text(['a', 'b', 'c'] * 100)}, R).")
     tracemalloc.start()

@@ -29,6 +29,7 @@ from helpers import (
     fixture_names,
     gen_input_term,
     load_fixture,
+    reference_canon_profile,
 )
 
 
@@ -146,7 +147,8 @@ def test_compare_arity_mismatch():
     program, env = _analyzed("double_append.lp")
     verdict = compare(program.predicates["app"], program.predicates["dapp"], env)
     assert isinstance(verdict, Distinct)
-    assert "arity mismatch" in verdict.reason
+    assert verdict.reason == "arity mismatch (3 vs 4)"
+    assert verdict.arities == (3, 4) and verdict.position is verdict.profiles is None
 
 
 def test_compare_same_shape_different_functors():
@@ -158,7 +160,15 @@ def test_compare_same_shape_different_functors():
     env, _ = run_analysis(combined)
     verdict = compare(combined.predicates["app"], combined.predicates["add"], env)
     assert isinstance(verdict, Distinct)
-    assert "position 1" in verdict.reason
+    assert verdict.position == 1
+    # The verdict keeps the two differing ordered profiles; its reason is
+    # their canonical text.
+    a, b = verdict.profiles
+    assert a == ordered_profile_of(combined.predicates["app"], env).profiles[0]
+    assert b == ordered_profile_of(combined.predicates["add"], env).profiles[0]
+    assert verdict.reason == (
+        f"ordered profiles differ at position 1: {reference_canon_profile(a)} vs {reference_canon_profile(b)}"
+    )
 
 
 def test_compare_is_equivalence_on_fixture():
