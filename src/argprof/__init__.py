@@ -16,7 +16,6 @@ from .analysis import (
     analyze_atom,
     analyze_predicate,
     initial_environment,
-    leafs,
     project,
     round_counts,
     run_analysis,

@@ -38,7 +38,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .domain import (
     ASSIGN,
@@ -54,7 +53,7 @@ from .domain import (
     strip_points,
 )
 from .ordering import oprof
-from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Test
+from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, Test
 
 Environment = dict[str, InteractionSet]
 
@@ -71,12 +70,14 @@ class NonDirectRecursionError(AnalysisError):
         self.remaining = remaining
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    round: int
-    predicate: str
-    snapshot: InteractionSet
-    changed: bool
+class TraceEntry(Record):
+    __slots__ = __match_args__ = ("round", "predicate", "snapshot", "changed")
+
+    def __init__(self, round: int, predicate: str, snapshot: InteractionSet, changed: bool):
+        self.round = round
+        self.predicate = predicate
+        self.snapshot = snapshot
+        self.changed = changed
 
 
 AnalysisTrace = list[TraceEntry]
@@ -299,17 +300,6 @@ def analyze_predicate(
         if grown:
             state.keep_formal_pairs(builder, _close(builder, grown))
     return state.acc.freeze()
-
-
-def leafs(
-    remaining: set[str], analyzed: set[str], call_graph: dict[str, frozenset[str]]
-) -> set[str]:
-    """Predicates whose callees are all themselves or already analyzed."""
-    return {
-        p
-        for p in remaining
-        if all(q == p or q in analyzed for q in call_graph.get(p, ()))
-    }
 
 
 def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:

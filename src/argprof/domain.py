@@ -53,13 +53,14 @@ costs time linear in the length of the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import count
 from operator import attrgetter
 from threading import Lock
 from typing import ClassVar, Iterable, Sequence
 from weakref import WeakValueDictionary
+
+from .syntax import Record
 
 
 class DomainError(ValueError):
@@ -75,41 +76,68 @@ class WellDefinednessError(DomainError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssignOp:
-    canon: ClassVar[str] = "assign"
+class _NullaryOp(Record):
+    """An operation without parameters: all ops of one class are equal."""
+
+    __slots__ = ()
+    canon: ClassVar[str]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self.canon)
 
 
-@dataclass(frozen=True)
-class TestOp:
-    canon: ClassVar[str] = "test"
+class AssignOp(_NullaryOp):
+    __slots__ = ()
+    canon = "assign"
 
 
-@dataclass(frozen=True)
-class ConstructOp:
-    functor: str
-    arity: int
-
-    @cached_property
-    def canon(self) -> str:
-        return f"construct:{self.functor}/{self.arity}"
+class TestOp(_NullaryOp):
+    __slots__ = ()
+    canon = "test"
 
 
-@dataclass(frozen=True)
-class DeconstructOp:
-    functor: str
-    arity: int
-
-    @cached_property
-    def canon(self) -> str:
-        return f"deconstruct:{self.functor}/{self.arity}"
-
-
-@dataclass(frozen=True)
-class PsiBotOp:
+class PsiBotOp(_NullaryOp):
     """Placeholder for a directly recursive call with no profile yet."""
 
-    canon: ClassVar[str] = "psi_bot"
+    __slots__ = ()
+    canon = "psi_bot"
+
+
+class _FunctorOp(Record):
+    """A construction or deconstruction of ``functor/arity``. Its canonical
+    string is built with the op, and equality and hashing use it."""
+
+    __slots__ = ("functor", "arity", "canon")
+    __match_args__ = ("functor", "arity")
+    kind: ClassVar[str]
+
+    def __init__(self, functor: str, arity: int):
+        self.functor = functor
+        self.arity = arity
+        self.canon = f"{self.kind}:{functor}/{arity}"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.canon == other.canon
+
+    def __hash__(self) -> int:
+        return hash(self.canon)
+
+
+class ConstructOp(_FunctorOp):
+    __slots__ = ()
+    kind = "construct"
+
+
+class DeconstructOp(_FunctorOp):
+    __slots__ = ()
+    kind = "deconstruct"
 
 
 class PsiOp:
@@ -181,18 +209,38 @@ PSI_BOT = PsiBotOp()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OSet:
+class OSet(Record):
     """One dataflow relation of an argument: an operation multiset and the
     position of the argument it flows into."""
 
-    ops: tuple[Operation, ...]  # sorted by canon_op, multiplicity preserved
-    target: int
+    __slots__ = __match_args__ = ("ops", "target")
+
+    def __init__(self, ops: tuple[Operation, ...], target: int):
+        self.ops = ops  # sorted by canon_op, multiplicity preserved
+        self.target = target
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not OSet:
+            return NotImplemented
+        return self.target == other.target and self.ops == other.ops
+
+    def __hash__(self) -> int:
+        return hash((self.ops, self.target))
 
 
-@dataclass(frozen=True)
-class ArgumentProfile:
-    osets: tuple[OSet, ...]  # sorted by target, at most one per target
+class ArgumentProfile(Record):
+    __slots__ = __match_args__ = ("osets",)
+
+    def __init__(self, osets: tuple[OSet, ...]):
+        self.osets = osets  # sorted by target, at most one per target
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ArgumentProfile:
+            return NotImplemented
+        return self.osets == other.osets
+
+    def __hash__(self) -> int:
+        return hash(self.osets)
 
     def is_empty(self) -> bool:
         return not self.osets
@@ -349,19 +397,27 @@ Pair = tuple[str, str]
 PointOps = dict[int, Operation]
 
 
-@dataclass(frozen=True)
-class InteractionSet:
+class InteractionSet(Record):
     """A well-defined interaction set for one predicate.
 
     ``pairs`` maps each (source, target) pair to its operations keyed by
     program point. ``input_args`` are the owner's input formal argument
     names; they are the only variables that may never appear as targets.
-    Neither ``pairs`` nor any op dict in it is ever mutated.
+    Neither ``pairs`` nor any op dict in it is ever mutated. A set holds
+    dicts, so it is not hashable.
     """
 
-    owner: str
-    input_args: frozenset[str]
-    pairs: dict[Pair, PointOps]
+    __slots__ = __match_args__ = ("owner", "input_args", "pairs")
+
+    def __init__(self, owner: str, input_args: frozenset[str], pairs: dict[Pair, PointOps]):
+        self.owner = owner
+        self.input_args = input_args
+        self.pairs = pairs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not InteractionSet:
+            return NotImplemented
+        return self.owner == other.owner and self.input_args == other.input_args and self.pairs == other.pairs
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -9,24 +9,26 @@ raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .syntax import Program, atom_inputs, atom_outputs
+from .syntax import Program, Record, atom_inputs, atom_outputs
 
 
-@dataclass(frozen=True)
-class Violation:
-    line: int
-    col: int
-    message: str
+class Violation(Record):
+    __slots__ = __match_args__ = ("line", "col", "message")
+
+    def __init__(self, line: int, col: int, message: str):
+        self.line = line
+        self.col = col
+        self.message = message
 
     def render(self, filename: str = "<input>") -> str:
         return f"{filename}:{self.line}:{self.col}: error: {self.message}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = __match_args__ = ("violations",)
+
+    def __init__(self) -> None:
+        self.violations: list[Violation] = []
 
     def ok(self) -> bool:
         return not self.violations

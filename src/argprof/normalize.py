@@ -14,12 +14,10 @@ results are reported as profile equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .analysis import Environment
 from .domain import ArgumentProfile, canon_profile_parts, strip_points
 from .ordering import OrderedProfile, oprof
-from .syntax import Atom, Call, Clause, Predicate, Program, make_program
+from .syntax import Atom, Call, Clause, Predicate, Program, Record, make_program
 
 NormalizationPlan = dict[str, tuple[int, ...]]
 
@@ -65,7 +63,8 @@ def rewrite(program: Program, normalization: NormalizationPlan) -> Program:
             body: list[Atom] = []
             for atom in clause.body:
                 if isinstance(atom, Call):
-                    body.append(replace(atom, args=_permute(atom.args, normalization[atom.pred])))
+                    args = _permute(atom.args, normalization[atom.pred])
+                    body.append(Call(atom.point, atom.line, atom.col, atom.pred, args))
                 else:
                     body.append(atom)
             clauses.append(
@@ -77,24 +76,33 @@ def rewrite(program: Program, normalization: NormalizationPlan) -> Program:
     return make_program(preds)
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(Record):
     """Profile equivalence with a positional witness: ``mapping[i]`` is the
     position in the second predicate playing the role of position i in the
     first (1-based)."""
 
-    mapping: dict[int, int]
+    __slots__ = __match_args__ = ("mapping",)
+
+    def __init__(self, mapping: dict[int, int]):
+        self.mapping = mapping
 
 
-@dataclass(frozen=True)
-class Distinct:
+class Distinct(Record):
     """Why two predicates are not profile-equivalent: their arities differ,
     or their ordered profiles first differ at ``position`` (1-based), where
     they are ``profiles``."""
 
-    arities: tuple[int, int]
-    position: int | None = None
-    profiles: tuple[ArgumentProfile, ArgumentProfile] | None = None
+    __slots__ = __match_args__ = ("arities", "position", "profiles")
+
+    def __init__(
+        self,
+        arities: tuple[int, int],
+        position: int | None = None,
+        profiles: tuple[ArgumentProfile, ArgumentProfile] | None = None,
+    ):
+        self.arities = arities
+        self.position = position
+        self.profiles = profiles
 
     def reason_parts(self) -> list[str]:
         """The text of ``reason`` in parts, every op's text a part of its

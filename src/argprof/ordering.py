@@ -27,7 +27,6 @@ differ only by an argument permutation get identical ordered profiles.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .domain import (
@@ -41,6 +40,7 @@ from .domain import (
     cmp_canon_profile,
     make_profile,
 )
+from .syntax import Record
 
 
 def features(profile: ArgumentProfile) -> tuple[int, int, int, int, int, int]:
@@ -75,14 +75,16 @@ def compare_profiles(a: ArgumentProfile, b: ArgumentProfile) -> int:
     return cmp_canon_profile(a, b)
 
 
-@dataclass(frozen=True)
-class OrderedProfile:
+class OrderedProfile(Record):
     """Argument profiles sorted ascending, with targets remapped to new
     positions. ``permutation[k]`` is the original position (1-based) of the
     argument now at position k+1."""
 
-    profiles: tuple[ArgumentProfile, ...]
-    permutation: tuple[int, ...]
+    __slots__ = __match_args__ = ("profiles", "permutation")
+
+    def __init__(self, profiles: tuple[ArgumentProfile, ...], permutation: tuple[int, ...]):
+        self.profiles = profiles
+        self.permutation = permutation
 
 
 def oprof(per_arg: Sequence[ArgumentProfile]) -> OrderedProfile:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress, islice
 
 from .syntax import (
@@ -37,6 +36,7 @@ from .syntax import (
     Mode,
     Predicate,
     Program,
+    Record,
     Term,
     Test,
     Var,
@@ -160,8 +160,8 @@ def _bad_character(source: str, parts: list[str]) -> LexError:
 
 
 class _Vars(dict):
-    """One ``Var`` per name within a parse; ``Var`` is frozen and compares
-    by name, so sharing it is safe."""
+    """One ``Var`` per name within a parse; a ``Var`` is never changed and
+    compares by name, so sharing it is safe."""
 
     def __missing__(self, name: str) -> Var:
         var = self[name] = Var(name)
@@ -364,12 +364,22 @@ def parse_program(source: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     """A goal: atoms of the program's classes with point 0, whose argument
     positions may hold nested terms."""
 
-    goal: tuple[Atom, ...]
+    __slots__ = __match_args__ = ("goal",)
+
+    def __init__(self, goal: tuple[Atom, ...]):
+        self.goal = goal
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Query:
+            return NotImplemented
+        return self.goal == other.goal
+
+    def __hash__(self) -> int:
+        return hash(self.goal)
 
 
 def parse_query(source: str) -> Query:

@@ -17,28 +17,55 @@ and the answers it computes are terms of one class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Mapping
 
 Mode = Literal["in", "out"]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Record:
+    """Base of the value classes: plain classes with ``__slots__``, whose
+    fields are named in ``__match_args__`` in constructor order. A record
+    prints as ``Name(field=value, ...)``. Never assign to a record's fields
+    once it is built. The classes that are compared or hashed define
+    ``__eq__`` and ``__hash__`` themselves, and a value never equals one of
+    another class."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Var(Record):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class FunctorTerm:
+class FunctorTerm(Record):
     """A functor applied to terms: a nested term of a query, or a ground
     value the interpreter computes. Equality, hashing and printing use
     explicit stacks or look one level down, so they work at any depth."""
 
-    functor: str
-    args: tuple[Term, ...] = ()
+    __slots__ = __match_args__ = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple[Term, ...] = ()):
+        self.functor = functor
+        self.args = args
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FunctorTerm):
@@ -107,56 +134,102 @@ def format_ground(t: Term) -> str:
     return _render(t, str, lambda g: g.functor + "(" if g.args else g.functor, lambda g: ")" if g.args else "")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """Base of all body atoms. ``point`` is the global program point (0 in a
-    query); ``line`` and ``col`` place the atom's first token."""
+    query); ``line`` and ``col`` place the atom's first token. Atoms compare
+    and hash by their class and ``_key``, every field but ``line`` and
+    ``col``."""
 
-    point: int
-    line: int = field(compare=False)
-    col: int = field(compare=False)
+    __slots__ = ("point", "line", "col")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class Deconstruct(Atom):
+class _Unification(Atom):
+    """The fields of ``V => f(X1,...,Xn)`` and ``V <= f(X1,...,Xn)``."""
+
+    __slots__ = ("var", "functor", "args")
+    __match_args__ = ("point", "line", "col", "var", "functor", "args")
+
+    def __init__(self, point: int, line: int, col: int, var: Term, functor: str, args: tuple[Term, ...]):
+        self.point = point
+        self.line = line
+        self.col = col
+        self.var = var
+        self.functor = functor
+        self.args = args
+
+    def _key(self) -> tuple:
+        return (self.point, self.var, self.functor, self.args)
+
+
+class Deconstruct(_Unification):
     """``V => f(X1,...,Xn)``: V is input, the Xi are output."""
 
-    var: Term
-    functor: str
-    args: tuple[Term, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Construct(Atom):
+class Construct(_Unification):
     """``V <= f(X1,...,Xn)``: the Xi are input, V is output."""
 
-    var: Term
-    functor: str
-    args: tuple[Term, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Test(Atom):
     """``V == W``: both input."""
 
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+    __match_args__ = ("point", "line", "col", "left", "right")
+
+    def __init__(self, point: int, line: int, col: int, left: Term, right: Term):
+        self.point = point
+        self.line = line
+        self.col = col
+        self.left = left
+        self.right = right
+
+    def _key(self) -> tuple:
+        return (self.point, self.left, self.right)
 
 
-@dataclass(frozen=True)
 class Assign(Atom):
     """``V := W``: W is input, V is output."""
 
-    target: Term
-    source: Term
+    __slots__ = ("target", "source")
+    __match_args__ = ("point", "line", "col", "target", "source")
+
+    def __init__(self, point: int, line: int, col: int, target: Term, source: Term):
+        self.point = point
+        self.line = line
+        self.col = col
+        self.target = target
+        self.source = source
+
+    def _key(self) -> tuple:
+        return (self.point, self.target, self.source)
 
 
-@dataclass(frozen=True)
 class Call(Atom):
     """``p(X1,...,Xn)``: moded per the callee's declaration."""
 
-    pred: str
-    args: tuple[Term, ...]
+    __slots__ = ("pred", "args")
+    __match_args__ = ("point", "line", "col", "pred", "args")
+
+    def __init__(self, point: int, line: int, col: int, pred: str, args: tuple[Term, ...]):
+        self.point = point
+        self.line = line
+        self.col = col
+        self.pred = pred
+        self.args = args
+
+    def _key(self) -> tuple:
+        return (self.point, self.pred, self.args)
 
 
 def atom_inputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[Var, ...]:
@@ -191,22 +264,59 @@ def atom_outputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[
     raise TypeError(f"not an atom: {atom!r}")
 
 
-@dataclass(frozen=True)
-class Clause:
-    head_args: tuple[Var, ...]
-    body: tuple[Atom, ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class Clause(Record):
+    """A clause's head arguments and body; ``line`` and ``col`` place its
+    head and are left out of equality."""
+
+    __slots__ = __match_args__ = ("head_args", "body", "line", "col")
+
+    def __init__(self, head_args: tuple[Var, ...], body: tuple[Atom, ...], line: int = 0, col: int = 0):
+        self.head_args = head_args
+        self.body = body
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Clause:
+            return NotImplemented
+        return self.head_args == other.head_args and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.head_args, self.body))
 
 
-@dataclass(frozen=True)
-class Predicate:
-    name: str
-    arity: int
-    modes: tuple[Mode, ...]
-    clauses: tuple[Clause, ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class Predicate(Record):
+    """A predicate's declaration and clauses; ``line`` and ``col`` place
+    its declaration and are left out of equality."""
+
+    __slots__ = __match_args__ = ("name", "arity", "modes", "clauses", "line", "col")
+
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        modes: tuple[Mode, ...],
+        clauses: tuple[Clause, ...],
+        line: int = 0,
+        col: int = 0,
+    ):
+        self.name = name
+        self.arity = arity
+        self.modes = modes
+        self.clauses = clauses
+        self.line = line
+        self.col = col
+
+    def _key(self) -> tuple:
+        return (self.name, self.arity, self.modes, self.clauses)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Predicate:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def args(self) -> tuple[Var, ...]:
@@ -229,12 +339,27 @@ class Predicate:
         return [a.point for c in self.clauses for a in c.body]
 
 
-@dataclass(frozen=True)
-class Program:
-    predicates: dict[str, Predicate]
-    call_graph: dict[str, frozenset[str]]
-    # point -> owning predicate name, derived; excluded from equality
-    point_owner: dict[int, str] = field(compare=False, default_factory=dict)
+class Program(Record):
+    """The predicates by name and the call graph. ``point_owner`` maps each
+    program point to the name of its predicate; it is derived, and left out
+    of equality. A program holds dicts, so it is not hashable."""
+
+    __slots__ = __match_args__ = ("predicates", "call_graph", "point_owner")
+
+    def __init__(
+        self,
+        predicates: dict[str, Predicate],
+        call_graph: dict[str, frozenset[str]],
+        point_owner: dict[int, str] | None = None,
+    ):
+        self.predicates = predicates
+        self.call_graph = call_graph
+        self.point_owner = {} if point_owner is None else point_owner
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Program:
+            return NotImplemented
+        return self.predicates == other.predicates and self.call_graph == other.call_graph
 
     def owner_of_point(self, point: int) -> str:
         return self.point_owner[point]

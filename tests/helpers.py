@@ -38,7 +38,6 @@ from argprof import (
     canon_profile,
     features,
     join_sets,
-    leafs,
     make_interaction_set,
     oprof,
     parse_program,
@@ -150,6 +149,17 @@ def reference_analyze_predicate(pred: Predicate, env: dict, program: Program) ->
         projected = {pair: ops for pair, ops in closed.items() if set(pair) <= formals}
         acc = join_sets(make_interaction_set(pred.name, inputs, projected), acc)
     return acc
+
+
+def leafs(
+    remaining: set[str], analyzed: set[str], call_graph: dict[str, frozenset[str]]
+) -> set[str]:
+    """Predicates whose callees are all themselves or already analyzed."""
+    return {
+        p
+        for p in remaining
+        if all(q == p or q in analyzed for q in call_graph.get(p, ()))
+    }
 
 
 def reference_run_analysis(

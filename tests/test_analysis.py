@@ -23,7 +23,6 @@ from argprof import (
     bottom,
     canon_op,
     initial_environment,
-    leafs,
     leq_sets,
     parse_program,
     project,
@@ -39,6 +38,7 @@ from helpers import (
     fixture_names,
     gen_program_source,
     iset,
+    leafs,
     load_fixture,
     naive_closure,
     random_chained_set,

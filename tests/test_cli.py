@@ -298,6 +298,20 @@ def test_only_run_imports_the_interpreter(argv, loaded):
     assert (result.returncode, result.stderr.splitlines()[-1]) == (0, str(loaded))
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Start-up cost: the value classes are plain slotted classes, so
+    # importing the command line generates no code and needs neither module.
+    code = "import sys, argprof, argprof.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def test_missing_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.lp"]) == 1
 

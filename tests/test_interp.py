@@ -5,14 +5,17 @@ from __future__ import annotations
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from argprof import (
     Call,
+    Clause,
+    Deconstruct,
     FunctorTerm,
+    Predicate,
+    Program,
     Query,
     RuntimeModeError,
     SolveError,
@@ -389,12 +392,18 @@ def _selection_program():
     program = parse_program(SELECTION)
     preds = dict(program.predicates)
     rep = preds["rep"]
-    clauses = tuple(replace(c, head_args=(c.head_args[0], c.head_args[0], c.head_args[2])) for c in rep.clauses)
-    preds["rep"] = replace(rep, clauses=clauses)
+    clauses = tuple(
+        Clause((c.head_args[0], c.head_args[0], c.head_args[2]), c.body, c.line, c.col) for c in rep.clauses
+    )
+    preds["rep"] = Predicate(rep.name, rep.arity, rep.modes, clauses, rep.line, rep.col)
     arity = preds["arity"]
-    clauses = tuple(replace(c, body=(replace(c.body[0], functor="f"), *c.body[1:])) for c in arity.clauses)
-    preds["arity"] = replace(arity, clauses=clauses)
-    return replace(program, predicates=preds)
+    clauses = []
+    for c in arity.clauses:
+        d = c.body[0]
+        first = Deconstruct(d.point, d.line, d.col, d.var, "f", d.args)
+        clauses.append(Clause(c.head_args, (first, *c.body[1:]), c.line, c.col))
+    preds["arity"] = Predicate(arity.name, arity.arity, arity.modes, tuple(clauses), arity.line, arity.col)
+    return Program(preds, program.call_graph, program.point_owner)
 
 
 def test_oracle_clause_selection():
