@@ -60,7 +60,7 @@ from threading import Lock
 from typing import ClassVar, Iterable, Sequence
 from weakref import WeakValueDictionary
 
-from .syntax import Record
+from .syntax import Value
 
 
 class DomainError(ValueError):
@@ -76,19 +76,12 @@ class WellDefinednessError(DomainError):
 # ---------------------------------------------------------------------------
 
 
-class _NullaryOp(Record):
+class _NullaryOp(Value):
     """An operation without parameters: all ops of one class are equal."""
 
     __slots__ = ()
     canon: ClassVar[str]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(self.canon)
+    _key = attrgetter("canon")
 
 
 class AssignOp(_NullaryOp):
@@ -108,26 +101,19 @@ class PsiBotOp(_NullaryOp):
     canon = "psi_bot"
 
 
-class _FunctorOp(Record):
+class _FunctorOp(Value):
     """A construction or deconstruction of ``functor/arity``. Its canonical
-    string is built with the op, and equality and hashing use it."""
+    string is built with the op, and is its key."""
 
     __slots__ = ("functor", "arity", "canon")
     __match_args__ = ("functor", "arity")
     kind: ClassVar[str]
+    _key = attrgetter("canon")
 
     def __init__(self, functor: str, arity: int):
         self.functor = functor
         self.arity = arity
         self.canon = f"{self.kind}:{functor}/{arity}"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.canon == other.canon
-
-    def __hash__(self) -> int:
-        return hash(self.canon)
 
 
 class ConstructOp(_FunctorOp):
@@ -209,41 +195,24 @@ PSI_BOT = PsiBotOp()
 # ---------------------------------------------------------------------------
 
 
-class OSet(Record):
+class OSet(Value):
     """One dataflow relation of an argument: an operation multiset and the
     position of the argument it flows into."""
 
     __slots__ = __match_args__ = ("ops", "target")
+    _key = attrgetter("ops", "target")
 
     def __init__(self, ops: tuple[Operation, ...], target: int):
         self.ops = ops  # sorted by canon_op, multiplicity preserved
         self.target = target
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not OSet:
-            return NotImplemented
-        return self.target == other.target and self.ops == other.ops
 
-    def __hash__(self) -> int:
-        return hash((self.ops, self.target))
-
-
-class ArgumentProfile(Record):
+class ArgumentProfile(Value):
     __slots__ = __match_args__ = ("osets",)
+    _key = attrgetter("osets")
 
     def __init__(self, osets: tuple[OSet, ...]):
         self.osets = osets  # sorted by target, at most one per target
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ArgumentProfile:
-            return NotImplemented
-        return self.osets == other.osets
-
-    def __hash__(self) -> int:
-        return hash(self.osets)
-
-    def is_empty(self) -> bool:
-        return not self.osets
 
 
 def make_oset(ops: Iterable[Operation], target: int) -> OSet:
@@ -397,7 +366,7 @@ Pair = tuple[str, str]
 PointOps = dict[int, Operation]
 
 
-class InteractionSet(Record):
+class InteractionSet(Value):
     """A well-defined interaction set for one predicate.
 
     ``pairs`` maps each (source, target) pair to its operations keyed by
@@ -408,16 +377,13 @@ class InteractionSet(Record):
     """
 
     __slots__ = __match_args__ = ("owner", "input_args", "pairs")
+    _key = attrgetter("owner", "input_args", "pairs")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, owner: str, input_args: frozenset[str], pairs: dict[Pair, PointOps]):
         self.owner = owner
         self.input_args = input_args
         self.pairs = pairs
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not InteractionSet:
-            return NotImplemented
-        return self.owner == other.owner and self.input_args == other.input_args and self.pairs == other.pairs
 
     def __len__(self) -> int:
         return len(self.pairs)

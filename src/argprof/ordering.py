@@ -19,9 +19,11 @@ comment block "Canonical order without the strings" in ``domain``.
 ``oprof`` sorts a predicate's argument profiles by this order (stable on
 the original argument index for canonically equal profiles), keeps empty
 profiles in the sequence, and rewrites every o-set target to the target
-argument's new position. Sorting is what makes the result insensitive to
-how the predicate's arguments happened to be arranged: two predicates that
-differ only by an argument permutation get identical ordered profiles.
+argument's new position. Ties keep source order: the tie-break compares
+profiles whose targets are still source positions, and canonically equal
+profiles, such as the empty profiles of all output arguments, stay in
+source order. So two predicates that differ only by an argument
+permutation can get different ordered profiles (ROADMAP item 1).
 """
 
 from __future__ import annotations

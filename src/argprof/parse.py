@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import accumulate, compress, islice
+from operator import attrgetter
 
 from .syntax import (
     Assign,
@@ -36,9 +37,9 @@ from .syntax import (
     Mode,
     Predicate,
     Program,
-    Record,
     Term,
     Test,
+    Value,
     Var,
     make_program,
 )
@@ -364,22 +365,15 @@ def parse_program(source: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-class Query(Record):
+class Query(Value):
     """A goal: atoms of the program's classes with point 0, whose argument
     positions may hold nested terms."""
 
     __slots__ = __match_args__ = ("goal",)
+    _key = attrgetter("goal")
 
     def __init__(self, goal: tuple[Atom, ...]):
         self.goal = goal
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Query:
-            return NotImplemented
-        return self.goal == other.goal
-
-    def __hash__(self) -> int:
-        return hash(self.goal)
 
 
 def parse_query(source: str) -> Query:

@@ -17,6 +17,7 @@ and the answers it computes are terms of one class.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterator, Literal, Mapping
 
 Mode = Literal["in", "out"]
@@ -26,9 +27,8 @@ class Record:
     """Base of the value classes: plain classes with ``__slots__``, whose
     fields are named in ``__match_args__`` in constructor order. A record
     prints as ``Name(field=value, ...)``. Never assign to a record's fields
-    once it is built. The classes that are compared or hashed define
-    ``__eq__`` and ``__hash__`` themselves, and a value never equals one of
-    another class."""
+    once it is built. A plain record compares and hashes by identity; the
+    classes whose values are compared derive from ``Value``."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -38,19 +38,34 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-class Var(Record):
+class Value(Record):
+    """A record that compares by its key: ``_key``, an ``attrgetter`` of the
+    fields that make up the value. Two values are equal exactly when they
+    are of the same class and their keys are equal, so a value never equals
+    one of another class or the tuple of its fields, and equal values hash
+    equally. ``line`` and ``col`` only place a value in its source, so they
+    never join a key. A class whose key holds a dict (``Program``,
+    ``InteractionSet``) sets ``__hash__ = None``: its values are not
+    hashable."""
+
+    __slots__ = ()
+    _key: Callable[[Value], object]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+
+class Var(Value):
     __slots__ = __match_args__ = ("name",)
+    _key = attrgetter("name")
 
     def __init__(self, name: str):
         self.name = name
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -134,21 +149,12 @@ def format_ground(t: Term) -> str:
     return _render(t, str, lambda g: g.functor + "(" if g.args else g.functor, lambda g: ")" if g.args else "")
 
 
-class Atom(Record):
+class Atom(Value):
     """Base of all body atoms. ``point`` is the global program point (0 in a
-    query); ``line`` and ``col`` place the atom's first token. Atoms compare
-    and hash by their class and ``_key``, every field but ``line`` and
-    ``col``."""
+    query); ``line`` and ``col`` place the atom's first token. An atom's key
+    is every field but ``line`` and ``col``."""
 
     __slots__ = ("point", "line", "col")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 class _Unification(Atom):
@@ -156,6 +162,7 @@ class _Unification(Atom):
 
     __slots__ = ("var", "functor", "args")
     __match_args__ = ("point", "line", "col", "var", "functor", "args")
+    _key = attrgetter("point", "var", "functor", "args")
 
     def __init__(self, point: int, line: int, col: int, var: Term, functor: str, args: tuple[Term, ...]):
         self.point = point
@@ -164,9 +171,6 @@ class _Unification(Atom):
         self.var = var
         self.functor = functor
         self.args = args
-
-    def _key(self) -> tuple:
-        return (self.point, self.var, self.functor, self.args)
 
 
 class Deconstruct(_Unification):
@@ -186,6 +190,7 @@ class Test(Atom):
 
     __slots__ = ("left", "right")
     __match_args__ = ("point", "line", "col", "left", "right")
+    _key = attrgetter("point", "left", "right")
 
     def __init__(self, point: int, line: int, col: int, left: Term, right: Term):
         self.point = point
@@ -194,15 +199,13 @@ class Test(Atom):
         self.left = left
         self.right = right
 
-    def _key(self) -> tuple:
-        return (self.point, self.left, self.right)
-
 
 class Assign(Atom):
     """``V := W``: W is input, V is output."""
 
     __slots__ = ("target", "source")
     __match_args__ = ("point", "line", "col", "target", "source")
+    _key = attrgetter("point", "target", "source")
 
     def __init__(self, point: int, line: int, col: int, target: Term, source: Term):
         self.point = point
@@ -211,15 +214,13 @@ class Assign(Atom):
         self.target = target
         self.source = source
 
-    def _key(self) -> tuple:
-        return (self.point, self.target, self.source)
-
 
 class Call(Atom):
     """``p(X1,...,Xn)``: moded per the callee's declaration."""
 
     __slots__ = ("pred", "args")
     __match_args__ = ("point", "line", "col", "pred", "args")
+    _key = attrgetter("point", "pred", "args")
 
     def __init__(self, point: int, line: int, col: int, pred: str, args: tuple[Term, ...]):
         self.point = point
@@ -227,9 +228,6 @@ class Call(Atom):
         self.col = col
         self.pred = pred
         self.args = args
-
-    def _key(self) -> tuple:
-        return (self.point, self.pred, self.args)
 
 
 def atom_inputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[Var, ...]:
@@ -264,11 +262,12 @@ def atom_outputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[
     raise TypeError(f"not an atom: {atom!r}")
 
 
-class Clause(Record):
+class Clause(Value):
     """A clause's head arguments and body; ``line`` and ``col`` place its
-    head and are left out of equality."""
+    head."""
 
     __slots__ = __match_args__ = ("head_args", "body", "line", "col")
+    _key = attrgetter("head_args", "body")
 
     def __init__(self, head_args: tuple[Var, ...], body: tuple[Atom, ...], line: int = 0, col: int = 0):
         self.head_args = head_args
@@ -276,20 +275,13 @@ class Clause(Record):
         self.line = line
         self.col = col
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Clause:
-            return NotImplemented
-        return self.head_args == other.head_args and self.body == other.body
 
-    def __hash__(self) -> int:
-        return hash((self.head_args, self.body))
-
-
-class Predicate(Record):
+class Predicate(Value):
     """A predicate's declaration and clauses; ``line`` and ``col`` place
-    its declaration and are left out of equality."""
+    its declaration."""
 
     __slots__ = __match_args__ = ("name", "arity", "modes", "clauses", "line", "col")
+    _key = attrgetter("name", "arity", "modes", "clauses")
 
     def __init__(
         self,
@@ -306,17 +298,6 @@ class Predicate(Record):
         self.clauses = clauses
         self.line = line
         self.col = col
-
-    def _key(self) -> tuple:
-        return (self.name, self.arity, self.modes, self.clauses)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Predicate:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def args(self) -> tuple[Var, ...]:
@@ -339,12 +320,14 @@ class Predicate(Record):
         return [a.point for c in self.clauses for a in c.body]
 
 
-class Program(Record):
+class Program(Value):
     """The predicates by name and the call graph. ``point_owner`` maps each
     program point to the name of its predicate; it is derived, and left out
-    of equality. A program holds dicts, so it is not hashable."""
+    of the key. A program holds dicts, so it is not hashable."""
 
     __slots__ = __match_args__ = ("predicates", "call_graph", "point_owner")
+    _key = attrgetter("predicates", "call_graph")
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -355,11 +338,6 @@ class Program(Record):
         self.predicates = predicates
         self.call_graph = call_graph
         self.point_owner = {} if point_owner is None else point_owner
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Program:
-            return NotImplemented
-        return self.predicates == other.predicates and self.call_graph == other.call_graph
 
     def owner_of_point(self, point: int) -> str:
         return self.point_owner[point]

@@ -220,6 +220,23 @@ def test_compare_distinct_exit_zero(capsys):
     assert "distinct: app vs dapp: arity mismatch (3 vs 4)" in capsys.readouterr().out
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the order keeps tied output arguments in source order, so q, which is p "
+    "with its outputs swapped, gets another ordered profile (ROADMAP item 1)",
+)
+def test_compare_predicates_differing_only_in_argument_order(tmp_path, capsys):
+    source = tmp_path / "swapped.lp"
+    source.write_text(
+        ":- pred p(in,out,out).\n"
+        "p(X,Y,Z) :- Y := X, Z <= f(X).\n"
+        ":- pred q(in,out,out).\n"
+        "q(X,Z,Y) :- Y := X, Z <= f(X).\n"
+    )
+    assert main(["compare", str(source), "p", "q"]) == 0
+    assert capsys.readouterr().out == "equivalent: p <-> q\n  1 <-> 1\n  2 <-> 3\n  3 <-> 2\n"
+
+
 def test_compare_unknown_predicate(capsys):
     assert main(["compare", fixture("append.lp"), "app", "nosuch"]) == 1
     assert "unknown predicate 'nosuch'" in capsys.readouterr().err
