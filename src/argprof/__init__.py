@@ -51,7 +51,6 @@ from .domain import (
 )
 from .modecheck import (
     ValidationReport,
-    Violation,
     validate_direct_recursion,
     validate_modes,
     validate_program,

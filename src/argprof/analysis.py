@@ -1,15 +1,17 @@
 """The dataflow analysis: atomic and predicate analysis plus the driver.
 
-The atomic analysis turns one body atom into interactions:
+The atomic analysis has one rule: an atom yields an interaction from each
+variable it consumes to each other variable it produces (``atom_flow``),
+carrying one operation at the atom's point. The operation names the kind:
 
-  * ``V => f(Y1..Yn)`` yields ``V ~{deconstruct_f}~> Yi`` for each i,
-  * ``V <= f(Y1..Yn)`` yields ``Yi ~{construct_f}~> V``,
-  * ``V := W`` yields ``W ~{assign}~> V``,
-  * ``V == W`` yields nothing,
-  * a call ``q(Y1..Ym)`` yields the callee's current interaction set with
-    formals renamed to actuals, joined with one interaction per (input
-    actual, output actual) pair carrying ``psi_bot`` for a directly
-    recursive call and ``psi(<callee's ordered profile>)`` otherwise.
+  * ``V => f(Y1..Yn)`` flows from V into each Yi by ``deconstruct_f``,
+  * ``V <= f(Y1..Yn)`` flows from each Yi into V by ``construct_f``,
+  * ``V := W`` flows from W into V by ``assign``,
+  * ``V == W`` produces nothing, so it yields nothing,
+  * a call ``q(Y1..Ym)`` flows from its input actuals into its output
+    actuals by ``psi_bot`` if it is directly recursive and by
+    ``psi(<callee's ordered profile>)`` otherwise; it also yields the
+    callee's current interaction set with formals renamed to actuals.
 
 Clause analysis joins the atom results, closes them transitively (data
 flowing through local variables composes into argument-to-argument flow)
@@ -48,12 +50,13 @@ from .domain import (
     Operation,
     Pair,
     PsiOp,
+    TEST,
     _Builder,
     bottom,
     strip_points,
 )
 from .ordering import oprof
-from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, Test
+from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, atom_flow
 
 Environment = dict[str, InteractionSet]
 
@@ -112,16 +115,15 @@ def _add_renamed(
             grown[(src, tgt)] = None
 
 
-def _add_call_op(out: _Builder, atom: Call, callee: Predicate, call_op: Operation) -> None:
-    """One interaction per (input actual, output actual) pair of a call,
-    carrying ``call_op`` at the call's point."""
-    point = atom.point
-    inputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "in"}
-    outputs = {a.name for a, m in zip(atom.args, callee.modes) if m == "out"}
-    for src in sorted(inputs):
-        for tgt in sorted(outputs):
-            if src != tgt:
-                out.add(src, tgt, {point: call_op})
+def _add_flow(out: _Builder, atom: Atom, program: Program, op: Operation) -> None:
+    """Join one interaction carrying ``op`` at the atom's point from each
+    input of ``atom`` into each of its outputs with another name."""
+    inputs, outputs = atom_flow(atom, program.predicates)
+    by_point = {atom.point: op}
+    for x in inputs:
+        for y in outputs:
+            if x.name != y.name:
+                out.add(x.name, y.name, by_point)
 
 
 def _add_atom(
@@ -133,17 +135,13 @@ def _add_atom(
 ) -> None:
     """Join the interactions of one atom into ``out``; a non-recursive call
     takes its abstraction from ``psi_ops`` when given."""
-    point = atom.point
+    op: Operation
     if isinstance(atom, Deconstruct):
         op = DeconstructOp(atom.functor, len(atom.args))
-        for y in atom.args:
-            out.add(atom.var.name, y.name, {point: op})
     elif isinstance(atom, Construct):
         op = ConstructOp(atom.functor, len(atom.args))
-        for y in atom.args:
-            out.add(y.name, atom.var.name, {point: op})
     elif isinstance(atom, Assign):
-        out.add(atom.source.name, atom.target.name, {point: ASSIGN})
+        op = ASSIGN
     elif isinstance(atom, Call):
         if atom.pred not in env:
             raise AnalysisError(f"predicate '{atom.pred}' missing from environment")
@@ -151,14 +149,14 @@ def _add_atom(
         callee_set = env[atom.pred]
         _add_renamed(out, callee, atom, callee_set, {})
         if atom.pred == out.owner:
-            call_op: Operation = PSI_BOT
+            op = PSI_BOT
         elif psi_ops is not None:
-            call_op = psi_ops[atom.pred]
+            op = psi_ops[atom.pred]
         else:
-            call_op = call_abstraction(callee, callee_set)
-        _add_call_op(out, atom, callee, call_op)
-    elif not isinstance(atom, Test):
-        raise TypeError(f"not an atom: {atom!r}")
+            op = call_abstraction(callee, callee_set)
+    else:
+        op = TEST  # a test has no outputs
+    _add_flow(out, atom, program, op)
 
 
 def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionSet:
@@ -286,7 +284,7 @@ def analyze_predicate(
             for atom in clause.body:
                 if isinstance(atom, Call) and atom.pred == pred.name:
                     self_calls.append(atom)
-                    _add_call_op(builder, atom, pred, PSI_BOT)
+                    _add_flow(builder, atom, program, PSI_BOT)
                 else:
                     _add_atom(builder, atom, env, program, psi_ops)
             state.keep_formal_pairs(builder, _close(builder))

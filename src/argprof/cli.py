@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .domain import ArgumentProfile, canon_op, render_interaction_set, strip_points
 from .modecheck import validate_program
-from .normalize import Distinct, Equivalent, compare, plan, rewrite
+from .normalize import Equivalent, compare, plan, rewrite
 from .ordering import oprof
 from .parse import SourceError, parse_program, parse_query
 from .syntax import Program, format_ground, format_program

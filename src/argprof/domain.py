@@ -217,25 +217,8 @@ class ArgumentProfile(Value):
 
 def make_oset(ops: Iterable[Operation], target: int) -> OSet:
     """The o-set of ``ops`` (a multiset) flowing into ``target``, its ops in
-    the order of their canonical strings.
-
-    Base ops sort by their short text. Every psi op's text starts with
-    ``psi:[``, which sorts after ``assign``, ``construct:...`` and
-    ``deconstruct:...`` and before ``psi_bot`` and ``test``; psi ops among
-    themselves sort by a walk over their payloads (``cmp_canon_op``)."""
-    base: list[Operation] = []
-    psi: list[PsiOp] = []
-    for op in ops:
-        (psi if op.__class__ is PsiOp else base).append(op)
-    base.sort(key=_canon_attr)
-    if not psi:
-        return OSet(tuple(base), target)
-    if len(psi) > 1:
-        psi.sort(key=_psi_order)
-    cut = 0
-    while cut < len(base) and base[cut].canon < "psi:":
-        cut += 1
-    return OSet((*base[:cut], *psi, *base[cut:]), target)
+    the order of their canonical strings (``cmp_canon_op``)."""
+    return OSet(tuple(sorted(ops, key=_canon_order)), target)
 
 
 def make_profile(osets: Iterable[OSet]) -> ArgumentProfile:
@@ -354,8 +337,7 @@ def cmp_canon_profile(a: ArgumentProfile, b: ArgumentProfile) -> int:
     return _sign(len(b.osets), len(a.osets))
 
 
-_canon_attr = attrgetter("canon")
-_psi_order = cmp_to_key(cmp_canon_op)
+_canon_order = cmp_to_key(cmp_canon_op)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ from .syntax import (
     Term,
     Test,
     Var,
+    atom_flow,
 )
 
 __all__ = [
@@ -146,7 +147,10 @@ def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveE
     """The error selecting ``atom`` in ``env`` raises, or None if it only fails.
 
     The machine's instructions detect that a mode check failed; this walks
-    the atom's checks in their defined order to name the first one.
+    the atom's checks in their defined order to name the first one. A call
+    checks its arguments in position order. Any other atom checks that its
+    inputs are ground, then, unless it is a deconstruct whose functor
+    differs and so only fails, that its outputs are free and distinct.
     ``where`` is the text of a query atom, None for a program atom.
     """
     query = where is not None
@@ -184,27 +188,19 @@ def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveE
             if err is not None:
                 return err
         return None
+    ins, outs = atom_flow(atom, program.predicates)
+    for t in ins:
+        if (err := need_ground(t)) is not None:
+            return err
     if isinstance(atom, Deconstruct):
         value = _build(atom.var, env)
-        if value is None:
-            return need_ground(atom.var)
         if value.functor != atom.functor or len(value.args) != len(atom.args):
             return None
-        for t in atom.args:
-            if (err := need_free(t)) is not None:
-                return err
-            taken.add(t.name)
-        return None
-    if isinstance(atom, Construct):
-        for t in atom.args:
-            if (err := need_ground(t)) is not None:
-                return err
-        return need_free(atom.var)
-    if isinstance(atom, Test):
-        return need_ground(atom.left) or need_ground(atom.right)
-    if isinstance(atom, Assign):
-        return need_ground(atom.source) or need_free(atom.target)
-    raise TypeError(f"not an atom: {atom!r}")
+    for t in outs:
+        if (err := need_free(t)) is not None:
+            return err
+        taken.add(t.name)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +254,7 @@ def _compile_atom(flat: Atom, program: Program, atom: Atom, where: str | None) -
         distinct = len(set(names)) == len(names)
         return (_DECONSTRUCT, flat.var.name, flat.functor, len(names), names, distinct, atom, where)
     if isinstance(flat, Call):
-        modes = program.predicates[flat.pred].modes
-        ins = tuple([v.name for v, m in zip(flat.args, modes) if m == "in"])
-        outs = tuple([v.name for v, m in zip(flat.args, modes) if m == "out"])
+        ins, outs = program.predicates[flat.pred].split(tuple([v.name for v in flat.args]))
         return (_CALL, flat.pred, _getter(ins), outs, _first_repeat(outs), atom, where)
     if isinstance(flat, Construct):
         args = _getter(tuple([v.name for v in flat.args]))
@@ -282,11 +276,9 @@ class _Procedures(dict):
 
     def __missing__(self, name: str) -> tuple[_Clause, ...]:
         pred = self.program.predicates[name]
-        ins = [pos for pos, m in enumerate(pred.modes) if m == "in"]
-        outs = [pos for pos, m in enumerate(pred.modes) if m == "out"]
         clauses: list[_Clause] = []
         for clause in pred.clauses:
-            head_ins = tuple([clause.head_args[pos].name for pos in ins])
+            head_ins, head_outs = pred.split(tuple([v.name for v in clause.head_args]))
             # Each name's last input position, whose value its binding keeps.
             position = {name: pos for pos, name in enumerate(head_ins)}
             key = None
@@ -296,7 +288,7 @@ class _Procedures(dict):
             clauses.append(
                 (
                     head_ins,
-                    tuple([clause.head_args[pos].name for pos in outs]),
+                    head_outs,
                     tuple([_compile_atom(atom, self.program, atom, None) for atom in clause.body]),
                     key,
                 )
@@ -376,7 +368,7 @@ def _compile_goal(
         if isinstance(qa, Call):
             callee = program.predicates.get(qa.pred)
             if callee is not None and len(qa.args) == callee.arity:
-                outs = [t for t, m in zip(qa.args, callee.modes) if m == "out"]
+                outs = callee.split(qa.args)[1]
                 if all(isinstance(t, Var) for t in outs) and _first_repeat(t.name for t in outs) is None:
                     args = tuple(t if m == "out" else holder(t) for t, m in zip(qa.args, callee.modes))
                     flat = Call(0, 0, 0, qa.pred, args)

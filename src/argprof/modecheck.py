@@ -3,38 +3,27 @@
 Mode checking simulates each clause left to right. The bound set starts as
 the input head arguments; every atom must find its input variables bound
 and its output variables unbound, and binds its outputs. At clause end
-every output head argument must be bound. Violations are collected, never
-raised.
+every output head argument must be bound. Violations are collected as
+``SourceError``s, never raised.
 """
 
 from __future__ import annotations
 
-from .syntax import Program, Record, atom_inputs, atom_outputs
-
-
-class Violation(Record):
-    __slots__ = __match_args__ = ("line", "col", "message")
-
-    def __init__(self, line: int, col: int, message: str):
-        self.line = line
-        self.col = col
-        self.message = message
-
-    def render(self, filename: str = "<input>") -> str:
-        return f"{filename}:{self.line}:{self.col}: error: {self.message}"
+from .parse import SourceError
+from .syntax import Program, Record, atom_flow
 
 
 class ValidationReport(Record):
     __slots__ = __match_args__ = ("violations",)
 
     def __init__(self) -> None:
-        self.violations: list[Violation] = []
+        self.violations: list[SourceError] = []
 
     def ok(self) -> bool:
         return not self.violations
 
     def add(self, line: int, col: int, message: str) -> None:
-        self.violations.append(Violation(line, col, message))
+        self.violations.append(SourceError(message, line, col))
 
     def render(self, filename: str = "<input>") -> str:
         return "\n".join(v.render(filename) for v in self.violations)
@@ -46,27 +35,25 @@ class ValidationReport(Record):
 def validate_modes(program: Program) -> ValidationReport:
     """Check every clause for mode-correct left-to-right execution."""
     report = ValidationReport()
-    modes_of = program.modes_of()
     for pred in program.predicates.values():
-        in_names = pred.input_arg_names()
-        out_names = pred.output_arg_names()
         for clause in pred.clauses:
-            bound = {v.name for v in clause.head_args if v.name in in_names}
+            head_ins, head_outs = pred.split(clause.head_args)
+            bound = {v.name for v in head_ins}
             for atom in clause.body:
-                inputs = atom_inputs(atom, modes_of)
+                inputs, outputs = atom_flow(atom, program.predicates)
                 for v in inputs:
                     if v.name not in bound:
                         report.add(atom.line, atom.col, f"{v.name} unbound at point {atom.point}")
                 seen_out: set[str] = set()
-                for v in atom_outputs(atom, modes_of):
+                for v in outputs:
                     if v.name in bound or v.name in seen_out:
                         report.add(atom.line, atom.col, f"{v.name} already bound at point {atom.point}")
                     seen_out.add(v.name)
                 # Bind inputs too, to suppress cascading reports.
                 bound.update(v.name for v in inputs)
                 bound.update(seen_out)
-            for v in clause.head_args:
-                if v.name in out_names and v.name not in bound:
+            for v in head_outs:
+                if v.name not in bound:
                     report.add(
                         clause.line,
                         clause.col,

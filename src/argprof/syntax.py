@@ -18,9 +18,10 @@ and the answers it computes are terms of one class.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterator, Literal, Mapping
+from typing import Callable, Iterator, Literal, Mapping, TypeVar
 
 Mode = Literal["in", "out"]
+T = TypeVar("T")
 
 
 class Record:
@@ -230,35 +231,20 @@ class Call(Atom):
         self.args = args
 
 
-def atom_inputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[Var, ...]:
-    """Variables at input positions of program atom ``atom`` (with repetitions)."""
+def atom_flow(atom: Atom, predicates: Mapping[str, Predicate]) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """The terms ``atom`` consumes and those it produces, each in textual
+    order with repetitions: data flows from its inputs into its outputs. A
+    call takes its modes from its callee in ``predicates``."""
     if isinstance(atom, Deconstruct):
-        return (atom.var,)
+        return (atom.var,), atom.args
     if isinstance(atom, Construct):
-        return atom.args
-    if isinstance(atom, Test):
-        return (atom.left, atom.right)
+        return atom.args, (atom.var,)
     if isinstance(atom, Assign):
-        return (atom.source,)
-    if isinstance(atom, Call):
-        modes = modes_of[atom.pred]
-        return tuple(v for v, m in zip(atom.args, modes) if m == "in")
-    raise TypeError(f"not an atom: {atom!r}")
-
-
-def atom_outputs(atom: Atom, modes_of: Mapping[str, tuple[Mode, ...]]) -> tuple[Var, ...]:
-    """Variables at output positions of program atom ``atom`` (with repetitions)."""
-    if isinstance(atom, Deconstruct):
-        return atom.args
-    if isinstance(atom, Construct):
-        return (atom.var,)
+        return (atom.source,), (atom.target,)
     if isinstance(atom, Test):
-        return ()
-    if isinstance(atom, Assign):
-        return (atom.target,)
+        return (atom.left, atom.right), ()
     if isinstance(atom, Call):
-        modes = modes_of[atom.pred]
-        return tuple(v for v, m in zip(atom.args, modes) if m == "out")
+        return predicates[atom.pred].split(atom.args)
     raise TypeError(f"not an atom: {atom!r}")
 
 
@@ -310,11 +296,18 @@ class Predicate(Value):
     def arg_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.args)
 
+    def split(self, items: tuple[T, ...]) -> tuple[tuple[T, ...], tuple[T, ...]]:
+        """``items``, one per argument position, split into those at input
+        and those at output positions, each in argument order."""
+        ins = tuple([t for t, m in zip(items, self.modes) if m == "in"])
+        outs = tuple([t for t, m in zip(items, self.modes) if m == "out"])
+        return ins, outs
+
     def input_arg_names(self) -> frozenset[str]:
-        return frozenset(v.name for v, m in zip(self.args, self.modes) if m == "in")
+        return frozenset(v.name for v in self.split(self.args)[0])
 
     def output_arg_names(self) -> frozenset[str]:
-        return frozenset(v.name for v, m in zip(self.args, self.modes) if m == "out")
+        return frozenset(v.name for v in self.split(self.args)[1])
 
     def body_points(self) -> list[int]:
         return [a.point for c in self.clauses for a in c.body]
@@ -346,9 +339,6 @@ class Program(Value):
         for pred in self.predicates.values():
             for clause in pred.clauses:
                 yield from clause.body
-
-    def modes_of(self) -> dict[str, tuple[Mode, ...]]:
-        return {name: p.modes for name, p in self.predicates.items()}
 
 
 def build_call_graph(predicates: Mapping[str, Predicate]) -> dict[str, frozenset[str]]:

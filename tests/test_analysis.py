@@ -16,6 +16,7 @@ from argprof import (
     ASSIGN,
     PSI_BOT,
     ConstructOp,
+    DeconstructOp,
     PsiOp,
     NonDirectRecursionError,
     analyze_atom,
@@ -156,6 +157,16 @@ def test_atom_call_with_aliased_actuals_drops_self_edges():
     env["q"] = iset("q", ["A"], [("A", "B", [(ASSIGN, 1)])])
     call = next(a for a in program.atoms() if a.point == 2)
     assert analyze_atom(call, env, program).is_empty()
+
+
+def test_atom_drops_flow_from_a_variable_into_itself():
+    # Only programs the mode checker rejects hold such atoms.
+    program = parse_program(":- pred p(in,out). p(X,Y) :- L := L, L => f(L,M), N <= g(N,M), Y := X.")
+    env = initial_environment(program)
+    atoms = _atoms(program, "p")
+    assert analyze_atom(atoms[0], env, program).is_empty()
+    assert analyze_atom(atoms[1], env, program) == iset("p", ["X"], [("L", "M", [(DeconstructOp("f", 2), 2)])])
+    assert analyze_atom(atoms[2], env, program) == iset("p", ["X"], [("M", "N", [(ConstructOp("g", 2), 3)])])
 
 
 # ---------------------------------------------------------------------------

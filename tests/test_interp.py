@@ -226,6 +226,13 @@ noout(X,Y) :- X => nil.
 alt(X,Y) :- X => nil, Y := X.
 alt(X,Y) :- X => cons(H,T), Y := H.
 alt(X,Y) :- Y := W.
+:- pred consboth(in,out).
+consboth(X,Y) :- Y := X, Y <= f(X,W).
+:- pred assignboth(in,out).
+assignboth(X,Y) :- Y := X, Y := W.
+:- pred r(out,in).
+:- pred callorder(in,out).
+callorder(X,Y) :- Y := X, r(Y,W).
 """
 
 
@@ -332,13 +339,16 @@ def test_oracle_query_atoms():
     ]
     for text in texts:
         assert_agrees(program, parse_query(text))
+    # An atom with an unbound input and a bound output reports the input.
+    for text in ("?- Z := nil, Z <= cons(X,nil).", "?- Z := nil, Z := X.", "?- H := a, L => cons(H,T)."):
+        assert assert_agrees(program, parse_query(text)) == (RuntimeModeError, "non-ground input at goal atom 2")
 
 
 def test_oracle_unchecked_program_atoms():
     program = parse_program(UNCHECKED)
     outcomes = {}
     for pname in program.predicates:
-        if pname == "q":
+        if pname in ("q", "r"):
             continue
         for arg in ("nil", "pair(a,a)", "cons(a,nil)"):
             outcomes[pname, arg] = assert_agrees(program, parse_query(f"?- {pname}({arg}, Y)."))
@@ -351,6 +361,11 @@ def test_oracle_unchecked_program_atoms():
     # The third clause is reached after the first clause's answer too.
     assert outcomes["alt", "nil"] == (RuntimeModeError, "W unbound at point 22")
     assert outcomes["alt", "pair(a,a)"] == (RuntimeModeError, "W unbound at point 22")
+    # An atom whose inputs and outputs both fail reports its first input;
+    # a call walks its arguments in position order, here an output first.
+    assert outcomes["consboth", "nil"] == (RuntimeModeError, "W unbound at point 24")
+    assert outcomes["assignboth", "nil"] == (RuntimeModeError, "W unbound at point 26")
+    assert outcomes["callorder", "nil"] == (RuntimeModeError, "Y already bound at point 28")
 
 
 # Not mode-checked: clauses whose first atom may or may not select them. A

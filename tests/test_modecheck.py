@@ -12,7 +12,37 @@ from argprof import (
     validate_modes,
     validate_program,
 )
+from argprof.syntax import atom_flow
 from helpers import fixture_names, gen_program_source, load_fixture
+
+
+FLOW = """\
+:- pred q(in,out,in,out,in).
+:- pred p(in,out).
+p(X,Y) :- X => pair(A,A), B <= f(A,X), B == X, C := B, q(C,D,A,E,C), Y := D.
+"""
+
+
+@pytest.mark.parametrize(
+    "index, inputs, outputs",
+    [
+        (0, ["X"], ["A", "A"]),  # deconstruct: V into each Yi
+        (1, ["A", "X"], ["B"]),  # construct: each Yi into V
+        (2, ["B", "X"], []),  # test: consumes both, produces nothing
+        (3, ["B"], ["C"]),  # assign: W into V
+        (4, ["C", "A", "C"], ["D", "E"]),  # call: by the callee's modes
+    ],
+)
+def test_atom_flow(index, inputs, outputs):
+    program = parse_program(FLOW)
+    atom = program.predicates["p"].clauses[0].body[index]
+    ins, outs = atom_flow(atom, program.predicates)
+    assert ([v.name for v in ins], [v.name for v in outs]) == (inputs, outputs)
+
+
+def test_atom_flow_rejects_a_non_atom():
+    with pytest.raises(TypeError):
+        atom_flow(object(), {})
 
 
 @pytest.mark.parametrize("name", fixture_names())
