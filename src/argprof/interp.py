@@ -16,23 +16,34 @@ TN 309, 1983), so neither term depth nor derivation length touches
 Python's recursion limit:
 
 * **Instructions.** Each predicate's clauses are compiled on their first
-  call in a ``solve``: every body atom becomes one instruction holding its
-  variable names, and a call site holds its callee and the names at its
-  input and output positions. The instruction also keeps its atom, from
-  which the text of an error (``point N``) is built only when one is raised.
+  call in a ``solve``. The language is moded, so the names bound before
+  each body atom are known when it is compiled: the head inputs and the
+  outputs of the atoms to its left. One walk over a body gives each name a
+  slot of the clause's frame, a list, in the order the names are bound, so
+  an atom's outputs take consecutive slots, and decides each atom's mode
+  checks by ``atom_flow``. An atom whose checks pass becomes one
+  instruction over slots that checks nothing at run time. The first atom
+  whose checks fail becomes a fault instruction, and the rest of the body
+  is not compiled. When reached, the fault charges the atom's step (a
+  call has none) and raises the first failing check, naming ``point N``;
+  at a deconstruct whose value has another functor or arity it only
+  fails. A program call that repeats an output raises when it returns.
 * **Continuations.** The machine runs one clause body at a time: its
-  instructions, the index of the next one, its variable bindings and the
-  return record of the call that entered it. On reaching the end of a body
-  it resumes the caller after the call, in a fresh copy of the caller's
-  bindings with the clause's output arguments added.
+  instructions, the index of the next one, its frame and the return
+  record of the call that entered it. On reaching the end of a body it
+  writes the clause's head outputs into the call's output slots of the
+  caller's frame, in place, and resumes the caller after the call.
 * **Choice points.** A call pushes a choice point: the callee's clauses,
   the next one to try, the input values and the return record; its first
   clause is then entered the way backtracking enters the next one. Each
-  clause entered gets bindings of its own, and a call returns into a copy
-  of its caller's, so no bindings a return record holds are written after
-  the call. Backtracking has nothing to undo: it enters the next clause of
-  the choice point on top of the stack. A choice point leaves the stack
-  when no clause after the one entered can match.
+  clause entered gets a frame of its own: its head input values followed
+  by empty slots, a name repeated among the head inputs taking its last
+  position. A return record holds its caller's frame, which later returns
+  write again, but a continuation reads only slots bound before it, and no
+  slot bound before a call is written after it. So backtracking has
+  nothing to undo or copy: it enters the next clause of the choice point
+  on top of the stack. A choice point leaves the stack when no clause
+  after the one entered can match.
 * **Clause selection.** As with ``switch_on_term`` in that engine, a clause
   whose body starts by deconstructing a head input has a key: the input's
   position and the functor and arity it expects. If the name is repeated
@@ -46,14 +57,15 @@ Python's recursion limit:
   leaves no choice point, and the steps of the clauses after the entered
   one stay on the choice stack as a charge-only entry. Backtracking onto
   it only charges them, and adjacent ones merge.
-* **Queries.** A query is compiled into one flat goal on the same machine.
-  Ground input terms are bound to fresh variables as parsed; input terms
-  that use query variables are built when their atom is reached, with an
-  explicit stack, and share every subterm that holds no variable. A query atom that holds
-  an unknown predicate, or a term or a repeated variable in an output
-  position, becomes an instruction that runs the atom's checks when
-  reached and raises the first one that fails. Errors name the query atom
-  as ``goal atom i``.
+* **Queries.** A query is compiled into one flat goal on the same machine,
+  with one frame that starts with the given bindings. Ground input terms
+  are bound to fresh variables as parsed; input terms that use query
+  variables are built when their atom is reached, with an explicit stack,
+  and share every subterm that holds no variable. A query atom that holds
+  an unknown predicate, a term or a repeated variable in an output
+  position, or an unbound variable in an input, becomes a fault
+  instruction as in a clause. Errors name the query atom as
+  ``goal atom i``.
 """
 
 from __future__ import annotations
@@ -139,23 +151,21 @@ def _build(t: Term, env: _Env) -> FunctorTerm | None:
     return values[0]
 
 
-def _where(atom: Atom, where: str | None) -> str:
-    return where if where is not None else f"point {atom.point}"
-
-
 def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveError | None:
     """The error selecting ``atom`` in ``env`` raises, or None if it only fails.
 
-    The machine's instructions detect that a mode check failed; this walks
-    the atom's checks in their defined order to name the first one. A call
-    checks its arguments in position order. Any other atom checks that its
-    inputs are ground, then, unless it is a deconstruct whose functor
-    differs and so only fails, that its outputs are free and distinct.
+    A fault instruction stands for an atom with a failing mode check; this
+    walks the atom's checks in their defined order to name the first one.
+    A call checks its arguments in position order. Any other atom checks
+    that its inputs are ground, then, unless it is a deconstruct whose
+    functor differs and so only fails, that its outputs are free and
+    distinct.
     ``where`` is the text of a query atom, None for a program atom.
     """
     query = where is not None
-    where = _where(atom, where)
-    taken = set(env)  # bound names, including outputs this atom has bound
+    if not query:
+        where = f"point {atom.point}"
+    taken = set(env)  # bound names, then this atom's outputs as checked
 
     def need_ground(t: Term) -> SolveError | None:
         if _build(t, env) is not None:
@@ -207,23 +217,27 @@ def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveE
 # Compilation
 # ---------------------------------------------------------------------------
 
-# Instruction kinds. Every instruction is a tuple that starts with its kind
-# and ends with the atom and query text it reports errors under:
-#   (_CALL, callee, input getter, output names, first repeated output, atom, where)
-#   (_DECONSTRUCT, var, functor, arity, names, names distinct, atom, where)
-#   (_CONSTRUCT, var, functor, argument getter, atom, where)
-#   (_TEST, left, right, atom, where)
-#   (_ASSIGN, target, source, atom, where)
-#   (_EVAL, name, query term, counts a step, atom, where)
-#   (_FAULT, counts a step, atom, where)
+# Instruction kinds. Every instruction is a tuple that starts with its kind;
+# the numbers in it are slots of the running body's frame, and outputs take
+# the slots from a first one up to an end:
+#   (_CALL, callee, input getter, first output, end, repeated-output error)
+#   (_DECONSTRUCT, input, functor, arity, first output, end)
+#   (_CONSTRUCT, output, functor, argument getter)
+#   (_TEST, left, right)
+#   (_ASSIGN, output, input)
+#   (_EVAL, output, query term, slots of its variables by name)
+#   (_FAULT, counts a step, slots of the bound names by name, atom, where)
 _CALL, _DECONSTRUCT, _CONSTRUCT, _TEST, _ASSIGN, _EVAL, _FAULT = range(7)
 
 _Instr = tuple
+_Frame = list
+_Getter = Callable[[_Frame], tuple[FunctorTerm, ...]]
 # A selection key: (input position, functor, arity) of the deconstruct a
 # clause starts with, when it deconstructs a head input.
 _Key = tuple[int, str, int]
-# A compiled clause: head input names, head output names, instructions, key.
-_Clause = tuple[tuple[str, ...], tuple[str, ...], tuple[_Instr, ...], _Key | None]
+# A compiled clause: the empty slots that follow its head inputs in its
+# frame, the getter of its head outputs, its instructions and its key.
+_Clause = tuple[tuple[None, ...], _Getter, tuple[_Instr, ...], _Key | None]
 
 
 def _first_repeat(names: Iterable[str]) -> str | None:
@@ -235,35 +249,56 @@ def _first_repeat(names: Iterable[str]) -> str | None:
     return None
 
 
-def _getter(names: tuple[str, ...]) -> Callable[[_Env], tuple[FunctorTerm, ...]]:
-    """The values of ``names`` in bindings, as a tuple; KeyError names the
-    first unbound one."""
-    if len(names) > 1:
-        return itemgetter(*names)
-    if names:
-        name = names[0]
-        return lambda env: (env[name],)
-    return lambda env: ()
+def _getter(slots: list[int]) -> _Getter:
+    """The values in ``slots`` of a frame, as a tuple."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        slot = slots[0]
+        return lambda frame: (frame[slot],)
+    return lambda frame: ()
 
 
-def _compile_atom(flat: Atom, program: Program, atom: Atom, where: str | None) -> _Instr:
-    """The instruction for ``flat``, an atom over variables; ``atom`` and
-    ``where`` name it in errors."""
+def _unbound(name: str) -> _Getter:
+    """The getter of head outputs of which ``name`` is never bound: it raises
+    the KeyError of looking ``name`` up."""
+
+    def get(frame: _Frame) -> tuple[FunctorTerm, ...]:
+        raise KeyError(name)
+
+    return get
+
+
+def _compile_atom(flat: Atom, program: Program, slots: dict[str, int], size: int) -> tuple[_Instr | None, int]:
+    """The instruction for ``flat``, an atom over variables, in a frame of
+    ``size`` slots where the bound names have ``slots``, and the frame's
+    size after it. The instruction is None if a check of the atom fails
+    there. Its outputs get the next slots, in order; a program call may
+    repeat an output, which raises when the call returns."""
+    ins, outs = atom_flow(flat, program.predicates)
+    names = [v.name for v in outs]
+    repeat = _first_repeat(names)
+    if (
+        any(v.name not in slots for v in ins)
+        or not slots.keys().isdisjoint(names)
+        or (repeat is not None and not isinstance(flat, Call))
+    ):
+        return None, size
+    first = size
+    for name in names:
+        if name not in slots:
+            slots[name] = size
+            size += 1
     if isinstance(flat, Deconstruct):
-        names = tuple([v.name for v in flat.args])
-        distinct = len(set(names)) == len(names)
-        return (_DECONSTRUCT, flat.var.name, flat.functor, len(names), names, distinct, atom, where)
+        return (_DECONSTRUCT, slots[flat.var.name], flat.functor, len(names), first, size), size
     if isinstance(flat, Call):
-        ins, outs = program.predicates[flat.pred].split(tuple([v.name for v in flat.args]))
-        return (_CALL, flat.pred, _getter(ins), outs, _first_repeat(outs), atom, where)
+        error = None if repeat is None else f"{repeat} already bound at point {flat.point}"
+        return (_CALL, flat.pred, _getter([slots[v.name] for v in ins]), first, size, error), size
     if isinstance(flat, Construct):
-        args = _getter(tuple([v.name for v in flat.args]))
-        return (_CONSTRUCT, flat.var.name, flat.functor, args, atom, where)
+        return (_CONSTRUCT, first, flat.functor, _getter([slots[v.name] for v in ins])), size
     if isinstance(flat, Test):
-        return (_TEST, flat.left.name, flat.right.name, atom, where)
-    if isinstance(flat, Assign):
-        return (_ASSIGN, flat.target.name, flat.source.name, atom, where)
-    raise TypeError(f"not an atom: {flat!r}")
+        return (_TEST, slots[flat.left.name], slots[flat.right.name]), size
+    return (_ASSIGN, first, slots[flat.source.name]), size
 
 
 class _Procedures(dict):
@@ -279,20 +314,24 @@ class _Procedures(dict):
         clauses: list[_Clause] = []
         for clause in pred.clauses:
             head_ins, head_outs = pred.split(tuple([v.name for v in clause.head_args]))
-            # Each name's last input position, whose value its binding keeps.
-            position = {name: pos for pos, name in enumerate(head_ins)}
+            # Each name's slot is its last input position, whose value its
+            # binding keeps.
+            slots = {name: pos for pos, name in enumerate(head_ins)}
+            size = len(head_ins)
             key = None
             first = clause.body[0] if clause.body else None
-            if isinstance(first, Deconstruct) and first.var.name in position:
-                key = (position[first.var.name], first.functor, len(first.args))
-            clauses.append(
-                (
-                    head_ins,
-                    head_outs,
-                    tuple([_compile_atom(atom, self.program, atom, None) for atom in clause.body]),
-                    key,
-                )
-            )
+            if isinstance(first, Deconstruct) and first.var.name in slots:
+                key = (slots[first.var.name], first.functor, len(first.args))
+            code: list[_Instr] = []
+            for atom in clause.body:
+                instr, size = _compile_atom(atom, self.program, slots, size)
+                if instr is None:
+                    code.append((_FAULT, not isinstance(atom, Call), tuple(slots.items()), atom, None))
+                    break
+                code.append(instr)
+            unbound = [name for name in head_outs if name not in slots]
+            outs = _unbound(unbound[0]) if unbound else _getter([slots[name] for name in head_outs])
+            clauses.append(((None,) * (size - len(head_ins)), outs, tuple(code), key))
         self[name] = result = tuple(clauses)
         return result
 
@@ -331,17 +370,18 @@ def _query_terms(qa: Atom) -> tuple[Term, ...]:
 
 
 def _compile_goal(
-    goal: tuple[Atom, ...], program: Program, env: _Env
-) -> tuple[tuple[_Instr, ...], list[str]]:
-    """The instructions of a query and its variable names in order of first
-    occurrence, with its ground input terms bound in ``env`` under fresh
-    names."""
+    goal: tuple[Atom, ...], program: Program, bindings: _Env
+) -> tuple[tuple[_Instr, ...], _Frame, list[tuple[str, int]]]:
+    """The instructions of a query, its frame holding ``bindings`` and its
+    ground input terms, and the slots of its answer variables (those not
+    in ``bindings``) in order of first occurrence."""
+    slots = {name: pos for pos, name in enumerate(bindings)}
+    frame: _Frame = list(bindings.values())
     code: list[_Instr] = []
     names: dict[str, None] = {}
     serial = count(1)
     for index, qa in enumerate(goal, 1):
         where = f"goal atom {index}"
-        counts_step = not isinstance(qa, Call)
         # One walk of each term records its variable names and tells
         # whether it is ground.
         ground: set[int] = set()  # ids of the atom's terms without variables
@@ -352,16 +392,23 @@ def _compile_goal(
                 has_var = True
             if not has_var:
                 ground.add(id(t))
+        evals: list[_Instr] = []
 
         def holder(t: Term) -> Var:
-            """A variable holding input term ``t``."""
+            """A variable holding input term ``t``, unbound if a variable
+            of ``t`` is."""
             if isinstance(t, Var):
                 return t
             name = f"#{next(serial)}"
             if id(t) in ground:
-                env[name] = t
+                slots[name] = len(frame)
+                frame.append(t)
             else:
-                code.append((_EVAL, name, t, counts_step, qa, where))
+                term_slots = {n: slots.get(n) for n in _term_names(t)}
+                if None not in term_slots.values():
+                    slots[name] = len(frame)
+                    evals.append((_EVAL, len(frame), t, tuple(term_slots.items())))
+                    frame.append(None)
             return Var(name)
 
         flat: Atom | None = None
@@ -383,11 +430,17 @@ def _compile_goal(
         elif isinstance(qa, Assign):
             if isinstance(qa.target, Var):
                 flat = Assign(0, 0, 0, qa.target, holder(qa.source))
-        if flat is None:
-            code.append((_FAULT, counts_step, qa, where))
-        else:
-            code.append(_compile_atom(flat, program, qa, where))
-    return tuple(code), list(names)
+        instr = None
+        if flat is not None:
+            instr, size = _compile_atom(flat, program, slots, len(frame))
+        if instr is None:
+            code.append((_FAULT, not isinstance(qa, Call), tuple(slots.items()), qa, where))
+            break
+        code += evals
+        code.append(instr)
+        frame += [None] * (size - len(frame))
+    answer = [(name, slots[name]) for name in names if name not in bindings and name in slots]
+    return tuple(code), frame, answer
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +458,11 @@ def solve(
 
     Each answer maps the query's output variables (those not initially
     bound) to ground terms. Raises StepLimitExceeded, RuntimeModeError or
-    SolveError.
+    SolveError. On a program the mode checker rejects, a clause that
+    returns without binding a head output raises the KeyError of that
+    output's name.
     """
-    env: _Env = dict(bindings or {})
-    body, names = _compile_goal(query.goal, program, env)
-    names = [name for name in names if name not in env]
+    body, frame, answer = _compile_goal(query.goal, program, dict(bindings or {}))
     procs = _Procedures(program)
     answers: list[Answer] = []
     budget = max_steps
@@ -417,25 +470,24 @@ def solve(
     # [clauses, next clause, input values, return record],
     # and charge-only entries, [None, steps].
     choices: list[list] = []
-    # The running body: instructions, next index, bindings, clause output
-    # names and return record
-    # (call instruction, caller's body, index, bindings, outputs, return).
-    i, heads_out, ret = 0, (), None
+    # The running body: instructions, next index, frame, head output getter
+    # and return record (call instruction, caller's body, index, frame,
+    # head output getter, return record).
+    i, outs, ret = 0, None, None
 
     while True:
         while True:
             if i == len(body):
                 if ret is None:
-                    answers.append({name: env[name] for name in names if name in env})
+                    answers.append({name: frame[slot] for name, slot in answer})
                     break
-                values = [env[name] for name in heads_out]
-                instr, body, i, env, heads_out, ret = ret
-                if instr[4] is not None:
-                    raise RuntimeModeError(f"{instr[4]} already bound at {_where(instr[5], instr[6])}")
-                # A choice point may re-enter the caller's bindings as they
-                # were at the call: continue in a copy.
-                env = dict(env)
-                env.update(zip(instr[3], values))
+                values = outs(frame)
+                instr, body, i, frame, outs, ret = ret
+                if instr[5] is not None:
+                    raise RuntimeModeError(instr[5])
+                # The caller's continuation reads only slots bound before
+                # the call, so backtracking into it needs no copy.
+                frame[instr[3] : instr[4]] = values
                 continue
 
             instr = body[i]
@@ -444,71 +496,39 @@ def solve(
                 budget -= 1
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                _, var, functor, arity, bound, distinct, atom, where = instr
-                value = env.get(var)
-                if value is None:
-                    raise _fault(atom, where, env, program)
-                if value.functor != functor or len(value.args) != arity:
+                value = frame[instr[1]]
+                if value.functor != instr[2] or len(value.args) != instr[3]:
                     break
-                if not distinct or not env.keys().isdisjoint(bound):
-                    raise _fault(atom, where, env, program)
-                env.update(zip(bound, value.args))
+                frame[instr[4] : instr[5]] = value.args
             elif kind == _CALL:
-                try:
-                    values = instr[2](env)
-                except KeyError:
-                    raise _fault(instr[5], instr[6], env, program) from None
-                if not env.keys().isdisjoint(instr[3]):
-                    raise _fault(instr[5], instr[6], env, program)
                 clauses = procs[instr[1]]
                 if clauses:
                     # Backtracking below enters the first clause that can match.
-                    choices.append([clauses, 0, values, (instr, body, i + 1, env, heads_out, ret)])
+                    choices.append([clauses, 0, instr[2](frame), (instr, body, i + 1, frame, outs, ret)])
                 break
             elif kind == _CONSTRUCT:
                 budget -= 1
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                _, var, functor, args, atom, where = instr
-                try:
-                    value = FunctorTerm(functor, args(env))
-                except KeyError:
-                    raise _fault(atom, where, env, program) from None
-                if var in env:
-                    raise _fault(atom, where, env, program)
-                env[var] = value
+                frame[instr[1]] = FunctorTerm(instr[2], instr[3](frame))
             elif kind == _ASSIGN:
                 budget -= 1
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                _, target, source, atom, where = instr
-                value = env.get(source)
-                if value is None or target in env:
-                    raise _fault(atom, where, env, program)
-                env[target] = value
+                frame[instr[1]] = frame[instr[2]]
             elif kind == _TEST:
                 budget -= 1
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                _, left, right, atom, where = instr
-                a, b = env.get(left), env.get(right)
-                if a is None or b is None:
-                    raise _fault(atom, where, env, program)
-                if a != b:
+                if frame[instr[1]] != frame[instr[2]]:
                     break
             elif kind == _EVAL:
-                _, name, term, counts_step, atom, where = instr
-                value = _build(term, env)
-                if value is None:
-                    if counts_step and budget <= 0:
-                        raise StepLimitExceeded(max_steps)
-                    raise _fault(atom, where, env, program)
-                env[name] = value
+                frame[instr[1]] = _build(instr[2], {name: frame[slot] for name, slot in instr[3]})
             else:  # _FAULT
-                _, counts_step, atom, where = instr
+                _, counts_step, bound, atom, where = instr
                 if counts_step and budget <= 0:
                     raise StepLimitExceeded(max_steps)
-                err = _fault(atom, where, env, program)
+                err = _fault(atom, where, {name: frame[slot] for name, slot in bound}, program)
                 if err is not None:
                     raise err
                 budget -= counts_step
@@ -552,7 +572,7 @@ def solve(
                     choices[-1][1] += 2 * (n - k - 1)
                 else:
                     choices.append([None, 2 * (n - k - 1)])
-            head_ins, heads_out, body, _ = clauses[k]
-            env = dict(zip(head_ins, values))
+            pad, outs, body, _ = clauses[k]
+            frame = [*values, *pad]
             i = 0
             break

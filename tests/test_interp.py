@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -28,7 +30,9 @@ from argprof import (
     run_analysis,
     solve,
     validate_modes,
+    validate_program,
 )
+from argprof.interp import _FAULT, _Procedures
 from helpers import (
     TIE_FREE_FIXTURES,
     ReferenceSteps,
@@ -368,6 +372,56 @@ def test_oracle_unchecked_program_atoms():
     assert outcomes["callorder", "nil"] == (RuntimeModeError, "Y already bound at point 28")
 
 
+def _fault_points(program):
+    """Predicate name -> the points of the atoms its clauses compile to
+    faults, the checks that fail where they stand."""
+    procs = _Procedures(program)
+    return {
+        name: [instr[3].point for clause in procs[name] for instr in clause[2] if instr[0] == _FAULT]
+        for name in program.predicates
+    }
+
+
+def test_validated_programs_compile_without_faults():
+    # The compiler's mode walk agrees with the mode checker: every clause
+    # of a validated program compiles to instructions that check nothing.
+    corpus = random.Random(0xBEEF)
+    programs = [load_fixture(name) for name in fixture_names()]
+    programs += [parse_program(gen_program_source(corpus)) for _ in range(200)]
+    clauses = 0
+    for program in programs:
+        assert validate_program(program).ok()
+        assert not any(_fault_points(program).values())
+        clauses += sum(len(pred.clauses) for pred in program.predicates.values())
+    assert clauses == 1313
+
+
+def test_unchecked_atoms_compile_to_faults():
+    # Each program atom whose check fails compiles to one fault, and the
+    # rest of its body is not compiled. A repeated call output raises on
+    # return, and an unbound head output at the clause's end: neither is
+    # an atom's fault.
+    points = _fault_points(parse_program(UNCHECKED))
+    assert points == {
+        "q": [],
+        "dupout": [],
+        "unbound": [4],
+        "twice": [6],
+        "decdup": [7],
+        "testfree": [9],
+        "consfree": [11],
+        "consbound": [13],
+        "callbound": [15],
+        "callfree": [16],
+        "noout": [],
+        "alt": [22],
+        "consboth": [24],
+        "assignboth": [26],
+        "r": [],
+        "callorder": [28],
+    }
+
+
 # Not mode-checked: clauses whose first atom may or may not select them. A
 # clause starting with a deconstruct of a head input is passed over, at the
 # reference's step cost, when its functor or arity differs from the input.
@@ -486,6 +540,32 @@ def test_oracle_backtracking_inside_clauses():
     assert [format_ground(a["P"]) for a in answers] == ["pair(a, a)", "pair(a, b)", "pair(b, a)", "pair(b, b)"]
 
 
+# A clause that binds locals from a call's answer, then calls again: when
+# backtracking re-enters the second call, then the first, the frame they
+# return into is written again in place, and the locals bound before each
+# call must be the ones its continuation reads.
+REUSE = """\
+:- pred pick(in,out).
+pick(L,X) :- L => cons(E,Es), X := E.
+pick(L,X) :- L => cons(E,Es), pick(Es,X).
+:- pred mix(in,out).
+mix(L,P) :- pick(L,X), X => pair(A,B), pick(L,Y), Y => pair(C,D), Q <= pair(A,D), P <= pair(Q,C).
+"""
+REUSE_QUERY = "?- mix(cons(pair(a,b),cons(pair(c,d),cons(e,nil))), P)."
+
+
+def test_backtracking_into_calls_reuses_the_callers_frame():
+    program = parse_program(REUSE)
+    assert validate_modes(program).ok()
+    outcome = assert_agrees(program, parse_query(REUSE_QUERY))
+    assert [format_ground(p) for [(_, p)] in outcome[1]] == [
+        "pair(pair(a, b), a)",
+        "pair(pair(a, d), c)",
+        "pair(pair(c, b), a)",
+        "pair(pair(c, d), c)",
+    ]
+
+
 def test_oracle_nrev_and_bindings():
     program = parse_program((Path(__file__).parent.parent / "perfbench" / "nrev.lp").read_text())
     for n in range(13):
@@ -542,9 +622,37 @@ def test_oracle_soundness_queries():
 # The test-07 corpus backtracks into calls far more than the fixtures do.
 # The reference nests generator frames as it takes steps: at a 500-step
 # limit it exceeds Python's default recursion limit on 97 of the corpus
-# queries, at 300 on none.
-CORPUS_ORACLE_LIMIT = 300
+# queries. It runs in a thread with a deep stack (``_with_deep_stack``), so
+# the oracle reaches the soundness test's limit.
+CORPUS_ORACLE_LIMIT = 2_000
 CORPUS_SOUNDNESS_LIMIT = 2_000
+
+
+def _with_deep_stack(run):
+    """``run()`` in one worker thread with a 512 MiB stack and a recursion
+    limit to match; what it raises is raised here."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(run())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    stack_size = threading.stack_size(512 * 2**20)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200_000)
+    try:
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=600)
+    finally:
+        threading.stack_size(stack_size)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive(), "the worker thread did not finish within 600 s"
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
 
 
 def _corpus_queries():
@@ -560,10 +668,14 @@ def _corpus_queries():
 
 
 def test_oracle_corpus_predicates():
-    outcomes = Counter()
-    for program, queries in _corpus_queries():
-        for _pred, query, _args in queries:
-            outcomes[assert_agrees(program, query, limit=CORPUS_ORACLE_LIMIT)[0]] += 1
+    def run():
+        outcomes = Counter()
+        for program, queries in _corpus_queries():
+            for _pred, query, _args in queries:
+                outcomes[assert_agrees(program, query, limit=CORPUS_ORACLE_LIMIT)[0]] += 1
+        return outcomes
+
+    outcomes = _with_deep_stack(run)
     assert sum(outcomes.values()) == 656
     assert outcomes["answers"] > 100 and outcomes[StepLimitExceeded] > 100
 
@@ -598,11 +710,14 @@ def test_corpus_normalization_soundness():
         ("mixed.lp", "?- swap_all(cons(pair(1,2),cons(pair(3,4),nil)), R).", 21),
         ("append.lp", "?- X <= cons(a,nil), app(X, X, Z).", 11),
         ("nrev.lp", "?- nrev(" + "".join(f"cons({e}," for e in "abcdefghij") + "nil" + ")" * 10 + ", R).", 340),
+        ("REUSE", REUSE_QUERY, 75),
     ],
 )
 def test_step_counts(program_file, text, steps):
     if program_file == "nrev.lp":
         program = parse_program((Path(__file__).parent.parent / "perfbench" / "nrev.lp").read_text())
+    elif program_file == "REUSE":
+        program = parse_program(REUSE)
     else:
         program = load_fixture(program_file)
     query = parse_query(text)
