@@ -41,11 +41,15 @@ def _read_stdin() -> str:
 def _read_source(path: str) -> tuple[str, str]:
     # UTF-8 whatever the locale, with one leading byte-order mark dropped. A
     # byte that is not UTF-8 becomes a lone surrogate, which the lexer
-    # reports with its position.
+    # reports with its position. A file that cannot be read is named in
+    # its diagnostic, like every other one.
     if path == "-":
         return _read_stdin(), "<stdin>"
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        return handle.read(), path
+    try:
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+            return handle.read(), path
+    except OSError as exc:
+        raise _Failure(f"{path}: error: {exc}") from None
 
 
 class _Failure(Exception):

@@ -25,9 +25,10 @@ Python's recursion limit:
   instruction over slots that checks nothing at run time. The first atom
   whose checks fail becomes a fault instruction, and the rest of the body
   is not compiled. When reached, the fault charges the atom's step (a
-  call has none) and raises the first failing check, naming ``point N``;
-  at a deconstruct whose value has another functor or arity it only
-  fails. A program call that repeats an output raises when it returns.
+  call has none) and raises the error named when it was compiled, its
+  first failing check at ``point N``; at a deconstruct whose value has
+  another functor or arity it only fails. A program call that repeats an
+  output raises when it returns.
 * **Continuations.** The machine runs one clause body at a time: its
   instructions, the index of the next one, its frame and the return
   record of the call that entered it. On reaching the end of a body it
@@ -57,31 +58,30 @@ Python's recursion limit:
   leaves no choice point, and the steps of the clauses after the entered
   one stay on the choice stack as a charge-only entry. Backtracking onto
   it only charges them, and adjacent ones merge.
-* **Queries.** A query is compiled into one flat goal on the same machine,
-  with one frame that starts with the given bindings. Ground input terms
-  are bound to fresh variables as parsed; input terms that use query
-  variables are built when their atom is reached, with an explicit stack,
-  and share every subterm that holds no variable. A query atom that holds
-  an unknown predicate, a term or a repeated variable in an output
-  position, or an unbound variable in an input, becomes a fault
-  instruction as in a clause. Errors name the query atom as
-  ``goal atom i``.
+* **Queries.** A query is compiled by the same body compiler into one
+  flat goal on the same machine, with one frame that starts with the
+  given bindings. Ground input terms are held in the frame as parsed;
+  input terms that use query variables are built when their atom is
+  reached, with an explicit stack, and share every subterm that holds no
+  variable. A query atom that holds an unknown predicate, a term or a
+  repeated variable in an output position, or an unbound variable in an
+  input, becomes a fault instruction as in a clause. Errors name the
+  query atom as ``goal atom i``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from itertools import count
 from operator import is_, itemgetter
 
 from .parse import Query
 from .syntax import (
-    Assign,
     Atom,
     Call,
     Construct,
     Deconstruct,
     FunctorTerm,
+    Predicate,
     Program,
     Term,
     Test,
@@ -121,11 +121,12 @@ class StepLimitExceeded(SolveError):
 
 Answer = dict[str, FunctorTerm]
 
-_Env = dict[str, FunctorTerm]
+_Frame = list
 
 
-def _build(t: Term, env: _Env) -> FunctorTerm | None:
-    """The ground value of a query term, or None if a variable in it is unbound."""
+def _build(t: Term, frame: _Frame, slots: Mapping[str, int]) -> FunctorTerm:
+    """The ground value of query term ``t``, whose variables are bound in
+    ``frame`` at ``slots``; a subterm that holds no variable is shared."""
     values: list[FunctorTerm] = []
     # Terms still to build, and one-tuples holding a term whose argument
     # values are built: it is its own value when they are its arguments.
@@ -133,10 +134,7 @@ def _build(t: Term, env: _Env) -> FunctorTerm | None:
     while work:
         item = work.pop()
         if isinstance(item, Var):
-            value = env.get(item.name)
-            if value is None:
-                return None
-            values.append(value)
+            values.append(frame[slots[item.name]])
         elif isinstance(item, FunctorTerm):
             if item.args:
                 work.append((item,))
@@ -151,66 +149,55 @@ def _build(t: Term, env: _Env) -> FunctorTerm | None:
     return values[0]
 
 
-def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveError | None:
-    """The error selecting ``atom`` in ``env`` raises, or None if it only fails.
+def _term_names(term: Term) -> Iterator[str]:
+    """Variable names of ``term``, depth-first, left to right."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            yield t.name
+        else:
+            stack.extend(reversed(t.args))
 
-    A fault instruction stands for an atom with a failing mode check; this
-    walks the atom's checks in their defined order to name the first one.
-    A call checks its arguments in position order. Any other atom checks
-    that its inputs are ground, then, unless it is a deconstruct whose
-    functor differs and so only fails, that its outputs are free and
-    distinct.
-    ``where`` is the text of a query atom, None for a program atom.
+
+def _mode_error(
+    atom: Atom, slots: Mapping[str, int], predicates: Mapping[str, Predicate], where: str, query: bool
+) -> tuple[type[SolveError], str]:
+    """The class and text of the error ``atom`` raises when selected where
+    the names in ``slots`` are bound, for an atom with a failing mode check.
+
+    This walks the atom's checks in their defined order to name the first
+    one that fails. A call checks its arguments in position order. Any
+    other atom checks that its inputs are ground, then that its outputs are
+    free and distinct; a deconstruct reaches its outputs only when its value
+    has its functor and arity, which the fault's guard decides at run time.
+    ``where`` names the atom, ``query`` tells whether it is a query atom.
     """
-    query = where is not None
-    if not query:
-        where = f"point {atom.point}"
-    taken = set(env)  # bound names, then this atom's outputs as checked
-
-    def need_ground(t: Term) -> SolveError | None:
-        if _build(t, env) is not None:
-            return None
-        return RuntimeModeError(f"non-ground input at {where}" if query else f"{t.name} unbound at {where}")
-
-    def need_free(t: Term) -> SolveError | None:
-        if not isinstance(t, Var):
-            return RuntimeModeError(f"output position holds a term at {where}")
-        if t.name in taken:
-            return RuntimeModeError(f"{t.name} already bound at {where}")
-        return None
-
     if isinstance(atom, Call):
-        callee = program.predicates.get(atom.pred)
+        callee = predicates.get(atom.pred)
         if callee is None:
-            return SolveError(f"unknown predicate '{atom.pred}' in query")
+            return SolveError, f"unknown predicate '{atom.pred}' in query"
         if len(atom.args) != callee.arity:
-            return SolveError(
-                f"'{atom.pred}' called with {len(atom.args)} arguments but declared with arity {callee.arity}"
-            )
-        outputs: set[str] = set()
-        for t, mode in zip(atom.args, callee.modes):
-            if mode == "in":
-                err = need_ground(t)
-            elif (err := need_free(t)) is None:
-                if query and t.name in outputs:
-                    err = RuntimeModeError(f"{t.name} repeated in output positions at {where}")
-                outputs.add(t.name)
-            if err is not None:
-                return err
-        return None
-    ins, outs = atom_flow(atom, program.predicates)
-    for t in ins:
-        if (err := need_ground(t)) is not None:
-            return err
-    if isinstance(atom, Deconstruct):
-        value = _build(atom.var, env)
-        if value.functor != atom.functor or len(value.args) != len(atom.args):
-            return None
-    for t in outs:
-        if (err := need_free(t)) is not None:
-            return err
-        taken.add(t.name)
-    return None
+            n = len(atom.args)
+            return SolveError, f"'{atom.pred}' called with {n} arguments but declared with arity {callee.arity}"
+        checks = [(t, mode == "in") for t, mode in zip(atom.args, callee.modes)]
+    else:
+        ins, outs = atom_flow(atom, predicates)
+        checks = [(t, True) for t in ins] + [(t, False) for t in outs]
+    outputs: set[str] = set()  # this atom's outputs as checked
+    for t, is_input in checks:
+        if is_input:
+            if not all(name in slots for name in _term_names(t)):
+                return RuntimeModeError, f"non-ground input at {where}" if query else f"{t.name} unbound at {where}"
+        elif not isinstance(t, Var):
+            return RuntimeModeError, f"output position holds a term at {where}"
+        elif t.name in slots or (t.name in outputs and not isinstance(atom, Call)):
+            return RuntimeModeError, f"{t.name} already bound at {where}"
+        elif t.name in outputs and query:
+            return RuntimeModeError, f"{t.name} repeated in output positions at {where}"
+        else:
+            outputs.add(t.name)
+    raise AssertionError(f"no mode check of {atom!r} fails at {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +212,13 @@ def _fault(atom: Atom, where: str | None, env: _Env, program: Program) -> SolveE
 #   (_CONSTRUCT, output, functor, argument getter)
 #   (_TEST, left, right)
 #   (_ASSIGN, output, input)
-#   (_EVAL, output, query term, slots of its variables by name)
-#   (_FAULT, counts a step, slots of the bound names by name, atom, where)
+#   (_EVAL, output, query term, slots of the names bound in the frame)
+#   (_FAULT, counts a step, (error class, text), atom, guard)
+# A fault's guard is None, or the (input, functor, arity) of a deconstruct
+# whose value must have that functor and arity for the error to be raised.
 _CALL, _DECONSTRUCT, _CONSTRUCT, _TEST, _ASSIGN, _EVAL, _FAULT = range(7)
 
 _Instr = tuple
-_Frame = list
 _Getter = Callable[[_Frame], tuple[FunctorTerm, ...]]
 # A selection key: (input position, functor, arity) of the deconstruct a
 # clause starts with, when it deconstructs a head input.
@@ -269,36 +257,79 @@ def _unbound(name: str) -> _Getter:
     return get
 
 
-def _compile_atom(flat: Atom, program: Program, slots: dict[str, int], size: int) -> tuple[_Instr | None, int]:
-    """The instruction for ``flat``, an atom over variables, in a frame of
-    ``size`` slots where the bound names have ``slots``, and the frame's
-    size after it. The instruction is None if a check of the atom fails
-    there. Its outputs get the next slots, in order; a program call may
-    repeat an output, which raises when the call returns."""
-    ins, outs = atom_flow(flat, program.predicates)
-    names = [v.name for v in outs]
-    repeat = _first_repeat(names)
-    if (
-        any(v.name not in slots for v in ins)
-        or not slots.keys().isdisjoint(names)
-        or (repeat is not None and not isinstance(flat, Call))
-    ):
-        return None, size
-    first = size
-    for name in names:
-        if name not in slots:
-            slots[name] = size
-            size += 1
-    if isinstance(flat, Deconstruct):
-        return (_DECONSTRUCT, slots[flat.var.name], flat.functor, len(names), first, size), size
-    if isinstance(flat, Call):
-        error = None if repeat is None else f"{repeat} already bound at point {flat.point}"
-        return (_CALL, flat.pred, _getter([slots[v.name] for v in ins]), first, size, error), size
-    if isinstance(flat, Construct):
-        return (_CONSTRUCT, first, flat.functor, _getter([slots[v.name] for v in ins])), size
-    if isinstance(flat, Test):
-        return (_TEST, slots[flat.left.name], slots[flat.right.name]), size
-    return (_ASSIGN, first, slots[flat.source.name]), size
+def _compile_body(
+    atoms: tuple[Atom, ...], predicates: Mapping[str, Predicate], slots: dict[str, int], frame: _Frame, query: bool
+) -> tuple[_Instr, ...]:
+    """The instructions of ``atoms``, a clause body or a query, in a frame
+    whose bound names have ``slots``; ``frame`` holds its slots' initial
+    values, and ``slots`` and ``frame`` grow with the names each atom binds
+    and the query input terms it holds.
+
+    An atom whose mode checks pass where it stands becomes one instruction,
+    its outputs taking the next slots in order; a program call may repeat
+    an output, which raises when the call returns. A query input term that
+    is ground is held as parsed, any other is built by an ``_EVAL`` before
+    its atom. The first atom whose checks fail becomes a fault that raises
+    the error named here, and the rest of the body is not compiled.
+    """
+    code: list[_Instr] = []
+    for index, atom in enumerate(atoms, 1):
+        is_call = isinstance(atom, Call)
+        ok = True
+        if query and is_call:
+            callee = predicates.get(atom.pred)
+            ok = callee is not None and len(atom.args) == callee.arity
+        args: list[int] = []  # the slots of the atom's inputs
+        if ok:
+            ins, outs = atom_flow(atom, predicates)
+            for t in ins:
+                if isinstance(t, Var):
+                    slot = slots.get(t.name)
+                    if slot is None:
+                        ok = False
+                        break
+                else:
+                    bound = [name in slots for name in _term_names(t)]
+                    if not all(bound):
+                        ok = False
+                        break
+                    slot = len(frame)
+                    if bound:
+                        code.append((_EVAL, slot, t, slots))
+                    frame.append(None if bound else t)
+                args.append(slot)
+        if ok:
+            names = [t.name for t in outs if isinstance(t, Var)]
+            repeat = _first_repeat(names)
+            ok = (
+                len(names) == len(outs)
+                and slots.keys().isdisjoint(names)
+                and (repeat is None or (is_call and not query))
+            )
+        if not ok:
+            where = f"goal atom {index}" if query else f"point {atom.point}"
+            error = _mode_error(atom, slots, predicates, where, query)
+            guard = (args[0], atom.functor, len(atom.args)) if isinstance(atom, Deconstruct) and args else None
+            code.append((_FAULT, not is_call, error, atom, guard))
+            break
+        first = len(frame)
+        for name in names:
+            if name not in slots:
+                slots[name] = len(frame)
+                frame.append(None)
+        end = len(frame)
+        if isinstance(atom, Deconstruct):
+            code.append((_DECONSTRUCT, args[0], atom.functor, len(names), first, end))
+        elif is_call:
+            error = None if repeat is None else f"{repeat} already bound at point {atom.point}"
+            code.append((_CALL, atom.pred, _getter(args), first, end, error))
+        elif isinstance(atom, Construct):
+            code.append((_CONSTRUCT, first, atom.functor, _getter(args)))
+        elif isinstance(atom, Test):
+            code.append((_TEST, args[0], args[1]))
+        else:
+            code.append((_ASSIGN, first, args[0]))
+    return tuple(code)
 
 
 class _Procedures(dict):
@@ -317,21 +348,15 @@ class _Procedures(dict):
             # Each name's slot is its last input position, whose value its
             # binding keeps.
             slots = {name: pos for pos, name in enumerate(head_ins)}
-            size = len(head_ins)
             key = None
             first = clause.body[0] if clause.body else None
             if isinstance(first, Deconstruct) and first.var.name in slots:
                 key = (slots[first.var.name], first.functor, len(first.args))
-            code: list[_Instr] = []
-            for atom in clause.body:
-                instr, size = _compile_atom(atom, self.program, slots, size)
-                if instr is None:
-                    code.append((_FAULT, not isinstance(atom, Call), tuple(slots.items()), atom, None))
-                    break
-                code.append(instr)
+            frame: _Frame = [None] * len(head_ins)
+            code = _compile_body(clause.body, self.program.predicates, slots, frame, False)
             unbound = [name for name in head_outs if name not in slots]
             outs = _unbound(unbound[0]) if unbound else _getter([slots[name] for name in head_outs])
-            clauses.append(((None,) * (size - len(head_ins)), outs, tuple(code), key))
+            clauses.append((tuple(frame[len(head_ins) :]), outs, code, key))
         self[name] = result = tuple(clauses)
         return result
 
@@ -346,101 +371,16 @@ def _admits(clause: _Clause, values: tuple[FunctorTerm, ...]) -> bool:
     return value.functor == key[1] and len(value.args) == key[2]
 
 
-def _term_names(term: Term) -> Iterator[str]:
-    """Variable names of ``term``, depth-first, left to right."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            yield t.name
-        else:
-            stack.extend(reversed(t.args))
-
-
-def _query_terms(qa: Atom) -> tuple[Term, ...]:
-    if isinstance(qa, Call):
-        return qa.args
-    if isinstance(qa, (Deconstruct, Construct)):
-        return (qa.var, *qa.args)
-    if isinstance(qa, Test):
-        return (qa.left, qa.right)
-    if isinstance(qa, Assign):
-        return (qa.target, qa.source)
-    raise TypeError(f"not a query atom: {qa!r}")
-
-
 def _compile_goal(
-    goal: tuple[Atom, ...], program: Program, bindings: _Env
+    goal: tuple[Atom, ...], program: Program, bindings: Mapping[str, FunctorTerm]
 ) -> tuple[tuple[_Instr, ...], _Frame, list[tuple[str, int]]]:
     """The instructions of a query, its frame holding ``bindings`` and its
-    ground input terms, and the slots of its answer variables (those not
-    in ``bindings``) in order of first occurrence."""
+    ground input terms, and the slots of its answer variables: the names
+    it binds beyond ``bindings``, in binding order."""
     slots = {name: pos for pos, name in enumerate(bindings)}
     frame: _Frame = list(bindings.values())
-    code: list[_Instr] = []
-    names: dict[str, None] = {}
-    serial = count(1)
-    for index, qa in enumerate(goal, 1):
-        where = f"goal atom {index}"
-        # One walk of each term records its variable names and tells
-        # whether it is ground.
-        ground: set[int] = set()  # ids of the atom's terms without variables
-        for t in _query_terms(qa):
-            has_var = False
-            for name in _term_names(t):
-                names[name] = None
-                has_var = True
-            if not has_var:
-                ground.add(id(t))
-        evals: list[_Instr] = []
-
-        def holder(t: Term) -> Var:
-            """A variable holding input term ``t``, unbound if a variable
-            of ``t`` is."""
-            if isinstance(t, Var):
-                return t
-            name = f"#{next(serial)}"
-            if id(t) in ground:
-                slots[name] = len(frame)
-                frame.append(t)
-            else:
-                term_slots = {n: slots.get(n) for n in _term_names(t)}
-                if None not in term_slots.values():
-                    slots[name] = len(frame)
-                    evals.append((_EVAL, len(frame), t, tuple(term_slots.items())))
-                    frame.append(None)
-            return Var(name)
-
-        flat: Atom | None = None
-        if isinstance(qa, Call):
-            callee = program.predicates.get(qa.pred)
-            if callee is not None and len(qa.args) == callee.arity:
-                outs = callee.split(qa.args)[1]
-                if all(isinstance(t, Var) for t in outs) and _first_repeat(t.name for t in outs) is None:
-                    args = tuple(t if m == "out" else holder(t) for t, m in zip(qa.args, callee.modes))
-                    flat = Call(0, 0, 0, qa.pred, args)
-        elif isinstance(qa, Deconstruct):
-            if all(isinstance(t, Var) for t in qa.args):
-                flat = Deconstruct(0, 0, 0, holder(qa.var), qa.functor, qa.args)
-        elif isinstance(qa, Construct):
-            if isinstance(qa.var, Var):
-                flat = Construct(0, 0, 0, qa.var, qa.functor, tuple(holder(t) for t in qa.args))
-        elif isinstance(qa, Test):
-            flat = Test(0, 0, 0, holder(qa.left), holder(qa.right))
-        elif isinstance(qa, Assign):
-            if isinstance(qa.target, Var):
-                flat = Assign(0, 0, 0, qa.target, holder(qa.source))
-        instr = None
-        if flat is not None:
-            instr, size = _compile_atom(flat, program, slots, len(frame))
-        if instr is None:
-            code.append((_FAULT, not isinstance(qa, Call), tuple(slots.items()), qa, where))
-            break
-        code += evals
-        code.append(instr)
-        frame += [None] * (size - len(frame))
-    answer = [(name, slots[name]) for name in names if name not in bindings and name in slots]
-    return tuple(code), frame, answer
+    code = _compile_body(goal, program.predicates, slots, frame, True)
+    return code, frame, list(slots.items())[len(bindings) :]
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +463,17 @@ def solve(
                 if frame[instr[1]] != frame[instr[2]]:
                     break
             elif kind == _EVAL:
-                frame[instr[1]] = _build(instr[2], {name: frame[slot] for name, slot in instr[3]})
+                frame[instr[1]] = _build(instr[2], frame, instr[3])
             else:  # _FAULT
-                _, counts_step, bound, atom, where = instr
+                _, counts_step, (error, text), _, guard = instr
                 if counts_step and budget <= 0:
                     raise StepLimitExceeded(max_steps)
-                err = _fault(atom, where, {name: frame[slot] for name, slot in bound}, program)
-                if err is not None:
-                    raise err
-                budget -= counts_step
-                break
+                if guard is not None:
+                    value = frame[guard[0]]
+                    if value.functor != guard[1] or len(value.args) != guard[2]:
+                        budget -= 1
+                        break
+                raise error(text)
             i += 1
 
         # Backtrack: enter the top choice point's next clause that admits

@@ -331,6 +331,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_missing_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.lp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("/nonexistent/file.lp: error: [Errno 2] No such file or directory")
+    # A directory is named too.
+    assert main(["analyze", str(FIXTURES)]) == 1
+    assert capsys.readouterr().err.startswith(f"{FIXTURES}: error: [Errno 21] Is a directory")
 
 
 def test_usage_error_exit_2():

@@ -340,9 +340,19 @@ def test_oracle_query_atoms():
         "?- pick(cons(a,cons(b,nil)), X), Y <= cons(X,nil), pick(Y, Z).",
         "?- pick(cons(a,cons(b,nil)), X), pick(cons(X,Y), Z).",
         "?- pick(cons(a,cons(b,nil)), X), X => b, pick(nil, Z).",
+        # A deconstruct whose input is built when its atom is reached.
+        "?- X := a, f(X,X) => f(H,H).",
+        "?- X := a, f(X,X) => g(H,H).",
+        "?- X := a, f(X,X) => f(a,T).",
+        "?- cons(a,nil) => pair(H,H).",
+        "?- pick(cons(a,cons(b,nil)), X), f(X,X) => f(H,H).",
     ]
-    for text in texts:
-        assert_agrees(program, parse_query(text))
+    outcomes = {text: assert_agrees(program, parse_query(text)) for text in texts}
+    assert outcomes["?- X := a, f(X,X) => f(H,H)."] == (RuntimeModeError, "H already bound at goal atom 2")
+    assert outcomes["?- X := a, f(X,X) => g(H,H)."] == ("answers", [])
+    assert outcomes["?- X := a, f(X,X) => f(a,T)."] == (RuntimeModeError, "output position holds a term at goal atom 2")
+    assert outcomes["?- cons(a,nil) => pair(H,H)."] == ("answers", [])
+    assert outcomes["?- pick(cons(a,cons(b,nil)), X), f(X,X) => f(H,H)."][0] is RuntimeModeError
     # An atom with an unbound input and a bound output reports the input.
     for text in ("?- Z := nil, Z <= cons(X,nil).", "?- Z := nil, Z := X.", "?- H := a, L => cons(H,T)."):
         assert assert_agrees(program, parse_query(text)) == (RuntimeModeError, "non-ground input at goal atom 2")
@@ -373,11 +383,11 @@ def test_oracle_unchecked_program_atoms():
 
 
 def _fault_points(program):
-    """Predicate name -> the points of the atoms its clauses compile to
-    faults, the checks that fail where they stand."""
+    """Predicate name -> the point and error text of each atom its clauses
+    compile to a fault, the checks that fail where they stand."""
     procs = _Procedures(program)
     return {
-        name: [instr[3].point for clause in procs[name] for instr in clause[2] if instr[0] == _FAULT]
+        name: [(instr[3].point, instr[2][1]) for clause in procs[name] for instr in clause[2] if instr[0] == _FAULT]
         for name in program.predicates
     }
 
@@ -401,7 +411,8 @@ def test_unchecked_atoms_compile_to_faults():
     # rest of its body is not compiled. A repeated call output raises on
     # return, and an unbound head output at the clause's end: neither is
     # an atom's fault.
-    points = _fault_points(parse_program(UNCHECKED))
+    faults = _fault_points(parse_program(UNCHECKED))
+    points = {name: [point for point, _ in pairs] for name, pairs in faults.items()}
     assert points == {
         "q": [],
         "dupout": [],
@@ -420,6 +431,16 @@ def test_unchecked_atoms_compile_to_faults():
         "r": [],
         "callorder": [28],
     }
+    # Each fault carries the error named when it was compiled: the one
+    # test_oracle_unchecked_program_atoms sees raised.
+    texts = {point: text for pairs in faults.values() for point, text in pairs}
+    assert texts[4] == "W unbound at point 4"
+    assert texts[6] == "Y already bound at point 6"
+    assert texts[7] == "A already bound at point 7"
+    assert texts[22] == "W unbound at point 22"
+    assert texts[24] == "W unbound at point 24"
+    assert texts[26] == "W unbound at point 26"
+    assert texts[28] == "Y already bound at point 28"
 
 
 # Not mode-checked: clauses whose first atom may or may not select them. A
