@@ -13,26 +13,28 @@ carrying one operation at the atom's point. The operation names the kind:
     ``psi(<callee's ordered profile>)`` otherwise; it also yields the
     callee's current interaction set with formals renamed to actuals.
 
-Clause analysis joins the atom results, closes them transitively (data
-flowing through local variables composes into argument-to-argument flow)
-and projects onto the formal arguments. The closure is semi-naive: each
-step composes only the pairs the step before added or grew.
+Clause analysis joins the atom results and keeps the flow from argument to
+argument, with data flowing through local variables composed in. Only the
+argument pairs of the closure are needed, so they are read off
+reachability from the arguments instead of closing over every variable
+(see ``_formal_flow``): linear in the clause's flow when each variable is
+reached from few arguments. A clause in which an argument lies on a flow
+cycle is closed, semi-naively: each step composes only the pairs the step
+before added or grew.
 
 The driver analyzes predicates bottom-up over the call graph: each
 predicate is iterated to a local fixpoint before any caller of it is
 considered, which is what makes call abstractions stable, so each one is
 built once, when its callee is discharged, and shared by every call site
 in every round. The rounds of one predicate are incremental too. The
-first round builds and closes each clause's set once, from every atom but
-the environment entry its self-calls read; a clause without a self-call
-is then finished. Each later round joins only the renamed entry into the
-clauses that call themselves and closes over just the pairs it grew, and
-only argument-to-argument pairs that grew reach the predicate's set. A
-predicate that never calls itself reads only discharged callees, so its
-second round cannot differ from its first: that confirming round is
-recorded without being computed. Directly recursive programs always
-converge because interaction sets over a predicate form a finite lattice
-and each round only ever grows them.
+first round builds each clause's atom and call sets once and projects
+them; a clause without a self-call is then finished. Each later round
+joins the renamed environment entry into the clauses that call themselves
+and projects again those it grew. A predicate that never calls itself
+reads only discharged callees, so its second round cannot differ from its
+first: that confirming round is recorded without being computed. Directly
+recursive programs always converge because interaction sets over a
+predicate form a finite lattice and each round only ever grows them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .domain import (
     InteractionSet,
     Operation,
     Pair,
+    PointOps,
     PsiOp,
     TEST,
     _Builder,
@@ -98,32 +101,17 @@ def call_abstraction(callee: Predicate, callee_set: InteractionSet) -> PsiOp:
     return PsiOp(oprof(strip_points(callee_set, callee.arg_names)).profiles)
 
 
-def _add_renamed(
-    out: _Builder,
-    callee: Predicate,
-    atom: Call,
-    callee_set: InteractionSet,
-    grown: dict[tuple[str, str], None],
-) -> None:
+def _add_renamed(out: _Builder, callee: Predicate, atom: Call, callee_set: InteractionSet) -> bool:
     """Join ``callee_set`` with the callee's formals renamed to the call's
-    actuals into ``out``, noting in ``grown`` each pair added or grown."""
+    actuals into ``out``; returns whether any pair was added or grown."""
     rename = {f.name: a.name for f, a in zip(callee.args, atom.args)}
+    grew = False
     for (source, target), ops in callee_set.pairs.items():
         src, tgt = rename[source], rename[target]
         # Aliased actuals collapse the edge.
         if src != tgt and out.add(src, tgt, ops):
-            grown[(src, tgt)] = None
-
-
-def _add_flow(out: _Builder, atom: Atom, program: Program, op: Operation) -> None:
-    """Join one interaction carrying ``op`` at the atom's point from each
-    input of ``atom`` into each of its outputs with another name."""
-    inputs, outputs = atom_flow(atom, program.predicates)
-    by_point = {atom.point: op}
-    for x in inputs:
-        for y in outputs:
-            if x.name != y.name:
-                out.add(x.name, y.name, by_point)
+            grew = True
+    return grew
 
 
 def _add_atom(
@@ -133,7 +121,9 @@ def _add_atom(
     program: Program,
     psi_ops: Mapping[str, PsiOp] | None,
 ) -> None:
-    """Join the interactions of one atom into ``out``; a non-recursive call
+    """Join the interactions of one atom into ``out``: one carrying the op
+    of its kind at its point from each input into each output with another
+    name, and for a call the callee's renamed set. A non-recursive call
     takes its abstraction from ``psi_ops`` when given."""
     op: Operation
     if isinstance(atom, Deconstruct):
@@ -147,7 +137,7 @@ def _add_atom(
             raise AnalysisError(f"predicate '{atom.pred}' missing from environment")
         callee = program.predicates[atom.pred]
         callee_set = env[atom.pred]
-        _add_renamed(out, callee, atom, callee_set, {})
+        _add_renamed(out, callee, atom, callee_set)
         if atom.pred == out.owner:
             op = PSI_BOT
         elif psi_ops is not None:
@@ -156,7 +146,12 @@ def _add_atom(
             op = call_abstraction(callee, callee_set)
     else:
         op = TEST  # a test has no outputs
-    _add_flow(out, atom, program, op)
+    inputs, outputs = atom_flow(atom, program.predicates)
+    by_point = {atom.point: op}
+    for x in inputs:
+        for y in outputs:
+            if x.name != y.name:
+                out.add(x.name, y.name, by_point)
 
 
 def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionSet:
@@ -167,9 +162,8 @@ def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionS
     return out.freeze()
 
 
-def _close(out: _Builder, delta: dict[Pair, None] | None = None) -> dict[Pair, None]:
-    """Close ``out`` in place under composition through shared variables,
-    and return the pairs added or grown (every pair when ``delta`` is None).
+def _close(out: _Builder) -> None:
+    """Close ``out`` in place under composition through shared variables.
 
     For pairwise-distinct X, Y, Z with X ~{O}~> Y and Y ~{O'}~> Z, the
     interaction X ~{O u O'}~> Z is merged in (union keyed by program
@@ -179,17 +173,13 @@ def _close(out: _Builder, delta: dict[Pair, None] | None = None) -> dict[Pair, N
     grown by the step before, on either side, with the current pairs they
     meet through the successor and predecessor indexes. A pair that grows
     is composed again in the next step, so every composition of the final
-    pairs is made at least once. ``delta`` names the pairs added or grown
-    since ``out`` was last closed; the first step composes only those, with
-    indexes over all pairs.
+    pairs is made at least once.
     """
     ops = out.ops
     # Dicts as insertion-ordered sets, so every run composes in one order.
     succ: dict[str, dict[str, None]] = {}
     pred: dict[str, dict[str, None]] = {}
-    if delta is None:
-        delta = dict.fromkeys(ops)
-    changed = dict(delta)
+    delta = dict.fromkeys(ops)
     unindexed: Iterable[Pair] = ops  # every pair, then each step's new ones
     while delta:
         for x, y in unindexed:
@@ -205,9 +195,7 @@ def _close(out: _Builder, delta: dict[Pair, None] | None = None) -> dict[Pair, N
             for w in pred.get(x, ()):
                 if w != y and out.add(w, y, {**ops[(w, x)], **ops[(x, y)]}):
                     grown[(w, y)] = None
-        changed.update(grown)
         delta = unindexed = grown
-    return changed
 
 
 def transitive_closure(s: InteractionSet) -> InteractionSet:
@@ -219,14 +207,76 @@ def transitive_closure(s: InteractionSet) -> InteractionSet:
     return out.freeze()
 
 
+def _reach(start: dict[str, int], edges: dict[str, list[str]]) -> dict[str, int]:
+    """For every variable, the union of the masks in ``start`` of the
+    variables it is reached from along ``edges`` (itself included)."""
+    mask = dict(start)
+    work = list(start)
+    while work:
+        v = work.pop()
+        have = mask[v]
+        for w in edges.get(v, ()):
+            old = mask.get(w, 0)
+            if old | have != old:
+                mask[w] = old | have
+                work.append(w)
+    return mask
+
+
+def _formal_flow(raw: _Builder, formals: Iterable[str]) -> dict[Pair, PointOps]:
+    """The pairs of ``formals`` in the closure of ``raw`` (see ``_close``).
+
+    They are read off reachability rather than closed (Reps, Horwitz and
+    Sagiv, "Precise interprocedural dataflow analysis via graph
+    reachability", POPL 1995). With ``src(v)`` the formals that reach v and
+    ``tgt(v)`` those v reaches, each pair (u, v) of ``raw`` joins its
+    operations into every (x, z) with x in src(u), z in tgt(v) and x != z.
+    When no formal lies on a cycle, no walk from x returns to x, so each
+    walk from x to z composes left to right without a self-pair and this
+    is the closure's (x, z) exactly. The closure composes no walk that
+    must pass through its start again, so when a formal lies on a cycle
+    ``raw`` is closed instead.
+    """
+    bit = {x: 1 << i for i, x in enumerate(formals)}
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
+    for u, v in raw.ops:
+        succ.setdefault(u, []).append(v)
+        pred.setdefault(v, []).append(u)
+    src = _reach(bit, succ)
+    for x, b in bit.items():
+        for u in pred.get(x, ()):
+            if src.get(u, 0) & b:
+                closed = _Builder(raw.owner, raw.input_args)
+                closed.ops.update(raw.ops)
+                _close(closed)
+                return {pair: ops for pair, ops in closed.ops.items() if pair[0] in bit and pair[1] in bit}
+    tgt = _reach(bit, pred)
+    named: dict[int, list[str]] = {}  # the formals in each mask met
+    flow: dict[Pair, PointOps] = {}
+    for (u, v), ops in raw.ops.items():
+        sources, targets = src.get(u), tgt.get(v)
+        if not (sources and targets):
+            continue
+        for mask in sources, targets:
+            if mask not in named:
+                named[mask] = [x for x, b in bit.items() if mask & b]
+        for x in named[sources]:
+            for z in named[targets]:
+                if x != z:
+                    have = flow.get((x, z))
+                    if have is None:
+                        flow[(x, z)] = dict(ops)
+                    else:
+                        have.update(ops)
+    return flow
+
+
 def project(s: InteractionSet, pred: Predicate) -> InteractionSet:
-    """Close ``s`` transitively, then keep only argument-to-argument flow."""
-    closed = transitive_closure(s)
-    formals = set(pred.arg_names)
-    kept = {
-        (x, y): ops for (x, y), ops in closed.pairs.items() if x in formals and y in formals
-    }
-    return InteractionSet(s.owner, s.input_args, kept)
+    """The argument-to-argument pairs of the transitive closure of ``s``."""
+    raw = _Builder(s.owner, s.input_args)
+    raw.add_set(s)
+    return InteractionSet(s.owner, s.input_args, _formal_flow(raw, pred.arg_names))
 
 
 class RoundState:
@@ -234,23 +284,21 @@ class RoundState:
 
     ``acc`` is the predicate's set, joined over the clauses. ``open`` is
     None until the first round, which fills it with each clause that has a
-    self-call, as its closed builder and its self-calls.
+    self-call, as the builder of its atom and call sets and its self-calls.
     """
 
     __slots__ = ("acc", "formals", "open")
 
     def __init__(self, pred: Predicate) -> None:
         self.acc = _Builder(pred.name, pred.input_arg_names())
-        self.formals = frozenset(pred.arg_names)
+        self.formals = pred.arg_names
         self.open: list[tuple[_Builder, list[Call]]] | None = None
 
-    def keep_formal_pairs(self, clause: _Builder, pairs: Iterable[Pair]) -> None:
-        """Join the argument-to-argument pairs among ``pairs`` of a closed
-        clause builder into ``acc``, which shares their operation dicts."""
-        formals, ops, acc = self.formals, clause.ops, self.acc
-        for x, y in pairs:
-            if x in formals and y in formals:
-                acc.add(x, y, ops[(x, y)])
+    def join_clause(self, raw: _Builder) -> None:
+        """Join the argument-to-argument flow of a clause into ``acc``."""
+        acc = self.acc
+        for (x, y), ops in _formal_flow(raw, self.formals).items():
+            acc.add(x, y, ops)
 
 
 def analyze_predicate(
@@ -266,37 +314,32 @@ def analyze_predicate(
     it, the abstraction of a non-recursive call is built afresh.
 
     ``state`` carries the work of earlier rounds of the same predicate;
-    without it, this is a one-shot analysis. The first round fills and
-    closes each clause's builder from every atom except the sets its
-    self-calls read from ``env``, which is all a clause without a self-call
-    contributes. Every round then joins only those renamed sets and closes
-    over just the pairs they grew. Within one run each program point
-    carries one operation and ``env[pred.name]`` only grows, so this equals
-    closing every clause afresh.
+    without it, this is a one-shot analysis. The first round fills each
+    clause's builder from its atoms and projects it, which is all a clause
+    without a self-call contributes. Each later round joins the renamed
+    ``env[pred.name]`` into the builders of the clauses that call
+    themselves, and projects again those it grew. Within one run each
+    program point carries one operation and ``env[pred.name]`` only grows,
+    so this equals analyzing every clause afresh.
     """
     if state is None:
         state = RoundState(pred)
     if state.open is None:
         state.open = []
         for clause in pred.clauses:
-            builder = _Builder(pred.name, state.acc.input_args)
-            self_calls = []
+            raw = _Builder(pred.name, state.acc.input_args)
             for atom in clause.body:
-                if isinstance(atom, Call) and atom.pred == pred.name:
-                    self_calls.append(atom)
-                    _add_flow(builder, atom, program, PSI_BOT)
-                else:
-                    _add_atom(builder, atom, env, program, psi_ops)
-            state.keep_formal_pairs(builder, _close(builder))
+                _add_atom(raw, atom, env, program, psi_ops)
+            state.join_clause(raw)
+            self_calls = [a for a in clause.body if isinstance(a, Call) and a.pred == pred.name]
             if self_calls:
-                state.open.append((builder, self_calls))
-    own_set = env[pred.name]
-    for builder, self_calls in state.open:
-        grown: dict[Pair, None] = {}
-        for atom in self_calls:
-            _add_renamed(builder, pred, atom, own_set, grown)
-        if grown:
-            state.keep_formal_pairs(builder, _close(builder, grown))
+                state.open.append((raw, self_calls))
+    else:
+        own_set = env[pred.name]
+        for raw, self_calls in state.open:
+            grew = [_add_renamed(raw, pred, atom, own_set) for atom in self_calls]
+            if any(grew):
+                state.join_clause(raw)
     return state.acc.freeze()
 
 

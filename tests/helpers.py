@@ -958,6 +958,14 @@ def one_call_chain_source(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def long_clause_source(n: int) -> str:
+    """``p(X,Y) :- L1 := X, L2 := L1, ..., Ln := L(n-1), Y := Ln.``: one
+    clause chaining n assignments through locals, then one into Y, so its
+    one argument pair ``X ~> Y`` carries all n + 1 points."""
+    atoms = ["L1 := X"] + [f"L{i} := L{i - 1}" for i in range(2, n + 1)] + [f"Y := L{n}"]
+    return ":- pred p(in,out).\np(X,Y) :- " + ", ".join(atoms) + ".\n"
+
+
 def wide_source(rng: random.Random, arity: int, n_atoms: int) -> str:
     """One recursive predicate ``w`` whose long clause chains ``n_atoms``
     unifications through local variables, in strands of up to five atoms

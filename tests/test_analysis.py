@@ -33,8 +33,9 @@ from argprof import (
     validate_program,
 )
 from argprof import analysis
-from argprof.syntax import Call
+from argprof.syntax import Call, Clause, Predicate, Var, make_program
 from helpers import (
+    SetContext,
     chain_source,
     fixture_names,
     gen_program_source,
@@ -197,8 +198,6 @@ def test_closure_chain_matches_naive_oracle():
 
 
 def test_closure_matches_naive_oracle_on_random_sets():
-    from helpers import SetContext
-
     rng = random.Random(42)
     for _ in range(60):
         ctx = SetContext(rng)
@@ -274,6 +273,42 @@ def test_projection_soundness_on_fixtures():
             for source, target in s.pairs:
                 assert source in formals and target in formals
                 assert target in outputs
+
+
+def _count_closes(monkeypatch) -> list[int]:
+    """Count the clauses closed rather than projected, in a one-item list."""
+    count = [0]
+    close = analysis._close
+
+    def counted(out):
+        count[0] += 1
+        close(out)
+
+    monkeypatch.setattr(analysis, "_close", counted)
+    return count
+
+
+def _over_arguments(s):
+    """A predicate ``p`` whose arguments are the ``A`` variables of ``s``."""
+    args = sorted({v for pair in s.pairs for v in pair if v.startswith("A")} | s.input_args)
+    modes = tuple("in" if a in s.input_args else "out" for a in args)
+    return Predicate("p", len(args), modes, (Clause(tuple(Var(a) for a in args), ()),))
+
+
+def test_project_matches_naive_oracle_on_random_sets(monkeypatch):
+    # The chained sets sometimes loop back into an output argument; those
+    # are closed rather than projected, and both paths must agree with the
+    # naive closure.
+    closes = _count_closes(monkeypatch)
+    rng = random.Random(11)
+    sets = [random_chained_set(rng) for _ in range(60)]
+    sets += [SetContext(rng).random_set(rng) for _ in range(60)]
+    for s in sets:
+        pred = _over_arguments(s)
+        formals = set(pred.arg_names)
+        expected = {pair: ops for pair, ops in naive_closure(s.pairs).items() if set(pair) <= formals}
+        assert project(s, pred).pairs == expected
+    assert 0 < closes[0] < len(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +600,38 @@ def test_call_with_repeated_input_actuals_merges_renamed_edges():
 # ---------------------------------------------------------------------------
 
 
+def _reversed_bodies(program):
+    """``program`` with every clause body in reverse, so that names are
+    consumed before they are produced."""
+    return make_program({
+        name: Predicate(name, pred.arity, pred.modes,
+                        tuple(Clause(c.head_args, c.body[::-1]) for c in pred.clauses))
+        for name, pred in program.predicates.items()
+    })
+
+
 def _reference_programs(group):
     if group == "fixtures":
         return [load_fixture(name) for name in fixture_names()]
-    if group == "corpus":  # the test-07 corpus
+    if group in ("corpus", "reversed-corpus"):  # the test-07 corpus
         rng = random.Random(0xBEEF)
-        return [parse_program(gen_program_source(rng)) for _ in range(200)]
+        programs = [parse_program(gen_program_source(rng)) for _ in range(200)]
+        return programs if group == "corpus" else [_reversed_bodies(p) for p in programs]
     if group == "chain":
         return [parse_program(chain_source(k)) for k in range(1, 7)]
     return [parse_program(wide_source(random.Random(seed), 11 + seed, 200)) for seed in range(2)]
 
 
-@pytest.mark.parametrize("group", ["fixtures", "corpus", "wide", "chain"])
+@pytest.mark.parametrize("group", ["fixtures", "corpus", "reversed-corpus", "wide", "chain"])
 def test_run_analysis_matches_reference_analysis(group, monkeypatch):
-    # Each round of the reference analyzes every clause from scratch; the
-    # driver carries closed clause sets across rounds and does not compute
-    # the confirming round of a predicate that never calls itself. The
-    # traces agree entry by entry all the same, and the driver analyzes
-    # exactly the rounds it does not skip.
+    # Each round of the reference closes every clause from scratch; the
+    # driver projects clauses onto their arguments, carries their atom and
+    # call sets across rounds and does not compute the confirming round of
+    # a predicate that never calls itself. The traces agree entry by entry
+    # all the same, and the driver analyzes exactly the rounds it does not
+    # skip. No argument of these programs lies on a flow cycle, so no
+    # clause is closed.
+    closes = _count_closes(monkeypatch)
     calls = 0
     analyze = analysis.analyze_predicate
 
@@ -601,6 +650,64 @@ def test_run_analysis_matches_reference_analysis(group, monkeypatch):
         confirming = [name for name, (_, total) in round_counts(trace).items()
                       if name not in program.call_graph[name] and total == 2]
         assert calls == len(ref_trace) - len(confirming)
+    assert closes[0] == 0
+
+
+# In q, one clause gives Y ~> Z and the other Z ~> Y, so the output
+# arguments of p and r lie on a flow cycle. The closure composes no walk
+# through its own start (B ~> C ~> B), which projecting would; so such a
+# clause is closed.
+CYCLIC_OUTPUTS = """
+:- pred q(in,out,out).
+q(X,Y,Z) :- Y := X, Z := Y.
+q(X,Y,Z) :- Z := X, Y := Z.
+:- pred p(in,out,out).
+p(A,B,C) :- q(A,B,C).
+:- pred r(in,out,out,out).
+r(A,B,C,D) :- q(A,B,C), D := B.
+"""
+
+HAND_WRITTEN = {
+    "local cycle off the head": """
+:- pred c(in,out).
+c(X,Y) :- L := X, M := L, L := M, N <= s(M), Y := N.
+""",
+    "dead strands": """
+:- pred d(in,in,out).
+d(X,W,Y) :- D := X, E <= s(D), F => pair(G,H), K := W, K == D, Y := X.
+""",
+    "nil producers": """
+:- pred n(in,out,out).
+n(X,Y,Z) :- N <= nil, Y <= cons(X,N), M <= nil, Z := M.
+""",
+    # A reaches the head only through B, by the Y ~> Z that the first
+    # round adds to s's set.
+    "self-call output through another output": """
+:- pred s(in,out,out).
+s(X,Y,Z) :- Y <= nil, T <= s(Y), Z <= pair(X,T).
+s(X,Y,Z) :- X => cons(E,Es), s(Es,A,B), Y := E, Z <= cons(E,B).
+""",
+}
+
+
+def _assert_matches_reference(program):
+    env, trace = run_analysis(program)
+    ref_env, ref_trace = reference_run_analysis(program)
+    assert env == ref_env
+    assert [(t.round, t.predicate, t.snapshot, t.changed) for t in trace] == ref_trace
+
+
+def test_arguments_on_a_flow_cycle_match_reference_analysis(monkeypatch):
+    closes = _count_closes(monkeypatch)
+    _assert_matches_reference(parse_program(CYCLIC_OUTPUTS))
+    assert closes[0] == 2  # p's clause and r's
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_clauses_match_reference_analysis(name, monkeypatch):
+    closes = _count_closes(monkeypatch)
+    _assert_matches_reference(parse_program(HAND_WRITTEN[name]))
+    assert closes[0] == 0
 
 
 def test_call_sites_and_rounds_share_one_call_abstraction():
