@@ -33,31 +33,46 @@ Python's recursion limit:
   instructions, the index of the next one, its frame and the return
   record of the call that entered it. On reaching the end of a body it
   writes the clause's head outputs into the call's output slots of the
-  caller's frame, in place, and resumes the caller after the call.
-* **Choice points.** A call pushes a choice point: the callee's clauses,
-  the next one to try, the input values and the return record; its first
-  clause is then entered the way backtracking enters the next one. Each
-  clause entered gets a frame of its own: its head input values followed
-  by empty slots, a name repeated among the head inputs taking its last
-  position. A return record holds its caller's frame, which later returns
-  write again, but a continuation reads only slots bound before it, and no
-  slot bound before a call is written after it. So backtracking has
-  nothing to undo or copy: it enters the next clause of the choice point
-  on top of the stack. A choice point leaves the stack when no clause
-  after the one entered can match.
+  caller's frame, in place, and resumes the caller after the call. A
+  clause's last call whose outputs are the clause's head outputs, in order
+  and without a repeat, is a tail call: the callee is entered with the
+  running body's return record, so its outputs go straight to the clause's
+  caller, which is what writing them into the clause's frame and then
+  returning them would do. Each answer then costs one return however deep
+  the last call that found it (last-call optimisation in that engine); a
+  query's calls stay plain calls, since answers are read from its frame.
+* **Choice points.** A call selects the callee's clauses that admit its
+  input and enters the first of them directly. Each clause entered gets a
+  frame of its own: its head input values followed by empty slots, a name
+  repeated among the head inputs taking its last position. Only if a later
+  clause also admits the input does the call push a choice point: the
+  callee's clauses, the mask of those still to enter, the next clause, the
+  input values and the return record. A return record holds its caller's
+  frame, which later returns write again, but a continuation reads only
+  slots bound before it, and no slot bound before a call is written after
+  it. So backtracking has nothing to undo or copy: it enters the next
+  admitted clause of the choice point on top of the stack, which leaves
+  the stack with its last one.
 * **Clause selection.** As with ``switch_on_term`` in that engine, a clause
   whose body starts by deconstructing a head input has a key: the input's
   position and the functor and arity it expects. If the name is repeated
   among the head inputs, the key takes its last position, whose value the
-  clause binds. A clause whose key differs from the call's input would
-  fail its first atom, so backtracking passes over it without entering it
-  and charges the 2 steps of entering it and failing, at the point where
-  it would have tried it. A clause without a key, or whose key agrees, is
-  entered and runs its deconstruct like any atom, so checks and errors are
-  unchanged. When no later clause can match, the call is determinate: it
-  leaves no choice point, and the steps of the clauses after the entered
-  one stay on the choice stack as a charge-only entry. Backtracking onto
-  it only charges them, and adjacent ones merge.
+  clause binds. When a predicate is compiled, each key position gets a
+  switch: a dict from a functor and arity to the bitmask of the clauses
+  that admit it there, those keyed with it and those not keyed there, and
+  the mask of the latter for any other value. A call ands the masks of its
+  input values; with no key position every clause is admitted. A clause
+  whose key differs from the call's input would fail its first atom, so it
+  is passed over, and the 2 steps of entering it and failing are charged
+  with the entry of the next admitted clause, where the clause would have
+  been tried. A keyed clause whose deconstruct passes its mode checks is
+  entered with the deconstruct's outputs bound from the input and its step
+  charged, as selection has decided it; any other admitted clause runs its
+  first atom as usual, so checks and errors are unchanged. When no later
+  clause is admitted, the call is determinate: it leaves no choice point,
+  and the steps of the clauses after the entered one stay on the choice
+  stack as a charge-only entry. Backtracking onto it only charges them, and
+  adjacent ones merge.
 * **Queries.** A query is compiled by the same body compiler into one
   flat goal on the same machine, with one frame that starts with the
   given bindings. Ground input terms are held in the frame as parsed;
@@ -71,13 +86,14 @@ Python's recursion limit:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from operator import is_, itemgetter
 
 from .parse import Query
 from .syntax import (
     Atom,
     Call,
+    Clause,
     Construct,
     Deconstruct,
     FunctorTerm,
@@ -149,15 +165,17 @@ def _build(t: Term, frame: _Frame, slots: Mapping[str, int]) -> FunctorTerm:
     return values[0]
 
 
-def _term_names(term: Term) -> Iterator[str]:
-    """Variable names of ``term``, depth-first, left to right."""
+def _term_names(term: Term) -> list[str]:
+    """Variable names of ``term``, with repetitions, in no set order."""
+    names = []
     stack = [term]
     while stack:
         t = stack.pop()
-        if isinstance(t, Var):
-            yield t.name
+        if t.__class__ is Var:
+            names.append(t.name)
         else:
-            stack.extend(reversed(t.args))
+            stack += t.args
+    return names
 
 
 def _mode_error(
@@ -207,7 +225,7 @@ def _mode_error(
 # Instruction kinds. Every instruction is a tuple that starts with its kind;
 # the numbers in it are slots of the running body's frame, and outputs take
 # the slots from a first one up to an end:
-#   (_CALL, callee, input getter, first output, end, repeated-output error)
+#   (_CALL, callee, input getter, first output, end, repeated-output error, tail)
 #   (_DECONSTRUCT, input, functor, arity, first output, end)
 #   (_CONSTRUCT, output, functor, argument getter)
 #   (_TEST, left, right)
@@ -216,25 +234,27 @@ def _mode_error(
 #   (_FAULT, counts a step, (error class, text), atom, guard)
 # A fault's guard is None, or the (input, functor, arity) of a deconstruct
 # whose value must have that functor and arity for the error to be raised.
+# A tail call is a clause's last atom whose outputs are the clause's head
+# outputs, in order: its callee returns straight to the clause's caller.
 _CALL, _DECONSTRUCT, _CONSTRUCT, _TEST, _ASSIGN, _EVAL, _FAULT = range(7)
 
 _Instr = tuple
 _Getter = Callable[[_Frame], tuple[FunctorTerm, ...]]
-# A selection key: (input position, functor, arity) of the deconstruct a
-# clause starts with, when it deconstructs a head input.
-_Key = tuple[int, str, int]
-# A compiled clause: the empty slots that follow its head inputs in its
-# frame, the getter of its head outputs, its instructions and its key.
-_Clause = tuple[tuple[None, ...], _Getter, tuple[_Instr, ...], _Key | None]
-
-
-def _first_repeat(names: Iterable[str]) -> str | None:
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            return name
-        seen.add(name)
-    return None
+# A selection key: the input position and the (functor, arity) of the
+# deconstruct a clause starts with, when it deconstructs a head input.
+_Key = tuple[int, tuple[str, int]]
+# A compiled clause: its key, the input position of the deconstruct it
+# starts with when that is left to selection (None otherwise), the empty
+# slots that follow its head inputs and those outputs in its frame, the
+# getter of its head outputs and its instructions after that deconstruct.
+_Clause = tuple[_Key | None, int | None, tuple[None, ...], _Getter, tuple[_Instr, ...]]
+# A predicate's clause selection: for each key position, the position, a
+# dict from a (functor, arity) to the bitmask of the clauses that admit an
+# input with it there, and the mask of those that admit any other input.
+_Switch = tuple[int, dict[tuple[str, int], int], int]
+# A compiled predicate: its clauses, its switches and the mask of all its
+# clauses. Clause k is bit k of a mask.
+_Procedure = tuple[tuple[_Clause, ...], tuple[_Switch, ...], int]
 
 
 def _getter(slots: list[int]) -> _Getter:
@@ -289,23 +309,28 @@ def _compile_body(
                         ok = False
                         break
                 else:
-                    bound = [name in slots for name in _term_names(t)]
-                    if not all(bound):
+                    used = _term_names(t)
+                    if not all(name in slots for name in used):
                         ok = False
                         break
                     slot = len(frame)
-                    if bound:
+                    if used:
                         code.append((_EVAL, slot, t, slots))
-                    frame.append(None if bound else t)
+                    frame.append(None if used else t)
                 args.append(slot)
         if ok:
-            names = [t.name for t in outs if isinstance(t, Var)]
-            repeat = _first_repeat(names)
-            ok = (
-                len(names) == len(outs)
-                and slots.keys().isdisjoint(names)
-                and (repeat is None or (is_call and not query))
-            )
+            # Outputs must be free variables; only a program call may
+            # repeat one.
+            names: list[str] = []
+            repeat = None
+            for t in outs:
+                if not isinstance(t, Var) or t.name in slots:
+                    ok = False
+                    break
+                if repeat is None and t.name in names:
+                    repeat = t.name
+                names.append(t.name)
+            ok = ok and (repeat is None or (is_call and not query))
         if not ok:
             where = f"goal atom {index}" if query else f"point {atom.point}"
             error = _mode_error(atom, slots, predicates, where, query)
@@ -322,7 +347,7 @@ def _compile_body(
             code.append((_DECONSTRUCT, args[0], atom.functor, len(names), first, end))
         elif is_call:
             error = None if repeat is None else f"{repeat} already bound at point {atom.point}"
-            code.append((_CALL, atom.pred, _getter(args), first, end, error))
+            code.append((_CALL, atom.pred, _getter(args), first, end, error, False))
         elif isinstance(atom, Construct):
             code.append((_CONSTRUCT, first, atom.functor, _getter(args)))
         elif isinstance(atom, Test):
@@ -332,43 +357,77 @@ def _compile_body(
     return tuple(code)
 
 
+def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Predicate]) -> _Clause:
+    """``clause`` of ``pred`` compiled: its frame gives each head input
+    name the slot of its last input position, whose value its binding
+    keeps. A deconstruct of a head input that the clause starts with is its
+    key; when it passes its checks, selection decides it and binds its
+    outputs, so the instructions start after it. A last call whose outputs
+    are the head outputs in order becomes a tail call."""
+    head_ins, head_outs = pred.split(clause.head_args)
+    slots = {v.name: pos for pos, v in enumerate(head_ins)}
+    frame: _Frame = [None] * len(head_ins)
+    body = clause.body
+    key = skip = None
+    if body and isinstance(body[0], Deconstruct) and body[0].var.name in slots:
+        first = body[0]
+        key = (slots[first.var.name], (first.functor, len(first.args)))
+        outputs = {t.name: pos for pos, t in enumerate(first.args, len(frame)) if isinstance(t, Var)}
+        if len(outputs) == len(first.args) and slots.keys().isdisjoint(outputs):
+            # Its checks pass: its outputs take the slots after the inputs.
+            skip = key[0]
+            slots.update(outputs)
+            frame += [None] * len(outputs)
+            body = body[1:]
+    start = len(frame)
+    code = _compile_body(body, predicates, slots, frame, False)
+    pad = tuple(frame[start:])
+    out_slots = [slots.get(v.name) for v in head_outs]
+    if None in out_slots:
+        return key, skip, pad, _unbound(head_outs[out_slots.index(None)].name), code
+    last = code[-1] if code else None
+    if last is not None and last[0] == _CALL and last[5] is None and out_slots == list(range(last[3], last[4])):
+        code = (*code[:-1], (*last[:6], True))
+    return key, skip, pad, _getter(out_slots), code
+
+
+def _switches(clauses: tuple[_Clause, ...]) -> tuple[_Switch, ...]:
+    """The switches of ``clauses``, one per key position in the order the
+    positions first occur. A clause keyed at a position admits only the
+    inputs with its functor and arity there; any other clause admits every
+    input there."""
+    keyed: dict[int, dict[tuple[str, int], int]] = {}
+    for k, clause in enumerate(clauses):
+        key = clause[0]
+        if key is not None:
+            sigs = keyed.get(key[0])
+            if sigs is None:
+                sigs = keyed[key[0]] = {}
+            sigs[key[1]] = sigs.get(key[1], 0) | 1 << k
+    switches = []
+    for pos, sigs in keyed.items():
+        other = (1 << len(clauses)) - 1
+        for mask in sigs.values():
+            other &= ~mask
+        for sig in sigs:
+            sigs[sig] |= other
+        switches.append((pos, sigs, other))
+    return tuple(switches)
+
+
 class _Procedures(dict):
-    """Predicate name -> compiled clauses, each predicate compiled on its
-    first call."""
+    """Predicate name -> its compiled clauses and their selection, each
+    predicate compiled on its first call."""
 
     def __init__(self, program: Program):
         super().__init__()
         self.program = program
 
-    def __missing__(self, name: str) -> tuple[_Clause, ...]:
+    def __missing__(self, name: str) -> _Procedure:
         pred = self.program.predicates[name]
-        clauses: list[_Clause] = []
-        for clause in pred.clauses:
-            head_ins, head_outs = pred.split(tuple([v.name for v in clause.head_args]))
-            # Each name's slot is its last input position, whose value its
-            # binding keeps.
-            slots = {name: pos for pos, name in enumerate(head_ins)}
-            key = None
-            first = clause.body[0] if clause.body else None
-            if isinstance(first, Deconstruct) and first.var.name in slots:
-                key = (slots[first.var.name], first.functor, len(first.args))
-            frame: _Frame = [None] * len(head_ins)
-            code = _compile_body(clause.body, self.program.predicates, slots, frame, False)
-            unbound = [name for name in head_outs if name not in slots]
-            outs = _unbound(unbound[0]) if unbound else _getter([slots[name] for name in head_outs])
-            clauses.append((tuple(frame[len(head_ins) :]), outs, code, key))
-        self[name] = result = tuple(clauses)
-        return result
-
-
-def _admits(clause: _Clause, values: tuple[FunctorTerm, ...]) -> bool:
-    """Whether ``clause`` may match a call with input ``values``: a clause
-    whose key names another functor or arity fails its first atom."""
-    key = clause[3]
-    if key is None:
-        return True
-    value = values[key[0]]
-    return value.functor == key[1] and len(value.args) == key[2]
+        clauses = tuple([_compile_clause(pred, clause, self.program.predicates) for clause in pred.clauses])
+        self[name] = procedure = clauses, _switches(clauses), (1 << len(clauses)) - 1
+        return procedure
 
 
 def _compile_goal(
@@ -407,7 +466,7 @@ def solve(
     answers: list[Answer] = []
     budget = max_steps
     # The choice stack holds choice points,
-    # [clauses, next clause, input values, return record],
+    # [clauses, mask of the clauses left, next clause, input values, return record],
     # and charge-only entries, [None, steps].
     choices: list[list] = []
     # The running body: instructions, next index, frame, head output getter
@@ -416,6 +475,9 @@ def solve(
     i, outs, ret = 0, None, None
 
     while True:
+        # Run the body until it fails, or a call selects the clauses in
+        # ``mask`` to enter, from clause ``start`` on.
+        mask = 0
         while True:
             if i == len(body):
                 if ret is None:
@@ -441,10 +503,21 @@ def solve(
                     break
                 frame[instr[4] : instr[5]] = value.args
             elif kind == _CALL:
-                clauses = procs[instr[1]]
-                if clauses:
-                    # Backtracking below enters the first clause that can match.
-                    choices.append([clauses, 0, instr[2](frame), (instr, body, i + 1, frame, outs, ret)])
+                values = instr[2](frame)
+                clauses, switches, mask = procs[instr[1]]
+                for pos, sigs, other in switches:
+                    value = values[pos]
+                    mask &= sigs.get((value.functor, len(value.args)), other)
+                if mask:
+                    start = 0
+                    if not instr[6]:
+                        ret = (instr, body, i + 1, frame, outs, ret)
+                elif clauses:
+                    # No clause admits the input: each costs entering it
+                    # and failing its first atom.
+                    budget -= 2 * len(clauses)
+                    if budget < 0:
+                        raise StepLimitExceeded(max_steps)
                 break
             elif kind == _CONSTRUCT:
                 budget -= 1
@@ -476,44 +549,39 @@ def solve(
                 raise error(text)
             i += 1
 
-        # Backtrack: enter the top choice point's next clause that admits
-        # the input. Passing over a clause costs the 2 steps of entering it
-        # and failing its first atom.
-        while True:
-            if not choices:
-                return answers
-            choice = choices.pop()
-            clauses = choice[0]
-            if clauses is None:  # a charge-only entry
-                budget -= choice[1]
+        if not mask:
+            # Backtrack to the top choice point.
+            while True:
+                if not choices:
+                    return answers
+                choice = choices.pop()
+                clauses = choice[0]
+                if clauses is not None:
+                    _, mask, start, values, ret = choice
+                    break
+                budget -= choice[1]  # a charge-only entry
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                continue
-            _, k, values, ret = choice
-            n = len(clauses)
-            first = k
-            while k < n and not _admits(clauses[k], values):
-                k += 1
-            # The clauses passed over, and entering clause k if there is one.
-            budget -= 2 * (k - first) + (k < n)
-            if budget < 0:
-                raise StepLimitExceeded(max_steps)
-            if k == n:
-                continue
-            later = k + 1
-            while later < n and not _admits(clauses[later], values):
-                later += 1
-            if later < n:
-                choice[1] = k + 1
-                choices.append(choice)
-            elif k + 1 < n:
-                # A determinate call: the clauses after this one only cost
-                # their steps, charged when backtracking reaches them.
-                if choices and choices[-1][0] is None:
-                    choices[-1][1] += 2 * (n - k - 1)
-                else:
-                    choices.append([None, 2 * (n - k - 1)])
-            pad, outs, body, _ = clauses[k]
-            frame = [*values, *pad]
-            i = 0
-            break
+
+        # Enter the first clause in the mask, k. Each clause passed over
+        # costs the 2 steps of entering it and failing its first atom. If
+        # the mask holds a later clause, a choice point keeps it; if not,
+        # the call is determinate, and the steps of the clauses after k are
+        # charged when backtracking reaches them.
+        low = mask & -mask
+        k = low.bit_length() - 1
+        mask ^= low
+        _, skip, pad, outs, body = clauses[k]
+        if mask:
+            choices.append([clauses, mask, k + 1, values, ret])
+        elif k + 1 < len(clauses):
+            if choices and choices[-1][0] is None:
+                choices[-1][1] += 2 * (len(clauses) - k - 1)
+            else:
+                choices.append([None, 2 * (len(clauses) - k - 1)])
+        # Entering k, and the deconstruct its selection decided.
+        budget -= 2 * (k - start) + 1 + (skip is not None)
+        if budget < 0:
+            raise StepLimitExceeded(max_steps)
+        frame = [*values, *pad] if skip is None else [*values, *values[skip].args, *pad]
+        i = 0

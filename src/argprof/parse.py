@@ -25,6 +25,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, compress, islice
 from operator import attrgetter
+from typing import Callable
 
 from .syntax import (
     Assign,
@@ -160,13 +161,18 @@ def _bad_character(source: str, parts: list[str]) -> LexError:
     return LexError(message, *_position(_line_starts(source), offset))
 
 
-class _Vars(dict):
-    """One ``Var`` per name within a parse; a ``Var`` is never changed and
-    compares by name, so sharing it is safe."""
+class _Shared(dict):
+    """One value per name within a parse, ``make(name)`` on the name's first
+    use: a ``Var``, or a constant (a ``FunctorTerm`` without arguments). A
+    term is never changed, so sharing it is safe."""
 
-    def __missing__(self, name: str) -> Var:
-        var = self[name] = Var(name)
-        return var
+    def __init__(self, make: Callable[[str], Term]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, name: str) -> Term:
+        term = self[name] = self.make(name)
+        return term
 
 
 def _expected(tokens: Tokens, what: str, i: int) -> ParseError:
@@ -186,7 +192,7 @@ def parse_program(source: str) -> Program:
     """
     tokens = tokenize(source)
     texts, where = tokens.texts, tokens.position
-    variables = _Vars()
+    variables = _Shared(Var)
     functor_arity: dict[str, int] = {}
     # Predicates in order of first mention; None until declared.
     modes: dict[str, tuple[Mode, ...] | None] = {}
@@ -380,7 +386,8 @@ def parse_query(source: str) -> Query:
     """Parse ``?- atom1, ..., atomN.`` with nested terms allowed."""
     tokens = tokenize(source)
     texts, where = tokens.texts, tokens.position
-    variables = _Vars()
+    variables = _Shared(Var)
+    constants = _Shared(FunctorTerm)
 
     def term(i: int) -> tuple[Term, int]:
         """The term from token ``i``, and the index after it."""
@@ -401,7 +408,7 @@ def parse_query(source: str) -> Query:
                     i += 3
                 else:
                     i += 1
-                done = FunctorTerm(text)
+                done = constants[text]
             else:
                 raise _expected(tokens, "functor", i)
             # Attach the finished term to the terms it completes.

@@ -124,8 +124,9 @@ def _render(
     opening: Callable[[FunctorTerm], str],
     closing: Callable[[FunctorTerm], str],
 ) -> str:
-    """Print ``t`` depth-first: a ``Var`` by ``show_var``, a ``FunctorTerm``
-    as its opening, its arguments joined by ``", "`` and its closing."""
+    """Print ``t`` depth-first, as ``repr`` does: a ``Var`` by ``show_var``,
+    a ``FunctorTerm`` as its opening, its arguments joined by ``", "`` and
+    its closing."""
     out: list[str] = []
     stack: list[Term | str] = [t]
     while stack:
@@ -146,8 +147,27 @@ def _render(
 
 def format_ground(t: Term) -> str:
     """``t`` in surface syntax, e.g. ``cons(1, nil)``; a variable prints as
-    its name."""
-    return _render(t, str, lambda g: g.functor + "(" if g.args else g.functor, lambda g: ")" if g.args else "")
+    its name. The walk keeps the text still to write, closing parentheses
+    and separators, on its stack beside the terms."""
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+        elif item.__class__ is Var:
+            out.append(item.name)
+        elif item.args:
+            out.append(item.functor + "(")
+            stack.append(")")
+            args = item.args
+            for arg in args[:0:-1]:
+                stack.append(arg)
+                stack.append(", ")
+            stack.append(args[0])
+        else:
+            out.append(item.functor)
+    return "".join(out)
 
 
 class Atom(Value):

@@ -1304,6 +1304,41 @@ def reference_solve(
 
 
 # ---------------------------------------------------------------------------
+# Reference term printer: a callback per opening and closing
+# ---------------------------------------------------------------------------
+
+
+def reference_format_ground(t: Term) -> str:
+    """``t`` in surface syntax, as ``format_ground`` printed it before it
+    walked terms without a call per node: an explicit stack of terms and
+    closing texts, with a callback that opens each term and one that closes
+    it."""
+
+    def opening(g: FunctorTerm) -> str:
+        return g.functor + "(" if g.args else g.functor
+
+    def closing(g: FunctorTerm) -> str:
+        return ")" if g.args else ""
+
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(str(item))
+        else:
+            out.append(opening(item))
+            stack.append(closing(item))
+            for k in range(len(item.args) - 1, -1, -1):
+                stack.append(item.args[k])
+                if k:
+                    stack.append(", ")
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
 # Random ground terms and query answers
 # ---------------------------------------------------------------------------
 

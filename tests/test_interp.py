@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from argprof import (
     Call,
@@ -22,6 +24,7 @@ from argprof import (
     RuntimeModeError,
     SolveError,
     StepLimitExceeded,
+    Var,
     format_ground,
     parse_program,
     parse_query,
@@ -32,7 +35,7 @@ from argprof import (
     validate_modes,
     validate_program,
 )
-from argprof.interp import _FAULT, _Procedures
+from argprof.interp import _FAULT, _compile_clause
 from helpers import (
     TIE_FREE_FIXTURES,
     ReferenceSteps,
@@ -41,6 +44,7 @@ from helpers import (
     gen_input_term,
     gen_program_source,
     load_fixture,
+    reference_format_ground,
     reference_solve,
 )
 
@@ -385,10 +389,14 @@ def test_oracle_unchecked_program_atoms():
 def _fault_points(program):
     """Predicate name -> the point and error text of each atom its clauses
     compile to a fault, the checks that fail where they stand."""
-    procs = _Procedures(program)
     return {
-        name: [(instr[3].point, instr[2][1]) for clause in procs[name] for instr in clause[2] if instr[0] == _FAULT]
-        for name in program.predicates
+        name: [
+            (instr[3].point, instr[2][1])
+            for clause in pred.clauses
+            for instr in _compile_clause(pred, clause, program.predicates)[4]
+            if instr[0] == _FAULT
+        ]
+        for name, pred in program.predicates.items()
     }
 
 
@@ -446,6 +454,8 @@ def test_unchecked_atoms_compile_to_faults():
 # Not mode-checked: clauses whose first atom may or may not select them. A
 # clause starting with a deconstruct of a head input is passed over, at the
 # reference's step cost, when its functor or arity differs from the input.
+# From halves on: clauses whose last call is or is not a tail call, and a
+# predicate keyed at two input positions.
 SELECTION = """\
 :- pred mid(in,out).
 mid(X,Y) :- X => nil, Y := X.
@@ -472,6 +482,32 @@ dd(X,Y) :- X => cons(H,T), Y := H.
 empty(X,Y) :- X => nil, Y := X.
 empty(X,Y).
 empty(X,Y) :- X => cons(H,T), Y := H.
+:- pred halves(in,out,out).
+halves(X,A,B) :- X => pair(A,B).
+halves(X,A,B) :- X => cons(A,B).
+:- pred both(in,out,out).
+both(X,A,B) :- X => pair(A,B).
+both(X,A,B) :- X => pair(B,A).
+both(X,A,B) :- halves(X,A,B).
+:- pred tail(in,out,out).
+tail(X,A,B) :- both(X,A,B).
+:- pred swapped(in,out,out).
+swapped(X,A,B) :- both(X,B,A).
+:- pred partial(in,out,out).
+partial(X,A,B) :- B := X, mid(X,A).
+:- pred dupcall(in,out,out).
+dupcall(X,A,B) :- B := X, halves(X,A,A).
+:- pred nobind(in,out).
+nobind(X,Y) :- mid(X,Z).
+:- pred none(in,out).
+:- pred callnone(in,out).
+callnone(X,Y) :- none(X,Y).
+:- pred twokeys(in,in,out).
+twokeys(X,Y,Z) :- X => nil, Z := Y.
+twokeys(X,Y,Z) :- Y => nil, Z := X.
+twokeys(X,Y,Z) :- Z := X.
+twokeys(X,Y,Z) :- X => cons(H,T), Z := H.
+twokeys(X,Y,Z) :- Y => cons(H,T), Z := H.
 """
 
 
@@ -510,6 +546,22 @@ def test_oracle_clause_selection():
     for first in inputs[:3]:
         for second in inputs[:3]:
             outcomes["rep", first, second] = assert_agrees(program, parse_query(f"?- rep({first}, {second}, Y)."))
+            outcomes["twokeys", first, second] = assert_agrees(
+                program, parse_query(f"?- twokeys({first}, {second}, Z).")
+            )
+    # Last calls: a tail call returns to its caller's caller; a last call
+    # whose outputs are the head outputs permuted, or only some of them, or
+    # repeat one, returns as any call does.
+    for pname in ("halves", "both", "tail", "swapped", "partial", "dupcall"):
+        for arg in inputs:
+            outcomes[pname, arg] = assert_agrees(program, parse_query(f"?- {pname}({arg}, A, B)."))
+            assert_agrees(program, parse_query(f"?- {pname}({arg}, A, B), A := b."))
+            # A last call in a query keeps a plain call.
+            assert_agrees(program, parse_query(f"?- mid({arg}, Y), {pname}({arg}, A, B)."))
+    for pname in ("nobind", "callnone"):
+        for arg in inputs:
+            outcomes[pname, arg] = assert_agrees(program, parse_query(f"?- {pname}({arg}, Y)."))
+            assert_agrees(program, parse_query(f"?- {pname}({arg}, Y), Y := a."))
     # A keyless clause between keyed ones is still entered.
     assert outcomes["mid", "nil"] == ("answers", [[("Y", FunctorTerm("nil"))]] * 2)
     assert outcomes["mid", "pair(a,a)"][1] == [[("Y", FunctorTerm("pair", (FunctorTerm("a"), FunctorTerm("a"))))]]
@@ -528,6 +580,29 @@ def test_oracle_clause_selection():
     assert outcomes["dd", "pair(a,b)"] == (RuntimeModeError, "A already bound at point 25")
     # A clause with an empty body admits every input.
     assert outcomes["empty", "g(a)"] == (KeyError, "'Y'")
+    # Keys at two input positions: each clause is tested at its own, and a
+    # keyless clause between them admits every input.
+    nil, a = FunctorTerm("nil"), FunctorTerm("a")
+    assert outcomes["twokeys", "nil", "nil"] == ("answers", [[("Z", nil)]] * 3)
+    one = FunctorTerm("cons", (a, nil))
+    assert outcomes["twokeys", "cons(a,nil)", "nil"][1] == [[("Z", one)], [("Z", one)], [("Z", a)]]
+    assert outcomes["twokeys", "pair(a,a)", "pair(a,a)"] == (
+        "answers",
+        [[("Z", FunctorTerm("pair", (a, a)))]],
+    )
+    # Answers come back through tail calls in the same order, and through
+    # calls that permute the outputs with them swapped.
+    ab, ba = [("A", a), ("B", FunctorTerm("b"))], [("A", FunctorTerm("b")), ("B", a)]
+    assert outcomes["tail", "pair(a,b)"] == ("answers", [ab, ba, ab])
+    assert outcomes["swapped", "pair(a,b)"] == ("answers", [ba, ab, ba])
+    assert outcomes["tail", "cons(a,nil)"] == ("answers", [[("A", a), ("B", nil)]])
+    assert outcomes["partial", "nil"] == ("answers", [[("A", nil), ("B", nil)]] * 2)
+    # A repeated output still raises on return, and an unbound head output
+    # at the clause's end; a call to a predicate without clauses fails.
+    assert outcomes["dupcall", "pair(a,b)"] == (RuntimeModeError, "A already bound at point 43")
+    assert outcomes["dupcall", "nil"] == ("answers", [])
+    assert outcomes["nobind", "nil"] == (KeyError, "'Y'")
+    assert all(outcomes["callnone", arg] == ("answers", []) for arg in inputs)
 
 
 # Clauses that bind their own variables after a call that leaves choice
@@ -769,11 +844,34 @@ def test_deep_terms_print_compare_and_hash():
     other = _list_term(["1"] * 4999 + ["2"])
     text = format_ground(deep)
     assert text == "cons(1, " * 5000 + "nil" + ")" * 5000
+    assert reference_format_ground(deep) == text
     assert deep == same and deep is not same
     assert deep != other and not deep == other
     assert hash(deep) == hash(same)
     assert repr(deep).count("FunctorTerm(") == 10001
     assert len({deep, same, other}) == 2
+
+
+def test_format_ground_on_a_100000_deep_term():
+    deep = _list_term(["a", "b"] * 50_000)
+    assert format_ground(deep) == reference_format_ground(deep) == "cons(a, cons(b, " * 50_000 + "nil" + ")" * 100_000
+
+
+# Terms of up to 30 leaves, at arities 0 to 4; a few leaves are variables,
+# which format_ground prints by name.
+_TERMS = st.recursive(
+    st.builds(FunctorTerm, st.sampled_from(["nil", "a", "0", "z", "f"])) | st.builds(Var, st.sampled_from("XY")),
+    lambda args: st.builds(
+        FunctorTerm, st.sampled_from(["cons", "pair", "f", "s"]), st.lists(args, min_size=1, max_size=4).map(tuple)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMS)
+def test_format_ground_agrees_with_the_callback_walk(term):
+    assert format_ground(term) == reference_format_ground(term)
 
 
 def test_repr_matches_the_field_layout():
@@ -806,6 +904,17 @@ def test_app_on_20000_elements_within_the_default_limit():
     elements = ["a", "b", "c", "d"] * 5000
     answers = solve(load_fixture("append.lp"), parse_query(f"?- app({_list_text(elements)}, cons(z,nil), Z)."))
     assert answers == [{"Z": _list_term(elements + ["z"])}]
+
+
+def test_pick_on_20000_elements_is_linear_in_its_answers():
+    # Each answer comes from a last call 1 to 20 000 levels deep, and
+    # returns to the query in one step, not through every level above it.
+    elements = [str(k) for k in range(20_000)]
+    query = parse_query(f"?- pick({_list_text(elements)}, X).")
+    start = time.perf_counter()
+    answers = solve(load_fixture("pick.lp"), query)
+    assert time.perf_counter() - start < 5.0
+    assert [a["X"].functor for a in answers] == elements
 
 
 def test_determinate_calls_leave_nothing_to_undo():

@@ -461,6 +461,24 @@ def test_parsers_match_reference_on_mutated_sources():
     assert query_outcomes == {None, LexError, ParseError}
 
 
+def test_query_constants_are_shared():
+    # One term per constant name, as one Var per variable name; the query
+    # is the one the reference parser builds, with a term per occurrence.
+    query = parse_query("?- p(a, a, X).")
+    assert query.goal[0].args[0] is query.goal[0].args[1]
+    assert query == reference_parse_query("?- p(a, a, X).")
+    text = "?- p(a, a, X), q(X, f(a, b), b)."
+    query = parse_query(text)
+    first, second = query.goal
+    assert first.args[0] is first.args[1] is second.args[1].args[0]
+    assert second.args[2] is second.args[1].args[1]
+    assert first.args[2] is second.args[0]
+    a = syntax.FunctorTerm("a")
+    assert query == reference_parse_query(text)
+    assert first == Call(0, 1, 4, "p", (a, syntax.FunctorTerm("a"), syntax.Var("X")))
+    assert (first.line, first.col, second.line, second.col) == (1, 4, 1, 16)
+
+
 def test_deep_list_query_parses_in_bounded_memory():
     # A 100 000-element list, 500 011 tokens. With a tuple and a computed
     # line and column per token, parsing it peaked at 116 MiB.
