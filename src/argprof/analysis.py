@@ -18,9 +18,9 @@ argument, with data flowing through local variables composed in. Only the
 argument pairs of the closure are needed, so they are read off
 reachability from the arguments instead of closing over every variable
 (see ``_formal_flow``): linear in the clause's flow when each variable is
-reached from few arguments. A clause in which an argument lies on a flow
-cycle is closed, semi-naively: each step composes only the pairs the step
-before added or grew.
+reached from few arguments, also when arguments lie on a flow cycle.
+``transitive_closure`` still closes a whole set, semi-naively: each step
+composes only the pairs the step before added or grew.
 
 The driver analyzes predicates bottom-up over the call graph: each
 predicate is iterated to a local fixpoint before any caller of it is
@@ -230,12 +230,12 @@ def _formal_flow(raw: _Builder, formals: Iterable[str]) -> dict[Pair, PointOps]:
     Sagiv, "Precise interprocedural dataflow analysis via graph
     reachability", POPL 1995). With ``src(v)`` the formals that reach v and
     ``tgt(v)`` those v reaches, each pair (u, v) of ``raw`` joins its
-    operations into every (x, z) with x in src(u), z in tgt(v) and x != z.
-    When no formal lies on a cycle, no walk from x returns to x, so each
-    walk from x to z composes left to right without a self-pair and this
-    is the closure's (x, z) exactly. The closure composes no walk that
-    must pass through its start again, so when a formal lies on a cycle
-    ``raw`` is closed instead.
+    operations into every (x, z) with x in src(u), z in tgt(v) and x != z:
+    it lies on a walk x ~> u -> v ~> z. Composing no self-pair, the closure
+    composes a walk of two pairs or more from x to z exactly when a
+    variable inside it is neither x nor z: u or v, unless (u, v) is
+    (z, x). So a pair (z, x) of formals joins (x, z) only when a variable
+    w other than x and z has x in src(w) and z in tgt(w).
     """
     bit = {x: 1 << i for i, x in enumerate(formals)}
     succ: dict[str, list[str]] = {}
@@ -244,18 +244,22 @@ def _formal_flow(raw: _Builder, formals: Iterable[str]) -> dict[Pair, PointOps]:
         succ.setdefault(u, []).append(v)
         pred.setdefault(v, []).append(u)
     src = _reach(bit, succ)
-    for x, b in bit.items():
-        for u in pred.get(x, ()):
-            if src.get(u, 0) & b:
-                closed = _Builder(raw.owner, raw.input_args)
-                closed.ops.update(raw.ops)
-                _close(closed)
-                return {pair: ops for pair, ops in closed.ops.items() if pair[0] in bit and pair[1] in bit}
     tgt = _reach(bit, pred)
-    named: dict[int, list[str]] = {}  # the formals in each mask met
-    flow: dict[Pair, PointOps] = {}
+    # Each pair's masks of sources and targets; a pair (z, x) that must not
+    # join (x, z) joins the two products that leave it out.
+    spans = []
     for (u, v), ops in raw.ops.items():
         sources, targets = src.get(u), tgt.get(v)
+        b, c = bit.get(v), bit.get(u)
+        if b and c and sources & b and not any(
+            w != u and w != v and mask & b and tgt.get(w, 0) & c for w, mask in src.items()
+        ):
+            spans += [(sources & ~b, targets, ops), (b, targets & ~c, ops)]
+        else:
+            spans.append((sources, targets, ops))
+    named: dict[int, list[str]] = {}  # the formals in each mask met
+    flow: dict[Pair, PointOps] = {}
+    for sources, targets, ops in spans:
         if not (sources and targets):
             continue
         for mask in sources, targets:

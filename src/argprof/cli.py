@@ -248,7 +248,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Only this command needs the interpreter, so only it imports it.
     from . import interp
 
-    program, label = _load_validated(args.file)
+    program, _ = _load_validated(args.file)
     text = _read_stdin() if args.query == "-" else args.query
     try:
         query = parse_query(text)
@@ -260,7 +260,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except interp.StepLimitExceeded:
         raise _Failure("step limit exceeded") from None
     except interp.SolveError as exc:
-        raise _Failure(f"{label}: error: {exc}") from None
+        # The program is validated, so only a query atom can fault.
+        raise _Failure(SourceError(str(exc), exc.atom.line, exc.atom.col).render("<query>")) from None
     blocks = []
     for answer in answers:
         if answer:

@@ -20,15 +20,15 @@ Python's recursion limit:
   each body atom are known when it is compiled: the head inputs and the
   outputs of the atoms to its left. One walk over a body gives each name a
   slot of the clause's frame, a list, in the order the names are bound, so
-  an atom's outputs take consecutive slots, and decides each atom's mode
-  checks by ``atom_flow``. An atom whose checks pass becomes one
-  instruction over slots that checks nothing at run time. The first atom
-  whose checks fail becomes a fault instruction, and the rest of the body
-  is not compiled. When reached, the fault charges the atom's step (a
-  call has none) and raises the error named when it was compiled, its
-  first failing check at ``point N``; at a deconstruct whose value has
-  another functor or arity it only fails. A program call that repeats an
-  output raises when it returns.
+  an atom's outputs take consecutive slots, and reads each atom's failing
+  mode checks from ``modecheck.mode_faults``, the function the mode
+  checker reports. An atom with none becomes one instruction over slots
+  that checks nothing at run time. The first atom with one becomes a fault
+  instruction, and the rest of the body is not compiled. When reached, the
+  fault charges the atom's step (a call has none) and raises the error of
+  the atom's first failing check, named when it was compiled, at ``point
+  N``; at a deconstruct whose value has another functor or arity it only
+  fails. A program call that repeats an output raises when it returns.
 * **Continuations.** The machine runs one clause body at a time: its
   instructions, the index of the next one, its frame and the return
   record of the call that entered it. On reaching the end of a body it
@@ -81,7 +81,8 @@ Python's recursion limit:
   variable. A query atom that holds an unknown predicate, a term or a
   repeated variable in an output position, or an unbound variable in an
   input, becomes a fault instruction as in a clause. Errors name the
-  query atom as ``goal atom i``.
+  query atom as ``goal atom i`` and carry it, which places them in the
+  query's text.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from operator import is_, itemgetter
 
+from .modecheck import NOT_VAR, REPEATED, UNBOUND, fault_text, mode_faults
 from .parse import Query
 from .syntax import (
     Atom,
@@ -103,6 +105,7 @@ from .syntax import (
     Test,
     Var,
     atom_flow,
+    term_names,
 )
 
 __all__ = [
@@ -117,7 +120,11 @@ DEFAULT_STEP_LIMIT = 1_000_000
 
 
 class SolveError(Exception):
-    pass
+    """``atom`` is the atom whose fault raised the error, or None."""
+
+    def __init__(self, message: str, atom: Atom | None = None):
+        super().__init__(message)
+        self.atom = atom
 
 
 class RuntimeModeError(SolveError):
@@ -163,59 +170,6 @@ def _build(t: Term, frame: _Frame, slots: Mapping[str, int]) -> FunctorTerm:
             del values[len(values) - len(term.args) :]
             values.append(term if all(map(is_, args, term.args)) else FunctorTerm(term.functor, args))
     return values[0]
-
-
-def _term_names(term: Term) -> list[str]:
-    """Variable names of ``term``, with repetitions, in no set order."""
-    names = []
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Var:
-            names.append(t.name)
-        else:
-            stack += t.args
-    return names
-
-
-def _mode_error(
-    atom: Atom, slots: Mapping[str, int], predicates: Mapping[str, Predicate], where: str, query: bool
-) -> tuple[type[SolveError], str]:
-    """The class and text of the error ``atom`` raises when selected where
-    the names in ``slots`` are bound, for an atom with a failing mode check.
-
-    This walks the atom's checks in their defined order to name the first
-    one that fails. A call checks its arguments in position order. Any
-    other atom checks that its inputs are ground, then that its outputs are
-    free and distinct; a deconstruct reaches its outputs only when its value
-    has its functor and arity, which the fault's guard decides at run time.
-    ``where`` names the atom, ``query`` tells whether it is a query atom.
-    """
-    if isinstance(atom, Call):
-        callee = predicates.get(atom.pred)
-        if callee is None:
-            return SolveError, f"unknown predicate '{atom.pred}' in query"
-        if len(atom.args) != callee.arity:
-            n = len(atom.args)
-            return SolveError, f"'{atom.pred}' called with {n} arguments but declared with arity {callee.arity}"
-        checks = [(t, mode == "in") for t, mode in zip(atom.args, callee.modes)]
-    else:
-        ins, outs = atom_flow(atom, predicates)
-        checks = [(t, True) for t in ins] + [(t, False) for t in outs]
-    outputs: set[str] = set()  # this atom's outputs as checked
-    for t, is_input in checks:
-        if is_input:
-            if not all(name in slots for name in _term_names(t)):
-                return RuntimeModeError, f"non-ground input at {where}" if query else f"{t.name} unbound at {where}"
-        elif not isinstance(t, Var):
-            return RuntimeModeError, f"output position holds a term at {where}"
-        elif t.name in slots or (t.name in outputs and not isinstance(atom, Call)):
-            return RuntimeModeError, f"{t.name} already bound at {where}"
-        elif t.name in outputs and query:
-            return RuntimeModeError, f"{t.name} repeated in output positions at {where}"
-        else:
-            outputs.add(t.name)
-    raise AssertionError(f"no mode check of {atom!r} fails at {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +231,31 @@ def _unbound(name: str) -> _Getter:
     return get
 
 
+def _input_slot(t: Term, slots: dict[str, int], frame: _Frame, code: list[_Instr]) -> int:
+    """The slot of input ``t``: a variable's own, or for a query term a new
+    one, holding it if it is ground or set by an ``_EVAL`` added to ``code``."""
+    if t.__class__ is Var:
+        return slots[t.name]
+    slot = len(frame)
+    used = term_names(t)
+    if used:
+        code.append((_EVAL, slot, t, slots))
+    frame.append(None if used else t)
+    return slot
+
+
+def _error_text(atom: Atom, where: str, fault: tuple[Term, str], query: bool) -> str:
+    """The text of ``fault``, a failing mode check of ``atom`` at ``where``."""
+    term, kind = fault
+    if kind is UNBOUND and query:
+        return f"non-ground input at {where}"
+    if kind is NOT_VAR:
+        return f"output position holds a term at {where}"
+    if kind is REPEATED and query and atom.__class__ is Call:
+        return f"{term.name} repeated in output positions at {where}"
+    return fault_text(term, kind, where)
+
+
 def _compile_body(
     atoms: tuple[Atom, ...], predicates: Mapping[str, Predicate], slots: dict[str, int], frame: _Frame, query: bool
 ) -> tuple[_Instr, ...]:
@@ -285,72 +264,57 @@ def _compile_body(
     values, and ``slots`` and ``frame`` grow with the names each atom binds
     and the query input terms it holds.
 
-    An atom whose mode checks pass where it stands becomes one instruction,
-    its outputs taking the next slots in order; a program call may repeat
-    an output, which raises when the call returns. A query input term that
-    is ground is held as parsed, any other is built by an ``_EVAL`` before
-    its atom. The first atom whose checks fail becomes a fault that raises
-    the error named here, and the rest of the body is not compiled.
+    An atom that ``mode_faults`` passes where it stands becomes one
+    instruction, its outputs taking the next slots in order; a program call
+    may repeat an output, which raises when the call returns. A query input
+    term that is ground is held as parsed, any other is built by an
+    ``_EVAL`` before its atom. The first atom with a fault becomes a fault
+    instruction that raises the error of its first failing check, and the
+    rest of the body is not compiled; so does a query call of a predicate
+    the program lacks, or with another arity.
     """
     code: list[_Instr] = []
     for index, atom in enumerate(atoms, 1):
-        is_call = isinstance(atom, Call)
-        ok = True
+        is_call = atom.__class__ is Call
         if query and is_call:
             callee = predicates.get(atom.pred)
-            ok = callee is not None and len(atom.args) == callee.arity
-        args: list[int] = []  # the slots of the atom's inputs
-        if ok:
-            ins, outs = atom_flow(atom, predicates)
-            for t in ins:
-                if isinstance(t, Var):
-                    slot = slots.get(t.name)
-                    if slot is None:
-                        ok = False
-                        break
+            if callee is None or len(atom.args) != callee.arity:
+                if callee is None:
+                    text = f"unknown predicate '{atom.pred}' in query"
                 else:
-                    used = _term_names(t)
-                    if not all(name in slots for name in used):
-                        ok = False
-                        break
-                    slot = len(frame)
-                    if used:
-                        code.append((_EVAL, slot, t, slots))
-                    frame.append(None if used else t)
-                args.append(slot)
-        if ok:
-            # Outputs must be free variables; only a program call may
-            # repeat one.
-            names: list[str] = []
-            repeat = None
-            for t in outs:
-                if not isinstance(t, Var) or t.name in slots:
-                    ok = False
-                    break
-                if repeat is None and t.name in names:
-                    repeat = t.name
-                names.append(t.name)
-            ok = ok and (repeat is None or (is_call and not query))
-        if not ok:
-            where = f"goal atom {index}" if query else f"point {atom.point}"
-            error = _mode_error(atom, slots, predicates, where, query)
-            guard = (args[0], atom.functor, len(atom.args)) if isinstance(atom, Deconstruct) and args else None
+                    text = f"'{atom.pred}' called with {len(atom.args)} arguments but declared with arity {callee.arity}"
+                code.append((_FAULT, False, (SolveError, text), atom, None))
+                break
+        ins, outs = atom_flow(atom, predicates)
+        faults = mode_faults(atom, ins, outs, slots, predicates)
+        repeat = None
+        where = (f"goal atom {index}" if query else f"point {atom.point}") if faults else None
+        if faults and is_call and not query:
+            # A program call may repeat an output: it raises on return.
+            repeat = next((fault_text(t, kind, where) for t, kind in faults if kind is REPEATED), None)
+            faults = [fault for fault in faults if fault[1] is not REPEATED]
+        if faults:
+            # A deconstruct with its input bound faults only on its functor.
+            guard = None
+            if atom.__class__ is Deconstruct and faults[0][1] is not UNBOUND:
+                guard = (_input_slot(atom.var, slots, frame, code), atom.functor, len(atom.args))
+            error = RuntimeModeError, _error_text(atom, where, faults[0], query)
             code.append((_FAULT, not is_call, error, atom, guard))
             break
+        args = [_input_slot(t, slots, frame, code) for t in ins]
         first = len(frame)
-        for name in names:
-            if name not in slots:
-                slots[name] = len(frame)
+        for t in outs:
+            if t.name not in slots:
+                slots[t.name] = len(frame)
                 frame.append(None)
         end = len(frame)
-        if isinstance(atom, Deconstruct):
-            code.append((_DECONSTRUCT, args[0], atom.functor, len(names), first, end))
+        if atom.__class__ is Deconstruct:
+            code.append((_DECONSTRUCT, args[0], atom.functor, len(outs), first, end))
         elif is_call:
-            error = None if repeat is None else f"{repeat} already bound at point {atom.point}"
-            code.append((_CALL, atom.pred, _getter(args), first, end, error, False))
-        elif isinstance(atom, Construct):
+            code.append((_CALL, atom.pred, _getter(args), first, end, repeat, False))
+        elif atom.__class__ is Construct:
             code.append((_CONSTRUCT, first, atom.functor, _getter(args)))
-        elif isinstance(atom, Test):
+        elif atom.__class__ is Test:
             code.append((_TEST, args[0], args[1]))
         else:
             code.append((_ASSIGN, first, args[0]))
@@ -361,7 +325,7 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
     """``clause`` of ``pred`` compiled: its frame gives each head input
     name the slot of its last input position, whose value its binding
     keeps. A deconstruct of a head input that the clause starts with is its
-    key; when it passes its checks, selection decides it and binds its
+    key; when ``mode_faults`` passes it, selection decides it and binds its
     outputs, so the instructions start after it. A last call whose outputs
     are the head outputs in order becomes a tail call."""
     head_ins, head_outs = pred.split(clause.head_args)
@@ -369,15 +333,14 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
     frame: _Frame = [None] * len(head_ins)
     body = clause.body
     key = skip = None
-    if body and isinstance(body[0], Deconstruct) and body[0].var.name in slots:
+    if body and body[0].__class__ is Deconstruct and body[0].var.name in slots:
         first = body[0]
         key = (slots[first.var.name], (first.functor, len(first.args)))
-        outputs = {t.name: pos for pos, t in enumerate(first.args, len(frame)) if isinstance(t, Var)}
-        if len(outputs) == len(first.args) and slots.keys().isdisjoint(outputs):
-            # Its checks pass: its outputs take the slots after the inputs.
+        if not mode_faults(first, *atom_flow(first, predicates), slots, predicates):
+            # Its outputs take the slots after the inputs.
             skip = key[0]
-            slots.update(outputs)
-            frame += [None] * len(outputs)
+            slots.update((t.name, pos) for pos, t in enumerate(first.args, len(frame)))
+            frame += [None] * len(first.args)
             body = body[1:]
     start = len(frame)
     code = _compile_body(body, predicates, slots, frame, False)
@@ -538,7 +501,7 @@ def solve(
             elif kind == _EVAL:
                 frame[instr[1]] = _build(instr[2], frame, instr[3])
             else:  # _FAULT
-                _, counts_step, (error, text), _, guard = instr
+                _, counts_step, (error, text), atom, guard = instr
                 if counts_step and budget <= 0:
                     raise StepLimitExceeded(max_steps)
                 if guard is not None:
@@ -546,7 +509,7 @@ def solve(
                     if value.functor != guard[1] or len(value.args) != guard[2]:
                         budget -= 1
                         break
-                raise error(text)
+                raise error(text, atom)
             i += 1
 
         if not mask:

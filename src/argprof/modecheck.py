@@ -1,16 +1,21 @@
 """Static validation: mode correctness and direct-recursion checks.
 
 Mode checking simulates each clause left to right. The bound set starts as
-the input head arguments; every atom must find its input variables bound
-and its output variables unbound, and binds its outputs. At clause end
-every output head argument must be bound. Violations are collected as
-``SourceError``s, never raised.
+the input head arguments; every atom reports its failing checks, which
+``mode_faults`` decides for the interpreter too, and binds its inputs and
+outputs. At clause end every output head argument must be bound.
+Violations are collected as ``SourceError``s, never raised.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Mapping
+
 from .parse import SourceError
-from .syntax import Program, Record, atom_flow
+from .syntax import Atom, Call, Predicate, Program, Record, Term, Var, atom_flow, term_names
+
+# The kinds of mode fault: an input not bound, an output not a variable, bound, or repeated in its atom.
+UNBOUND, NOT_VAR, BOUND, REPEATED = "unbound", "not a variable", "bound", "repeated"
 
 
 class ValidationReport(Record):
@@ -32,6 +37,44 @@ class ValidationReport(Record):
         self.violations.extend(other.violations)
 
 
+def mode_faults(
+    atom: Atom, ins: tuple[Term, ...], outs: tuple[Term, ...], bound: Container[str], predicates: Mapping[str, Predicate]
+) -> list[tuple[Term, str]]:
+    """Each mode check ``atom`` fails where the names in ``bound`` are bound,
+    as (term, kind), in the order the checks are made: a call's arguments
+    in position order, any other atom's inputs ``ins`` then outputs
+    ``outs``, its ``atom_flow``. An input (a query's may be a nested term)
+    must have all its names bound; an output must be a variable, not bound,
+    not repeated."""
+    if atom.__class__ is Call:
+        checks = zip(atom.args, predicates[atom.pred].modes)
+    else:
+        checks = zip(ins + outs, ("in",) * len(ins) + ("out",) * len(outs))
+    faults = []
+    outputs = []  # the atom's outputs checked so far, which are few
+    for t, mode in checks:
+        if mode == "in":
+            if t.__class__ is Var:
+                if t.name not in bound:
+                    faults.append((t, UNBOUND))
+            elif not all(name in bound for name in term_names(t)):
+                faults.append((t, UNBOUND))
+        elif t.__class__ is not Var:
+            faults.append((t, NOT_VAR))
+        elif t.name in bound:
+            faults.append((t, BOUND))
+        elif t.name in outputs:
+            faults.append((t, REPEATED))
+        else:
+            outputs.append(t.name)
+    return faults
+
+
+def fault_text(term: Var, kind: str, where: str) -> str:
+    """The text of a fault of variable ``term`` at ``where``."""
+    return f"{term.name} unbound at {where}" if kind is UNBOUND else f"{term.name} already bound at {where}"
+
+
 def validate_modes(program: Program) -> ValidationReport:
     """Check every clause for mode-correct left-to-right execution."""
     report = ValidationReport()
@@ -40,18 +83,11 @@ def validate_modes(program: Program) -> ValidationReport:
             head_ins, head_outs = pred.split(clause.head_args)
             bound = {v.name for v in head_ins}
             for atom in clause.body:
-                inputs, outputs = atom_flow(atom, program.predicates)
-                for v in inputs:
-                    if v.name not in bound:
-                        report.add(atom.line, atom.col, f"{v.name} unbound at point {atom.point}")
-                seen_out: set[str] = set()
-                for v in outputs:
-                    if v.name in bound or v.name in seen_out:
-                        report.add(atom.line, atom.col, f"{v.name} already bound at point {atom.point}")
-                    seen_out.add(v.name)
+                ins, outs = atom_flow(atom, program.predicates)
+                for term, kind in mode_faults(atom, ins, outs, bound, program.predicates):
+                    report.add(atom.line, atom.col, fault_text(term, kind, f"point {atom.point}"))
                 # Bind inputs too, to suppress cascading reports.
-                bound.update(v.name for v in inputs)
-                bound.update(seen_out)
+                bound.update([v.name for v in ins + outs])
             for v in head_outs:
                 if v.name not in bound:
                     report.add(

@@ -107,42 +107,24 @@ class FunctorTerm(Record):
         return hash((self.functor, tuple(getattr(a, "functor", a) for a in self.args)))
 
     def __repr__(self) -> str:
-        return _render(
-            self,
-            repr,
-            lambda t: f"FunctorTerm(functor={t.functor!r}, args=(",
-            lambda t: ",))" if len(t.args) == 1 else "))",
-        )
+        # The explicit stack keeps the closings and separators still to write.
+        out: list[str] = []
+        stack: list[Term | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Var):
+                out.append(repr(item))
+            else:
+                out.append(f"FunctorTerm(functor={item.functor!r}, args=(")
+                stack.append(",))" if len(item.args) == 1 else "))")
+                for k, arg in enumerate(reversed(item.args)):
+                    stack += (", ", arg) if k else (arg,)
+        return "".join(out)
 
 
 Term = Var | FunctorTerm
-
-
-def _render(
-    t: Term,
-    show_var: Callable[[Var], str],
-    opening: Callable[[FunctorTerm], str],
-    closing: Callable[[FunctorTerm], str],
-) -> str:
-    """Print ``t`` depth-first, as ``repr`` does: a ``Var`` by ``show_var``,
-    a ``FunctorTerm`` as its opening, its arguments joined by ``", "`` and
-    its closing."""
-    out: list[str] = []
-    stack: list[Term | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Var):
-            out.append(show_var(item))
-        else:
-            out.append(opening(item))
-            stack.append(closing(item))
-            for k in range(len(item.args) - 1, -1, -1):
-                stack.append(item.args[k])
-                if k:
-                    stack.append(", ")
-    return "".join(out)
 
 
 def format_ground(t: Term) -> str:
@@ -266,6 +248,19 @@ def atom_flow(atom: Atom, predicates: Mapping[str, Predicate]) -> tuple[tuple[Te
     if isinstance(atom, Call):
         return predicates[atom.pred].split(atom.args)
     raise TypeError(f"not an atom: {atom!r}")
+
+
+def term_names(term: Term) -> list[str]:
+    """Variable names of ``term``, with repetitions, in no set order."""
+    names = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Var:
+            names.append(t.name)
+        else:
+            stack += t.args
+    return names
 
 
 class Clause(Value):

@@ -839,6 +839,26 @@ def random_chained_set(rng: random.Random) -> InteractionSet:
     return iset("p", inputs, edges)
 
 
+def random_cyclic_set(rng: random.Random) -> InteractionSet:
+    """A set over 2-10 variables, 2-4 of them arguments with at least two
+    outputs, whose pairs are drawn at random at a density drawn per set, no
+    pair into an input: many sets have a flow cycle through two output
+    arguments. One operation per program point, as in the analysis."""
+    n_vars = rng.randint(2, 10)
+    n_args = rng.randint(2, min(4, n_vars))
+    names = [f"A{i}" for i in range(1, n_args + 1)] + [f"L{i}" for i in range(1, n_vars - n_args + 1)]
+    inputs = names[: rng.randint(0, n_args - 2)]
+    density = rng.uniform(0.1, 0.6)
+    op_at = {pt: rng.choice(_BASE_OPS) for pt in range(1, 30)}
+    pairs = {
+        (x, y): {pt: op_at[pt] for pt in rng.sample(sorted(op_at), rng.randint(1, 2))}
+        for x in names
+        for y in names
+        if x != y and y not in inputs and rng.random() < density
+    }
+    return make_interaction_set("p", inputs, pairs)
+
+
 # ---------------------------------------------------------------------------
 # Random valid program generation (mode-correct and directly recursive
 # by construction)
@@ -964,6 +984,28 @@ def long_clause_source(n: int) -> str:
     one argument pair ``X ~> Y`` carries all n + 1 points."""
     atoms = ["L1 := X"] + [f"L{i} := L{i - 1}" for i in range(2, n + 1)] + [f"Y := L{n}"]
     return ":- pred p(in,out).\np(X,Y) :- " + ", ".join(atoms) + ".\n"
+
+
+def reversed_bodies(program: Program) -> Program:
+    """``program`` with every clause body in reverse, so that names are
+    consumed before they are produced."""
+    return make_program({
+        name: Predicate(name, pred.arity, pred.modes,
+                        tuple(Clause(c.head_args, c.body[::-1]) for c in pred.clauses))
+        for name, pred in program.predicates.items()
+    })
+
+
+def cyclic_long_clause_source(n: int) -> str:
+    """``p(A,B,C) :- L1 := A, ..., Ln := L(n-1), q(Ln,B,C).``: the chain of
+    ``long_clause_source`` ending in a call to ``q``, one of whose clauses
+    flows Y into Z and the other Z into Y, so p's output arguments B and C
+    lie on a flow cycle."""
+    atoms = ["L1 := A"] + [f"L{i} := L{i - 1}" for i in range(2, n + 1)] + [f"q(L{n},B,C)"]
+    return (
+        ":- pred q(in,out,out).\nq(X,Y,Z) :- Y := X, Z := Y.\nq(X,Y,Z) :- Z := X, Y := Z.\n"
+        ":- pred p(in,out,out).\np(A,B,C) :- " + ", ".join(atoms) + ".\n"
+    )
 
 
 def wide_source(rng: random.Random, arity: int, n_atoms: int) -> str:

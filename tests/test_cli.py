@@ -401,6 +401,19 @@ def test_run_query_errors_from_stdin_name_the_query(capsys, monkeypatch):
     assert capsys.readouterr().err == "<query>:1:18: error: expected '.', found 'end of input'\n"
 
 
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        ("?- app(X, nil, Z).", "<query>:1:4: error: non-ground input at goal atom 1"),
+        ("?- app(nil, nil, Z),\n   nosuch(Z).", "<query>:2:4: error: unknown predicate 'nosuch' in query"),
+        ("?- Z := nil, app(nil, nil).", "<query>:1:14: error: 'app' called with 2 arguments but declared with arity 3"),
+    ],
+)
+def test_run_query_faults_name_the_query_atom(query, error, capsys):
+    assert main(["run", fixture("append.lp"), query]) == 1
+    assert capsys.readouterr().err == error + "\n"
+
+
 def test_run_program_and_query_both_from_stdin_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "-", "-"])

@@ -35,7 +35,7 @@ from argprof import (
     validate_modes,
     validate_program,
 )
-from argprof.interp import _FAULT, _compile_clause
+from argprof.interp import _CALL, _FAULT, _compile_clause
 from helpers import (
     TIE_FREE_FIXTURES,
     ReferenceSteps,
@@ -46,6 +46,7 @@ from helpers import (
     load_fixture,
     reference_format_ground,
     reference_solve,
+    reversed_bodies,
 )
 
 
@@ -449,6 +450,31 @@ def test_unchecked_atoms_compile_to_faults():
     assert texts[24] == "W unbound at point 24"
     assert texts[26] == "W unbound at point 26"
     assert texts[28] == "Y already bound at point 28"
+
+
+def test_compiled_faults_are_the_first_mode_violations():
+    # In each clause, the first violation the mode checker reports at an
+    # atom is the first error the compiled clause names: the text of its
+    # fault, or for a call that repeats an output, which has no fault, the
+    # error it raises on return.
+    corpus = random.Random(0xBEEF)
+    programs = [parse_program(UNCHECKED)]
+    programs += [reversed_bodies(parse_program(gen_program_source(corpus))) for _ in range(200)]
+    faulty = 0
+    for program in programs:
+        messages = [v.message for v in validate_modes(program).violations]
+        for pred in program.predicates.values():
+            for clause in pred.clauses:
+                points = {f"point {atom.point}" for atom in clause.body}
+                reported = [m for m in messages if m.rpartition(" at ")[2] in points]
+                named = [
+                    instr[2][1] if instr[0] == _FAULT else instr[5]
+                    for instr in _compile_clause(pred, clause, program.predicates)[4]
+                    if instr[0] == _FAULT or instr[0] == _CALL and instr[5] is not None
+                ]
+                assert named[:1] == reported[:1], (pred.name, clause)
+                faulty += bool(reported)
+    assert faulty > 500
 
 
 # Not mode-checked: clauses whose first atom may or may not select them. A

@@ -7,11 +7,14 @@ import random
 import pytest
 
 from argprof import (
+    format_ground,
     parse_program,
+    parse_query,
     validate_direct_recursion,
     validate_modes,
     validate_program,
 )
+from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, mode_faults
 from argprof.syntax import atom_flow
 from helpers import fixture_names, gen_program_source, load_fixture
 
@@ -93,6 +96,32 @@ def test_call_modes_respected():
     messages = {v.message for v in report.violations}
     assert "Y unbound at point 2" in messages
     assert "X already bound at point 2" in messages
+
+
+def test_call_violations_in_argument_order():
+    # A call's checks are made in argument order, as the interpreter makes
+    # them: here a bound output comes before an unbound input.
+    src = """
+    :- pred q(out,in).
+    :- pred p(in,out).
+    p(X,Y) :- q(X,Y).
+    """
+    report = validate_modes(parse_program(src))
+    assert [v.message for v in report.violations] == ["X already bound at point 1", "Y unbound at point 1"]
+
+
+def test_mode_faults_of_each_kind():
+    predicates = parse_program(":- pred q(out,in,out,out,out).").predicates
+    (atom,) = parse_query("?- q(f(a), g(X), B, Y, Y).").goal
+    ins, outs = atom_flow(atom, predicates)
+    faults = mode_faults(atom, ins, outs, {"B"}, predicates)
+    assert [(format_ground(t), kind) for t, kind in faults] == [
+        ("f(a)", NOT_VAR),
+        ("g(X)", UNBOUND),
+        ("B", BOUND),
+        ("Y", REPEATED),
+    ]
+    assert [format_ground(t) for t, _ in mode_faults(atom, ins, outs, {"X"}, predicates)] == ["f(a)", "Y"]
 
 
 def test_report_rendering():
