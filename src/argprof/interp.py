@@ -78,16 +78,18 @@ Python's recursion limit:
   given bindings. Ground input terms are held in the frame as parsed;
   input terms that use query variables are built when their atom is
   reached, with an explicit stack, and share every subterm that holds no
-  variable. A query atom that holds an unknown predicate, a term or a
-  repeated variable in an output position, or an unbound variable in an
-  input, becomes a fault instruction as in a clause. Errors name the
+  variable. Which are which, the mode check and the compiler read from the
+  query's record, ``Query.nonground``, so no ground input is walked. A
+  query atom that holds an unknown predicate, a term or a repeated
+  variable in an output position, or an unbound variable in an input,
+  becomes a fault instruction as in a clause. Errors name the
   query atom as ``goal atom i`` and carry it, which places them in the
   query's text.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Container, Mapping
 from operator import is_, itemgetter
 
 from .modecheck import NOT_VAR, REPEATED, UNBOUND, fault_text, mode_faults
@@ -105,7 +107,6 @@ from .syntax import (
     Test,
     Var,
     atom_flow,
-    term_names,
 )
 
 __all__ = [
@@ -231,16 +232,20 @@ def _unbound(name: str) -> _Getter:
     return get
 
 
-def _input_slot(t: Term, slots: dict[str, int], frame: _Frame, code: list[_Instr]) -> int:
+def _input_slot(
+    t: Term, slots: dict[str, int], frame: _Frame, code: list[_Instr], nonground: Container[int] | None
+) -> int:
     """The slot of input ``t``: a variable's own, or for a query term a new
-    one, holding it if it is ground or set by an ``_EVAL`` added to ``code``."""
+    one, set by an ``_EVAL`` added to ``code`` if ``nonground``, the
+    query's record, names it, and holding it as parsed if not."""
     if t.__class__ is Var:
         return slots[t.name]
     slot = len(frame)
-    used = term_names(t)
-    if used:
+    if id(t) in nonground:
         code.append((_EVAL, slot, t, slots))
-    frame.append(None if used else t)
+        frame.append(None)
+    else:
+        frame.append(t)
     return slot
 
 
@@ -257,12 +262,17 @@ def _error_text(atom: Atom, where: str, fault: tuple[Term, str], query: bool) ->
 
 
 def _compile_body(
-    atoms: tuple[Atom, ...], predicates: Mapping[str, Predicate], slots: dict[str, int], frame: _Frame, query: bool
+    atoms: tuple[Atom, ...],
+    predicates: Mapping[str, Predicate],
+    slots: dict[str, int],
+    frame: _Frame,
+    nonground: Container[int] | None,
 ) -> tuple[_Instr, ...]:
     """The instructions of ``atoms``, a clause body or a query, in a frame
     whose bound names have ``slots``; ``frame`` holds its slots' initial
     values, and ``slots`` and ``frame`` grow with the names each atom binds
-    and the query input terms it holds.
+    and the query input terms it holds. ``nonground`` is None for a clause
+    body, and a query's record of its input terms that hold a variable.
 
     An atom that ``mode_faults`` passes where it stands becomes one
     instruction, its outputs taking the next slots in order; a program call
@@ -273,6 +283,7 @@ def _compile_body(
     rest of the body is not compiled; so does a query call of a predicate
     the program lacks, or with another arity.
     """
+    query = nonground is not None
     code: list[_Instr] = []
     for index, atom in enumerate(atoms, 1):
         is_call = atom.__class__ is Call
@@ -286,7 +297,7 @@ def _compile_body(
                 code.append((_FAULT, False, (SolveError, text), atom, None))
                 break
         ins, outs = atom_flow(atom, predicates)
-        faults = mode_faults(atom, ins, outs, slots, predicates)
+        faults = mode_faults(atom, ins, outs, slots, predicates, nonground)
         repeat = None
         where = (f"goal atom {index}" if query else f"point {atom.point}") if faults else None
         if faults and is_call and not query:
@@ -297,11 +308,11 @@ def _compile_body(
             # A deconstruct with its input bound faults only on its functor.
             guard = None
             if atom.__class__ is Deconstruct and faults[0][1] is not UNBOUND:
-                guard = (_input_slot(atom.var, slots, frame, code), atom.functor, len(atom.args))
+                guard = (_input_slot(atom.var, slots, frame, code, nonground), atom.functor, len(atom.args))
             error = RuntimeModeError, _error_text(atom, where, faults[0], query)
             code.append((_FAULT, not is_call, error, atom, guard))
             break
-        args = [_input_slot(t, slots, frame, code) for t in ins]
+        args = [_input_slot(t, slots, frame, code, nonground) for t in ins]
         first = len(frame)
         for t in outs:
             if t.name not in slots:
@@ -343,7 +354,7 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
             frame += [None] * len(first.args)
             body = body[1:]
     start = len(frame)
-    code = _compile_body(body, predicates, slots, frame, False)
+    code = _compile_body(body, predicates, slots, frame, None)
     pad = tuple(frame[start:])
     out_slots = [slots.get(v.name) for v in head_outs]
     if None in out_slots:
@@ -394,14 +405,14 @@ class _Procedures(dict):
 
 
 def _compile_goal(
-    goal: tuple[Atom, ...], program: Program, bindings: Mapping[str, FunctorTerm]
+    query: Query, program: Program, bindings: Mapping[str, FunctorTerm]
 ) -> tuple[tuple[_Instr, ...], _Frame, list[tuple[str, int]]]:
-    """The instructions of a query, its frame holding ``bindings`` and its
+    """The instructions of ``query``, its frame holding ``bindings`` and its
     ground input terms, and the slots of its answer variables: the names
     it binds beyond ``bindings``, in binding order."""
     slots = {name: pos for pos, name in enumerate(bindings)}
     frame: _Frame = list(bindings.values())
-    code = _compile_body(goal, program.predicates, slots, frame, True)
+    code = _compile_body(query.goal, program.predicates, slots, frame, query.nonground)
     return code, frame, list(slots.items())[len(bindings) :]
 
 
@@ -424,7 +435,7 @@ def solve(
     returns without binding a head output raises the KeyError of that
     output's name.
     """
-    body, frame, answer = _compile_goal(query.goal, program, dict(bindings or {}))
+    body, frame, answer = _compile_goal(query, program, dict(bindings or {}))
     procs = _Procedures(program)
     answers: list[Answer] = []
     budget = max_steps

@@ -38,28 +38,49 @@ class ValidationReport(Record):
 
 
 def mode_faults(
-    atom: Atom, ins: tuple[Term, ...], outs: tuple[Term, ...], bound: Container[str], predicates: Mapping[str, Predicate]
+    atom: Atom,
+    ins: tuple[Term, ...],
+    outs: tuple[Term, ...],
+    bound: Container[str],
+    predicates: Mapping[str, Predicate],
+    nonground: Container[int] | None = None,
 ) -> list[tuple[Term, str]]:
     """Each mode check ``atom`` fails where the names in ``bound`` are bound,
     as (term, kind), in the order the checks are made: a call's arguments
     in position order, any other atom's inputs ``ins`` then outputs
-    ``outs``, its ``atom_flow``. An input (a query's may be a nested term)
-    must have all its names bound; an output must be a variable, not bound,
-    not repeated."""
-    if atom.__class__ is Call:
-        checks = zip(atom.args, predicates[atom.pred].modes)
-    else:
-        checks = zip(ins + outs, ("in",) * len(ins) + ("out",) * len(outs))
+    ``outs``, its ``atom_flow``. An input must have all its names bound; an
+    output must be a variable, not bound, not repeated. An input that is a
+    nested term (a query's) is walked for its names, unless ``nonground``,
+    a query's record, holds the ids of the nested inputs that hold a
+    variable: any other is ground."""
     faults = []
-    outputs = []  # the atom's outputs checked so far, which are few
-    for t, mode in checks:
-        if mode == "in":
-            if t.__class__ is Var:
-                if t.name not in bound:
+    outputs: list[str] = []
+    if atom.__class__ is Call:
+        # The checks of the two loops below, in argument position order.
+        for t, mode in zip(atom.args, predicates[atom.pred].modes):
+            if mode == "in":
+                if t.__class__ is Var:
+                    if t.name not in bound:
+                        faults.append((t, UNBOUND))
+                elif (nonground is None or id(t) in nonground) and not all(name in bound for name in term_names(t)):
                     faults.append((t, UNBOUND))
-            elif not all(name in bound for name in term_names(t)):
+            elif t.__class__ is not Var:
+                faults.append((t, NOT_VAR))
+            elif t.name in bound:
+                faults.append((t, BOUND))
+            elif t.name in outputs:
+                faults.append((t, REPEATED))
+            else:
+                outputs.append(t.name)
+        return faults
+    for t in ins:
+        if t.__class__ is Var:
+            if t.name not in bound:
                 faults.append((t, UNBOUND))
-        elif t.__class__ is not Var:
+        elif (nonground is None or id(t) in nonground) and not all(name in bound for name in term_names(t)):
+            faults.append((t, UNBOUND))
+    for t in outs:
+        if t.__class__ is not Var:
             faults.append((t, NOT_VAR))
         elif t.name in bound:
             faults.append((t, BOUND))

@@ -17,6 +17,15 @@ and clauses of one predicate must be contiguous.
 Queries use the same lexer and build the same atom classes:
 ``?- app(cons(1,nil), cons(2,nil), Z).`` where input positions may hold
 nested ground terms and output positions hold fresh variables.
+
+Positions (line and column) are computed only for what carries one: atoms,
+clauses, predicates and errors. Every atom and clause of a program needs
+one, so a program's parse sums the start offsets of all its tokens into one
+list at once. A query needs one per goal atom, and its terms may be long,
+so its tokens compute an offset only when asked, from the token last
+asked for. The query parser also records which argument terms hold a
+variable (``Query.nonground``), as it reads each one, so that nothing after
+it need walk a ground input to learn that it is ground.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, compress, islice
 from operator import attrgetter
-from typing import Callable
+from typing import AbstractSet, Callable
 
 from .syntax import (
     Assign,
@@ -43,6 +52,7 @@ from .syntax import (
     Value,
     Var,
     make_program,
+    term_names,
 )
 
 
@@ -88,13 +98,19 @@ _SPLIT_RE = re.compile(r"([(),.]|[A-Za-z_][A-Za-z0-9_]*|:-|:=|=>|<=|==|\?-|[0-9]
 
 class Tokens:
     """The tokens of one source. ``texts`` ends with "" for the end of
-    input; ``starts`` holds the offset in the source at which each starts."""
+    input. ``position(i)`` places token ``i`` by its start offset in the
+    source: read from the list of every start, when ``tokenize`` built
+    one, or else summed from the lengths of the split parts between it and
+    the token last placed, so placing tokens in order costs time linear in
+    the source, and in any other order gives the same result."""
 
-    __slots__ = ("texts", "starts", "_source", "_line_starts")
+    __slots__ = ("texts", "_starts", "_parts", "_cursor", "_source", "_line_starts")
 
-    def __init__(self, source: str, texts: list[str], starts: list[int]):
+    def __init__(self, source: str, texts: list[str], starts: list[int] | None, parts: list[str] | None):
         self.texts = texts
-        self.starts = starts
+        self._starts = starts
+        self._parts = parts  # gap, token, gap, ..., token, gap: token k is part 2k + 1
+        self._cursor = (0, len(parts[0])) if parts is not None else None  # a token and its start
         self._source = source
         self._line_starts: list[int] | None = None
 
@@ -105,7 +121,16 @@ class Tokens:
         """Line and 1-based column of token ``i``."""
         if self._line_starts is None:
             self._line_starts = _line_starts(self._source)
-        return _position(self._line_starts, self.starts[i])
+        if self._starts is not None:
+            return _position(self._line_starts, self._starts[i])
+        k, offset = self._cursor
+        # Token i starts after parts 0 .. 2i, token k after parts 0 .. 2k.
+        if i >= k:
+            offset += sum(map(len, self._parts[2 * k + 1 : 2 * i + 1]))
+        else:
+            offset -= sum(map(len, self._parts[2 * i + 1 : 2 * k + 1]))
+        self._cursor = i, offset
+        return _position(self._line_starts, offset)
 
 
 def _line_starts(source: str) -> list[int]:
@@ -118,8 +143,11 @@ def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - line_starts[line - 1] + 1
 
 
-def tokenize(source: str) -> Tokens:
-    """Split ``source`` into tokens, ending with the end of input.
+def tokenize(source: str, starts: bool = False) -> Tokens:
+    """Split ``source`` into tokens, ending with the end of input. With
+    ``starts``, as a program's parse asks, build the list of every token's
+    start offset at once; without it, as a query's does, each is computed
+    when ``position`` asks for it (a source with comments builds the list).
 
     The end of input sits just past the last character, or at the ``%``
     of a comment that runs to the end of the input.
@@ -129,16 +157,18 @@ def tokenize(source: str) -> Tokens:
         raise _bad_character(source, parts)
     texts = parts[1::2]
     texts.append("")
+    if "%" not in source and not starts:
+        return Tokens(source, texts, None, parts)
     # A token starts where the gap before it ends, and the last gap ends
     # where the input does.
-    starts = list(islice(accumulate(map(len, parts)), 0, None, 2))
+    offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
     if "%" in source:
         if not parts[-1] and texts[-2][0] == "%":
-            del texts[-2], starts[-1]  # the end of input moves to the comment
+            del texts[-2], offsets[-1]  # the end of input moves to the comment
         keep = [text[:1] != "%" for text in texts]
         texts = list(compress(texts, keep))
-        starts = list(compress(starts, keep))
-    return Tokens(source, texts, starts)
+        offsets = list(compress(offsets, keep))
+    return Tokens(source, texts, offsets, None)
 
 
 def _bad_character(source: str, parts: list[str]) -> LexError:
@@ -190,7 +220,7 @@ def parse_program(source: str) -> Program:
 
     Raises LexError, ParseError or ProgramError, each carrying line/col.
     """
-    tokens = tokenize(source)
+    tokens = tokenize(source, starts=True)
     texts, where = tokens.texts, tokens.position
     variables = _Shared(Var)
     functor_arity: dict[str, int] = {}
@@ -373,13 +403,39 @@ def parse_program(source: str) -> Program:
 
 class Query(Value):
     """A goal: atoms of the program's classes with point 0, whose argument
-    positions may hold nested terms."""
+    positions may hold nested terms.
 
-    __slots__ = __match_args__ = ("goal",)
+    ``nonground`` holds the ids of the goal's argument terms that are
+    ``FunctorTerm``s holding a variable, so that no ground input need be
+    walked to learn that it is ground. ``parse_query`` records it as it
+    reads the variables; a query built by hand derives it by walking its
+    argument terms. It follows from the goal, so it joins neither the key
+    nor the ``repr``."""
+
+    __slots__ = ("goal", "nonground")
+    __match_args__ = ("goal",)
     _key = attrgetter("goal")
 
-    def __init__(self, goal: tuple[Atom, ...]):
+    def __init__(self, goal: tuple[Atom, ...], nonground: AbstractSet[int] | None = None):
         self.goal = goal
+        if nonground is None:
+            terms = [t for atom in goal for t in _argument_terms(atom)]
+            nonground = {id(t) for t in terms if t.__class__ is FunctorTerm and term_names(t)}
+        self.nonground = nonground
+
+
+def _argument_terms(atom: Atom) -> tuple[Term, ...]:
+    """The terms in ``atom``'s argument positions (none if it is no atom)."""
+    cls = atom.__class__
+    if cls is Call:
+        return atom.args
+    if cls is Deconstruct or cls is Construct:
+        return atom.var, *atom.args
+    if cls is Assign:
+        return atom.target, atom.source
+    if cls is Test:
+        return atom.left, atom.right
+    return ()
 
 
 def parse_query(source: str) -> Query:
@@ -388,17 +444,22 @@ def parse_query(source: str) -> Query:
     texts, where = tokens.texts, tokens.position
     variables = _Shared(Var)
     constants = _Shared(FunctorTerm)
+    nonground: set[int] = set()
 
-    def term(i: int) -> tuple[Term, int]:
-        """The term from token ``i``, and the index after it."""
+    def term(i: int) -> tuple[Term, int, list[int]]:
+        """The term from token ``i``, the index after it, and the indexes of
+        its arguments that are or hold a variable (with repeats)."""
         # An explicit stack of the terms whose arguments are being read, as
         # (functor, arguments so far), so nesting depth costs no recursion.
         open_terms: list[tuple[str, list[Term]]] = []
+        held: list[int] = []
         while True:
             text = texts[i]
             if "A" <= text < "a":
                 done: Term = variables[text]
                 i += 1
+                if open_terms:  # it is in the argument being read
+                    held.append(len(open_terms[0][1]))
             elif text >= "a" or "0" <= text < ":":
                 if texts[i + 1] == "(":
                     if texts[i + 2] != ")":
@@ -424,24 +485,36 @@ def parse_query(source: str) -> Query:
                 open_terms.pop()
                 done = FunctorTerm(functor, tuple(args))
             else:
-                return done, i
+                return done, i, held
+
+    def record(args: tuple[Term, ...], held: list[int]) -> None:
+        """Record the arguments ``held`` names that are terms holding a variable."""
+        for k in held:
+            if args[k].__class__ is FunctorTerm:
+                nonground.add(id(args[k]))
 
     def atom(i: int) -> tuple[Atom, int]:
         """The goal atom from token ``i``, and the index after it."""
         start = i
-        left, i = term(i)
+        left, i, held = term(i)
         op = texts[i]
         if op != "=>" and op != "<=" and op != ":=" and op != "==":
             # No unification operator follows: the term itself is a call.
             if isinstance(left, FunctorTerm):
+                record(left.args, held)
                 return Call(0, *where(start), left.functor, left.args), i
             raise _expected(tokens, "atom", start)
-        right, j = term(i + 1)
+        if held:
+            nonground.add(id(left))
+        right, j, right_held = term(i + 1)
         if op == "=>" or op == "<=":
             if isinstance(right, Var):
                 raise _expected(tokens, "functor", i + 1)
+            record(right.args, right_held)
             cls = Deconstruct if op == "=>" else Construct
             return cls(0, *where(start), left, right.functor, right.args), j
+        if right_held:
+            nonground.add(id(right))
         cls = Assign if op == ":=" else Test
         return cls(0, *where(start), left, right), j
 
@@ -459,4 +532,4 @@ def parse_query(source: str) -> Query:
         raise _expected(tokens, "'.'", i)
     if texts[i + 1]:
         raise _expected(tokens, "'eof'", i + 1)
-    return Query(tuple(goal))
+    return Query(tuple(goal), nonground)

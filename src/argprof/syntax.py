@@ -129,26 +129,43 @@ Term = Var | FunctorTerm
 
 def format_ground(t: Term) -> str:
     """``t`` in surface syntax, e.g. ``cons(1, nil)``; a variable prints as
-    its name. The walk keeps the text still to write, closing parentheses
-    and separators, on its stack beside the terms."""
+    its name.
+
+    A node whose leading arguments are constants, as each node of a list
+    of constants is, is written as one part, and the walk goes on down its
+    last argument, counting the parentheses to close at the end of that
+    spine. Any other node keeps the text still to write, its closing
+    parenthesis and separators, on a stack beside the terms."""
     out: list[str] = []
     stack: list[Term | str] = [t]
     while stack:
         item = stack.pop()
         if item.__class__ is str:
             out.append(item)
-        elif item.__class__ is Var:
-            out.append(item.name)
-        elif item.args:
-            out.append(item.functor + "(")
-            stack.append(")")
+            continue
+        closes = 0
+        while item.__class__ is not Var and item.args:
             args = item.args
-            for arg in args[:0:-1]:
-                stack.append(arg)
-                stack.append(", ")
-            stack.append(args[0])
+            lead = args[0]
+            # A list node, arity 2, is the common case: no slice, one part.
+            if len(args) == 2 and lead.__class__ is not Var and not lead.args:
+                out.append(f"{item.functor}({lead.functor}, ")
+            elif len(args) != 2 and all(arg.__class__ is not Var and not arg.args for arg in args[:-1]):
+                out.append(item.functor + "(" + "".join([arg.functor + ", " for arg in args[:-1]]))
+            else:
+                out.append(item.functor + "(")
+                stack.append(")" * (closes + 1))
+                for arg in args[:0:-1]:
+                    stack.append(arg)
+                    stack.append(", ")
+                stack.append(lead)
+                break
+            closes += 1
+            item = args[-1]
         else:
-            out.append(item.functor)
+            out.append(item.name if item.__class__ is Var else item.functor)
+            if closes:
+                out.append(")" * closes)
     return "".join(out)
 
 

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from argprof import (
+    Assign,
     Call,
     Clause,
+    Construct,
     Deconstruct,
     FunctorTerm,
     Predicate,
@@ -35,7 +37,10 @@ from argprof import (
     validate_modes,
     validate_program,
 )
+from argprof import interp, modecheck, parse, syntax
 from argprof.interp import _CALL, _FAULT, _compile_clause
+from argprof.parse import _argument_terms
+from argprof.syntax import term_names
 from helpers import (
     TIE_FREE_FIXTURES,
     ReferenceSteps,
@@ -881,6 +886,17 @@ def test_deep_terms_print_compare_and_hash():
 def test_format_ground_on_a_100000_deep_term():
     deep = _list_term(["a", "b"] * 50_000)
     assert format_ground(deep) == reference_format_ground(deep) == "cons(a, cons(b, " * 50_000 + "nil" + ")" * 100_000
+    # A spine whose first arguments are terms holding a variable, and one
+    # of arity-3 nodes.
+    pairs = FunctorTerm("nil")
+    triples = FunctorTerm("nil")
+    for k in range(100_000):
+        pairs = FunctorTerm("cons", (FunctorTerm("pair", (FunctorTerm("a"), Var("X"))), pairs))
+        triples = FunctorTerm("t", (FunctorTerm(str(k % 3)), FunctorTerm("b"), triples))
+    text = "cons(pair(a, X), " * 100_000 + "nil" + ")" * 100_000
+    assert format_ground(pairs) == reference_format_ground(pairs) == text
+    text = "".join(f"t({k % 3}, b, " for k in reversed(range(100_000))) + "nil" + ")" * 100_000
+    assert format_ground(triples) == reference_format_ground(triples) == text
 
 
 # Terms of up to 30 leaves, at arities 0 to 4; a few leaves are variables,
@@ -898,6 +914,88 @@ _TERMS = st.recursive(
 @given(_TERMS)
 def test_format_ground_agrees_with_the_callback_walk(term):
     assert format_ground(term) == reference_format_ground(term)
+
+
+def _holds_var(term) -> bool:
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            return True
+        stack.extend(t.args)
+    return False
+
+
+def _recorded(query: Query) -> set[tuple[int, int]]:
+    """The (atom, argument) positions of the terms in ``query``'s record."""
+    return {
+        (k, j)
+        for k, atom in enumerate(query.goal)
+        for j, t in enumerate(_argument_terms(atom))
+        if id(t) in query.nonground
+    }
+
+
+_QUERY_TERMS = _TERMS | st.builds(gen_input_term, st.randoms(use_true_random=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_QUERY_TERMS, min_size=1, max_size=4),
+    st.lists(_QUERY_TERMS, min_size=6, max_size=6),
+    st.lists(_QUERY_TERMS, max_size=3),
+    st.lists(_QUERY_TERMS, max_size=3),
+)
+def test_parse_query_records_the_terms_that_hold_a_variable(call_args, operands, made, taken):
+    # Every kind of atom: a call, an assign, a test, a construct and a
+    # deconstruct, whose argument terms may nest and hold variables.
+    a, b, c, d, e, f = operands
+    goal = (
+        Call(0, 0, 0, "p", tuple(call_args)),
+        Assign(0, 0, 0, a, b),
+        syntax.Test(0, 0, 0, c, d),
+        Construct(0, 0, 0, e, "f", tuple(made)),
+        Deconstruct(0, 0, 0, f, "g", tuple(taken)),
+    )
+    by_hand = Query(goal)
+    g = format_ground
+    parsed = parse_query(
+        f"?- {g(FunctorTerm('p', tuple(call_args)))}, {g(a)} := {g(b)}, {g(c)} == {g(d)}, "
+        f"{g(e)} <= {g(FunctorTerm('f', tuple(made)))}, {g(f)} => {g(FunctorTerm('g', tuple(taken)))}."
+    )
+    expected = {
+        (k, j)
+        for k, atom in enumerate(goal)
+        for j, t in enumerate(_argument_terms(atom))
+        if isinstance(t, FunctorTerm) and _holds_var(t)
+    }
+    assert _recorded(parsed) == _recorded(by_hand) == expected
+    assert Query(parsed.goal).nonground == parsed.nonground
+    # The record joins neither the key nor the repr.
+    assert parsed == by_hand and hash(parsed) == hash(by_hand)
+    assert repr(parsed) == repr(Query(parsed.goal)) == f"Query(goal={parsed.goal!r})"
+
+
+def test_ground_inputs_are_never_walked(monkeypatch):
+    # The parser records which input terms hold a variable, so between the
+    # text and the answer no ground input is walked for its names.
+    walked = []
+
+    def counting(term):
+        walked.append(term)
+        return term_names(term)
+
+    for module in (syntax, parse, modecheck, interp):
+        if hasattr(module, "term_names"):
+            monkeypatch.setattr(module, "term_names", counting)
+    one, two = ["a", "b", "c"] * 50, ["d", "e"] * 75
+    query = parse_query(f"?- app({_list_text(one)}, {_list_text(two)}, Z).")
+    assert solve(load_fixture("append.lp"), query) == [{"Z": _list_term(one + two)}]
+    assert walked == []
+    # The count is live: an input that holds a variable is walked.
+    query = parse_query("?- X := a, app(cons(X,nil), nil, Z).")
+    assert solve(load_fixture("append.lp"), query) == [{"X": FunctorTerm("a"), "Z": _list_term(["a"])}]
+    assert len(walked) == 1
 
 
 def test_repr_matches_the_field_layout():

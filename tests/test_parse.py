@@ -271,7 +271,9 @@ def test_tokenize_matches_reference_on_fixtures_and_corpus():
         assert _lex(tokenize, source) == _reference_lex(source)
 
 
-def test_tokenize_matches_reference_on_mutated_sources():
+def _mutated_sources():
+    """10 000 windows of a few lines of the token sources, each with one to
+    three characters deleted, replaced or inserted."""
     rng = random.Random(7)
     sources = _token_sources()
     for _ in range(10_000):
@@ -287,8 +289,33 @@ def test_tokenize_matches_reference_on_mutated_sources():
                 chars[i] = rng.choice(_MUTATION_CHARS)
             else:
                 chars.insert(i, rng.choice(_MUTATION_CHARS))
-        source = "".join(chars)
+        yield "".join(chars)
+
+
+def test_tokenize_matches_reference_on_mutated_sources():
+    for source in _mutated_sources():
         assert _lex(tokenize, source) == _reference_lex(source), repr(source)
+
+
+def test_positions_in_any_order_equal_those_in_order():
+    # A query's tokens compute each position when asked, from the last one
+    # asked for; a program's read them from one list. Either way the order
+    # of the questions must not matter.
+    rng = random.Random(11)
+    for source in [*_token_sources(), *_mutated_sources()]:
+        try:
+            tokens = tokenize(source)
+        except LexError:
+            continue
+        in_order = [tokens.position(i) for i in range(len(tokens))]
+        listed = tokenize(source, starts=True)
+        assert [listed.position(i) for i in range(len(tokens))] == in_order, repr(source)
+        backwards = tokenize(source)
+        assert [backwards.position(i) for i in reversed(range(len(tokens)))] == in_order[::-1], repr(source)
+        shuffled = tokenize(source)
+        order = list(range(len(tokens)))
+        rng.shuffle(order)
+        assert [shuffled.position(i) for i in order] == [in_order[i] for i in order], repr(source)
 
 
 # Where a match that folds blanks, newlines and comments in front of its
