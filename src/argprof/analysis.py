@@ -19,8 +19,6 @@ argument pairs of the closure are needed, so they are read off
 reachability from the arguments instead of closing over every variable
 (see ``_formal_flow``): linear in the clause's flow when each variable is
 reached from few arguments, also when arguments lie on a flow cycle.
-``transitive_closure`` still closes a whole set, semi-naively: each step
-composes only the pairs the step before added or grew.
 
 The driver analyzes predicates bottom-up over the call graph: each
 predicate is iterated to a local fixpoint before any caller of it is
@@ -162,51 +160,6 @@ def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionS
     return out.freeze()
 
 
-def _close(out: _Builder) -> None:
-    """Close ``out`` in place under composition through shared variables.
-
-    For pairwise-distinct X, Y, Z with X ~{O}~> Y and Y ~{O'}~> Z, the
-    interaction X ~{O u O'}~> Z is merged in (union keyed by program
-    point, O' winning at a shared point) until nothing changes.
-
-    Evaluation is semi-naive: each step composes only the pairs added or
-    grown by the step before, on either side, with the current pairs they
-    meet through the successor and predecessor indexes. A pair that grows
-    is composed again in the next step, so every composition of the final
-    pairs is made at least once.
-    """
-    ops = out.ops
-    # Dicts as insertion-ordered sets, so every run composes in one order.
-    succ: dict[str, dict[str, None]] = {}
-    pred: dict[str, dict[str, None]] = {}
-    delta = dict.fromkeys(ops)
-    unindexed: Iterable[Pair] = ops  # every pair, then each step's new ones
-    while delta:
-        for x, y in unindexed:
-            succ.setdefault(x, {})[y] = None
-            pred.setdefault(y, {})[x] = None
-        grown: dict[Pair, None] = {}
-        for x, y in delta:
-            # (x, y) then (y, z); y != z since there are no self-edges.
-            for z in succ.get(y, ()):
-                if z != x and out.add(x, z, {**ops[(x, y)], **ops[(y, z)]}):
-                    grown[(x, z)] = None
-            # (w, x) then (x, y)
-            for w in pred.get(x, ()):
-                if w != y and out.add(w, y, {**ops[(w, x)], **ops[(x, y)]}):
-                    grown[(w, y)] = None
-        delta = unindexed = grown
-
-
-def transitive_closure(s: InteractionSet) -> InteractionSet:
-    """Least fixpoint of composing interactions through shared variables
-    (see ``_close``)."""
-    out = _Builder(s.owner, s.input_args)
-    out.add_set(s)
-    _close(out)
-    return out.freeze()
-
-
 def _reach(start: dict[str, int], edges: dict[str, list[str]]) -> dict[str, int]:
     """For every variable, the union of the masks in ``start`` of the
     variables it is reached from along ``edges`` (itself included)."""
@@ -223,8 +176,9 @@ def _reach(start: dict[str, int], edges: dict[str, list[str]]) -> dict[str, int]
     return mask
 
 
-def _formal_flow(raw: _Builder, formals: Iterable[str]) -> dict[Pair, PointOps]:
-    """The pairs of ``formals`` in the closure of ``raw`` (see ``_close``).
+def _formal_flow(raw: Mapping[Pair, PointOps], formals: Iterable[str]) -> dict[Pair, PointOps]:
+    """The pairs of ``formals`` in the closure of the pairs ``raw`` (see
+    ``transitive_closure``).
 
     They are read off reachability rather than closed (Reps, Horwitz and
     Sagiv, "Precise interprocedural dataflow analysis via graph
@@ -240,7 +194,7 @@ def _formal_flow(raw: _Builder, formals: Iterable[str]) -> dict[Pair, PointOps]:
     bit = {x: 1 << i for i, x in enumerate(formals)}
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = {}
-    for u, v in raw.ops:
+    for u, v in raw:
         succ.setdefault(u, []).append(v)
         pred.setdefault(v, []).append(u)
     src = _reach(bit, succ)
@@ -248,7 +202,7 @@ def _formal_flow(raw: _Builder, formals: Iterable[str]) -> dict[Pair, PointOps]:
     # Each pair's masks of sources and targets; a pair (z, x) that must not
     # join (x, z) joins the two products that leave it out.
     spans = []
-    for (u, v), ops in raw.ops.items():
+    for (u, v), ops in raw.items():
         sources, targets = src.get(u), tgt.get(v)
         b, c = bit.get(v), bit.get(u)
         if b and c and sources & b and not any(
@@ -276,11 +230,22 @@ def _formal_flow(raw: _Builder, formals: Iterable[str]) -> dict[Pair, PointOps]:
     return flow
 
 
+def transitive_closure(s: InteractionSet) -> InteractionSet:
+    """Least fixpoint of composing interactions through shared variables.
+
+    For pairwise-distinct X, Y, Z with X ~{O}~> Y and Y ~{O'}~> Z, the
+    interaction X ~{O u O'}~> Z is merged in (union keyed by program
+    point) until nothing changes. The pairs are read off as ``project``
+    reads those of the arguments, with every variable of ``s`` taken as an
+    argument (see ``_formal_flow``).
+    """
+    formals = dict.fromkeys(v for pair in s.pairs for v in pair)
+    return InteractionSet(s.owner, s.input_args, _formal_flow(s.pairs, formals))
+
+
 def project(s: InteractionSet, pred: Predicate) -> InteractionSet:
     """The argument-to-argument pairs of the transitive closure of ``s``."""
-    raw = _Builder(s.owner, s.input_args)
-    raw.add_set(s)
-    return InteractionSet(s.owner, s.input_args, _formal_flow(raw, pred.arg_names))
+    return InteractionSet(s.owner, s.input_args, _formal_flow(s.pairs, pred.arg_names))
 
 
 class RoundState:
@@ -301,7 +266,7 @@ class RoundState:
     def join_clause(self, raw: _Builder) -> None:
         """Join the argument-to-argument flow of a clause into ``acc``."""
         acc = self.acc
-        for (x, y), ops in _formal_flow(raw, self.formals).items():
+        for (x, y), ops in _formal_flow(raw.ops, self.formals).items():
             acc.add(x, y, ops)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, compress, islice
+from itertools import accumulate, islice
 from operator import attrgetter
 from typing import AbstractSet, Callable
 
@@ -82,10 +82,11 @@ class ProgramError(SourceError):
 
 
 # Tokens by kind, the most frequent first: one-character punctuation, names
-# and variables, two-character operators, integers; and comments, split out
-# with the tokens so that the gaps between them hold only blanks, newlines
+# and variables, two-character operators, integers. Comments are blanked
+# before the split, so the gaps between tokens hold only blanks, newlines
 # and characters that start no token.
-_SPLIT_RE = re.compile(r"([(),.]|[A-Za-z_][A-Za-z0-9_]*|:-|:=|=>|<=|==|\?-|[0-9]+|%[^\n]*)")
+_SPLIT_RE = re.compile(r"([(),.]|[A-Za-z_][A-Za-z0-9_]*|:-|:=|=>|<=|==|\?-|[0-9]+)")
+_COMMENT_RE = re.compile(r"%[^\n]*")
 
 # The parsers tell a token's kind from its text with string comparisons. In
 # ASCII '(' ')' ',' '.' sort below the digits, ':' '<' '=' '?' between the
@@ -147,27 +148,26 @@ def tokenize(source: str, starts: bool = False) -> Tokens:
     """Split ``source`` into tokens, ending with the end of input. With
     ``starts``, as a program's parse asks, build the list of every token's
     start offset at once; without it, as a query's does, each is computed
-    when ``position`` asks for it (a source with comments builds the list).
+    when ``position`` asks for it.
 
-    The end of input sits just past the last character, or at the ``%``
-    of a comment that runs to the end of the input.
+    Each comment is split as blanks of its length, so every offset stays
+    that of the source; one that runs to the end of the input is cut, so
+    that the end of input sits at its ``%``. Otherwise the end of input
+    sits just past the last character.
     """
-    parts = _SPLIT_RE.split(source)  # gap, token, gap, ..., token, gap
+    text = source
+    if "%" in source:
+        text = _COMMENT_RE.sub(lambda m: " " * len(m[0]) if m.end() < len(source) else "", source)
+    parts = _SPLIT_RE.split(text)  # gap, token, gap, ..., token, gap
     if "".join(parts[::2]).strip(" \t\r\n"):
         raise _bad_character(source, parts)
     texts = parts[1::2]
     texts.append("")
-    if "%" not in source and not starts:
+    if not starts:
         return Tokens(source, texts, None, parts)
     # A token starts where the gap before it ends, and the last gap ends
     # where the input does.
     offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
-    if "%" in source:
-        if not parts[-1] and texts[-2][0] == "%":
-            del texts[-2], offsets[-1]  # the end of input moves to the comment
-        keep = [text[:1] != "%" for text in texts]
-        texts = list(compress(texts, keep))
-        offsets = list(compress(offsets, keep))
     return Tokens(source, texts, offsets, None)
 
 

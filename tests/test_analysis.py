@@ -279,15 +279,15 @@ def test_projection_soundness_on_fixtures():
 
 
 def _count_closes(monkeypatch) -> list[int]:
-    """Count the clauses closed rather than projected, in a one-item list."""
+    """Count the sets closed whole rather than projected, in a one-item list."""
     count = [0]
-    close = analysis._close
+    close = analysis.transitive_closure
 
-    def counted(out):
+    def counted(s):
         count[0] += 1
-        close(out)
+        return close(s)
 
-    monkeypatch.setattr(analysis, "_close", counted)
+    monkeypatch.setattr(analysis, "transitive_closure", counted)
     return count
 
 
@@ -757,7 +757,7 @@ def test_call_sites_and_rounds_share_one_call_abstraction():
 
 def test_wide_recursive_clause_analyzes_quickly():
     # A relapse guard against a quadratic or exponential closure or join,
-    # not a measurement: the semi-naive closure takes well under 0.1 s here.
+    # not a measurement: projecting its clauses takes well under 0.1 s here.
     program = parse_program(wide_source(random.Random(3), 16, 200))
     start = time.perf_counter()
     run_analysis(program)

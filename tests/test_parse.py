@@ -93,6 +93,18 @@ def test_undefined_call_rejected():
     assert "undefined" in str(exc.value)
 
 
+def test_make_program_rejects_a_call_to_an_undefined_predicate():
+    # A program built by hand, not parsed: the call graph names the callee
+    # and places the call.
+    call = Call(1, 3, 9, "q", (syntax.Var("X"),))
+    clause = syntax.Clause((syntax.Var("X"),), (call,), 3, 1)
+    pred = syntax.Predicate("p", 1, ("in",), (clause,), 2, 1)
+    with pytest.raises(syntax.UndefinedPredicateError) as exc:
+        syntax.make_program({"p": pred})
+    assert (exc.value.pred, exc.value.line, exc.value.col) == ("q", 3, 9)
+    assert str(exc.value) == "call to undefined predicate 'q'"
+
+
 def test_head_args_must_be_distinct():
     with pytest.raises(ProgramError):
         parse_program(":- pred p(in,in). p(X,X).")
@@ -337,6 +349,10 @@ def test_positions_in_any_order_equal_those_in_order():
         ("\n \udc80", ("invalid UTF-8 byte 0x80", 2, 2)),
         ("p(\ud800)", ("unexpected character '\\ud800'", 1, 3)),
         ("% \udcff in a comment\n", ("eof", "", 2, 1)),
+        ("?- p(X). % c", ("eof", "", 1, 10)),
+        ("?- p(X) % no period", ("eof", "", 1, 9)),
+        ("?- p(X). % c\n", ("eof", "", 2, 1)),
+        ("?- % goal\n  p(X, % in\n Y).", ("eof", "", 3, 5)),
     ],
 )
 def test_tokenize_matches_reference_where_gaps_fold(source, last):
