@@ -24,15 +24,21 @@ The driver analyzes predicates bottom-up over the call graph: each
 predicate is iterated to a local fixpoint before any caller of it is
 considered, which is what makes call abstractions stable, so each one is
 built once, when its callee is discharged, and shared by every call site
-in every round. The rounds of one predicate are incremental too. The
-first round builds each clause's atom and call sets once and projects
-them; a clause without a self-call is then finished. Each later round
-joins the renamed environment entry into the clauses that call themselves
-and projects again those it grew. A predicate that never calls itself
-reads only discharged callees, so its second round cannot differ from its
-first: that confirming round is recorded without being computed. Directly
-recursive programs always converge because interaction sets over a
-predicate form a finite lattice and each round only ever grows them.
+in every round. The rounds of one predicate are semi-naive (Bancilhon
+and Ramakrishnan, "An amateur's introduction to recursive query
+processing strategies", SIGMOD 1986). The first round builds each
+clause's atom and call sets once and projects them; a clause without a
+self-call is then finished, and one with a self-call keeps, for each of
+its pairs, the argument masks the projection joined it into. Each later
+round renames only the pairs of the environment entry that grew since the
+round before into those clauses, and applies the operations they bring
+over the kept masks; only a round that adds a pair to a clause, which
+changes its reachability, projects that clause again. A predicate that
+never calls itself reads only discharged callees, so its second round
+cannot differ from its first: that confirming round is recorded without
+being computed. Directly recursive programs always converge because
+interaction sets over a predicate form a finite lattice and each round
+only ever grows them.
 """
 
 from __future__ import annotations
@@ -99,17 +105,24 @@ def call_abstraction(callee: Predicate, callee_set: InteractionSet) -> PsiOp:
     return PsiOp(oprof(strip_points(callee_set, callee.arg_names)).profiles)
 
 
-def _add_renamed(out: _Builder, callee: Predicate, atom: Call, callee_set: InteractionSet) -> bool:
-    """Join ``callee_set`` with the callee's formals renamed to the call's
-    actuals into ``out``; returns whether any pair was added or grown."""
-    rename = {f.name: a.name for f, a in zip(callee.args, atom.args)}
-    grew = False
-    for (source, target), ops in callee_set.pairs.items():
+def _renaming(callee: Predicate, atom: Call) -> dict[str, str]:
+    """The callee's formals mapped to the call's actuals."""
+    return {f.name: a.name for f, a in zip(callee.args, atom.args)}
+
+
+def _add_renamed(
+    out: _Builder, rename: Mapping[str, str], pairs: Iterable[tuple[Pair, PointOps]]
+) -> list[tuple[Pair, PointOps]]:
+    """Join ``pairs`` with their variables renamed by ``rename`` into
+    ``out``; returns each renamed pair that was added or grown, with the
+    operations it brought."""
+    grown = []
+    for (source, target), ops in pairs:
         src, tgt = rename[source], rename[target]
         # Aliased actuals collapse the edge.
         if src != tgt and out.add(src, tgt, ops):
-            grew = True
-    return grew
+            grown.append(((src, tgt), ops))
+    return grown
 
 
 def _add_atom(
@@ -135,7 +148,7 @@ def _add_atom(
             raise AnalysisError(f"predicate '{atom.pred}' missing from environment")
         callee = program.predicates[atom.pred]
         callee_set = env[atom.pred]
-        _add_renamed(out, callee, atom, callee_set)
+        _add_renamed(out, _renaming(callee, atom), callee_set.pairs.items())
         if atom.pred == out.owner:
             op = PSI_BOT
         elif psi_ops is not None:
@@ -176,7 +189,12 @@ def _reach(start: dict[str, int], edges: dict[str, list[str]]) -> dict[str, int]
     return mask
 
 
-def _formal_flow(raw: Mapping[Pair, PointOps], formals: Iterable[str]) -> dict[Pair, PointOps]:
+Spans = dict[Pair, list[tuple[list[str], list[str]]]]
+
+
+def _formal_flow(
+    raw: Mapping[Pair, PointOps], formals: Iterable[str], spans: Spans | None = None
+) -> dict[Pair, PointOps]:
     """The pairs of ``formals`` in the closure of the pairs ``raw`` (see
     ``transitive_closure``).
 
@@ -190,6 +208,11 @@ def _formal_flow(raw: Mapping[Pair, PointOps], formals: Iterable[str]) -> dict[P
     variable inside it is neither x nor z: u or v, unless (u, v) is
     (z, x). So a pair (z, x) of formals joins (x, z) only when a variable
     w other than x and z has x in src(w) and z in tgt(w).
+
+    Given ``spans``, each pair of ``raw`` that joins some (x, z) is mapped
+    there to its products of sources and targets, as lists of formals: the
+    flow is those products applied to the pairs' operations, and stays so
+    while no pair is added to ``raw``.
     """
     bit = {x: 1 << i for i, x in enumerate(formals)}
     succ: dict[str, list[str]] = {}
@@ -201,26 +224,30 @@ def _formal_flow(raw: Mapping[Pair, PointOps], formals: Iterable[str]) -> dict[P
     tgt = _reach(bit, pred)
     # Each pair's masks of sources and targets; a pair (z, x) that must not
     # join (x, z) joins the two products that leave it out.
-    spans = []
-    for (u, v), ops in raw.items():
+    products = []
+    for pair, ops in raw.items():
+        u, v = pair
         sources, targets = src.get(u), tgt.get(v)
         b, c = bit.get(v), bit.get(u)
         if b and c and sources & b and not any(
             w != u and w != v and mask & b and tgt.get(w, 0) & c for w, mask in src.items()
         ):
-            spans += [(sources & ~b, targets, ops), (b, targets & ~c, ops)]
+            products += [(sources & ~b, targets, ops, pair), (b, targets & ~c, ops, pair)]
         else:
-            spans.append((sources, targets, ops))
+            products.append((sources, targets, ops, pair))
     named: dict[int, list[str]] = {}  # the formals in each mask met
     flow: dict[Pair, PointOps] = {}
-    for sources, targets, ops in spans:
+    for sources, targets, ops, pair in products:
         if not (sources and targets):
             continue
         for mask in sources, targets:
             if mask not in named:
                 named[mask] = [x for x, b in bit.items() if mask & b]
-        for x in named[sources]:
-            for z in named[targets]:
+        xs, zs = named[sources], named[targets]
+        if spans is not None:
+            spans.setdefault(pair, []).append((xs, zs))
+        for x in xs:
+            for z in zs:
                 if x != z:
                     have = flow.get((x, z))
                     if have is None:
@@ -253,21 +280,36 @@ class RoundState:
 
     ``acc`` is the predicate's set, joined over the clauses. ``open`` is
     None until the first round, which fills it with each clause that has a
-    self-call, as the builder of its atom and call sets and its self-calls.
+    self-call: the builder of its atom and call sets, the renaming of each
+    self-call, and the spans of its last projection (see ``_formal_flow``).
+    ``seen`` holds the pairs of the predicate's set as the self-calls last
+    renamed it.
     """
 
-    __slots__ = ("acc", "formals", "open")
+    __slots__ = ("acc", "formals", "open", "seen")
 
     def __init__(self, pred: Predicate) -> None:
         self.acc = _Builder(pred.name, pred.input_arg_names())
         self.formals = pred.arg_names
-        self.open: list[tuple[_Builder, list[Call]]] | None = None
+        self.open: list[tuple[_Builder, list[dict[str, str]], Spans]] | None = None
+        self.seen: Mapping[Pair, PointOps] = {}
 
-    def join_clause(self, raw: _Builder) -> None:
+    def join_clause(self, raw: _Builder, spans: Spans | None = None) -> None:
         """Join the argument-to-argument flow of a clause into ``acc``."""
         acc = self.acc
-        for (x, y), ops in _formal_flow(raw.ops, self.formals).items():
+        for (x, y), ops in _formal_flow(raw.ops, self.formals, spans).items():
             acc.add(x, y, ops)
+
+    def join_grown(self, spans: Spans, grown: list[tuple[Pair, PointOps]]) -> None:
+        """Join into ``acc`` the operations each pair of ``grown`` brought
+        to a clause, over that pair's spans."""
+        acc = self.acc
+        for pair, ops in grown:
+            for xs, zs in spans.get(pair, ()):
+                for x in xs:
+                    for z in zs:
+                        if x != z:
+                            acc.add(x, z, ops)
 
 
 def analyze_predicate(
@@ -285,11 +327,15 @@ def analyze_predicate(
     ``state`` carries the work of earlier rounds of the same predicate;
     without it, this is a one-shot analysis. The first round fills each
     clause's builder from its atoms and projects it, which is all a clause
-    without a self-call contributes. Each later round joins the renamed
-    ``env[pred.name]`` into the builders of the clauses that call
-    themselves, and projects again those it grew. Within one run each
-    program point carries one operation and ``env[pred.name]`` only grows,
-    so this equals analyzing every clause afresh.
+    without a self-call contributes. Each later round is semi-naive: the
+    pairs of ``env[pred.name]`` that are new or grown since the round
+    before (a grown pair holds a new op dict) are renamed into the builders
+    of the clauses that call themselves. A clause that gains a pair is
+    projected again; in one that only grows pairs, those pairs join their
+    new operations over the spans kept from its last projection. Within
+    one run each program point carries one operation and
+    ``env[pred.name]`` only grows, so this equals analyzing every clause
+    afresh.
     """
     if state is None:
         state = RoundState(pred)
@@ -299,16 +345,26 @@ def analyze_predicate(
             raw = _Builder(pred.name, state.acc.input_args)
             for atom in clause.body:
                 _add_atom(raw, atom, env, program, psi_ops)
-            state.join_clause(raw)
-            self_calls = [a for a in clause.body if isinstance(a, Call) and a.pred == pred.name]
-            if self_calls:
-                state.open.append((raw, self_calls))
+            renames = [
+                _renaming(pred, a) for a in clause.body if isinstance(a, Call) and a.pred == pred.name
+            ]
+            spans: Spans | None = {} if renames else None
+            state.join_clause(raw, spans)
+            if renames:
+                state.open.append((raw, renames, spans))
     else:
-        own_set = env[pred.name]
-        for raw, self_calls in state.open:
-            grew = [_add_renamed(raw, pred, atom, own_set) for atom in self_calls]
-            if any(grew):
-                state.join_clause(raw)
+        seen = state.seen
+        delta = [(pair, ops) for pair, ops in env[pred.name].pairs.items() if seen.get(pair) is not ops]
+        for raw, renames, spans in state.open:
+            size = len(raw.ops)
+            grown = [g for rename in renames for g in _add_renamed(raw, rename, delta)]
+            if len(raw.ops) != size:
+                # A new pair changes the clause's reachability.
+                spans.clear()
+                state.join_clause(raw, spans)
+            else:
+                state.join_grown(spans, grown)
+    state.seen = env[pred.name].pairs
     return state.acc.freeze()
 
 

@@ -134,8 +134,9 @@ def format_ground(t: Term) -> str:
     A node whose leading arguments are constants, as each node of a list
     of constants is, is written as one part, and the walk goes on down its
     last argument, counting the parentheses to close at the end of that
-    spine. Any other node keeps the text still to write, its closing
-    parenthesis and separators, on a stack beside the terms."""
+    spine; so is a list node whose element has two constant arguments,
+    such as ``pair(b, a)``. Any other node keeps the text still to write,
+    its closing parenthesis and separators, on a stack beside the terms."""
     out: list[str] = []
     stack: list[Term | str] = [t]
     while stack:
@@ -147,9 +148,16 @@ def format_ground(t: Term) -> str:
         while item.__class__ is not Var and item.args:
             args = item.args
             lead = args[0]
-            # A list node, arity 2, is the common case: no slice, one part.
+            # A list node, arity 2, is the common case: no slice, one part,
+            # also when its element has two constant arguments.
             if len(args) == 2 and lead.__class__ is not Var and not lead.args:
                 out.append(f"{item.functor}({lead.functor}, ")
+            elif (
+                len(args) == 2 and lead.__class__ is not Var and len(lead.args) == 2
+                and (x := lead.args[0]).__class__ is not Var and not x.args
+                and (y := lead.args[1]).__class__ is not Var and not y.args
+            ):
+                out.append(f"{item.functor}({lead.functor}({x.functor}, {y.functor}), ")
             elif len(args) != 2 and all(arg.__class__ is not Var and not arg.args for arg in args[:-1]):
                 out.append(item.functor + "(" + "".join([arg.functor + ", " for arg in args[:-1]]))
             else:

@@ -1008,6 +1008,60 @@ def cyclic_long_clause_source(n: int) -> str:
     )
 
 
+def rotating_recursion_source(k: int, n: int) -> str:
+    """``r(I1..Ik, O1..Ok)``: a base clause ``Oi := Ii`` and a clause that
+    chains n assignments from I1, calls itself on its inputs rotated by one
+    with fresh outputs R1..Rk, then builds ``O1 <= pair(R1, Ln)`` and sets
+    ``Oi := Ri`` for the others. Each round reaches one rotation further,
+    so the fixpoint takes k + 1 rounds."""
+    ins = [f"I{i}" for i in range(1, k + 1)]
+    outs = [f"O{i}" for i in range(1, k + 1)]
+    rs = [f"R{i}" for i in range(1, k + 1)]
+    head = f"r({','.join(ins + outs)})"
+    chain = ["L1 := I1"] + [f"L{i} := L{i - 1}" for i in range(2, n + 1)]
+    body = chain + [
+        f"r({','.join(ins[1:] + ins[:1] + rs)})",
+        f"O1 <= pair(R1,L{n})",
+    ] + [f"{o} := {r}" for o, r in zip(outs[1:], rs[1:])]
+    return "\n".join([
+        f":- pred r({','.join(['in'] * k + ['out'] * k)}).",
+        f"{head} :- " + ", ".join(f"{o} := {i}" for o, i in zip(outs, ins)) + ".",
+        f"{head} :- " + ", ".join(body) + ".",
+    ]) + "\n"
+
+
+def gen_recursive_source(rng: random.Random, max_atoms: int = 8) -> str:
+    """One directly recursive predicate ``r`` of up to three inputs and
+    three outputs, with a base clause and one or two clauses of random
+    atoms and self-calls that may flow outputs into outputs and alias
+    their actuals, so later rounds both grow a clause's pairs and add new
+    ones. No atom produces an input."""
+    ins = [f"I{i}" for i in range(1, rng.randint(1, 3) + 1)]
+    outs = [f"O{i}" for i in range(1, rng.randint(1, 3) + 1)]
+    head = f"r({','.join(ins + outs)})"
+    lines = [f":- pred r({','.join(['in'] * len(ins) + ['out'] * len(outs))}).",
+             f"{head} :- " + ", ".join(f"{o} := {rng.choice(ins)}" for o in outs) + "."]
+    for _ in range(rng.randint(1, 2)):
+        produced = outs + ["L1", "L2", "L3"]
+        every = ins + produced
+        atoms = []
+        for _ in range(rng.randint(1, max_atoms)):
+            kind = rng.choice(("assign", "con", "decon", "test", "call", "call"))
+            if kind == "assign":
+                atoms.append(f"{rng.choice(produced)} := {rng.choice(every)}")
+            elif kind == "con":
+                atoms.append(f"{rng.choice(produced)} <= pair({rng.choice(every)},{rng.choice(every)})")
+            elif kind == "decon":
+                atoms.append(f"{rng.choice(every)} => s({rng.choice(produced)})")
+            elif kind == "test":
+                atoms.append(f"{rng.choice(every)} == {rng.choice(every)}")
+            else:
+                actuals = [rng.choice(every) for _ in ins] + [rng.choice(produced) for _ in outs]
+                atoms.append(f"r({','.join(actuals)})")
+        lines.append(f"{head} :- {', '.join(atoms)}.")
+    return "\n".join(lines) + "\n"
+
+
 def wide_source(rng: random.Random, arity: int, n_atoms: int) -> str:
     """One recursive predicate ``w`` whose long clause chains ``n_atoms``
     unifications through local variables, in strands of up to five atoms

@@ -40,6 +40,7 @@ from helpers import (
     cyclic_long_clause_source,
     fixture_names,
     gen_program_source,
+    gen_recursive_source,
     iset,
     leafs,
     load_fixture,
@@ -49,6 +50,7 @@ from helpers import (
     reference_analyze_predicate,
     reference_run_analysis,
     reversed_bodies,
+    rotating_recursion_source,
     wide_source,
 )
 from test_domain import CONS, DECONS, PSI_A
@@ -612,17 +614,28 @@ def _reference_programs(group):
         return programs if group == "corpus" else [reversed_bodies(p) for p in programs]
     if group == "chain":
         return [parse_program(chain_source(k)) for k in range(1, 7)]
+    if group == "rotating":
+        # The reference closes the chain over all its variables, n^2 / 2
+        # pairs each round: k = 16 takes over a second at n = 20 and does
+        # not finish in 100 s at n = 200.
+        return [parse_program(rotating_recursion_source(k, 20)) for k in (4, 8, 16)]
+    if group == "recursive":
+        rng = random.Random(27)
+        return [parse_program(gen_recursive_source(rng)) for _ in range(150)]
     return [parse_program(wide_source(random.Random(seed), 11 + seed, 200)) for seed in range(2)]
 
 
-@pytest.mark.parametrize("group", ["fixtures", "corpus", "reversed-corpus", "wide", "chain"])
+@pytest.mark.parametrize(
+    "group", ["fixtures", "corpus", "reversed-corpus", "wide", "chain", "rotating", "recursive"]
+)
 def test_run_analysis_matches_reference_analysis(group, monkeypatch):
     # Each round of the reference closes every clause from scratch; the
     # driver projects clauses onto their arguments, carries their atom and
-    # call sets across rounds and does not compute the confirming round of
-    # a predicate that never calls itself. The traces agree entry by entry
-    # all the same, and the driver analyzes exactly the rounds it does not
-    # skip. No clause is closed.
+    # call sets across rounds, joins into a later round only what grew,
+    # and does not compute the confirming round of a predicate that never
+    # calls itself. The traces agree entry by entry all the same, and the
+    # driver analyzes exactly the rounds it does not skip. No clause is
+    # closed.
     closes = _count_closes(monkeypatch)
     calls = 0
     analyze = analysis.analyze_predicate
@@ -643,6 +656,87 @@ def test_run_analysis_matches_reference_analysis(group, monkeypatch):
                       if name not in program.call_graph[name] and total == 2]
         assert calls == len(ref_trace) - len(confirming)
     assert closes[0] == 0
+
+
+def _trace_tuples(trace):
+    return [(t.round, t.predicate, t.snapshot, t.changed) for t in trace]
+
+
+def test_semi_naive_rounds_match_rounds_computed_afresh(monkeypatch):
+    # Without its state, analyze_predicate projects every clause afresh,
+    # which the reference checks above cover on the small sizes; here the
+    # rotating family runs at n = 200, where only the projection can.
+    programs = [parse_program(rotating_recursion_source(k, 200)) for k in (4, 8, 16)]
+    rng = random.Random(2727)
+    programs += [parse_program(gen_recursive_source(rng)) for _ in range(150)]
+    with monkeypatch.context() as m:
+        analyze = analysis.analyze_predicate
+        m.setattr(
+            analysis,
+            "analyze_predicate",
+            lambda pred, env, program, psi_ops=None, state=None: analyze(pred, env, program, psi_ops),
+        )
+        afresh = [run_analysis(p) for p in programs]
+    for program, (ref_env, ref_trace) in zip(programs, afresh):
+        env, trace = run_analysis(program)
+        assert env == ref_env
+        assert _trace_tuples(trace) == _trace_tuples(ref_trace)
+
+
+def _rounds_adding_a_pair(program, trace, env):
+    """Over each clause with a self-call and each round after the first,
+    the number of rounds whose renamed set gave the clause a pair that its
+    atom and call sets lacked the round before, counted with analyze_atom."""
+    added = 0
+    initial = initial_environment(program)
+    for name, pred in program.predicates.items():
+        snapshots = [initial[name]] + [t.snapshot for t in trace if t.predicate == name]
+        for clause in pred.clauses:
+            if not any(isinstance(a, Call) and a.pred == name for a in clause.body):
+                continue
+            keys = [
+                set().union(*(analyze_atom(a, {**env, name: s}, program).pairs for a in clause.body))
+                for s in snapshots[:-1]
+            ]
+            added += sum(new != old for old, new in zip(keys, keys[1:]))
+    return added
+
+
+@pytest.mark.parametrize("family", ["rotating", "recursive"])
+def test_a_clause_is_projected_again_only_when_it_gains_a_pair(family, monkeypatch):
+    # A structural guard, with no timing in it: the reachability masks of a
+    # clause are computed in its first round and again only in a round
+    # that adds it a pair. A round that only grows pairs joins what grew
+    # over the masks it kept. The rotating family never adds a pair after
+    # the first round.
+    if family == "rotating":
+        programs = [parse_program(rotating_recursion_source(k, n)) for k in (4, 8, 16) for n in (1, 20)]
+    else:
+        rng = random.Random(2728)
+        programs = [parse_program(gen_recursive_source(rng)) for _ in range(150)]
+        programs.append(parse_program(HAND_WRITTEN["self-call output through another output"]))
+    projections = [0]
+    flow = analysis._formal_flow
+
+    def counted(*args):
+        projections[0] += 1
+        return flow(*args)
+
+    total_added = 0
+    for program in programs:
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_formal_flow", counted)
+            projections[0] = 0
+            env, trace = run_analysis(program)
+        added = _rounds_adding_a_pair(program, trace, env)
+        clauses = sum(len(pred.clauses) for pred in program.predicates.values())
+        assert projections[0] == clauses + added
+        total_added += added
+    if family == "rotating":
+        assert total_added == 0
+        assert [len(trace) for trace in (run_analysis(p)[1] for p in programs)] == [5, 5, 9, 9, 17, 17]
+    else:
+        assert total_added > 100
 
 
 # In q, one clause gives Y ~> Z and the other Z ~> Y, so the output

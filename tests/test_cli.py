@@ -16,7 +16,7 @@ import pytest
 import argprof.cli
 import argprof.interp
 from argprof.cli import main
-from helpers import FIXTURES, fixture_names
+from helpers import FIXTURES, fixture_names, rotating_recursion_source
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -121,6 +121,16 @@ def test_analyze_trace_output_is_pinned(name, capsys):
     assert main(["analyze", "--trace", fixture(name)]) == 0
     expected = (FIXTURES / "trace" / name.replace(".lp", ".out")).read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_analyze_trace_on_rotating_recursion_is_pinned(tmp_path, capsys):
+    # Five rounds of a recursive predicate whose later rounds only grow
+    # its pairs, byte for byte as recorded before those rounds became
+    # semi-naive.
+    program = tmp_path / "rotating.lp"
+    program.write_text(rotating_recursion_source(4, 20))
+    assert main(["analyze", "--trace", str(program)]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "trace" / "rotating_4_20.out").read_text()
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -46,6 +46,7 @@ from helpers import (
     ReferenceSteps,
     answer_multiset,
     fixture_names,
+    gen_ground_term,
     gen_input_term,
     gen_program_source,
     load_fixture,
@@ -897,6 +898,26 @@ def test_format_ground_on_a_100000_deep_term():
     assert format_ground(pairs) == reference_format_ground(pairs) == text
     text = "".join(f"t({k % 3}, b, " for k in reversed(range(100_000))) + "nil" + ")" * 100_000
     assert format_ground(triples) == reference_format_ground(triples) == text
+    # A list whose elements are pairs of constants: one part per node.
+    swapped = FunctorTerm("nil")
+    for _ in range(100_000):
+        swapped = FunctorTerm("cons", (FunctorTerm("pair", (FunctorTerm("b"), FunctorTerm("a"))), swapped))
+    text = "cons(pair(b, a), " * 100_000 + "nil" + ")" * 100_000
+    assert format_ground(swapped) == reference_format_ground(swapped) == text
+
+
+def test_format_ground_of_lists_of_random_elements():
+    # Elements of every shape the spine walk tells apart: constants, pairs
+    # of constants, pairs holding a variable or a compound, other arities.
+    rng = random.Random(1353)
+    for _ in range(300):
+        term = FunctorTerm("nil") if rng.random() < 0.5 else Var("T")
+        for _ in range(rng.randint(0, 12)):
+            element = gen_ground_term(rng, rng.randint(0, 3))
+            if rng.random() < 0.2:
+                element = FunctorTerm("pair", (element, Var("X")))
+            term = FunctorTerm(rng.choice(["cons", "cons", "pair"]), (element, term))
+        assert format_ground(term) == reference_format_ground(term)
 
 
 # Terms of up to 30 leaves, at arities 0 to 4; a few leaves are variables,
