@@ -15,6 +15,7 @@ from .analysis import (
     TraceEntry,
     analyze_atom,
     analyze_predicate,
+    argument_profiles,
     initial_environment,
     project,
     round_counts,

@@ -13,6 +13,11 @@ carrying one operation at the atom's point. The operation names the kind:
     ``psi(<callee's ordered profile>)`` otherwise; it also yields the
     callee's current interaction set with formals renamed to actuals.
 
+A predicate's argument profiles and ordered profile are built by one
+function, ``argument_profiles``, which keeps them on the analyzed set: the
+call abstraction reads them there, and so do the commands that print,
+plan or compare profiles afterwards.
+
 Clause analysis joins the atom results and keeps the flow from argument to
 argument, with data flowing through local variables composed in. Only the
 argument pairs of the closure are needed, so they are read off
@@ -50,6 +55,7 @@ from collections.abc import Iterable, Mapping
 from .domain import (
     ASSIGN,
     PSI_BOT,
+    ArgumentProfile,
     ConstructOp,
     DeconstructOp,
     InteractionSet,
@@ -62,7 +68,7 @@ from .domain import (
     bottom,
     strip_points,
 )
-from .ordering import oprof
+from .ordering import OrderedProfile, oprof
 from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, atom_flow
 
 Environment = dict[str, InteractionSet]
@@ -100,9 +106,25 @@ def initial_environment(program: Program) -> Environment:
     }
 
 
+def argument_profiles(
+    pred: Predicate, s: InteractionSet
+) -> tuple[tuple[ArgumentProfile, ...], OrderedProfile]:
+    """The argument profiles of ``pred``'s analyzed set ``s`` and their
+    ordered profile, built once and kept on ``s`` for the argument names
+    they were built for."""
+    names = pred.arg_names
+    kept = s.kept_profiles
+    if kept is not None and kept[0] == names:
+        return kept[1], kept[2]
+    profile = strip_points(s, names)
+    ordered = oprof(profile)
+    s.kept_profiles = (names, profile, ordered)
+    return profile, ordered
+
+
 def call_abstraction(callee: Predicate, callee_set: InteractionSet) -> PsiOp:
     """``psi(<callee's ordered profile>)`` for a call to an analyzed callee."""
-    return PsiOp(oprof(strip_points(callee_set, callee.arg_names)).profiles)
+    return PsiOp(argument_profiles(callee, callee_set)[1].profiles)
 
 
 def _renaming(callee: Predicate, atom: Call) -> dict[str, str]:

@@ -18,15 +18,15 @@ from .analysis import (
     AnalysisError,
     Environment,
     AnalysisTrace,
+    argument_profiles,
     round_counts,
     run_analysis,
 )
-from .domain import ArgumentProfile, canon_op, render_interaction_set, strip_points
+from .domain import ArgumentProfile, canon_op, render_interaction_set
 from .modecheck import validate_program
 from .normalize import Equivalent, compare, plan, rewrite
-from .ordering import oprof
 from .parse import SourceError, parse_program, parse_query
-from .syntax import Program, format_ground, format_program
+from .syntax import Program, cone, format_ground, format_program
 
 
 def _read_stdin() -> str:
@@ -134,10 +134,10 @@ def write_report(
 ) -> None:
     """Write the ``analyze`` report of every predicate to ``out``.
 
-    Each predicate is stripped, ordered and counted once, and written with
-    one ``out.writelines`` call. An op's canonical text is always a part of
-    its own, never joined to punctuation, so a psi payload kept on its
-    ``PsiOp`` is written by reference and never copied.
+    Each predicate's profiles are those ``argument_profiles`` kept, and it
+    is written with one ``out.writelines`` call. An op's canonical text is
+    always a part of its own, never joined to punctuation, so a psi payload
+    kept on its ``PsiOp`` is written by reference and never copied.
 
     The JSON form is laid out exactly as ``json.dumps(report, indent=2,
     sort_keys=True)`` lays it out, but without escaping, because no string
@@ -149,8 +149,7 @@ def write_report(
     counts = round_counts(trace)
     head = '{\n  "predicates": [\n'
     for name, pred in program.predicates.items():
-        profile = strip_points(env[name], pred.arg_names)
-        ordered = oprof(profile)
+        profile, ordered = argument_profiles(pred, env[name])
         changing, total = counts.get(name, (0, 0))
         parts: list[str] = []
         if as_json:
@@ -229,7 +228,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name in (args.pred1, args.pred2):
         if name not in program.predicates:
             raise _Failure(f"{label}: error: unknown predicate '{name}'")
-    env, _ = _analyze(program, label)
+    # A profile depends only on its predicate and what that calls, so only
+    # the two and the predicates they reach are analyzed. Validation has
+    # read the whole program: no cycle through two predicates or more and
+    # no undefined call is left anywhere, so the predicates left out could
+    # change neither the verdict nor any diagnostic.
+    env, _ = _analyze(cone(program, (args.pred1, args.pred2)), label)
     verdict = compare(program.predicates[args.pred1], program.predicates[args.pred2], env)
     if isinstance(verdict, Equivalent):
         print(f"equivalent: {args.pred1} <-> {args.pred2}")

@@ -23,7 +23,11 @@ dict, and unchanged pairs of successive sets compare by identity.
 Stripping program points turns an interaction set over formal arguments
 into a predicate profile: a tuple with one argument profile per argument,
 each a set of o-sets (operation multiset, target position). Profiles are
-the values ordered, compared and embedded in call abstractions.
+the values ordered, compared and embedded in call abstractions. An
+analyzed set keeps its profiles and their ordered profile once they are
+built (``analysis.argument_profiles``), as a ``PsiOp`` keeps its canonical
+string, so the call abstraction and every command that reads a profile
+share one build.
 
 Operations are either base unification operators (assign, test,
 construct_f, deconstruct_f), the recursion placeholder ``psi_bot``, or
@@ -53,14 +57,18 @@ costs time linear in the length of the output.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cmp_to_key
 from itertools import count
 from operator import attrgetter
 from threading import Lock
-from typing import ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from .syntax import Value
+
+if TYPE_CHECKING:
+    from .ordering import OrderedProfile
 
 
 class DomainError(ValueError):
@@ -217,8 +225,22 @@ class ArgumentProfile(Value):
 
 def make_oset(ops: Iterable[Operation], target: int) -> OSet:
     """The o-set of ``ops`` (a multiset) flowing into ``target``, its ops in
-    the order of their canonical strings (``cmp_canon_op``)."""
-    return OSet(tuple(sorted(ops, key=_canon_order)), target)
+    the order of their canonical strings (``cmp_canon_op``).
+
+    Base ops sort by the texts they hold. Every psi text starts with
+    ``psi:``, which no base text does, so the psi ops, sorted among
+    themselves by walking their payloads, go where ``psi:`` sorts among the
+    base texts."""
+    base: list[Operation] = []
+    psi: list[Operation] = []
+    for op in ops:
+        (psi if op.__class__ is PsiOp else base).append(op)
+    base.sort(key=_canon_text)
+    if psi:
+        psi.sort(key=_canon_order)
+        at = bisect_left(base, "psi:", key=_canon_text)
+        base[at:at] = psi
+    return OSet(tuple(base), target)
 
 
 def make_profile(osets: Iterable[OSet]) -> ArgumentProfile:
@@ -338,6 +360,7 @@ def cmp_canon_profile(a: ArgumentProfile, b: ArgumentProfile) -> int:
 
 
 _canon_order = cmp_to_key(cmp_canon_op)
+_canon_text = attrgetter("canon")
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +379,26 @@ class InteractionSet(Value):
     names; they are the only variables that may never appear as targets.
     Neither ``pairs`` nor any op dict in it is ever mutated. A set holds
     dicts, so it is not hashable.
+
+    ``kept_profiles`` is None until ``analysis.argument_profiles`` keeps
+    the set's argument profiles there, as the argument names they were
+    built for, the profiles and the ordered profile. It is derived from
+    the fields, so it is left out of the key and the fields: the one kind
+    of slot a record may have assigned after it is built (see ``Record``).
     """
 
-    __slots__ = __match_args__ = ("owner", "input_args", "pairs")
+    __slots__ = ("owner", "input_args", "pairs", "kept_profiles")
+    __match_args__ = ("owner", "input_args", "pairs")
     _key = attrgetter("owner", "input_args", "pairs")
     __hash__ = None  # type: ignore[assignment]
+
+    kept_profiles: tuple[tuple[str, ...], tuple[ArgumentProfile, ...], OrderedProfile] | None
 
     def __init__(self, owner: str, input_args: frozenset[str], pairs: dict[Pair, PointOps]):
         self.owner = owner
         self.input_args = input_args
         self.pairs = pairs
+        self.kept_profiles = None
 
     def __len__(self) -> int:
         return len(self.pairs)

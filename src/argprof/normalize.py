@@ -10,13 +10,17 @@ of one onto the other through the two permutations. Equivalence of
 ordered profiles is a necessary condition for one predicate being a
 renaming of the other modulo argument order, not a sufficient one, so
 results are reported as profile equivalence.
+
+Both read each ordered profile as the analysis kept it on the predicate's
+set (``analysis.argument_profiles``), so a predicate whose call
+abstraction was built is not stripped and ordered again.
 """
 
 from __future__ import annotations
 
-from .analysis import Environment
-from .domain import ArgumentProfile, canon_profile_parts, strip_points
-from .ordering import OrderedProfile, oprof
+from .analysis import Environment, argument_profiles
+from .domain import ArgumentProfile, canon_profile_parts
+from .ordering import OrderedProfile
 from .syntax import Atom, Call, Clause, Predicate, Program, Record, make_program
 
 NormalizationPlan = dict[str, tuple[int, ...]]
@@ -27,7 +31,9 @@ class PlanError(Exception):
 
 
 def ordered_profile_of(pred: Predicate, env: Environment) -> OrderedProfile:
-    return oprof(strip_points(env[pred.name], pred.arg_names))
+    """The ordered profile of an analyzed predicate, as the analysis kept it
+    (see ``analysis.argument_profiles``)."""
+    return argument_profiles(pred, env[pred.name])[1]
 
 
 def plan(program: Program, env: Environment) -> NormalizationPlan:

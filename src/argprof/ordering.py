@@ -39,29 +39,30 @@ from .domain import (
     OSet,
     PsiBotOp,
     PsiOp,
+    TestOp,
     cmp_canon_profile,
     make_profile,
 )
 from .syntax import Record
 
 
+# The feature each op class counts towards (see ``features``); tests count
+# towards none, so they take the last, unused slot.
+_FEATURE_OF = {PsiBotOp: 0, PsiOp: 0, ConstructOp: 1, DeconstructOp: 2, AssignOp: 3, TestOp: 4}
+
+
 def features(profile: ArgumentProfile) -> tuple[int, int, int, int, int, int]:
     """The feature vector (o-sets, ops, psi-based ops, constructions,
     deconstructions, assignments), counted over all o-sets; psi payloads
     are treated opaquely."""
-    n_ops = n_psi = n_con = n_dec = n_asn = 0
+    counts = [0, 0, 0, 0, 0]
+    n_ops = 0
+    feature_of = _FEATURE_OF
     for oset in profile.osets:
+        n_ops += len(oset.ops)
         for op in oset.ops:
-            n_ops += 1
-            if isinstance(op, (PsiBotOp, PsiOp)):
-                n_psi += 1
-            elif isinstance(op, ConstructOp):
-                n_con += 1
-            elif isinstance(op, DeconstructOp):
-                n_dec += 1
-            elif isinstance(op, AssignOp):
-                n_asn += 1
-    return (len(profile.osets), n_ops, n_psi, n_con, n_dec, n_asn)
+            counts[feature_of[op.__class__]] += 1
+    return (len(profile.osets), n_ops, counts[0], counts[1], counts[2], counts[3])
 
 
 def _feature_key(profile: ArgumentProfile) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ and the answers it computes are terms of one class.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterator, Literal, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Literal, Mapping, TypeVar
 
 Mode = Literal["in", "out"]
 T = TypeVar("T")
@@ -28,8 +28,11 @@ class Record:
     """Base of the value classes: plain classes with ``__slots__``, whose
     fields are named in ``__match_args__`` in constructor order. A record
     prints as ``Name(field=value, ...)``. Never assign to a record's fields
-    once it is built. A plain record compares and hashes by identity; the
-    classes whose values are compared derive from ``Value``."""
+    once it is built. The one exception is a cache slot outside
+    ``__match_args__`` and ``_key``, such as ``InteractionSet.kept_profiles``,
+    which holds a value derived from the fields and may be filled in later.
+    A plain record compares and hashes by identity; the classes whose
+    values are compared derive from ``Value``."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -406,6 +409,19 @@ def make_program(predicates: dict[str, Predicate]) -> Program:
         for atom in clause.body
     }
     return Program(predicates=predicates, call_graph=graph, point_owner=owner)
+
+
+def cone(program: Program, roots: Iterable[str]) -> Program:
+    """The sub-program of the predicates ``roots`` and every predicate they
+    reach in the call graph, in the program's order, points unchanged."""
+    reached = set(roots)
+    work = list(reached)
+    while work:
+        for callee in program.call_graph[work.pop()]:
+            if callee not in reached:
+                reached.add(callee)
+                work.append(callee)
+    return make_program({name: p for name, p in program.predicates.items() if name in reached})
 
 
 class UndefinedPredicateError(Exception):

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import sys
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 from contextlib import redirect_stdout
@@ -23,6 +24,7 @@ from argprof import (
     ConstructOp,
     DeconstructOp,
     Environment,
+    Equivalent,
     FunctorTerm,
     InteractionSet,
     OSet,
@@ -36,6 +38,7 @@ from argprof import (
     bottom,
     canon_op,
     canon_profile,
+    compare,
     features,
     join_sets,
     make_interaction_set,
@@ -681,6 +684,37 @@ def reference_sort_key(profile: ArgumentProfile) -> tuple[tuple[int, ...], str]:
     The key argprof sorted profiles by before its structural comparison,
     kept verbatim: it builds the profile's whole canonical string."""
     return tuple(-f for f in features(profile)), canon_profile(profile)
+
+
+def reference_features(profile: ArgumentProfile) -> tuple[int, int, int, int, int, int]:
+    """``features`` as argprof counted it before it read each op's kind
+    from a dict keyed by class, kept verbatim: a chain of ``isinstance``
+    tests per op."""
+    n_ops = n_psi = n_con = n_dec = n_asn = 0
+    for oset in profile.osets:
+        for op in oset.ops:
+            n_ops += 1
+            if isinstance(op, (PsiBotOp, PsiOp)):
+                n_psi += 1
+            elif isinstance(op, ConstructOp):
+                n_con += 1
+            elif isinstance(op, DeconstructOp):
+                n_dec += 1
+            elif isinstance(op, AssignOp):
+                n_asn += 1
+    return (len(profile.osets), n_ops, n_psi, n_con, n_dec, n_asn)
+
+
+def compare_parts(program: Program, env: Environment, p: str, q: str) -> list[str]:
+    """The standard output of ``argprof compare`` for ``p`` and ``q`` in
+    parts, with the verdict ``normalize.compare`` gives on the analyzed
+    ``env``. A distinct reason keeps every op's text a part of its own, as
+    it can be exponential in call depth."""
+    verdict = compare(program.predicates[p], program.predicates[q], env)
+    if isinstance(verdict, Equivalent):
+        lines = [f"equivalent: {p} <-> {q}\n"]
+        return lines + [f"  {i} <-> {verdict.mapping[i]}\n" for i in sorted(verdict.mapping)]
+    return [f"distinct: {p} vs {q}: ", *verdict.reason_parts(), "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -1460,3 +1494,57 @@ def gen_input_term(rng: random.Random) -> FunctorTerm:
 
 def answer_multiset(answers: list[dict[str, FunctorTerm]]) -> Counter:
     return Counter(tuple(sorted(a.items())) for a in answers)
+
+
+# ---------------------------------------------------------------------------
+# Token sources, mutated sources and a call counter shared across modules
+# ---------------------------------------------------------------------------
+
+MUTATION_CHARS = "abXY_09 \t\r\n%(),.:-?=<>&é\f"
+
+
+def token_sources() -> list[str]:
+    """The fixtures, the test-07 corpus and two queries."""
+    sources = [(FIXTURES / name).read_text() for name in fixture_names()]
+    rng = random.Random(0xBEEF)  # the test-07 corpus
+    sources += [gen_program_source(rng) for _ in range(200)]
+    sources += ["?- app(cons(1,nil), cons(2,nil), Z).", "?- X <= s(z), n(X, Y)."]
+    return sources
+
+
+def mutated_sources() -> Iterator[str]:
+    """10 000 windows of a few lines of the token sources, each with one to
+    three characters deleted, replaced or inserted."""
+    rng = random.Random(7)
+    sources = token_sources()
+    for _ in range(10_000):
+        source = rng.choice(sources)
+        start = rng.randrange(len(source))  # a window of a few lines
+        chars = list(source[start:start + rng.randint(1, 160)])
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            edit = rng.random()
+            if edit < 0.3 and i < len(chars):
+                del chars[i]
+            elif edit < 0.6 and i < len(chars):
+                chars[i] = rng.choice(MUTATION_CHARS)
+            else:
+                chars.insert(i, rng.choice(MUTATION_CHARS))
+        yield "".join(chars)
+
+
+def count_calls(monkeypatch, fn) -> list[tuple]:
+    """The positional arguments of every call made to ``fn`` from now on,
+    under any name any ``argprof`` module binds it to."""
+    calls: list[tuple] = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "argprof":
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return calls

@@ -17,18 +17,22 @@ from argprof import (
     PSI_BOT,
     ConstructOp,
     DeconstructOp,
+    InteractionSet,
     PsiOp,
     NonDirectRecursionError,
     analyze_atom,
     analyze_predicate,
+    argument_profiles,
     bottom,
     canon_op,
     initial_environment,
     leq_sets,
+    oprof,
     parse_program,
     project,
     round_counts,
     run_analysis,
+    strip_points,
     transitive_closure,
     validate_program,
 )
@@ -37,6 +41,7 @@ from argprof.syntax import Call, Clause, Predicate, Var
 from helpers import (
     SetContext,
     chain_source,
+    count_calls,
     cyclic_long_clause_source,
     fixture_names,
     gen_program_source,
@@ -280,19 +285,6 @@ def test_projection_soundness_on_fixtures():
                 assert target in outputs
 
 
-def _count_closes(monkeypatch) -> list[int]:
-    """Count the sets closed whole rather than projected, in a one-item list."""
-    count = [0]
-    close = analysis.transitive_closure
-
-    def counted(s):
-        count[0] += 1
-        return close(s)
-
-    monkeypatch.setattr(analysis, "transitive_closure", counted)
-    return count
-
-
 def _over_arguments(s):
     """A predicate ``p`` whose arguments are the ``A`` variables of ``s``."""
     args = sorted({v for pair in s.pairs for v in pair if v.startswith("A")} | s.input_args)
@@ -304,7 +296,7 @@ def test_project_matches_naive_oracle_on_random_sets(monkeypatch):
     # The chained sets sometimes loop back into an output argument; those
     # are projected too, with no clause closed, and agree with the naive
     # closure.
-    closes = _count_closes(monkeypatch)
+    closes = count_calls(monkeypatch, analysis.transitive_closure)
     rng = random.Random(11)
     sets = [random_chained_set(rng) for _ in range(60)]
     sets += [SetContext(rng).random_set(rng) for _ in range(60)]
@@ -313,7 +305,7 @@ def test_project_matches_naive_oracle_on_random_sets(monkeypatch):
         formals = set(pred.arg_names)
         expected = {pair: ops for pair, ops in naive_closure(s.pairs).items() if set(pair) <= formals}
         assert project(s, pred).pairs == expected
-    assert closes[0] == 0
+    assert not closes
 
 
 # ---------------------------------------------------------------------------
@@ -636,26 +628,18 @@ def test_run_analysis_matches_reference_analysis(group, monkeypatch):
     # calls itself. The traces agree entry by entry all the same, and the
     # driver analyzes exactly the rounds it does not skip. No clause is
     # closed.
-    closes = _count_closes(monkeypatch)
-    calls = 0
-    analyze = analysis.analyze_predicate
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return analyze(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "analyze_predicate", counted)
+    closes = count_calls(monkeypatch, analysis.transitive_closure)
+    calls = count_calls(monkeypatch, analysis.analyze_predicate)
     for program in _reference_programs(group):
-        calls = 0
+        calls.clear()
         env, trace = run_analysis(program)
         ref_env, ref_trace = reference_run_analysis(program)
         assert env == ref_env
         assert [(t.round, t.predicate, t.snapshot, t.changed) for t in trace] == ref_trace
         confirming = [name for name, (_, total) in round_counts(trace).items()
                       if name not in program.call_graph[name] and total == 2]
-        assert calls == len(ref_trace) - len(confirming)
-    assert closes[0] == 0
+        assert len(calls) == len(ref_trace) - len(confirming)
+    assert not closes
 
 
 def _trace_tuples(trace):
@@ -715,22 +699,14 @@ def test_a_clause_is_projected_again_only_when_it_gains_a_pair(family, monkeypat
         rng = random.Random(2728)
         programs = [parse_program(gen_recursive_source(rng)) for _ in range(150)]
         programs.append(parse_program(HAND_WRITTEN["self-call output through another output"]))
-    projections = [0]
-    flow = analysis._formal_flow
-
-    def counted(*args):
-        projections[0] += 1
-        return flow(*args)
-
     total_added = 0
     for program in programs:
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_formal_flow", counted)
-            projections[0] = 0
+            projections = count_calls(m, analysis._formal_flow)
             env, trace = run_analysis(program)
         added = _rounds_adding_a_pair(program, trace, env)
         clauses = sum(len(pred.clauses) for pred in program.predicates.values())
-        assert projections[0] == clauses + added
+        assert len(projections) == clauses + added
         total_added += added
     if family == "rotating":
         assert total_added == 0
@@ -784,9 +760,9 @@ def _assert_matches_reference(program):
 
 
 def test_arguments_on_a_flow_cycle_match_reference_analysis(monkeypatch):
-    closes = _count_closes(monkeypatch)
+    closes = count_calls(monkeypatch, analysis.transitive_closure)
     _assert_matches_reference(parse_program(CYCLIC_OUTPUTS))
-    assert closes[0] == 0
+    assert not closes
 
 
 def test_project_matches_naive_oracle_on_cyclic_sets():
@@ -829,9 +805,9 @@ def test_long_clause_into_cyclic_outputs_analyzes_quickly():
 
 @pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
 def test_hand_written_clauses_match_reference_analysis(name, monkeypatch):
-    closes = _count_closes(monkeypatch)
+    closes = count_calls(monkeypatch, analysis.transitive_closure)
     _assert_matches_reference(parse_program(HAND_WRITTEN[name]))
-    assert closes[0] == 0
+    assert not closes
 
 
 def test_call_sites_and_rounds_share_one_call_abstraction():
@@ -847,6 +823,32 @@ def test_call_sites_and_rounds_share_one_call_abstraction():
         assert all(isinstance(op, PsiOp) for op in ops)
         assert len(ops) >= 2 * len(points)
         assert len({id(op) for op in ops}) == (1 if points else 0), name
+
+
+def test_kept_profiles_serve_only_the_argument_order_they_were_built_for():
+    program = parse_program(
+        ":- pred p(in,in,out).\np(X,Y,Z) :- X => cons(H,T), Z <= pair(H,Y).\n"
+    )
+    env, _ = run_analysis(program)
+    pred, s = program.predicates["p"], env["p"]
+    fresh = InteractionSet(s.owner, s.input_args, dict(s.pairs))
+
+    def built_afresh(names):
+        profile = strip_points(s, names)
+        ordered = oprof(profile)
+        return profile, ordered.profiles, ordered.permutation
+
+    profile, ordered = argument_profiles(pred, s)
+    assert (profile, ordered.profiles, ordered.permutation) == built_afresh(pred.arg_names)
+    assert argument_profiles(pred, s)[1] is ordered
+    # The kept value is neither part of the set's value nor of its text.
+    assert s == fresh and repr(s) == repr(fresh)
+    # Under another argument order the set is stripped and ordered afresh.
+    clause = pred.clauses[0]
+    swapped = Predicate("p", 3, ("in", "in", "out"), (Clause((Var("Y"), Var("X"), Var("Z")), clause.body),))
+    other, other_ordered = argument_profiles(swapped, s)
+    assert (other, other_ordered.profiles, other_ordered.permutation) == built_afresh(("Y", "X", "Z"))
+    assert other != profile
 
 
 def test_wide_recursive_clause_analyzes_quickly():

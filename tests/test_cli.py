@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,10 +15,23 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import argprof.analysis
 import argprof.cli
+import argprof.domain
 import argprof.interp
+import argprof.ordering
+from argprof import parse_program, run_analysis
 from argprof.cli import main
-from helpers import FIXTURES, fixture_names, rotating_recursion_source
+from helpers import (
+    FIXTURES,
+    chain_source,
+    compare_parts,
+    count_calls,
+    fixture_names,
+    gen_program_source,
+    mutated_sources,
+    rotating_recursion_source,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -562,3 +577,70 @@ def test_main_never_builds_a_parser(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Each profile built once per command; compare analyzes only its cone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["normalize"]], ids=["analyze", "normalize"])
+def test_each_profile_is_stripped_and_ordered_once(argv, tmp_path, monkeypatch):
+    path = tmp_path / "chain6.lp"
+    path.write_text(chain_source(6))
+    stripped = count_calls(monkeypatch, argprof.domain.strip_points)
+    ordered = count_calls(monkeypatch, argprof.ordering.oprof)
+    assert _call([argv[0], str(path), *argv[1:]])[0] == 0
+    assert sorted(s.owner for s, _ in stripped) == [f"p{i}" for i in range(7)]
+    assert len(ordered) == 7
+
+
+def test_compare_analyzes_only_the_predicates_it_reaches(monkeypatch, capsys):
+    analyzed = count_calls(monkeypatch, argprof.analysis.analyze_predicate)
+    monkeypatch.setattr("sys.stdin", io.StringIO(chain_source(6)))
+    assert main(["compare", "-", "p0", "p1"]) == 0
+    assert {pred.name for pred, *_ in analyzed} == {"p0", "p1"}
+    assert capsys.readouterr().out.startswith("distinct: p0 vs p1: ")
+
+
+_DECLARED = re.compile(r"^:- pred ([a-z][A-Za-z0-9_]*)\(", re.M)
+
+
+def _call_with_stdin(argv: list[str], source: str) -> tuple[int, str, str]:
+    saved = sys.stdin
+    sys.stdin = io.StringIO(source)
+    try:
+        return _call(argv)
+    finally:
+        sys.stdin = saved
+
+
+def test_compare_of_the_cone_matches_a_whole_program_verdict():
+    sources = [(FIXTURES / name).read_text() for name in fixture_names()]
+    rng = random.Random(0xBEEF)  # the test-07 corpus
+    sources += [gen_program_source(rng) for _ in range(200)]
+    sources += [chain_source(k) for k in range(1, 7)]
+    verdicts = 0
+    for source in [*sources, *mutated_sources()]:
+        names = _DECLARED.findall(source) or ["p"]
+        # Each predicate against the next and against itself, and one name
+        # that no source declares.
+        pairs = [*zip(names, names[1:] + names[:1]), (names[0], names[0]), (names[-1], "nosuch")]
+        # ``analyze`` reads and validates the file as ``compare`` does, so a
+        # diagnostic of its is compare's too.
+        code, _, err = _call_with_stdin(["analyze", "-"], source)
+        program = env = None
+        if not code:
+            program = parse_program(source)
+            env, _ = run_analysis(program)
+        for p, q in pairs:
+            if program is None:
+                expected = (code, "", err)
+            elif p not in program.predicates or q not in program.predicates:
+                unknown = p if p not in program.predicates else q
+                expected = (1, "", f"<stdin>: error: unknown predicate '{unknown}'\n")
+            else:
+                expected = (0, "".join(compare_parts(program, env, p, q)), "")
+                verdicts += 1
+            assert _call_with_stdin(["compare", "-", p, q], source) == expected, (source, p, q)
+    assert verdicts > 900

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cmp_to_key
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from argprof import (
     bottom,
     canon_profile,
     compare_profiles,
+    features,
     join_sets,
     leq_sets,
     make_interaction_set,
@@ -19,12 +21,14 @@ from argprof import (
 from argprof.domain import (
     ASSIGN,
     PSI_BOT,
+    TEST,
     ArgumentProfile,
     ConstructOp,
     DeconstructOp,
     PsiOp,
+    cmp_canon_op,
 )
-from helpers import SetContext
+from helpers import SetContext, reference_canon_op, reference_features
 
 
 @st.composite
@@ -151,3 +155,46 @@ def test_feature_counts_partition_operations(a):
 
     _, n_ops, n_psi, n_construct, n_deconstruct, n_assign = features(a)
     assert n_ops == n_psi + n_construct + n_deconstruct + n_assign
+
+
+# ---------------------------------------------------------------------------
+# O-set order and features over every kind of op
+# ---------------------------------------------------------------------------
+
+# Functors whose texts are prefixes of one another, and arities past 9.
+_BASE_OPS = st.sampled_from([ASSIGN, TEST, PSI_BOT]) | st.builds(
+    lambda cls, functor, arity: cls(functor, arity),
+    st.sampled_from([ConstructOp, DeconstructOp]),
+    st.sampled_from(["cons", "c", "consx", "pair", "s"]),
+    st.sampled_from([0, 1, 2, 10, 20]),
+)
+
+
+def _psi_of(payloads):
+    return PsiOp(make_profile(make_oset(ops, t) for t, ops in enumerate(osets, 1)) for osets in payloads)
+
+
+# Psi ops nest psi ops in their payloads: a payload is a list of profiles,
+# each a list of o-sets with targets 1, 2, ...
+_OPS_OF_EVERY_KIND = st.recursive(
+    _BASE_OPS,
+    lambda ops: st.lists(
+        st.lists(st.lists(ops, min_size=1, max_size=3), max_size=2), min_size=1, max_size=2
+    ).map(_psi_of),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS_OF_EVERY_KIND, max_size=8))
+def test_make_oset_sorts_in_the_canonical_order(ops):
+    oset = make_oset(ops, 1)
+    assert oset.ops == tuple(sorted(ops, key=cmp_to_key(cmp_canon_op)))
+    assert [reference_canon_op(op) for op in oset.ops] == sorted(map(reference_canon_op, ops))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_OPS_OF_EVERY_KIND, min_size=1, max_size=5), max_size=3))
+def test_features_match_the_isinstance_reference(osets):
+    profile = make_profile(make_oset(ops, t) for t, ops in enumerate(osets, 1))
+    assert features(profile) == reference_features(profile)

@@ -25,14 +25,17 @@ from argprof import syntax
 from argprof.parse import Tokens, tokenize
 from helpers import (
     FIXTURES,
+    MUTATION_CHARS,
     chain_source,
     fixture_names,
     gen_input_term,
     gen_program_source,
     load_fixture,
+    mutated_sources,
     reference_parse_program,
     reference_parse_query,
     reference_tokenize,
+    token_sources,
     wide_source,
 )
 
@@ -232,9 +235,6 @@ def test_lexical_error_position():
 # The tokenizer against the character-by-character reference
 # ---------------------------------------------------------------------------
 
-_MUTATION_CHARS = "abXY_09 \t\r\n%(),.:-?=<>&é\f"
-
-
 def _kind(text):
     """The kind the reference tokenizer gives a token with this text."""
     if not text:
@@ -270,42 +270,13 @@ def _reference_lex(source):
     return expected
 
 
-def _token_sources():
-    sources = [(FIXTURES / name).read_text() for name in fixture_names()]
-    rng = random.Random(0xBEEF)  # the test-07 corpus
-    sources += [gen_program_source(rng) for _ in range(200)]
-    sources += ["?- app(cons(1,nil), cons(2,nil), Z).", "?- X <= s(z), n(X, Y)."]
-    return sources
-
-
 def test_tokenize_matches_reference_on_fixtures_and_corpus():
-    for source in _token_sources():
+    for source in token_sources():
         assert _lex(tokenize, source) == _reference_lex(source)
 
 
-def _mutated_sources():
-    """10 000 windows of a few lines of the token sources, each with one to
-    three characters deleted, replaced or inserted."""
-    rng = random.Random(7)
-    sources = _token_sources()
-    for _ in range(10_000):
-        source = rng.choice(sources)
-        start = rng.randrange(len(source))  # a window of a few lines
-        chars = list(source[start:start + rng.randint(1, 160)])
-        for _ in range(rng.randint(1, 3)):
-            i = rng.randrange(len(chars) + 1)
-            edit = rng.random()
-            if edit < 0.3 and i < len(chars):
-                del chars[i]
-            elif edit < 0.6 and i < len(chars):
-                chars[i] = rng.choice(_MUTATION_CHARS)
-            else:
-                chars.insert(i, rng.choice(_MUTATION_CHARS))
-        yield "".join(chars)
-
-
 def test_tokenize_matches_reference_on_mutated_sources():
-    for source in _mutated_sources():
+    for source in mutated_sources():
         assert _lex(tokenize, source) == _reference_lex(source), repr(source)
 
 
@@ -314,7 +285,7 @@ def test_positions_in_any_order_equal_those_in_order():
     # asked for; a program's read them from one list. Either way the order
     # of the questions must not matter.
     rng = random.Random(11)
-    for source in [*_token_sources(), *_mutated_sources()]:
+    for source in [*token_sources(), *mutated_sources()]:
         try:
             tokens = tokenize(source)
         except LexError:
@@ -469,9 +440,9 @@ def _mutate(rng, source):
         if edit < 0.15 and i < len(chars):
             del chars[i]
         elif edit < 0.3 and i < len(chars):
-            chars[i] = rng.choice(_MUTATION_CHARS)
+            chars[i] = rng.choice(MUTATION_CHARS)
         elif edit < 0.45:
-            chars.insert(i, rng.choice(_MUTATION_CHARS))
+            chars.insert(i, rng.choice(MUTATION_CHARS))
         elif edit < 0.6:
             chars.insert(i, rng.choice(_SNIPPETS))
         else:
