@@ -13,6 +13,10 @@ carrying one operation at the atom's point. The operation names the kind:
     ``psi(<callee's ordered profile>)`` otherwise; it also yields the
     callee's current interaction set with formals renamed to actuals.
 
+``_add_atom`` applies the rule with one switch on the atom's class, reading
+each kind's inputs and outputs straight off its fields, as ``atom_flow``
+defines them, and a call's through its callee's ``split``.
+
 A predicate's argument profiles and ordered profile are built by one
 function, ``argument_profiles``, which keeps them on the analyzed set: the
 call abstraction reads them there, and so do the commands that print,
@@ -63,13 +67,12 @@ from .domain import (
     Pair,
     PointOps,
     PsiOp,
-    TEST,
     _Builder,
     bottom,
     strip_points,
 )
 from .ordering import OrderedProfile, oprof
-from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, atom_flow
+from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, Test
 
 Environment = dict[str, InteractionSet]
 
@@ -157,34 +160,46 @@ def _add_atom(
     """Join the interactions of one atom into ``out``: one carrying the op
     of its kind at its point from each input into each output with another
     name, and for a call the callee's renamed set. A non-recursive call
-    takes its abstraction from ``psi_ops`` when given."""
-    op: Operation
-    if isinstance(atom, Deconstruct):
-        op = DeconstructOp(atom.functor, len(atom.args))
-    elif isinstance(atom, Construct):
-        op = ConstructOp(atom.functor, len(atom.args))
-    elif isinstance(atom, Assign):
-        op = ASSIGN
-    elif isinstance(atom, Call):
+    takes its abstraction from ``psi_ops`` when given. The inputs and
+    outputs are read off the atom's fields as ``atom_flow`` defines them."""
+    cls = atom.__class__
+    if cls is Deconstruct:
+        source = atom.var.name
+        by_point = {atom.point: DeconstructOp(atom.functor, len(atom.args))}
+        for y in atom.args:
+            if y.name != source:
+                out.add(source, y.name, by_point)
+    elif cls is Construct:
+        target = atom.var.name
+        by_point = {atom.point: ConstructOp(atom.functor, len(atom.args))}
+        for x in atom.args:
+            if x.name != target:
+                out.add(x.name, target, by_point)
+    elif cls is Assign:
+        source, target = atom.source.name, atom.target.name
+        if source != target:
+            out.add(source, target, {atom.point: ASSIGN})
+    elif cls is Call:
         if atom.pred not in env:
             raise AnalysisError(f"predicate '{atom.pred}' missing from environment")
         callee = program.predicates[atom.pred]
         callee_set = env[atom.pred]
         _add_renamed(out, _renaming(callee, atom), callee_set.pairs.items())
+        op: Operation
         if atom.pred == out.owner:
             op = PSI_BOT
         elif psi_ops is not None:
             op = psi_ops[atom.pred]
         else:
             op = call_abstraction(callee, callee_set)
-    else:
-        op = TEST  # a test has no outputs
-    inputs, outputs = atom_flow(atom, program.predicates)
-    by_point = {atom.point: op}
-    for x in inputs:
-        for y in outputs:
-            if x.name != y.name:
-                out.add(x.name, y.name, by_point)
+        inputs, outputs = callee.split(atom.args)
+        by_point = {atom.point: op}
+        for x in inputs:
+            for y in outputs:
+                if x.name != y.name:
+                    out.add(x.name, y.name, by_point)
+    elif cls is not Test:  # a test has no outputs
+        raise TypeError(f"not an atom: {atom!r}")
 
 
 def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionSet:

@@ -22,7 +22,7 @@ from .analysis import (
     round_counts,
     run_analysis,
 )
-from .domain import ArgumentProfile, canon_op, render_interaction_set
+from .domain import ArgumentProfile, Operation, PsiOp, canon_op, render_interaction_set
 from .modecheck import validate_program
 from .normalize import Equivalent, compare, plan, rewrite
 from .parse import SourceError, parse_program, parse_query
@@ -81,10 +81,35 @@ def _json_texts(parts: list[str], texts: Sequence[str], pad: str) -> None:
     if not texts:
         parts.append("[]")
         return
-    head, sep = "[\n" + pad + '  "', '",\n' + pad + '  "'
-    for text in texts:
-        parts += (head, text)
-        head = sep
+    sep = '",\n' + pad + '  "'
+    parts.append("[\n" + pad + '  "' + sep.join(texts) + '"\n' + pad + "]")
+
+
+def _op_texts(parts: list[str], ops: Sequence[Operation], sep: str) -> None:
+    """The canonical texts of ``ops`` with ``sep`` between each two: a run
+    of base-op texts is joined into one part, and a psi op's text is a part
+    of its own, so its payload is written by reference."""
+    run: list[str] = []  # the base-op texts since the last psi op, after "" if there was one
+    for op in ops:
+        if op.__class__ is PsiOp:
+            if run:
+                parts.append(sep.join(run) + sep)
+            parts.append(canon_op(op))
+            run = [""]
+        else:
+            run.append(canon_op(op))
+    if run:
+        parts.append(sep.join(run))
+
+
+def _json_ops(parts: list[str], ops: Sequence[Operation], pad: str) -> None:
+    """A JSON list of the texts of ``ops`` laid out as ``_json_texts`` lays
+    out a list of strings."""
+    if not ops:
+        parts.append("[]")
+        return
+    parts.append("[\n" + pad + '  "')
+    _op_texts(parts, ops, '",\n' + pad + '  "')
     parts.append('"\n' + pad + "]")
 
 
@@ -105,7 +130,7 @@ def _json_profiles(parts: list[str], profiles: Sequence[ArgumentProfile]) -> Non
             oset_head = "[\n"
             for oset in arg.osets:
                 parts.append(oset_head + '            {\n              "ops": ')
-                _json_texts(parts, [canon_op(op) for op in oset.ops], "              ")
+                _json_ops(parts, oset.ops, "              ")
                 parts.append(f',\n              "target": {oset.target}\n            }}')
                 oset_head = ",\n"
             parts.append("\n          ]\n        }")
@@ -118,14 +143,12 @@ def _json_profiles(parts: list[str], profiles: Sequence[ArgumentProfile]) -> Non
 def _text_profiles(parts: list[str], label: str, profiles: Sequence[ArgumentProfile]) -> None:
     parts.append(f"  {label}:\n")
     for idx, arg in enumerate(profiles, 1):
-        # Punctuation waits in ``pending`` until the next op text is written.
+        # Punctuation waits in ``pending`` until the next o-set is written.
         pending = f"    arg {idx}: " + ("" if arg.osets else "(empty)")
         for n, oset in enumerate(arg.osets):
-            pending += "; {" if n else "{"
-            for k, op in enumerate(oset.ops):
-                parts += (", " if k else pending, canon_op(op))
-                pending = ""
-            pending += f"}} -> {oset.target}"
+            parts.append(pending + ("; {" if n else "{"))
+            _op_texts(parts, oset.ops, ", ")
+            pending = f"}} -> {oset.target}"
         parts.append(pending + "\n")
 
 
@@ -135,9 +158,11 @@ def write_report(
     """Write the ``analyze`` report of every predicate to ``out``.
 
     Each predicate's profiles are those ``argument_profiles`` kept, and it
-    is written with one ``out.writelines`` call. An op's canonical text is
-    always a part of its own, never joined to punctuation, so a psi payload
-    kept on its ``PsiOp`` is written by reference and never copied.
+    is written with one ``out.writelines`` call. In each o-set, a run of
+    base-op texts is joined, with the punctuation between them, into one
+    part. A psi op's text is always a part of its own, never joined to
+    punctuation, so a payload kept on its ``PsiOp`` is written by reference
+    and never copied.
 
     The JSON form is laid out exactly as ``json.dumps(report, indent=2,
     sort_keys=True)`` lays it out, but without escaping, because no string

@@ -1,10 +1,15 @@
 """Static validation: mode correctness and direct-recursion checks.
 
 Mode checking simulates each clause left to right. The bound set starts as
-the input head arguments; every atom reports its failing checks, which
-``mode_faults`` decides for the interpreter too, and binds its inputs and
-outputs. At clause end every output head argument must be bound.
-Violations are collected as ``SourceError``s, never raised.
+the input head arguments; every atom reports its failing checks and binds
+its inputs and outputs. At clause end every output head argument must be
+bound. Violations are collected as ``SourceError``s, never raised.
+
+That an atom passes is decided by one switch on its class, with set
+operations on its variables' names. Every other atom, one that fails a
+check or holds a term that is not a variable, goes through ``atom_flow``
+and ``mode_faults``: the one definition, which the interpreter shares, of
+which checks fail, in what order and with what text.
 """
 
 from __future__ import annotations
@@ -12,7 +17,21 @@ from __future__ import annotations
 from collections.abc import Container, Mapping
 
 from .parse import SourceError
-from .syntax import Atom, Call, Predicate, Program, Record, Term, Var, atom_flow, term_names
+from .syntax import (
+    Assign,
+    Atom,
+    Call,
+    Construct,
+    Deconstruct,
+    Predicate,
+    Program,
+    Record,
+    Term,
+    Test,
+    Var,
+    atom_flow,
+    term_names,
+)
 
 # The kinds of mode fault: an input not bound, an output not a variable, bound, or repeated in its atom.
 UNBOUND, NOT_VAR, BOUND, REPEATED = "unbound", "not a variable", "bound", "repeated"
@@ -97,15 +116,67 @@ def fault_text(term: Var, kind: str, where: str) -> str:
 
 
 def validate_modes(program: Program) -> ValidationReport:
-    """Check every clause for mode-correct left-to-right execution."""
+    """Check every clause for mode-correct left-to-right execution.
+
+    An atom whose inputs are bound variables and whose outputs are
+    distinct unbound variables passes: the switch on its class finds so
+    and binds its outputs. Any other atom is checked by ``mode_faults``
+    over its ``atom_flow``, which names each fault."""
     report = ValidationReport()
-    for pred in program.predicates.values():
+    predicates = program.predicates
+    for pred in predicates.values():
         for clause in pred.clauses:
             head_ins, head_outs = pred.split(clause.head_args)
             bound = {v.name for v in head_ins}
             for atom in clause.body:
-                ins, outs = atom_flow(atom, program.predicates)
-                for term, kind in mode_faults(atom, ins, outs, bound, program.predicates):
+                cls = atom.__class__
+                if cls is Assign:
+                    source, target = atom.source, atom.target
+                    if (
+                        source.__class__ is Var and target.__class__ is Var
+                        and source.name in bound and target.name not in bound
+                    ):
+                        bound.add(target.name)
+                        continue
+                elif cls is Deconstruct:
+                    var, args = atom.var, atom.args
+                    if var.__class__ is Var and var.name in bound:
+                        # As many names as arguments: all variables, all distinct.
+                        names = {t.name for t in args if t.__class__ is Var}
+                        if len(names) == len(args) and bound.isdisjoint(names):
+                            bound |= names
+                            continue
+                elif cls is Construct:
+                    var, args = atom.var, atom.args
+                    if var.__class__ is Var and var.name not in bound:
+                        names = [t.name for t in args if t.__class__ is Var]
+                        if len(names) == len(args) and bound.issuperset(names):
+                            bound.add(var.name)
+                            continue
+                elif cls is Test:
+                    left, right = atom.left, atom.right
+                    if left.__class__ is Var and right.__class__ is Var and left.name in bound and right.name in bound:
+                        continue
+                elif cls is Call:
+                    callee = predicates.get(atom.pred)
+                    if callee is not None:
+                        outputs: list[str] = []
+                        for t, mode in zip(atom.args, callee.modes):
+                            if t.__class__ is not Var:
+                                break
+                            if mode == "in":
+                                if t.name not in bound:
+                                    break
+                            elif mode == "out" and t.name not in bound:
+                                outputs.append(t.name)
+                            else:
+                                break
+                        else:
+                            if len(set(outputs)) == len(outputs):
+                                bound.update(outputs)
+                                continue
+                ins, outs = atom_flow(atom, predicates)
+                for term, kind in mode_faults(atom, ins, outs, bound, predicates):
                     report.add(atom.line, atom.col, fault_text(term, kind, f"point {atom.point}"))
                 # Bind inputs too, to suppress cascading reports.
                 bound.update([v.name for v in ins + outs])

@@ -99,17 +99,18 @@ _COMMENT_RE = re.compile(r"%[^\n]*")
 
 class Tokens:
     """The tokens of one source. ``texts`` ends with "" for the end of
-    input. ``position(i)`` places token ``i`` by its start offset in the
-    source: read from the list of every start, when ``tokenize`` built
-    one, or else summed from the lengths of the split parts between it and
-    the token last placed, so placing tokens in order costs time linear in
-    the source, and in any other order gives the same result."""
+    input. ``starts`` is the list of every token's start offset in the
+    source, when ``tokenize`` built one, or else None. ``position(i)``
+    places token ``i`` by its start offset: read from ``starts``, or else
+    summed from the lengths of the split parts between it and the token
+    last placed, so placing tokens in order costs time linear in the
+    source, and in any other order gives the same result."""
 
-    __slots__ = ("texts", "_starts", "_parts", "_cursor", "_source", "_line_starts")
+    __slots__ = ("texts", "starts", "_parts", "_cursor", "_source", "_line_starts")
 
     def __init__(self, source: str, texts: list[str], starts: list[int] | None, parts: list[str] | None):
         self.texts = texts
-        self._starts = starts
+        self.starts = starts
         self._parts = parts  # gap, token, gap, ..., token, gap: token k is part 2k + 1
         self._cursor = (0, len(parts[0])) if parts is not None else None  # a token and its start
         self._source = source
@@ -122,8 +123,8 @@ class Tokens:
         """Line and 1-based column of token ``i``."""
         if self._line_starts is None:
             self._line_starts = _line_starts(self._source)
-        if self._starts is not None:
-            return _position(self._line_starts, self._starts[i])
+        if self.starts is not None:
+            return _position(self._line_starts, self.starts[i])
         k, offset = self._cursor
         # Token i starts after parts 0 .. 2i, token k after parts 0 .. 2k.
         if i >= k:
@@ -222,6 +223,9 @@ def parse_program(source: str) -> Program:
     """
     tokens = tokenize(source, starts=True)
     texts, where = tokens.texts, tokens.position
+    # Atoms and clauses are placed straight from the token starts; ``where``
+    # places only what a diagnostic names.
+    starts, line_starts = tokens.starts, _line_starts(source)
     variables = _Shared(Var)
     functor_arity: dict[str, int] = {}
     # Predicates in order of first mention; None until declared.
@@ -296,7 +300,8 @@ def parse_program(source: str) -> Program:
         if text >= "a":
             args, j = var_list(i + 1)
             point += 1
-            return Call(point, *where(i), text, args), j
+            line, col = _position(line_starts, starts[i])
+            return Call(point, line, col, text, args), j
         if not "A" <= text < "a":
             raise _expected(tokens, "atom", i)
         op = texts[i + 1]
@@ -312,15 +317,17 @@ def parse_program(source: str) -> Program:
                     *where(i + 2),
                 )
             point += 1
+            line, col = _position(line_starts, starts[i])
             cls = Deconstruct if op == "=>" else Construct
-            return cls(point, *where(i), variables[text], functor, args), j
+            return cls(point, line, col, variables[text], functor, args), j
         if op == ":=" or op == "==":
             right = texts[i + 2]
             if not "A" <= right < "a":
                 raise _expected(tokens, "'var'", i + 2)
             point += 1
+            line, col = _position(line_starts, starts[i])
             cls = Assign if op == ":=" else Test
-            return cls(point, *where(i), variables[text], variables[right]), i + 3
+            return cls(point, line, col, variables[text], variables[right]), i + 3
         raise ParseError(f"expected '=>', '<=', ':=' or '==', found {op!r}", *where(i + 1))
 
     def clause(i: int) -> int:
@@ -350,7 +357,8 @@ def parse_program(source: str) -> Program:
         elif same[0].head_args != head:
             raise ProgramError(f"clause head of '{name}' differs from previous clauses", *where(i))
         current = name
-        same.append(Clause(head, tuple(body), *where(i)))
+        line, col = _position(line_starts, starts[i])
+        same.append(Clause(head, tuple(body), line, col))
         return j + 1
 
     i = 0
@@ -369,7 +377,8 @@ def parse_program(source: str) -> Program:
                 own[0].line,
                 own[0].col,
             )
-        built[name] = Predicate(name, arity, declared, tuple(own), *where(declared_at[name]))
+        line, col = _position(line_starts, starts[declared_at[name]])
+        built[name] = Predicate(name, arity, declared, tuple(own), line, col)
 
     for name, pred in built.items():
         for cl in pred.clauses:

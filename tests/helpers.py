@@ -32,9 +32,9 @@ from argprof import (
     Program,
     PsiBotOp,
     PsiOp,
+    TEST,
     TestOp,
     Predicate,
-    analyze_atom,
     bottom,
     canon_op,
     canon_profile,
@@ -49,6 +49,7 @@ from argprof import (
     strip_points,
 )
 from argprof.interp import DEFAULT_STEP_LIMIT, RuntimeModeError, SolveError, StepLimitExceeded
+from argprof.modecheck import ValidationReport, fault_text, mode_faults
 from argprof.parse import LexError, ParseError, ProgramError, Query
 from argprof.syntax import (
     Assign,
@@ -61,6 +62,7 @@ from argprof.syntax import (
     Term,
     Test,
     Var,
+    atom_flow,
     make_program,
 )
 
@@ -137,17 +139,55 @@ def naive_closure(
 # ---------------------------------------------------------------------------
 
 
+def reference_atom_set(atom: Atom, env: Environment, program: Program) -> InteractionSet:
+    """The interactions of one atom, read off ``atom_flow``: the op of its
+    kind at its point from each input into each output of another name. A
+    call also yields its callee's set with formals renamed to actuals, a
+    pair whose ends meet dropped, and its op is ``psi_bot`` for a call to
+    its own predicate and otherwise the psi of the callee's ordered
+    profile."""
+    owner = program.owner_of_point(atom.point)
+    pairs: dict[tuple[str, str], dict[int, Operation]] = {}
+
+    def join(source: str, target: str, ops: Mapping[int, Operation]) -> None:
+        if source != target:
+            pairs[(source, target)] = {**pairs.get((source, target), {}), **ops}
+
+    if isinstance(atom, Deconstruct):
+        op: Operation = DeconstructOp(atom.functor, len(atom.args))
+    elif isinstance(atom, Construct):
+        op = ConstructOp(atom.functor, len(atom.args))
+    elif isinstance(atom, Assign):
+        op = ASSIGN
+    elif isinstance(atom, Call):
+        callee = program.predicates[atom.pred]
+        rename = {f.name: a.name for f, a in zip(callee.args, atom.args)}
+        for (source, target), ops in env[atom.pred].pairs.items():
+            join(rename[source], rename[target], ops)
+        if atom.pred == owner:
+            op = PSI_BOT
+        else:
+            op = PsiOp(oprof(strip_points(env[atom.pred], callee.arg_names)).profiles)
+    else:
+        op = TEST  # a test has no outputs
+    ins, outs = atom_flow(atom, program.predicates)
+    for x in ins:
+        for y in outs:
+            join(x.name, y.name, {atom.point: op})
+    return make_interaction_set(owner, program.predicates[owner].input_arg_names(), pairs)
+
+
 def reference_analyze_predicate(pred: Predicate, env: dict, program: Program) -> InteractionSet:
-    """One round of clause analysis: fold every atom's set with the public
-    ``join_sets``, close with ``naive_closure``, keep formal-to-formal flow,
-    and join the clause results."""
+    """One round of clause analysis: fold every atom's ``reference_atom_set``
+    with the public ``join_sets``, close with ``naive_closure``, keep
+    formal-to-formal flow, and join the clause results."""
     inputs = pred.input_arg_names()
     formals = set(pred.arg_names)
     acc = bottom(pred.name, inputs)
     for clause in pred.clauses:
         clause_set = bottom(pred.name, inputs)
         for atom in clause.body:
-            clause_set = join_sets(analyze_atom(atom, env, program), clause_set)
+            clause_set = join_sets(reference_atom_set(atom, env, program), clause_set)
         closed = naive_closure(clause_set.pairs)
         projected = {pair: ops for pair, ops in closed.items() if set(pair) <= formals}
         acc = join_sets(make_interaction_set(pred.name, inputs, projected), acc)
@@ -187,6 +227,58 @@ def reference_run_analysis(
         analyzed.add(name)
         remaining.discard(name)
     return env, trace
+
+
+def reference_programs(group: str) -> list[Program]:
+    """The programs of one named group that the oracles are run on."""
+    if group == "fixtures":
+        return [load_fixture(name) for name in fixture_names()]
+    if group in ("corpus", "reversed-corpus"):  # the test-07 corpus
+        rng = random.Random(0xBEEF)
+        programs = [parse_program(gen_program_source(rng)) for _ in range(200)]
+        return programs if group == "corpus" else [reversed_bodies(p) for p in programs]
+    if group == "chain":
+        return [parse_program(chain_source(k)) for k in range(1, 7)]
+    if group == "rotating":
+        # The reference closes the chain over all its variables, n^2 / 2
+        # pairs each round: k = 16 takes over a second at n = 20 and does
+        # not finish in 100 s at n = 200.
+        return [parse_program(rotating_recursion_source(k, 20)) for k in (4, 8, 16)]
+    if group == "recursive":
+        rng = random.Random(27)
+        return [parse_program(gen_recursive_source(rng)) for _ in range(150)]
+    if group == "wide":
+        return [parse_program(wide_source(random.Random(seed), 11 + seed, 200)) for seed in range(2)]
+    raise ValueError(group)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the mode check that walks every atom
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_modes(program: Program) -> ValidationReport:
+    """``validate_modes`` as it was before its per-class fast path: every
+    atom goes through ``atom_flow`` and ``mode_faults``."""
+    report = ValidationReport()
+    for pred in program.predicates.values():
+        for clause in pred.clauses:
+            head_ins, head_outs = pred.split(clause.head_args)
+            bound = {v.name for v in head_ins}
+            for atom in clause.body:
+                ins, outs = atom_flow(atom, program.predicates)
+                for term, kind in mode_faults(atom, ins, outs, bound, program.predicates):
+                    report.add(atom.line, atom.col, fault_text(term, kind, f"point {atom.point}"))
+                # Bind inputs too, to suppress cascading reports.
+                bound.update([v.name for v in ins + outs])
+            for v in head_outs:
+                if v.name not in bound:
+                    report.add(
+                        clause.line,
+                        clause.col,
+                        f"output argument {v.name} of {pred.name}/{pred.arity} not bound at clause end",
+                    )
+    return report
 
 
 # ---------------------------------------------------------------------------

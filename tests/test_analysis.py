@@ -43,7 +43,6 @@ from helpers import (
     chain_source,
     count_calls,
     cyclic_long_clause_source,
-    fixture_names,
     gen_program_source,
     gen_recursive_source,
     iset,
@@ -53,8 +52,9 @@ from helpers import (
     random_chained_set,
     random_cyclic_set,
     reference_analyze_predicate,
+    reference_atom_set,
+    reference_programs,
     reference_run_analysis,
-    reversed_bodies,
     rotating_recursion_source,
     wide_source,
 )
@@ -178,6 +178,16 @@ def test_atom_drops_flow_from_a_variable_into_itself():
     assert analyze_atom(atoms[0], env, program).is_empty()
     assert analyze_atom(atoms[1], env, program) == iset("p", ["X"], [("L", "M", [(DeconstructOp("f", 2), 2)])])
     assert analyze_atom(atoms[2], env, program) == iset("p", ["X"], [("M", "N", [(ConstructOp("g", 2), 3)])])
+
+
+@pytest.mark.parametrize("group", ["fixtures", "corpus", "reversed-corpus", "wide", "chain"])
+def test_every_atom_matches_the_reference_atom_set(group):
+    # The reference reads each atom's inputs and outputs off atom_flow and
+    # builds its set with make_interaction_set, not through _add_atom.
+    for program in reference_programs(group):
+        env, _ = run_analysis(program)
+        for atom in program.atoms():
+            assert analyze_atom(atom, env, program) == reference_atom_set(atom, env, program), atom
 
 
 # ---------------------------------------------------------------------------
@@ -597,26 +607,6 @@ def test_call_with_repeated_input_actuals_merges_renamed_edges():
 # ---------------------------------------------------------------------------
 
 
-def _reference_programs(group):
-    if group == "fixtures":
-        return [load_fixture(name) for name in fixture_names()]
-    if group in ("corpus", "reversed-corpus"):  # the test-07 corpus
-        rng = random.Random(0xBEEF)
-        programs = [parse_program(gen_program_source(rng)) for _ in range(200)]
-        return programs if group == "corpus" else [reversed_bodies(p) for p in programs]
-    if group == "chain":
-        return [parse_program(chain_source(k)) for k in range(1, 7)]
-    if group == "rotating":
-        # The reference closes the chain over all its variables, n^2 / 2
-        # pairs each round: k = 16 takes over a second at n = 20 and does
-        # not finish in 100 s at n = 200.
-        return [parse_program(rotating_recursion_source(k, 20)) for k in (4, 8, 16)]
-    if group == "recursive":
-        rng = random.Random(27)
-        return [parse_program(gen_recursive_source(rng)) for _ in range(150)]
-    return [parse_program(wide_source(random.Random(seed), 11 + seed, 200)) for seed in range(2)]
-
-
 @pytest.mark.parametrize(
     "group", ["fixtures", "corpus", "reversed-corpus", "wide", "chain", "rotating", "recursive"]
 )
@@ -630,7 +620,7 @@ def test_run_analysis_matches_reference_analysis(group, monkeypatch):
     # closed.
     closes = count_calls(monkeypatch, analysis.transitive_closure)
     calls = count_calls(monkeypatch, analysis.analyze_predicate)
-    for program in _reference_programs(group):
+    for program in reference_programs(group):
         calls.clear()
         env, trace = run_analysis(program)
         ref_env, ref_trace = reference_run_analysis(program)

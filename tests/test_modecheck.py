@@ -6,17 +6,41 @@ import random
 
 import pytest
 
+import helpers
 from argprof import (
     format_ground,
     parse_program,
     parse_query,
+    run_analysis,
+    syntax,
     validate_direct_recursion,
     validate_modes,
     validate_program,
 )
 from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, mode_faults
-from argprof.syntax import atom_flow
-from helpers import fixture_names, gen_program_source, load_fixture
+from argprof.parse import SourceError
+from argprof.syntax import (
+    Assign,
+    Call,
+    Clause,
+    Construct,
+    Deconstruct,
+    FunctorTerm,
+    Predicate,
+    Program,
+    Var,
+    atom_flow,
+)
+from helpers import (
+    count_calls,
+    fixture_names,
+    gen_program_source,
+    load_fixture,
+    mutated_sources,
+    reference_programs,
+    reference_validate_modes,
+    reversed_bodies,
+)
 
 
 FLOW = """\
@@ -189,3 +213,108 @@ def test_fact_with_output_argument_flagged():
 
 def test_clauseless_predicate_validates():
     assert validate_program(parse_program(":- pred p(in,out).")).ok()
+
+
+# ---------------------------------------------------------------------------
+# The per-class fast path against the walk over every atom
+# ---------------------------------------------------------------------------
+
+
+def _outcome(check, program):
+    """The rendered report of ``check`` on ``program``, or the exception it raised."""
+    try:
+        return check(program).render()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_matches_walk(programs):
+    for program in programs:
+        assert _outcome(validate_modes, program) == _outcome(reference_validate_modes, program)
+
+
+def test_fast_mode_check_matches_the_walk_on_well_moded_programs():
+    programs = [p for group in ("fixtures", "corpus", "wide", "chain") for p in reference_programs(group)]
+    assert all(validate_modes(p).ok() for p in programs)
+    _assert_matches_walk(programs)
+
+
+def test_fast_mode_check_matches_the_walk_on_reversed_bodies(monkeypatch):
+    # A reversed body consumes names before it produces them, so the walk
+    # finds every fault kind that a parsed atom of each class can show.
+    kinds = set()
+
+    def recorded(atom, *args):
+        faults = mode_faults(atom, *args)
+        kinds.update((type(atom).__name__, kind) for _, kind in faults)
+        return faults
+
+    monkeypatch.setattr(helpers, "mode_faults", recorded)
+    _assert_matches_walk(reversed_bodies(p) for group in ("fixtures", "corpus") for p in reference_programs(group))
+    assert kinds == {
+        (cls, kind) for cls in ("Deconstruct", "Construct", "Assign", "Call") for kind in (UNBOUND, BOUND)
+    } | {("Test", UNBOUND)}
+
+
+# Each fault a parsed atom can show, per class, output repetition included.
+ILL_MODED = [
+    ":- pred p(in,out). p(X,Y) :- X => cons(E,E), Y := E.",
+    ":- pred p(in,out). p(X,Y) :- X => cons(X,E), Y := E.",
+    ":- pred p(in,out). p(X,Y) :- Z => cons(E,F), Y := E.",
+    ":- pred p(in,out). p(X,Y) :- Y <= cons(X,Z).",
+    ":- pred p(in,out). p(X,Y) :- X <= cons(Y,Y), Y := X.",
+    ":- pred p(in,out). p(X,Y) :- Y := X, Y := X.",
+    ":- pred p(in,out). p(X,Y) :- X == Z, Y := X.",
+    ":- pred q(in,out,out). q(A,B,C) :- B := A, C := A. :- pred p(in,out). p(X,Y) :- q(X,Z,Z), Y := Z.",
+    ":- pred q(in,out,out). q(A,B,C) :- B := A, C := A. :- pred p(in,out). p(X,Y) :- q(Z,X,Y).",
+    ":- pred q(out,in). :- pred p(in,out). p(X,Y) :- q(X,Y).",
+    ":- pred r(in,out,in). :- pred p(in,out). p(X,Y) :- r(X,Y,Y).",
+]
+
+
+def _hand_built() -> list[Program]:
+    """Programs the parser cannot produce: a term that is not a variable in
+    each argument position of each atom class, and a call to a predicate
+    that is not in the program."""
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    a, fx = FunctorTerm("a"), FunctorTerm("f", (x,))
+    bodies = [
+        (Assign(1, 1, 9, y, a),),
+        (Assign(1, 1, 9, a, x), Assign(2, 1, 19, y, x)),
+        (Deconstruct(1, 1, 9, fx, "g", (z,)), Assign(2, 1, 19, y, z)),
+        (Deconstruct(1, 1, 9, x, "g", (a, z)), Assign(2, 1, 19, y, z)),
+        (Construct(1, 1, 9, y, "g", (x, fx)),),
+        (Construct(1, 1, 9, a, "g", (x,)), Assign(2, 1, 19, y, x)),
+        (syntax.Test(1, 1, 9, x, a), Assign(2, 1, 19, y, x)),
+        (Call(1, 1, 9, "q", (a, y)),),
+        (Call(1, 1, 9, "q", (x, fx)), Assign(2, 1, 19, y, x)),
+        (Call(1, 1, 9, "missing", (x, y)),),
+    ]
+    q = Predicate("q", 2, ("in", "out"), ())
+    return [
+        Program({"p": Predicate("p", 2, ("in", "out"), (Clause((x, y), body),)), "q": q}, {})
+        for body in bodies
+    ]
+
+
+def test_fast_mode_check_matches_the_walk_on_mutated_and_hand_built_programs():
+    programs = []
+    for source in mutated_sources():
+        try:
+            programs.append(parse_program(source))
+        except SourceError:
+            pass
+    programs += [parse_program(source) for source in ILL_MODED]
+    assert not any(validate_modes(p).ok() for p in programs[-len(ILL_MODED):])
+    hand_built = _hand_built()
+    assert all(_outcome(reference_validate_modes, p).startswith(("AttributeError", "KeyError")) for p in hand_built)
+    _assert_matches_walk(programs + hand_built)
+
+
+def test_a_passing_atom_is_not_walked(monkeypatch):
+    faults = count_calls(monkeypatch, mode_faults)
+    flows = count_calls(monkeypatch, atom_flow)
+    for program in reference_programs("corpus") + reference_programs("wide"):
+        assert validate_program(program).ok()
+        run_analysis(program)
+    assert not faults and not flows
