@@ -85,6 +85,7 @@ from .syntax import (
     Assign,
     Atom,
     Call,
+    CallError,
     Clause,
     Construct,
     Deconstruct,
@@ -95,11 +96,9 @@ from .syntax import (
     Term,
     Test,
     Var,
-    build_call_graph,
     format_atom,
     format_ground,
     format_program,
-    make_program,
 )
 
 __version__ = "0.1.0"

@@ -425,7 +425,7 @@ def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:
     pending: dict[str, int] = {}
     callers: defaultdict[str, list[str]] = defaultdict(list)
     for p in program.predicates:
-        callees = program.call_graph.get(p, frozenset()) - {p}
+        callees = program.call_graph[p] - {p}
         pending[p] = len(callees)
         for q in callees:
             callers[q].append(p)
@@ -435,7 +435,7 @@ def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:
         name = heapq.heappop(ready)
         pred = program.predicates[name]
         state = RoundState(pred)
-        self_recursive = name in program.call_graph.get(name, ())
+        self_recursive = name in program.call_graph[name]
         while True:
             round_index += 1
             new = analyze_predicate(pred, env, program, psi_ops, state)

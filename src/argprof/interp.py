@@ -97,6 +97,7 @@ from .parse import Query
 from .syntax import (
     Atom,
     Call,
+    CallError,
     Clause,
     Construct,
     Deconstruct,
@@ -254,7 +255,7 @@ def _error_text(atom: Atom, where: str, fault: tuple[Term, str], query: bool) ->
     term, kind = fault
     if kind is UNBOUND and query:
         return f"non-ground input at {where}"
-    if kind is NOT_VAR:
+    if kind is NOT_VAR and query:
         return f"output position holds a term at {where}"
     if kind is REPEATED and query and atom.__class__ is Call:
         return f"{term.name} repeated in output positions at {where}"
@@ -290,10 +291,7 @@ def _compile_body(
         if query and is_call:
             callee = predicates.get(atom.pred)
             if callee is None or len(atom.args) != callee.arity:
-                if callee is None:
-                    text = f"unknown predicate '{atom.pred}' in query"
-                else:
-                    text = f"'{atom.pred}' called with {len(atom.args)} arguments but declared with arity {callee.arity}"
+                text = f"unknown predicate '{atom.pred}' in query" if callee is None else CallError(atom, callee).message
                 code.append((_FAULT, False, (SolveError, text), atom, None))
                 break
         ins, outs = atom_flow(atom, predicates)
@@ -305,9 +303,10 @@ def _compile_body(
             repeat = next((fault_text(t, kind, where) for t, kind in faults if kind is REPEATED), None)
             faults = [fault for fault in faults if fault[1] is not REPEATED]
         if faults:
-            # A deconstruct with its input bound faults only on its functor.
+            # A deconstruct whose input passes faults only on its functor. A
+            # clause's input that is a term faults first, as not a variable.
             guard = None
-            if atom.__class__ is Deconstruct and faults[0][1] is not UNBOUND:
+            if atom.__class__ is Deconstruct and faults[0][1] is not UNBOUND and (query or atom.var.__class__ is Var):
                 guard = (_input_slot(atom.var, slots, frame, code, nonground), atom.functor, len(atom.args))
             error = RuntimeModeError, _error_text(atom, where, faults[0], query)
             code.append((_FAULT, not is_call, error, atom, guard))
@@ -344,7 +343,7 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
     frame: _Frame = [None] * len(head_ins)
     body = clause.body
     key = skip = None
-    if body and body[0].__class__ is Deconstruct and body[0].var.name in slots:
+    if body and body[0].__class__ is Deconstruct and body[0].var.__class__ is Var and body[0].var.name in slots:
         first = body[0]
         key = (slots[first.var.name], (first.functor, len(first.args)))
         if not mode_faults(first, *atom_flow(first, predicates), slots, predicates):

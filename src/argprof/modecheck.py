@@ -9,7 +9,8 @@ That an atom passes is decided by one switch on its class, with set
 operations on its variables' names. Every other atom, one that fails a
 check or holds a term that is not a variable, goes through ``atom_flow``
 and ``mode_faults``: the one definition, which the interpreter shares, of
-which checks fail, in what order and with what text.
+which checks fail, in what order and with what text. A term where the
+parser puts a variable (in a program built by hand) is such a fault.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ from .syntax import (
     Test,
     Var,
     atom_flow,
+    format_ground,
     term_names,
 )
 
-# The kinds of mode fault: an input not bound, an output not a variable, bound, or repeated in its atom.
+# The kinds of mode fault: an input not bound; a term not a variable (an output,
+# or any argument of a clause atom); an output bound, or repeated in its atom.
 UNBOUND, NOT_VAR, BOUND, REPEATED = "unbound", "not a variable", "bound", "repeated"
 
 
@@ -68,10 +71,11 @@ def mode_faults(
     as (term, kind), in the order the checks are made: a call's arguments
     in position order, any other atom's inputs ``ins`` then outputs
     ``outs``, its ``atom_flow``. An input must have all its names bound; an
-    output must be a variable, not bound, not repeated. An input that is a
-    nested term (a query's) is walked for its names, unless ``nonground``,
-    a query's record, holds the ids of the nested inputs that hold a
-    variable: any other is ground."""
+    output must be a variable, not bound, not repeated. ``nonground`` is
+    None for a clause atom, whose every argument must be a variable. A
+    query's inputs may be nested terms, and ``nonground``, the query's
+    record, holds the ids of those that hold a variable: each is walked for
+    its names, and any other is ground."""
     faults = []
     outputs: list[str] = []
     if atom.__class__ is Call:
@@ -81,7 +85,9 @@ def mode_faults(
                 if t.__class__ is Var:
                     if t.name not in bound:
                         faults.append((t, UNBOUND))
-                elif (nonground is None or id(t) in nonground) and not all(name in bound for name in term_names(t)):
+                elif nonground is None:
+                    faults.append((t, NOT_VAR))
+                elif id(t) in nonground and not all(name in bound for name in term_names(t)):
                     faults.append((t, UNBOUND))
             elif t.__class__ is not Var:
                 faults.append((t, NOT_VAR))
@@ -96,7 +102,9 @@ def mode_faults(
         if t.__class__ is Var:
             if t.name not in bound:
                 faults.append((t, UNBOUND))
-        elif (nonground is None or id(t) in nonground) and not all(name in bound for name in term_names(t)):
+        elif nonground is None:
+            faults.append((t, NOT_VAR))
+        elif id(t) in nonground and not all(name in bound for name in term_names(t)):
             faults.append((t, UNBOUND))
     for t in outs:
         if t.__class__ is not Var:
@@ -110,9 +118,10 @@ def mode_faults(
     return faults
 
 
-def fault_text(term: Var, kind: str, where: str) -> str:
-    """The text of a fault of variable ``term`` at ``where``."""
-    return f"{term.name} unbound at {where}" if kind is UNBOUND else f"{term.name} already bound at {where}"
+def fault_text(term: Term, kind: str, where: str) -> str:
+    """The text of a fault of ``term`` at ``where``."""
+    what = "unbound" if kind is UNBOUND else "is not a variable" if kind is NOT_VAR else "already bound"
+    return f"{format_ground(term)} {what} at {where}"
 
 
 def validate_modes(program: Program) -> ValidationReport:
@@ -158,28 +167,26 @@ def validate_modes(program: Program) -> ValidationReport:
                     if left.__class__ is Var and right.__class__ is Var and left.name in bound and right.name in bound:
                         continue
                 elif cls is Call:
-                    callee = predicates.get(atom.pred)
-                    if callee is not None:
-                        outputs: list[str] = []
-                        for t, mode in zip(atom.args, callee.modes):
-                            if t.__class__ is not Var:
+                    outputs: list[str] = []
+                    for t, mode in zip(atom.args, predicates[atom.pred].modes):
+                        if t.__class__ is not Var:
+                            break
+                        if mode == "in":
+                            if t.name not in bound:
                                 break
-                            if mode == "in":
-                                if t.name not in bound:
-                                    break
-                            elif mode == "out" and t.name not in bound:
-                                outputs.append(t.name)
-                            else:
-                                break
+                        elif mode == "out" and t.name not in bound:
+                            outputs.append(t.name)
                         else:
-                            if len(set(outputs)) == len(outputs):
-                                bound.update(outputs)
-                                continue
+                            break
+                    else:
+                        if len(set(outputs)) == len(outputs):
+                            bound.update(outputs)
+                            continue
                 ins, outs = atom_flow(atom, predicates)
                 for term, kind in mode_faults(atom, ins, outs, bound, predicates):
                     report.add(atom.line, atom.col, fault_text(term, kind, f"point {atom.point}"))
                 # Bind inputs too, to suppress cascading reports.
-                bound.update([v.name for v in ins + outs])
+                bound.update([name for t in ins + outs for name in term_names(t)])
             for v in head_outs:
                 if v.name not in bound:
                     report.add(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .analysis import Environment, argument_profiles
 from .domain import ArgumentProfile, canon_profile_parts
 from .ordering import OrderedProfile
-from .syntax import Atom, Call, Clause, Predicate, Program, Record, make_program
+from .syntax import Atom, Call, Clause, Predicate, Program, Record
 
 NormalizationPlan = dict[str, tuple[int, ...]]
 
@@ -79,7 +79,7 @@ def rewrite(program: Program, normalization: NormalizationPlan) -> Program:
         preds[name] = Predicate(
             name, pred.arity, _permute(pred.modes, perm), tuple(clauses), pred.line, pred.col
         )
-    return make_program(preds)
+    return Program(preds)
 
 
 class Equivalent(Record):

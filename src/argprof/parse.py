@@ -40,6 +40,7 @@ from .syntax import (
     Assign,
     Atom,
     Call,
+    CallError,
     Clause,
     Construct,
     Deconstruct,
@@ -51,7 +52,6 @@ from .syntax import (
     Test,
     Value,
     Var,
-    make_program,
     term_names,
 )
 
@@ -217,9 +217,12 @@ def _expected(tokens: Tokens, what: str, i: int) -> ParseError:
 
 
 def parse_program(source: str) -> Program:
-    """Parse a program, assign program points and build the call graph.
+    """Parse a program, assign program points and build the program, whose
+    constructor checks every call and builds the call graph.
 
-    Raises LexError, ParseError or ProgramError, each carrying line/col.
+    Raises LexError, ParseError or ProgramError, each carrying line/col. Of
+    several bad calls, the error names the first in the clauses of the
+    predicate mentioned first.
     """
     tokens = tokenize(source, starts=True)
     texts, where = tokens.texts, tokens.position
@@ -380,29 +383,24 @@ def parse_program(source: str) -> Program:
         line, col = _position(line_starts, starts[declared_at[name]])
         built[name] = Predicate(name, arity, declared, tuple(own), line, col)
 
-    for name, pred in built.items():
-        for cl in pred.clauses:
-            for atom in cl.body:
-                if isinstance(atom, Call):
-                    callee = built.get(atom.pred)
-                    if callee is None:
-                        raise ProgramError(f"call to undefined predicate '{atom.pred}'", atom.line, atom.col)
-                    if callee.arity != len(atom.args):
-                        raise ProgramError(
-                            f"'{atom.pred}' called with {len(atom.args)} arguments but declared with arity {callee.arity}",
-                            atom.line,
-                            atom.col,
-                        )
-
     # Points follow the text, so keep the predicates in the order of their
     # first clauses (a clause-less one at its declaration): the order in
-    # which points run and format_program prints. The checks above report
-    # in order of first mention.
+    # which points run and format_program prints.
     def first_position(pred: Predicate) -> tuple[int, int]:
         first = pred.clauses[0] if pred.clauses else pred
         return first.line, first.col
 
-    return make_program({pred.name: pred for pred in sorted(built.values(), key=first_position)})
+    try:
+        return Program({pred.name: pred for pred in sorted(built.values(), key=first_position)})
+    except CallError as error:
+        # Program checks the calls in the order it is given the predicates:
+        # report the first bad one in order of first mention, as the checks
+        # above do.
+        try:
+            Program(built)
+        except CallError as first:
+            error = first
+        raise ProgramError(error.message, error.line, error.col) from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 for programs and queries.
 
 A program is a set of predicates, each with a mandatory mode declaration
-and a set of clauses sharing one head. Clause bodies are flat:
+and a set of clauses sharing one head. Every call names one of the
+program's predicates with that predicate's arity: ``Program(predicates)``,
+the one way to build a program, checks so as it builds the call graph,
+whether the predicates were parsed or built by hand. Clause bodies are flat:
 ``parse_program`` stores only ``Var``s in the argument positions of an
 atom, so every term is an outermost functor applied to variables. Each
 body atom carries a program point, unique across the whole program and
@@ -356,59 +359,60 @@ class Predicate(Value):
         return [a.point for c in self.clauses for a in c.body]
 
 
-class Program(Value):
-    """The predicates by name and the call graph. ``point_owner`` maps each
-    program point to the name of its predicate; it is derived, and left out
-    of the key. A program holds dicts, so it is not hashable."""
+class CallError(Exception):
+    """A call that names no predicate of its program, or one of another
+    arity: ``message`` says which, ``line`` and ``col`` place the call."""
 
-    __slots__ = __match_args__ = ("predicates", "call_graph", "point_owner")
-    _key = attrgetter("predicates", "call_graph")
+    def __init__(self, call: Call, callee: Predicate | None):
+        if callee is None:
+            message = f"call to undefined predicate '{call.pred}'"
+        else:
+            message = f"'{call.pred}' called with {len(call.args)} arguments but declared with arity {callee.arity}"
+        super().__init__(message)
+        self.message = message
+        self.line = call.line
+        self.col = call.col
+
+
+class Program(Value):
+    """The predicates by name and the call graph they make: an edge p -> q
+    iff some clause of p calls q. Building a program raises ``CallError``
+    for the first call, in the order of ``predicates`` and of their
+    clauses, that does not name one of ``predicates`` with its arity; so
+    every call of a program has its callee. The call graph is derived, and
+    left out of the key. A program holds dicts, so it is not hashable."""
+
+    __slots__ = ("predicates", "call_graph")
+    __match_args__ = ("predicates",)
+    _key = attrgetter("predicates")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        predicates: dict[str, Predicate],
-        call_graph: dict[str, frozenset[str]],
-        point_owner: dict[int, str] | None = None,
-    ):
+    def __init__(self, predicates: dict[str, Predicate]):
+        graph: dict[str, frozenset[str]] = {}
+        for name, pred in predicates.items():
+            callees = set()
+            for clause in pred.clauses:
+                for atom in clause.body:
+                    if atom.__class__ is Call:
+                        callee = predicates.get(atom.pred)
+                        if callee is None or callee.arity != len(atom.args):
+                            raise CallError(atom, callee)
+                        callees.add(atom.pred)
+            graph[name] = frozenset(callees)
         self.predicates = predicates
-        self.call_graph = call_graph
-        self.point_owner = {} if point_owner is None else point_owner
+        self.call_graph = graph
 
     def owner_of_point(self, point: int) -> str:
-        return self.point_owner[point]
+        """The name of the predicate whose clauses hold program point ``point``."""
+        for name, pred in self.predicates.items():
+            if point in pred.body_points():
+                return name
+        raise KeyError(point)
 
     def atoms(self) -> Iterator[Atom]:
         for pred in self.predicates.values():
             for clause in pred.clauses:
                 yield from clause.body
-
-
-def build_call_graph(predicates: Mapping[str, Predicate]) -> dict[str, frozenset[str]]:
-    """Edge p -> q iff some clause of p calls q. Raises on undefined targets."""
-    graph: dict[str, frozenset[str]] = {}
-    for name, pred in predicates.items():
-        callees = set()
-        for clause in pred.clauses:
-            for atom in clause.body:
-                if isinstance(atom, Call):
-                    if atom.pred not in predicates:
-                        raise UndefinedPredicateError(atom.pred, atom.line, atom.col)
-                    callees.add(atom.pred)
-        graph[name] = frozenset(callees)
-    return graph
-
-
-def make_program(predicates: dict[str, Predicate]) -> Program:
-    """Assemble a Program, building the call graph and point index."""
-    graph = build_call_graph(predicates)
-    owner = {
-        atom.point: name
-        for name, pred in predicates.items()
-        for clause in pred.clauses
-        for atom in clause.body
-    }
-    return Program(predicates=predicates, call_graph=graph, point_owner=owner)
 
 
 def cone(program: Program, roots: Iterable[str]) -> Program:
@@ -421,15 +425,7 @@ def cone(program: Program, roots: Iterable[str]) -> Program:
             if callee not in reached:
                 reached.add(callee)
                 work.append(callee)
-    return make_program({name: p for name, p in program.predicates.items() if name in reached})
-
-
-class UndefinedPredicateError(Exception):
-    def __init__(self, pred: str, line: int, col: int):
-        super().__init__(f"call to undefined predicate '{pred}'")
-        self.pred = pred
-        self.line = line
-        self.col = col
+    return Program({name: p for name, p in program.predicates.items() if name in reached})
 
 
 # ---------------------------------------------------------------------------

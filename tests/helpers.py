@@ -63,7 +63,6 @@ from argprof.syntax import (
     Test,
     Var,
     atom_flow,
-    make_program,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -670,7 +669,7 @@ def reference_parse_program(source: str) -> Program:
         first = pred.clauses[0] if pred.clauses else pred
         return first.line, first.col
 
-    return make_program({pred.name: pred for pred in sorted(built.values(), key=first_position)})
+    return Program({pred.name: pred for pred in sorted(built.values(), key=first_position)})
 
 
 def reference_parse_query(source: str) -> Query:
@@ -1115,7 +1114,7 @@ def long_clause_source(n: int) -> str:
 def reversed_bodies(program: Program) -> Program:
     """``program`` with every clause body in reverse, so that names are
     consumed before they are produced."""
-    return make_program({
+    return Program({
         name: Predicate(name, pred.arity, pred.modes,
                         tuple(Clause(c.head_args, c.body[::-1]) for c in pred.clauses))
         for name, pred in program.predicates.items()

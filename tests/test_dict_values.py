@@ -3,8 +3,9 @@
 A ``Program`` (compared by the parser differential tests) and an
 ``InteractionSet`` (compared by ``run_analysis`` to see whether a round
 changed a predicate) are equal exactly when their key fields are: a
-program's ``point_owner`` is derived and left out. They never equal a value
-of another class or the tuple of their fields, and they are not hashable.
+program's key is its predicates alone, as its call graph is derived from
+them. They never equal a value of another class or the tuple of their
+fields, and they are not hashable.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ def test_program_and_interaction_set_compare_by_key_and_are_unhashable():
     program = parse_program(source)
     twin = parse_program(source)
     assert program is not twin and program == twin and not program != twin
-    assert Program(program.predicates, program.call_graph, {}) == program
-    assert Program(program.predicates, {}, program.point_owner) != program
-    assert Program({}, program.call_graph, program.point_owner) != program
+    assert Program(program.predicates) == program
+    assert Program({}) != program
     assert program != parse_program(source.replace("Z := Y", "Z := X"))
 
     edges = [("X", "Z", [(ASSIGN, 2)]), ("Y", "Z", [(PSI_BOT, 4)])]

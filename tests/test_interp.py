@@ -561,7 +561,7 @@ def _selection_program():
         first = Deconstruct(d.point, d.line, d.col, d.var, "f", d.args)
         clauses.append(Clause(c.head_args, (first, *c.body[1:]), c.line, c.col))
     preds["arity"] = Predicate(arity.name, arity.arity, arity.modes, tuple(clauses), arity.line, arity.col)
-    return Program(preds, program.call_graph, program.point_owner)
+    return Program(preds)
 
 
 def test_oracle_clause_selection():

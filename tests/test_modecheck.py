@@ -17,6 +17,7 @@ from argprof import (
     validate_modes,
     validate_program,
 )
+from argprof.interp import SolveError, solve
 from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, mode_faults
 from argprof.parse import SourceError
 from argprof.syntax import (
@@ -136,16 +137,18 @@ def test_call_violations_in_argument_order():
 
 def test_mode_faults_of_each_kind():
     predicates = parse_program(":- pred q(out,in,out,out,out).").predicates
-    (atom,) = parse_query("?- q(f(a), g(X), B, Y, Y).").goal
+    query = parse_query("?- q(f(a), g(X), B, Y, Y).")
+    (atom,) = query.goal
     ins, outs = atom_flow(atom, predicates)
-    faults = mode_faults(atom, ins, outs, {"B"}, predicates)
+    faults = mode_faults(atom, ins, outs, {"B"}, predicates, query.nonground)
     assert [(format_ground(t), kind) for t, kind in faults] == [
         ("f(a)", NOT_VAR),
         ("g(X)", UNBOUND),
         ("B", BOUND),
         ("Y", REPEATED),
     ]
-    assert [format_ground(t) for t, _ in mode_faults(atom, ins, outs, {"X"}, predicates)] == ["f(a)", "Y"]
+    faults = mode_faults(atom, ins, outs, {"X"}, predicates, query.nonground)
+    assert [format_ground(t) for t, _ in faults] == ["f(a)", "Y"]
 
 
 def test_report_rendering():
@@ -274,8 +277,7 @@ ILL_MODED = [
 
 def _hand_built() -> list[Program]:
     """Programs the parser cannot produce: a term that is not a variable in
-    each argument position of each atom class, and a call to a predicate
-    that is not in the program."""
+    each argument position of each atom class."""
     x, y, z = Var("X"), Var("Y"), Var("Z")
     a, fx = FunctorTerm("a"), FunctorTerm("f", (x,))
     bodies = [
@@ -288,16 +290,12 @@ def _hand_built() -> list[Program]:
         (syntax.Test(1, 1, 9, x, a), Assign(2, 1, 19, y, x)),
         (Call(1, 1, 9, "q", (a, y)),),
         (Call(1, 1, 9, "q", (x, fx)), Assign(2, 1, 19, y, x)),
-        (Call(1, 1, 9, "missing", (x, y)),),
     ]
     q = Predicate("q", 2, ("in", "out"), ())
-    return [
-        Program({"p": Predicate("p", 2, ("in", "out"), (Clause((x, y), body),)), "q": q}, {})
-        for body in bodies
-    ]
+    return [Program({"p": Predicate("p", 2, ("in", "out"), (Clause((x, y), body),)), "q": q}) for body in bodies]
 
 
-def test_fast_mode_check_matches_the_walk_on_mutated_and_hand_built_programs():
+def test_fast_mode_check_matches_the_walk_on_mutated_programs():
     programs = []
     for source in mutated_sources():
         try:
@@ -306,9 +304,31 @@ def test_fast_mode_check_matches_the_walk_on_mutated_and_hand_built_programs():
             pass
     programs += [parse_program(source) for source in ILL_MODED]
     assert not any(validate_modes(p).ok() for p in programs[-len(ILL_MODED):])
-    hand_built = _hand_built()
-    assert all(_outcome(reference_validate_modes, p).startswith(("AttributeError", "KeyError")) for p in hand_built)
-    _assert_matches_walk(programs + hand_built)
+    _assert_matches_walk(programs)
+
+
+def test_a_term_in_a_clause_atom_is_reported_not_raised():
+    # The walk, which binds only variables' names, raises on each of these.
+    # The check reports the term, and the interpreter raises the same text
+    # when it reaches the atom.
+    terms = ["a", "a", "f(X)", "a", "f(X)", "a", "a", "a", "f(X)"]
+    for program, term in zip(_hand_built(), terms, strict=True):
+        assert _outcome(reference_validate_modes, program).startswith("AttributeError")
+        message = f"{term} is not a variable at point 1"
+        assert validate_program(program).render("hand.lp") == f"hand.lp:1:9: error: {message}"
+        for arg in ("a", "f(a)", "g(a, b)"):
+            try:
+                answers = solve(program, parse_query(f"?- p({arg}, Y)."))
+            except SolveError as exc:
+                assert str(exc) == message
+            else:
+                assert answers == []  # X => g(a,Z) fails on another functor
+    # The names a term holds are bound after its atom, so no fault follows.
+    x, y, w = Var("X"), Var("Y"), Var("W")
+    body = (Call(1, 1, 9, "q", (x, FunctorTerm("f", (w,)))), Assign(2, 1, 19, y, w))
+    q = Predicate("q", 2, ("in", "out"), ())
+    program = Program({"p": Predicate("p", 2, ("in", "out"), (Clause((x, y), body),)), "q": q})
+    assert validate_modes(program).render() == "<input>:1:9: error: f(W) is not a variable at point 1"
 
 
 def test_a_passing_atom_is_not_walked(monkeypatch):

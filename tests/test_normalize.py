@@ -22,6 +22,7 @@ from argprof import (
     validate_program,
 )
 from argprof.normalize import ordered_profile_of
+from argprof.syntax import cone
 from helpers import (
     FIXTURES,
     TIE_FREE_FIXTURES,
@@ -91,7 +92,10 @@ def test_rewrite_keeps_every_point():
         rewritten = rewrite(program, plan(program, env))
         placed = [(a.point, a.line, a.col) for a in program.atoms()]
         assert [(a.point, a.line, a.col) for a in rewritten.atoms()] == placed
-        assert rewritten.point_owner == program.point_owner
+        for name, pred in program.predicates.items():
+            sub = cone(program, [name])
+            for point in pred.body_points():
+                assert program.owner_of_point(point) == rewritten.owner_of_point(point) == sub.owner_of_point(point) == name
 
 
 def test_rewrite_missing_predicate_rejected():

@@ -16,7 +16,6 @@ from argprof import (
     ParseError,
     ProgramError,
     SourceError,
-    build_call_graph,
     format_program,
     parse_program,
     parse_query,
@@ -96,16 +95,48 @@ def test_undefined_call_rejected():
     assert "undefined" in str(exc.value)
 
 
-def test_make_program_rejects_a_call_to_an_undefined_predicate():
-    # A program built by hand, not parsed: the call graph names the callee
-    # and places the call.
-    call = Call(1, 3, 9, "q", (syntax.Var("X"),))
-    clause = syntax.Clause((syntax.Var("X"),), (call,), 3, 1)
-    pred = syntax.Predicate("p", 1, ("in",), (clause,), 2, 1)
-    with pytest.raises(syntax.UndefinedPredicateError) as exc:
-        syntax.make_program({"p": pred})
-    assert (exc.value.pred, exc.value.line, exc.value.col) == ("q", 3, 9)
-    assert str(exc.value) == "call to undefined predicate 'q'"
+def _hand_built_caller(call: Call) -> dict[str, syntax.Predicate]:
+    """``p(X,Y) :- <call>.`` and ``:- pred q(in,out).``, built by hand, not
+    parsed."""
+    clause = syntax.Clause((syntax.Var("X"), syntax.Var("Y")), (call,), 3, 1)
+    return {
+        "p": syntax.Predicate("p", 2, ("in", "out"), (clause,), 2, 1),
+        "q": syntax.Predicate("q", 2, ("in", "out"), (), 1, 1),
+    }
+
+
+@pytest.mark.parametrize(
+    "pred, args, message",
+    [
+        ("r", ("X", "Y"), "call to undefined predicate 'r'"),
+        ("q", ("X", "Y", "Z"), "'q' called with 3 arguments but declared with arity 2"),
+    ],
+    ids=["undefined", "arity"],
+)
+def test_program_rejects_a_call_without_its_callee(pred, args, message):
+    # A call to a missing predicate or with the wrong arity is caught as the
+    # program is built, and placed; the parser reports the same text.
+    call = Call(1, 3, 9, pred, tuple(syntax.Var(a) for a in args))
+    with pytest.raises(syntax.CallError) as exc:
+        syntax.Program(_hand_built_caller(call))
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, 3, 9)
+    assert str(exc.value) == message
+    source = f":- pred q(in,out).\n:- pred p(in,out).\np(X,Y) :- {syntax.format_atom(call)}."
+    with pytest.raises(ProgramError) as parsed:
+        parse_program(source)
+    assert parsed.value.render() == f"<input>:3:11: error: {message}"
+
+
+def test_bad_calls_are_reported_in_order_of_first_mention():
+    # The program keeps b before a (the order of their first clauses), but
+    # a is mentioned first, so its bad call is the one reported.
+    source = ":- pred a(in).\n:- pred b(in).\nb(X) :- z(X).\na(X) :- y(X).\n"
+    with pytest.raises(ProgramError) as exc:
+        parse_program(source)
+    assert exc.value.render() == "<input>:4:9: error: call to undefined predicate 'y'"
+    with pytest.raises(ProgramError) as exc:
+        parse_program(source.replace("y(X)", "b(X,X)"))
+    assert exc.value.render() == "<input>:4:9: error: 'b' called with 2 arguments but declared with arity 1"
 
 
 def test_head_args_must_be_distinct():
@@ -174,7 +205,7 @@ def test_call_graph_single_nonrecursive():
 
 def test_call_graph_self_loop():
     program = parse_program(APP_SRC)
-    assert build_call_graph(program.predicates) == {"app": frozenset({"app"})}
+    assert program.call_graph == {"app": frozenset({"app"})}
 
 
 @pytest.mark.parametrize("name", fixture_names())
