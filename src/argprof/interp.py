@@ -23,12 +23,14 @@ Python's recursion limit:
   an atom's outputs take consecutive slots, and reads each atom's failing
   mode checks from ``modecheck.mode_faults``, the function the mode
   checker reports. An atom with none becomes one instruction over slots
-  that checks nothing at run time. The first atom with one becomes a fault
-  instruction, and the rest of the body is not compiled. When reached, the
-  fault charges the atom's step (a call has none) and raises the error of
-  the atom's first failing check, named when it was compiled, at ``point
-  N``; at a deconstruct whose value has another functor or arity it only
-  fails. A program call that repeats an output raises when it returns.
+  that checks nothing at run time. The first atom with one ends the code
+  with a fault instruction, and the rest of the body is not compiled. When
+  reached, the fault charges the atom's step (a call has none) and raises
+  the error of the atom's first failing check, named when it was
+  compiled, at ``point N``. A program call whose only faults are repeated
+  outputs, and a deconstruct whose input passes, run first, with their
+  outputs in slots of their own, and their fault charges nothing. A
+  clause that reaches its end with a head output unbound faults there.
 * **Continuations.** The machine runs one clause body at a time: its
   instructions, the index of the next one, its frame and the return
   record of the call that entered it. On reaching the end of a body it
@@ -92,7 +94,7 @@ from __future__ import annotations
 from collections.abc import Callable, Container, Mapping
 from operator import is_, itemgetter
 
-from .modecheck import NOT_VAR, REPEATED, UNBOUND, fault_text, mode_faults
+from .modecheck import NOT_VAR, REPEATED, UNBOUND, fault_text, mode_faults, unbound_output_text
 from .parse import Query
 from .syntax import (
     Atom,
@@ -181,18 +183,17 @@ def _build(t: Term, frame: _Frame, slots: Mapping[str, int]) -> FunctorTerm:
 # Instruction kinds. Every instruction is a tuple that starts with its kind;
 # the numbers in it are slots of the running body's frame, and outputs take
 # the slots from a first one up to an end:
-#   (_CALL, callee, input getter, first output, end, repeated-output error, tail)
 #   (_DECONSTRUCT, input, functor, arity, first output, end)
 #   (_CONSTRUCT, output, functor, argument getter)
-#   (_TEST, left, right)
 #   (_ASSIGN, output, input)
+#   (_TEST, left, right)
+#   (_CALL, callee, input getter, first output, end, tail)
 #   (_EVAL, output, query term, slots of the names bound in the frame)
-#   (_FAULT, counts a step, (error class, text), atom, guard)
-# A fault's guard is None, or the (input, functor, arity) of a deconstruct
-# whose value must have that functor and arity for the error to be raised.
-# A tail call is a clause's last atom whose outputs are the clause's head
+#   (_FAULT, counts a step, (error class, text), atom)
+# The four unification instructions come first: each charges one step. A
+# tail call is a clause's last atom whose outputs are the clause's head
 # outputs, in order: its callee returns straight to the clause's caller.
-_CALL, _DECONSTRUCT, _CONSTRUCT, _TEST, _ASSIGN, _EVAL, _FAULT = range(7)
+_DECONSTRUCT, _CONSTRUCT, _ASSIGN, _TEST, _CALL, _EVAL, _FAULT = range(7)
 
 _Instr = tuple
 _Getter = Callable[[_Frame], tuple[FunctorTerm, ...]]
@@ -221,16 +222,6 @@ def _getter(slots: list[int]) -> _Getter:
         slot = slots[0]
         return lambda frame: (frame[slot],)
     return lambda frame: ()
-
-
-def _unbound(name: str) -> _Getter:
-    """The getter of head outputs of which ``name`` is never bound: it raises
-    the KeyError of looking ``name`` up."""
-
-    def get(frame: _Frame) -> tuple[FunctorTerm, ...]:
-        raise KeyError(name)
-
-    return get
 
 
 def _input_slot(
@@ -276,13 +267,15 @@ def _compile_body(
     body, and a query's record of its input terms that hold a variable.
 
     An atom that ``mode_faults`` passes where it stands becomes one
-    instruction, its outputs taking the next slots in order; a program call
-    may repeat an output, which raises when the call returns. A query input
+    instruction, its outputs taking the next slots in order. A query input
     term that is ground is held as parsed, any other is built by an
-    ``_EVAL`` before its atom. The first atom with a fault becomes a fault
-    instruction that raises the error of its first failing check, and the
-    rest of the body is not compiled; so does a query call of a predicate
-    the program lacks, or with another arity.
+    ``_EVAL`` before its atom. The first atom with a fault ends the code
+    with a fault instruction that raises the error of its first failing
+    check, and the rest of the body is not compiled; so does a query call
+    of a predicate the program lacks, or with another arity. A program call
+    whose only faults are repeated outputs, and a deconstruct whose input
+    passes, become their instruction, with outputs in slots of their own,
+    followed by the fault.
     """
     query = nonground is not None
     code: list[_Instr] = []
@@ -292,42 +285,46 @@ def _compile_body(
             callee = predicates.get(atom.pred)
             if callee is None or len(atom.args) != callee.arity:
                 text = f"unknown predicate '{atom.pred}' in query" if callee is None else CallError(atom, callee).message
-                code.append((_FAULT, False, (SolveError, text), atom, None))
+                code.append((_FAULT, False, (SolveError, text), atom))
                 break
         ins, outs = atom_flow(atom, predicates)
         faults = mode_faults(atom, ins, outs, slots, predicates, nonground)
-        repeat = None
-        where = (f"goal atom {index}" if query else f"point {atom.point}") if faults else None
-        if faults and is_call and not query:
-            # A program call may repeat an output: it raises on return.
-            repeat = next((fault_text(t, kind, where) for t, kind in faults if kind is REPEATED), None)
-            faults = [fault for fault in faults if fault[1] is not REPEATED]
         if faults:
-            # A deconstruct whose input passes faults only on its functor. A
-            # clause's input that is a term faults first, as not a variable.
-            guard = None
-            if atom.__class__ is Deconstruct and faults[0][1] is not UNBOUND and (query or atom.var.__class__ is Var):
-                guard = (_input_slot(atom.var, slots, frame, code, nonground), atom.functor, len(atom.args))
-            error = RuntimeModeError, _error_text(atom, where, faults[0], query)
-            code.append((_FAULT, not is_call, error, atom, guard))
-            break
+            fault = faults[0]
+            if is_call and not query:
+                # A program call binds its outputs, a repeated one raising,
+                # only as it returns.
+                fault = next((f for f in faults if f[1] is not REPEATED), fault)
+                runs = fault[1] is REPEATED
+            else:
+                # A deconstruct binds its outputs only on a match. A
+                # clause's input that is a term faults, as not a variable.
+                runs = atom.__class__ is Deconstruct and fault[1] is not UNBOUND and (query or atom.var.__class__ is Var)
+            where = f"goal atom {index}" if query else f"point {atom.point}"
+            error = RuntimeModeError, _error_text(atom, where, fault, query)
+            if not runs:
+                code.append((_FAULT, not is_call, error, atom))
+                break
         args = [_input_slot(t, slots, frame, code, nonground) for t in ins]
         first = len(frame)
         for t in outs:
-            if t.name not in slots:
+            if not faults:
                 slots[t.name] = len(frame)
-                frame.append(None)
+            frame.append(None)
         end = len(frame)
         if atom.__class__ is Deconstruct:
             code.append((_DECONSTRUCT, args[0], atom.functor, len(outs), first, end))
         elif is_call:
-            code.append((_CALL, atom.pred, _getter(args), first, end, repeat, False))
+            code.append((_CALL, atom.pred, _getter(args), first, end, False))
         elif atom.__class__ is Construct:
             code.append((_CONSTRUCT, first, atom.functor, _getter(args)))
         elif atom.__class__ is Test:
             code.append((_TEST, args[0], args[1]))
         else:
             code.append((_ASSIGN, first, args[0]))
+        if faults:
+            code.append((_FAULT, False, error, atom))
+            break
     return tuple(code)
 
 
@@ -337,7 +334,8 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
     keeps. A deconstruct of a head input that the clause starts with is its
     key; when ``mode_faults`` passes it, selection decides it and binds its
     outputs, so the instructions start after it. A last call whose outputs
-    are the head outputs in order becomes a tail call."""
+    are the head outputs in order becomes a tail call. Code that reaches
+    the clause's end with a head output unbound ends with a fault."""
     head_ins, head_outs = pred.split(clause.head_args)
     slots = {v.name: pos for pos, v in enumerate(head_ins)}
     frame: _Frame = [None] * len(head_ins)
@@ -356,11 +354,13 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
     code = _compile_body(body, predicates, slots, frame, None)
     pad = tuple(frame[start:])
     out_slots = [slots.get(v.name) for v in head_outs]
-    if None in out_slots:
-        return key, skip, pad, _unbound(head_outs[out_slots.index(None)].name), code
     last = code[-1] if code else None
-    if last is not None and last[0] == _CALL and last[5] is None and out_slots == list(range(last[3], last[4])):
-        code = (*code[:-1], (*last[:6], True))
+    if None in out_slots and (last is None or last[0] != _FAULT):
+        # A clause that reaches its end with a head output unbound faults there.
+        text = unbound_output_text(pred, head_outs[out_slots.index(None)].name)
+        code += ((_FAULT, False, (RuntimeModeError, text), None),)
+    elif last is not None and last[0] == _CALL and out_slots == list(range(last[3], last[4])):
+        code = (*code[:-1], (*last[:5], True))
     return key, skip, pad, _getter(out_slots), code
 
 
@@ -430,9 +430,7 @@ def solve(
 
     Each answer maps the query's output variables (those not initially
     bound) to ground terms. Raises StepLimitExceeded, RuntimeModeError or
-    SolveError. On a program the mode checker rejects, a clause that
-    returns without binding a head output raises the KeyError of that
-    output's name.
+    SolveError.
     """
     body, frame, answer = _compile_goal(query, program, dict(bindings or {}))
     procs = _Procedures(program)
@@ -458,8 +456,6 @@ def solve(
                     break
                 values = outs(frame)
                 instr, body, i, frame, outs, ret = ret
-                if instr[5] is not None:
-                    raise RuntimeModeError(instr[5])
                 # The caller's continuation reads only slots bound before
                 # the call, so backtracking into it needs no copy.
                 frame[instr[3] : instr[4]] = values
@@ -467,14 +463,21 @@ def solve(
 
             instr = body[i]
             kind = instr[0]
-            if kind == _DECONSTRUCT:
+            if kind <= _TEST:  # a unification: one step
                 budget -= 1
                 if budget < 0:
                     raise StepLimitExceeded(max_steps)
-                value = frame[instr[1]]
-                if value.functor != instr[2] or len(value.args) != instr[3]:
+                if kind == _DECONSTRUCT:
+                    value = frame[instr[1]]
+                    if value.functor != instr[2] or len(value.args) != instr[3]:
+                        break
+                    frame[instr[4] : instr[5]] = value.args
+                elif kind == _CONSTRUCT:
+                    frame[instr[1]] = FunctorTerm(instr[2], instr[3](frame))
+                elif kind == _ASSIGN:
+                    frame[instr[1]] = frame[instr[2]]
+                elif frame[instr[1]] != frame[instr[2]]:
                     break
-                frame[instr[4] : instr[5]] = value.args
             elif kind == _CALL:
                 values = instr[2](frame)
                 clauses, switches, mask = procs[instr[1]]
@@ -483,7 +486,7 @@ def solve(
                     mask &= sigs.get((value.functor, len(value.args)), other)
                 if mask:
                     start = 0
-                    if not instr[6]:
+                    if not instr[5]:
                         ret = (instr, body, i + 1, frame, outs, ret)
                 elif clauses:
                     # No clause admits the input: each costs entering it
@@ -492,34 +495,13 @@ def solve(
                     if budget < 0:
                         raise StepLimitExceeded(max_steps)
                 break
-            elif kind == _CONSTRUCT:
-                budget -= 1
-                if budget < 0:
-                    raise StepLimitExceeded(max_steps)
-                frame[instr[1]] = FunctorTerm(instr[2], instr[3](frame))
-            elif kind == _ASSIGN:
-                budget -= 1
-                if budget < 0:
-                    raise StepLimitExceeded(max_steps)
-                frame[instr[1]] = frame[instr[2]]
-            elif kind == _TEST:
-                budget -= 1
-                if budget < 0:
-                    raise StepLimitExceeded(max_steps)
-                if frame[instr[1]] != frame[instr[2]]:
-                    break
             elif kind == _EVAL:
                 frame[instr[1]] = _build(instr[2], frame, instr[3])
             else:  # _FAULT
-                _, counts_step, (error, text), atom, guard = instr
-                if counts_step and budget <= 0:
+                if instr[1] and budget <= 0:
                     raise StepLimitExceeded(max_steps)
-                if guard is not None:
-                    value = frame[guard[0]]
-                    if value.functor != guard[1] or len(value.args) != guard[2]:
-                        budget -= 1
-                        break
-                raise error(text, atom)
+                error, text = instr[2]
+                raise error(text, instr[3])
             i += 1
 
         if not mask:

@@ -124,6 +124,11 @@ def fault_text(term: Term, kind: str, where: str) -> str:
     return f"{format_ground(term)} {what} at {where}"
 
 
+def unbound_output_text(pred: Predicate, name: str) -> str:
+    """The text of head output ``name`` of ``pred`` not bound at a clause's end."""
+    return f"output argument {name} of {pred.name}/{pred.arity} not bound at clause end"
+
+
 def validate_modes(program: Program) -> ValidationReport:
     """Check every clause for mode-correct left-to-right execution.
 
@@ -189,11 +194,7 @@ def validate_modes(program: Program) -> ValidationReport:
                 bound.update([name for t in ins + outs for name in term_names(t)])
             for v in head_outs:
                 if v.name not in bound:
-                    report.add(
-                        clause.line,
-                        clause.col,
-                        f"output argument {v.name} of {pred.name}/{pred.arity} not bound at clause end",
-                    )
+                    report.add(clause.line, clause.col, unbound_output_text(pred, v.name))
     return report
 
 

@@ -1121,6 +1121,16 @@ def reversed_bodies(program: Program) -> Program:
     })
 
 
+def dropped_last_atoms(program: Program) -> Program:
+    """``program`` with the last atom of every clause body dropped, so that
+    some clauses end with a head output unbound."""
+    return Program({
+        name: Predicate(name, pred.arity, pred.modes,
+                        tuple(Clause(c.head_args, c.body[:-1]) for c in pred.clauses))
+        for name, pred in program.predicates.items()
+    })
+
+
 def cyclic_long_clause_source(n: int) -> str:
     """``p(A,B,C) :- L1 := A, ..., Ln := L(n-1), q(Ln,B,C).``: the chain of
     ``long_clause_source`` ending in a call to ``q``, one of whose clauses

@@ -25,6 +25,7 @@ from argprof import (
     Query,
     RuntimeModeError,
     SolveError,
+    SourceError,
     StepLimitExceeded,
     Var,
     format_ground,
@@ -38,19 +39,23 @@ from argprof import (
     validate_program,
 )
 from argprof import interp, modecheck, parse, syntax
-from argprof.interp import _CALL, _FAULT, _compile_clause
+from argprof.interp import _CALL, _DECONSTRUCT, _FAULT, _compile_clause
+from argprof.modecheck import unbound_output_text
 from argprof.parse import _argument_terms
 from argprof.syntax import term_names
 from helpers import (
     TIE_FREE_FIXTURES,
     ReferenceSteps,
     answer_multiset,
+    dropped_last_atoms,
     fixture_names,
     gen_ground_term,
     gen_input_term,
     gen_program_source,
     load_fixture,
+    mutated_sources,
     reference_format_ground,
+    reference_programs,
     reference_solve,
     reversed_bodies,
 )
@@ -255,15 +260,34 @@ def _outcome(run):
     """Answers with their binding order, or the error's class and text."""
     try:
         return "answers", [list(answer.items()) for answer in run()]
-    except (SolveError, KeyError) as exc:
+    except SolveError as exc:
         return type(exc), str(exc)
+
+
+def _reference_outcome(program, query, bindings, steps):
+    """The reference's outcome. A clause that ends with a head output
+    unbound makes the reference raise the KeyError of looking its name up,
+    in ``_solve_call`` of the clause's predicate; that outcome is the
+    RuntimeModeError ``solve`` raises, with the mode checker's text."""
+    try:
+        return _outcome(lambda: reference_solve(program, query, bindings=bindings, steps=steps))
+    except KeyError as exc:
+        pred, tb = None, exc.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_code.co_name == "_solve_call":
+                pred = tb.tb_frame.f_locals["pred"]
+            tb = tb.tb_next
+        if pred is None:
+            raise
+        (name,) = exc.args
+        return RuntimeModeError, unbound_output_text(pred, name)
 
 
 def assert_agrees(program, query, bindings=None, limit=ORACLE_LIMIT):
     """``solve`` gives the reference's outcome at ``limit``, again at
     exactly the steps the reference used, and runs out one step earlier."""
     steps = ReferenceSteps(limit)
-    expected = _outcome(lambda: reference_solve(program, query, bindings=bindings, steps=steps))
+    expected = _reference_outcome(program, query, bindings, steps)
     assert _outcome(lambda: solve(program, query, limit, bindings)) == expected
     if expected[0] is not StepLimitExceeded:
         assert _outcome(lambda: solve(program, query, steps.used, bindings)) == expected
@@ -382,7 +406,7 @@ def test_oracle_unchecked_program_atoms():
     assert outcomes["twice", "nil"] == (RuntimeModeError, "Y already bound at point 6")
     assert outcomes["dupout", "nil"] == (RuntimeModeError, "Y already bound at point 3")
     assert outcomes["decdup", "pair(a,a)"] == (RuntimeModeError, "A already bound at point 7")
-    assert outcomes["noout", "nil"] == (KeyError, "'Y'")
+    assert outcomes["noout", "nil"] == (RuntimeModeError, "output argument Y of noout/2 not bound at clause end")
     # The third clause is reached after the first clause's answer too.
     assert outcomes["alt", "nil"] == (RuntimeModeError, "W unbound at point 22")
     assert outcomes["alt", "pair(a,a)"] == (RuntimeModeError, "W unbound at point 22")
@@ -394,11 +418,12 @@ def test_oracle_unchecked_program_atoms():
 
 
 def _fault_points(program):
-    """Predicate name -> the point and error text of each atom its clauses
-    compile to a fault, the checks that fail where they stand."""
+    """Predicate name -> the point and error text of each fault its clauses
+    compile to, the checks that fail where they stand; the point of a
+    fault at a clause's end is None."""
     return {
         name: [
-            (instr[3].point, instr[2][1])
+            (instr[3] and instr[3].point, instr[2][1])
             for clause in pred.clauses
             for instr in _compile_clause(pred, clause, program.predicates)[4]
             if instr[0] == _FAULT
@@ -423,14 +448,15 @@ def test_validated_programs_compile_without_faults():
 
 def test_unchecked_atoms_compile_to_faults():
     # Each program atom whose check fails compiles to one fault, and the
-    # rest of its body is not compiled. A repeated call output raises on
-    # return, and an unbound head output at the clause's end: neither is
-    # an atom's fault.
-    faults = _fault_points(parse_program(UNCHECKED))
+    # rest of its body is not compiled. A call that repeats an output, and
+    # a deconstruct whose input passes, run before their fault. A clause
+    # that reaches its end with a head output unbound faults there.
+    program = parse_program(UNCHECKED)
+    faults = _fault_points(program)
     points = {name: [point for point, _ in pairs] for name, pairs in faults.items()}
     assert points == {
         "q": [],
-        "dupout": [],
+        "dupout": [3],
         "unbound": [4],
         "twice": [6],
         "decdup": [7],
@@ -439,19 +465,27 @@ def test_unchecked_atoms_compile_to_faults():
         "consbound": [13],
         "callbound": [15],
         "callfree": [16],
-        "noout": [],
+        "noout": [None],
         "alt": [22],
         "consboth": [24],
         "assignboth": [26],
         "r": [],
         "callorder": [28],
     }
+    kinds = {
+        name: [instr[0] for instr in _compile_clause(program.predicates[name], clause, program.predicates)[4]]
+        for name in ("dupout", "decdup", "noout")
+        for clause in program.predicates[name].clauses
+    }
+    assert kinds == {"dupout": [_CALL, _FAULT], "decdup": [_DECONSTRUCT, _FAULT], "noout": [_FAULT]}
     # Each fault carries the error named when it was compiled: the one
     # test_oracle_unchecked_program_atoms sees raised.
     texts = {point: text for pairs in faults.values() for point, text in pairs}
+    assert texts[3] == "Y already bound at point 3"
     assert texts[4] == "W unbound at point 4"
     assert texts[6] == "Y already bound at point 6"
     assert texts[7] == "A already bound at point 7"
+    assert texts[None] == "output argument Y of noout/2 not bound at clause end"
     assert texts[22] == "W unbound at point 22"
     assert texts[24] == "W unbound at point 24"
     assert texts[26] == "W unbound at point 26"
@@ -459,28 +493,67 @@ def test_unchecked_atoms_compile_to_faults():
 
 
 def test_compiled_faults_are_the_first_mode_violations():
-    # In each clause, the first violation the mode checker reports at an
-    # atom is the first error the compiled clause names: the text of its
-    # fault, or for a call that repeats an output, which has no fault, the
-    # error it raises on return.
-    corpus = random.Random(0xBEEF)
-    programs = [parse_program(UNCHECKED)]
-    programs += [reversed_bodies(parse_program(gen_program_source(corpus))) for _ in range(200)]
-    faulty = 0
+    # In each clause, the first violation the mode checker reports, at an
+    # atom or at the clause's end, is the error of the one fault the
+    # compiled clause holds; a clause the checker passes holds none.
+    corpus = reference_programs("corpus")
+    programs = [parse_program(UNCHECKED), *map(reversed_bodies, corpus), *map(dropped_last_atoms, corpus)]
+    faulty = ends = 0
     for program in programs:
-        messages = [v.message for v in validate_modes(program).violations]
         for pred in program.predicates.values():
             for clause in pred.clauses:
-                points = {f"point {atom.point}" for atom in clause.body}
-                reported = [m for m in messages if m.rpartition(" at ")[2] in points]
+                # The program with this clause alone: the checker's reports are its.
+                alone = {
+                    name: Predicate(name, p.arity, p.modes, (clause,) if p is pred else ())
+                    for name, p in program.predicates.items()
+                }
+                reported = [v.message for v in validate_modes(Program(alone)).violations]
                 named = [
-                    instr[2][1] if instr[0] == _FAULT else instr[5]
-                    for instr in _compile_clause(pred, clause, program.predicates)[4]
-                    if instr[0] == _FAULT or instr[0] == _CALL and instr[5] is not None
+                    instr[2][1] for instr in _compile_clause(pred, clause, program.predicates)[4] if instr[0] == _FAULT
                 ]
-                assert named[:1] == reported[:1], (pred.name, clause)
+                assert named == reported[:1], (pred.name, clause)
                 faulty += bool(reported)
-    assert faulty > 500
+                ends += bool(reported) and reported[0].endswith(" at clause end")
+    assert faulty > 1800
+    assert ends > 1000
+
+
+def test_unvalidated_programs_raise_only_solve_errors():
+    # On programs not mode-checked, ``solve`` raises nothing but
+    # SolveErrors: a clause that ends with a head output unbound raises a
+    # RuntimeModeError, where the reference raises the KeyError of the
+    # output's name. Within 200 steps, which the recursive reference runs
+    # within Python's recursion limit, each outcome is the reference's.
+    corpus = reference_programs("corpus")
+    mutated = []
+    for source in mutated_sources():
+        try:
+            mutated.append(parse_program(source))
+        except SourceError:
+            pass
+    groups = {
+        "dropped": [dropped_last_atoms(p) for p in corpus],
+        "reversed": [reversed_bodies(p) for p in corpus],
+        "mutated": mutated,
+    }
+    rng = random.Random(32)
+    kinds = {}
+    for group, programs in groups.items():
+        counts = kinds[group] = Counter()
+        for program in programs:
+            for pname, pred in program.predicates.items():
+                args = tuple(gen_input_term(rng) if m == "in" else Var(f"O{k}") for k, m in enumerate(pred.modes))
+                query = Query((Call(0, 0, 0, pname, args),))
+                assert_agrees(program, query, limit=200)
+                kind, result = _outcome(lambda: solve(program, query, 2_000))
+                if kind != "answers":
+                    kind = "clause end" if result.endswith(" at clause end") else kind.__name__
+                counts[kind] += 1
+    assert kinds == {
+        "dropped": {"clause end": 273, "StepLimitExceeded": 222, "answers": 161},
+        "reversed": {"RuntimeModeError": 554, "StepLimitExceeded": 18, "answers": 84},
+        "mutated": {"StepLimitExceeded": 2, "answers": 2},
+    }
 
 
 # Not mode-checked: clauses whose first atom may or may not select them. A
@@ -611,7 +684,7 @@ def test_oracle_clause_selection():
     # A matching deconstruct still checks its outputs.
     assert outcomes["dd", "pair(a,b)"] == (RuntimeModeError, "A already bound at point 25")
     # A clause with an empty body admits every input.
-    assert outcomes["empty", "g(a)"] == (KeyError, "'Y'")
+    assert outcomes["empty", "g(a)"] == (RuntimeModeError, "output argument Y of empty/2 not bound at clause end")
     # Keys at two input positions: each clause is tested at its own, and a
     # keyless clause between them admits every input.
     nil, a = FunctorTerm("nil"), FunctorTerm("a")
@@ -633,7 +706,7 @@ def test_oracle_clause_selection():
     # at the clause's end; a call to a predicate without clauses fails.
     assert outcomes["dupcall", "pair(a,b)"] == (RuntimeModeError, "A already bound at point 43")
     assert outcomes["dupcall", "nil"] == ("answers", [])
-    assert outcomes["nobind", "nil"] == (KeyError, "'Y'")
+    assert outcomes["nobind", "nil"] == (RuntimeModeError, "output argument Y of nobind/2 not bound at clause end")
     assert all(outcomes["callnone", arg] == ("answers", []) for arg in inputs)
 
 
