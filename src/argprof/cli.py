@@ -230,21 +230,20 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     normalization = plan(program, env)
     rewritten = rewrite(program, normalization)
     output = format_program(rewritten)
-    plan_lines = [
-        f"{name}/{program.predicates[name].arity}: "
-        + ",".join(str(i) for i in normalization[name])
+    plan_text = "".join(
+        f"{name}/{program.predicates[name].arity}: " + ",".join(str(i) for i in normalization[name]) + "\n"
         for name in program.predicates
-    ]
+    )
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(output)
         except OSError as exc:
             raise _Failure(f"{args.output}: error: {exc}") from None
-        print("\n".join(plan_lines))
+        sys.stdout.write(plan_text)
     else:
         sys.stdout.write(output)
-        print("\n".join(plan_lines), file=sys.stderr)
+        sys.stderr.write(plan_text)
     return 0
 
 

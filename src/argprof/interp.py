@@ -26,11 +26,13 @@ Python's recursion limit:
   that checks nothing at run time. The first atom with one ends the code
   with a fault instruction, and the rest of the body is not compiled. When
   reached, the fault charges the atom's step (a call has none) and raises
-  the error of the atom's first failing check, named when it was
-  compiled, at ``point N``. A program call whose only faults are repeated
-  outputs, and a deconstruct whose input passes, run first, with their
-  outputs in slots of their own, and their fault charges nothing. A
-  clause that reaches its end with a head output unbound faults there.
+  the error, named when compiled, of the first fault ``mode_faults``
+  lists, at ``point N``; that lists a program call's repeated outputs
+  last, as the call finds them on return. A program call whose only
+  faults are repeated outputs, and a deconstruct whose input passes, run
+  first, with their outputs in slots of their own, and their fault
+  charges nothing. A clause that reaches its end with a head output
+  unbound faults there.
 * **Continuations.** The machine runs one clause body at a time: its
   instructions, the index of the next one, its frame and the return
   record of the call that entered it. On reaching the end of a body it
@@ -270,12 +272,12 @@ def _compile_body(
     instruction, its outputs taking the next slots in order. A query input
     term that is ground is held as parsed, any other is built by an
     ``_EVAL`` before its atom. The first atom with a fault ends the code
-    with a fault instruction that raises the error of its first failing
-    check, and the rest of the body is not compiled; so does a query call
-    of a predicate the program lacks, or with another arity. A program call
-    whose only faults are repeated outputs, and a deconstruct whose input
-    passes, become their instruction, with outputs in slots of their own,
-    followed by the fault.
+    with a fault instruction that raises the error of the first fault
+    ``mode_faults`` lists, and the rest of the body is not compiled; so
+    does a query call of a predicate the program lacks, or of another
+    arity. A program call whose only faults are repeated outputs, and a
+    deconstruct whose input passes, become their instruction, with
+    outputs in slots of their own, followed by the fault.
     """
     query = nonground is not None
     code: list[_Instr] = []
@@ -293,8 +295,7 @@ def _compile_body(
             fault = faults[0]
             if is_call and not query:
                 # A program call binds its outputs, a repeated one raising,
-                # only as it returns.
-                fault = next((f for f in faults if f[1] is not REPEATED), fault)
+                # only as it returns: its repeated outputs are listed last.
                 runs = fault[1] is REPEATED
             else:
                 # A deconstruct binds its outputs only on a match. A

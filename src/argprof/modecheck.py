@@ -68,18 +68,22 @@ def mode_faults(
     nonground: Container[int] | None = None,
 ) -> list[tuple[Term, str]]:
     """Each mode check ``atom`` fails where the names in ``bound`` are bound,
-    as (term, kind), in the order the checks are made: a call's arguments
-    in position order, any other atom's inputs ``ins`` then outputs
-    ``outs``, its ``atom_flow``. An input must have all its names bound; an
-    output must be a variable, not bound, not repeated. ``nonground`` is
-    None for a clause atom, whose every argument must be a variable. A
-    query's inputs may be nested terms, and ``nonground``, the query's
-    record, holds the ids of those that hold a variable: each is walked for
-    its names, and any other is ground."""
+    as (term, kind), in the order the interpreter makes the checks: a
+    call's arguments in position order, any other atom's inputs ``ins``
+    then outputs ``outs``, its ``atom_flow``. An input must have all its
+    names bound; an output must be a variable, not bound, not repeated. A
+    program call binds its outputs only as it returns, so its repeated
+    outputs come after its other faults. ``nonground`` is None for a
+    clause atom, whose every argument must be a variable. A query's inputs
+    may be nested terms, and ``nonground``, the query's record, holds the
+    ids of those that hold a variable: each is walked for its names, and
+    any other is ground."""
     faults = []
     outputs: list[str] = []
     if atom.__class__ is Call:
-        # The checks of the two loops below, in argument position order.
+        # The checks of the two loops below, in argument position order,
+        # but a program call's repeated outputs last.
+        repeated = faults if nonground is not None else []
         for t, mode in zip(atom.args, predicates[atom.pred].modes):
             if mode == "in":
                 if t.__class__ is Var:
@@ -94,10 +98,10 @@ def mode_faults(
             elif t.name in bound:
                 faults.append((t, BOUND))
             elif t.name in outputs:
-                faults.append((t, REPEATED))
+                repeated.append((t, REPEATED))
             else:
                 outputs.append(t.name)
-        return faults
+        return faults if repeated is faults else faults + repeated
     for t in ins:
         if t.__class__ is Var:
             if t.name not in bound:
@@ -211,54 +215,46 @@ def validate_direct_recursion(program: Program) -> ValidationReport:
 
 
 def _strongly_connected(graph: dict[str, frozenset[str]]) -> list[set[str]]:
-    """Tarjan's algorithm, iterative to be safe on deep graphs."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[set[str]] = []
-    counter = 0
-
+    """The strongly connected components of ``graph``, by Kosaraju and
+    Sharir's two passes, iterative to be safe on deep graphs. A depth-first
+    pass, roots in ``graph`` order and successors sorted, lists each node
+    as it finishes; a pass over the callers, latest finish first, makes
+    each unplaced node and the unplaced callers it reaches one component.
+    A component's first-visited node finishes last of its members, so the
+    reversed list is the order in which Tarjan's algorithm emits them."""
+    finished: list[str] = []
+    seen: set[str] = set()
     for root in graph:
-        if root in index:
+        if root in seen:
             continue
-        work: list[tuple[str, list[str], int]] = [(root, sorted(graph.get(root, ())), 0)]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        seen.add(root)
+        work = [(root, iter(sorted(graph[root])))]
         while work:
-            node, succs, i = work.pop()
-            advanced = False
-            while i < len(succs):
-                succ = succs[i]
-                i += 1
-                if succ not in index:
-                    work.append((node, succs, i))
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, sorted(graph.get(succ, ())), 0))
-                    advanced = True
+            node, succs = work[-1]
+            for succ in succs:
+                if succ not in seen:
+                    seen.add(succ)
+                    work.append((succ, iter(sorted(graph[succ]))))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                scc: set[str] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.add(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+            else:
+                work.pop()
+                finished.append(node)
+    callers: dict[str, list[str]] = {node: [] for node in graph}
+    for node, succs in graph.items():
+        for succ in succs:
+            callers[succ].append(node)
+    sccs: list[set[str]] = []
+    for node in reversed(finished):
+        if node in seen:
+            seen.remove(node)
+            scc = [node]
+            for member in scc:  # scc grows as the walk finds callers
+                for caller in callers[member]:
+                    if caller in seen:
+                        seen.remove(caller)
+                        scc.append(caller)
+            sccs.append(set(scc))
+    return sccs[::-1]
 
 
 def validate_program(program: Program) -> ValidationReport:

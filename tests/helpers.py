@@ -281,6 +281,65 @@ def reference_validate_modes(program: Program) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
+# Independent oracle: Tarjan's strongly connected components
+# ---------------------------------------------------------------------------
+#
+# The cycle check argprof had before its Kosaraju passes, kept verbatim
+# apart from its name: both must give the same components in the same order.
+
+
+def reference_strongly_connected(graph: dict[str, frozenset[str]]) -> list[set[str]]:
+    """Tarjan's algorithm, iterative to be safe on deep graphs."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    sccs: list[set[str]] = []
+    counter = 0
+
+    for root in graph:
+        if root in index:
+            continue
+        work: list[tuple[str, list[str], int]] = [(root, sorted(graph.get(root, ())), 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, succs, i = work.pop()
+            advanced = False
+            while i < len(succs):
+                succ = succs[i]
+                i += 1
+                if succ not in index:
+                    work.append((node, succs, i))
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, sorted(graph.get(succ, ())), 0))
+                    advanced = True
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            if advanced:
+                continue
+            if low[node] == index[node]:
+                scc: set[str] = set()
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    scc.add(member)
+                    if member == node:
+                        break
+                sccs.append(scc)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+    return sccs
+
+
+# ---------------------------------------------------------------------------
 # Independent oracle: the character-by-character tokenizer
 # ---------------------------------------------------------------------------
 #
@@ -1103,6 +1162,15 @@ def one_call_chain_source(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def recursion_ring_source(n: int) -> str:
+    """``pI(X) :- p(I+1)(X).`` for I = 0..n-1, with ``p(n-1)`` calling
+    ``p0``: one cycle through all n predicates, ``p0`` declared on line 1."""
+    lines = []
+    for i in range(n):
+        lines += [f":- pred p{i}(in).", f"p{i}(X) :- p{(i + 1) % n}(X)."]
+    return "\n".join(lines) + "\n"
+
+
 def long_clause_source(n: int) -> str:
     """``p(X,Y) :- L1 := X, L2 := L1, ..., Ln := L(n-1), Y := Ln.``: one
     clause chaining n assignments through locals, then one into Y, so its
@@ -1127,6 +1195,26 @@ def dropped_last_atoms(program: Program) -> Program:
     return Program({
         name: Predicate(name, pred.arity, pred.modes,
                         tuple(Clause(c.head_args, c.body[:-1]) for c in pred.clauses))
+        for name, pred in program.predicates.items()
+    })
+
+
+def repeated_call_outputs(program: Program) -> Program:
+    """``program`` with each call of two output positions or more given its
+    first output variable in its second output position too."""
+    def repeat(atom: Atom) -> Atom:
+        if atom.__class__ is not Call:
+            return atom
+        outs = [k for k, m in enumerate(program.predicates[atom.pred].modes) if m == "out"]
+        if len(outs) < 2:
+            return atom
+        args = list(atom.args)
+        args[outs[1]] = args[outs[0]]
+        return Call(atom.point, atom.line, atom.col, atom.pred, tuple(args))
+
+    return Program({
+        name: Predicate(name, pred.arity, pred.modes,
+                        tuple(Clause(c.head_args, tuple(map(repeat, c.body))) for c in pred.clauses))
         for name, pred in program.predicates.items()
     })
 

@@ -180,6 +180,20 @@ def test_analyze_mutual_recursion_exits_1(tmp_path, capsys):
     assert "mutual recursion among {p, q}" in err
 
 
+def test_mutual_recursion_groups_in_callee_first_order(tmp_path, capsys):
+    # Each group is reported at its least member's declaration, callees'
+    # groups before their callers'.
+    bad = tmp_path / "groups.lp"
+    bad.write_text(
+        ":- pred a(in).\na(X) :- b(X), c(X).\n:- pred b(in).\nb(X) :- a(X).\n"
+        ":- pred c(in).\nc(X) :- d(X).\n:- pred d(in).\nd(X) :- c(X).\n"
+    )
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"{bad}:5:1: error: mutual recursion among {{c, d}}\n{bad}:1:1: error: mutual recursion among {{a, b}}\n"
+    )
+
+
 def test_analyze_mode_violation_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.lp"
     bad.write_text(":- pred p(in,out).\np(X,Y) :- Y := Z.\n")
@@ -214,6 +228,17 @@ def test_normalize_to_file(tmp_path, capsys):
     assert main(["normalize", fixture("double_append.lp"), "-o", str(out_file)]) == 0
     assert "concat(B,C,A)" in out_file.read_text()
     assert "concat/3: 2,3,1" in capsys.readouterr().out
+
+
+def test_normalize_of_no_predicates_prints_no_plan(tmp_path, capsys):
+    empty = tmp_path / "empty.lp"
+    empty.write_text("% nothing here\n")
+    assert main(["normalize", str(empty)]) == 0
+    assert capsys.readouterr() == ("", "")
+    out_file = tmp_path / "normalized.lp"
+    assert main(["normalize", str(empty), "-o", str(out_file)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out_file.read_text() == ""
 
 
 def test_normalize_idempotent_bytes(tmp_path, capsys):

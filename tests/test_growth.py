@@ -16,10 +16,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from argprof import PsiOp, compare, parse_program, plan, run_analysis
+from argprof import PsiOp, compare, parse_program, plan, run_analysis, validate_program
 from argprof.cli import main
 from argprof.domain import _PSI_TABLE
-from helpers import chain_source, long_clause_source, one_call_chain_source
+from helpers import chain_source, long_clause_source, one_call_chain_source, recursion_ring_source
 
 
 def _main_quietly(argv: list[str]) -> int:
@@ -43,6 +43,22 @@ def test_normalize_deep_chains_in_under_a_second(tmp_path, source):
     path.write_text(source)
     start = time.perf_counter()
     assert _main_quietly(["normalize", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_20000_predicate_ring_and_chain_validate_in_under_a_second():
+    # The cycle check is iterative: neither depth meets the recursion limit.
+    n = 20_000
+    ring = parse_program(recursion_ring_source(n))
+    chain = parse_program(one_call_chain_source(n - 1))
+    start = time.perf_counter()
+    report = validate_program(ring)
+    assert time.perf_counter() - start < 1.0
+    assert [v.message for v in report.violations] == [
+        "mutual recursion among {" + ", ".join(sorted(f"p{i}" for i in range(n))) + "}"
+    ]
+    start = time.perf_counter()
+    assert validate_program(chain).ok()
     assert time.perf_counter() - start < 1.0
 
 

@@ -57,6 +57,7 @@ from helpers import (
     reference_format_ground,
     reference_programs,
     reference_solve,
+    repeated_call_outputs,
     reversed_bodies,
 )
 
@@ -496,9 +497,14 @@ def test_compiled_faults_are_the_first_mode_violations():
     # In each clause, the first violation the mode checker reports, at an
     # atom or at the clause's end, is the error of the one fault the
     # compiled clause holds; a clause the checker passes holds none.
+    # A clause call whose first output is repeated in its second output
+    # position raises the repeat only on return, after any other fault of
+    # the call; the reversed corpus gives such calls unbound inputs.
     corpus = reference_programs("corpus")
-    programs = [parse_program(UNCHECKED), *map(reversed_bodies, corpus), *map(dropped_last_atoms, corpus)]
-    faulty = ends = 0
+    repeated = [repeated_call_outputs(reversed_bodies(p)) for p in corpus]
+    repeated_ids = {id(p) for p in repeated}
+    programs = [parse_program(UNCHECKED), *map(reversed_bodies, corpus), *map(dropped_last_atoms, corpus), *repeated]
+    faulty = ends = repeated_faulty = 0
     for program in programs:
         for pred in program.predicates.values():
             for clause in pred.clauses:
@@ -514,8 +520,26 @@ def test_compiled_faults_are_the_first_mode_violations():
                 assert named == reported[:1], (pred.name, clause)
                 faulty += bool(reported)
                 ends += bool(reported) and reported[0].endswith(" at clause end")
+                repeated_faulty += bool(reported) and id(program) in repeated_ids
     assert faulty > 1800
     assert ends > 1000
+    assert repeated_faulty > 900
+
+
+def test_a_clause_call_raises_a_repeated_output_after_an_unbound_input():
+    # q binds its outputs only as it returns, so the repeated Y is found
+    # after the unbound W: the checker's first violation is the error
+    # solve raises, and the reference raises it too.
+    program = parse_program(
+        ":- pred q(out,out,in).\nq(Y,Z,X) :- Y := X, Z := X.\n:- pred d(in,out).\nd(X,Y) :- q(Y,Y,W).\n"
+    )
+    assert [v.message for v in validate_program(program).violations] == [
+        "W unbound at point 3",
+        "Y already bound at point 3",
+    ]
+    query = parse_query("?- d(a, Y).")
+    assert _outcome(lambda: solve(program, query)) == (RuntimeModeError, "W unbound at point 3")
+    assert_agrees(program, query)
 
 
 def test_unvalidated_programs_raise_only_solve_errors():

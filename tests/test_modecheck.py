@@ -18,7 +18,7 @@ from argprof import (
     validate_program,
 )
 from argprof.interp import SolveError, solve
-from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, mode_faults
+from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, _strongly_connected, mode_faults
 from argprof.parse import SourceError
 from argprof.syntax import (
     Assign,
@@ -39,6 +39,7 @@ from helpers import (
     load_fixture,
     mutated_sources,
     reference_programs,
+    reference_strongly_connected,
     reference_validate_modes,
     reversed_bodies,
 )
@@ -124,8 +125,10 @@ def test_call_modes_respected():
 
 
 def test_call_violations_in_argument_order():
-    # A call's checks are made in argument order, as the interpreter makes
-    # them: here a bound output comes before an unbound input.
+    # A call's checks of its inputs and of its bound outputs are made in
+    # argument order, as the interpreter makes them when it enters the
+    # call: here a bound output comes before an unbound input. Only a
+    # repeated output, raised on return, is listed after them.
     src = """
     :- pred q(out,in).
     :- pred p(in,out).
@@ -197,6 +200,27 @@ def test_acyclic_chain_accepted():
     p(X) :- q(X).
     """
     assert validate_direct_recursion(parse_program(src)).ok()
+
+
+def test_components_come_in_tarjans_order_on_random_graphs():
+    # Self-loops, isolated nodes and insertion orders that differ from the
+    # sorted order all occur; the list must equal Tarjan's, order included.
+    rng = random.Random(33)
+    for _ in range(5_000):
+        names = [f"p{k}" for k in range(rng.randint(1, 14))]
+        rng.shuffle(names)
+        density = rng.uniform(0, 0.4)
+        graph = {a: frozenset(b for b in names if rng.random() < density) for a in names}
+        assert _strongly_connected(graph) == reference_strongly_connected(graph), graph
+
+
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "chain"])
+def test_components_come_in_tarjans_order_on_a_deep_graph(ring):
+    n = 20_000
+    graph = {f"p{k}": frozenset([f"p{(k + 1) % n}"] if ring or k + 1 < n else []) for k in range(n)}
+    sccs = _strongly_connected(graph)
+    assert sccs == reference_strongly_connected(graph)
+    assert len(sccs) == (1 if ring else n)
 
 
 def test_generated_programs_are_mode_correct():
