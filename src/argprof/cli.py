@@ -76,13 +76,12 @@ def _analyze(program: Program, label: str) -> tuple[Environment, AnalysisTrace]:
         raise _Failure(f"{label}: error: {exc}") from None
 
 
-def _json_texts(parts: list[str], texts: Sequence[str], pad: str) -> None:
-    """A JSON list of strings whose closing bracket sits at indent ``pad``."""
-    if not texts:
-        parts.append("[]")
-        return
-    sep = '",\n' + pad + '  "'
-    parts.append("[\n" + pad + '  "' + sep.join(texts) + '"\n' + pad + "]")
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """A JSON list of ``items``, each already written as JSON, whose
+    closing bracket sits at indent ``pad``."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" + pad + "]"
 
 
 def _op_texts(parts: list[str], ops: Sequence[Operation], sep: str) -> None:
@@ -103,7 +102,7 @@ def _op_texts(parts: list[str], ops: Sequence[Operation], sep: str) -> None:
 
 
 def _json_ops(parts: list[str], ops: Sequence[Operation], pad: str) -> None:
-    """A JSON list of the texts of ``ops`` laid out as ``_json_texts`` lays
+    """A JSON list of the texts of ``ops`` laid out as ``_json_list`` lays
     out a list of strings."""
     if not ops:
         parts.append("[]")
@@ -111,12 +110,6 @@ def _json_ops(parts: list[str], ops: Sequence[Operation], pad: str) -> None:
     parts.append("[\n" + pad + '  "')
     _op_texts(parts, ops, '",\n' + pad + '  "')
     parts.append('"\n' + pad + "]")
-
-
-def _json_ints(values: Sequence[int], pad: str) -> str:
-    if not values:
-        return "[]"
-    return "[\n" + ",\n".join(f"{pad}  {v}" for v in values) + "\n" + pad + "]"
 
 
 def _json_profiles(parts: list[str], profiles: Sequence[ArgumentProfile]) -> None:
@@ -178,12 +171,14 @@ def write_report(
         changing, total = counts.get(name, (0, 0))
         parts: list[str] = []
         if as_json:
-            parts.append(f'{head}    {{\n      "arity": {pred.arity},\n      "modes": ')
-            _json_texts(parts, pred.modes, "      ")
-            parts.append(f',\n      "name": "{name}",\n      "ordered": ')
+            parts.append(
+                f'{head}    {{\n      "arity": {pred.arity},\n      "modes": '
+                + _json_list([f'"{mode}"' for mode in pred.modes], "      ")
+                + f',\n      "name": "{name}",\n      "ordered": '
+            )
             _json_profiles(parts, ordered.profiles)
             parts.append(
-                ',\n      "permutation": ' + _json_ints(ordered.permutation, "      ")
+                ',\n      "permutation": ' + _json_list(list(map(str, ordered.permutation)), "      ")
                 + ',\n      "profile": '
             )
             _json_profiles(parts, profile)

@@ -69,14 +69,15 @@ Python's recursion limit:
   whose key differs from the call's input would fail its first atom, so it
   is passed over, and the 2 steps of entering it and failing are charged
   with the entry of the next admitted clause, where the clause would have
-  been tried. A keyed clause whose deconstruct passes its mode checks is
-  entered with the deconstruct's outputs bound from the input and its step
-  charged, as selection has decided it; any other admitted clause runs its
-  first atom as usual, so checks and errors are unchanged. When no later
-  clause is admitted, the call is determinate: it leaves no choice point,
-  and the steps of the clauses after the entered one stay on the choice
-  stack as a charge-only entry. Backtracking onto it only charges them, and
-  adjacent ones merge.
+  been tried. A keyed clause is always entered with its deconstruct done,
+  its outputs bound from the input and its step charged, as selection has
+  decided it: the key's input is a bound head input, so the deconstruct
+  runs before any fault of its outputs, and such a fault is the clause's
+  first instruction, which charges nothing. When no later clause is
+  admitted, the call is determinate: it leaves no choice point, and the
+  steps of the clauses after the entered one stay on the choice stack as a
+  charge-only entry. Backtracking onto it only charges them, and adjacent
+  ones merge.
 * **Queries.** A query is compiled by the same body compiler into one
   flat goal on the same machine, with one frame that starts with the
   given bindings. Ground input terms are held in the frame as parsed;
@@ -202,11 +203,10 @@ _Getter = Callable[[_Frame], tuple[FunctorTerm, ...]]
 # A selection key: the input position and the (functor, arity) of the
 # deconstruct a clause starts with, when it deconstructs a head input.
 _Key = tuple[int, tuple[str, int]]
-# A compiled clause: its key, the input position of the deconstruct it
-# starts with when that is left to selection (None otherwise), the empty
-# slots that follow its head inputs and those outputs in its frame, the
-# getter of its head outputs and its instructions after that deconstruct.
-_Clause = tuple[_Key | None, int | None, tuple[None, ...], _Getter, tuple[_Instr, ...]]
+# A compiled clause: its key, the empty slots that follow its head inputs
+# and its key's outputs in its frame, the getter of its head outputs and
+# its instructions after its key's deconstruct, which selection does.
+_Clause = tuple[_Key | None, tuple[None, ...], _Getter, tuple[_Instr, ...]]
 # A predicate's clause selection: for each key position, the position, a
 # dict from a (functor, arity) to the bitmask of the clauses that admit an
 # input with it there, and the mask of those that admit any other input.
@@ -333,26 +333,24 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
     """``clause`` of ``pred`` compiled: its frame gives each head input
     name the slot of its last input position, whose value its binding
     keeps. A deconstruct of a head input that the clause starts with is its
-    key; when ``mode_faults`` passes it, selection decides it and binds its
-    outputs, so the instructions start after it. A last call whose outputs
-    are the head outputs in order becomes a tail call. Code that reaches
-    the clause's end with a head output unbound ends with a fault."""
+    key. Its input is bound, so the body's code starts with its
+    ``_DECONSTRUCT``, outputs in the slots after the head inputs; selection
+    decides it and binds them, so the instructions start after it, and a
+    fault of the deconstruct is the first of them. A last call whose
+    outputs are the head outputs in order becomes a tail call. Code that
+    reaches the clause's end with a head output unbound ends with a fault."""
     head_ins, head_outs = pred.split(clause.head_args)
     slots = {v.name: pos for pos, v in enumerate(head_ins)}
     frame: _Frame = [None] * len(head_ins)
-    body = clause.body
-    key = skip = None
-    if body and body[0].__class__ is Deconstruct and body[0].var.__class__ is Var and body[0].var.name in slots:
-        first = body[0]
+    first = clause.body[0] if clause.body else None
+    key = None
+    if first.__class__ is Deconstruct and first.var.__class__ is Var and first.var.name in slots:
         key = (slots[first.var.name], (first.functor, len(first.args)))
-        if not mode_faults(first, *atom_flow(first, predicates), slots, predicates):
-            # Its outputs take the slots after the inputs.
-            skip = key[0]
-            slots.update((t.name, pos) for pos, t in enumerate(first.args, len(frame)))
-            frame += [None] * len(first.args)
-            body = body[1:]
-    start = len(frame)
-    code = _compile_body(body, predicates, slots, frame, None)
+    code = _compile_body(clause.body, predicates, slots, frame, None)
+    start = len(head_ins)
+    if key is not None:
+        start = code[0][5]
+        code = code[1:]
     pad = tuple(frame[start:])
     out_slots = [slots.get(v.name) for v in head_outs]
     last = code[-1] if code else None
@@ -362,7 +360,7 @@ def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Pr
         code += ((_FAULT, False, (RuntimeModeError, text), None),)
     elif last is not None and last[0] == _CALL and out_slots == list(range(last[3], last[4])):
         code = (*code[:-1], (*last[:5], True))
-    return key, skip, pad, _getter(out_slots), code
+    return key, pad, _getter(out_slots), code
 
 
 def _switches(clauses: tuple[_Clause, ...]) -> tuple[_Switch, ...]:
@@ -527,7 +525,7 @@ def solve(
         low = mask & -mask
         k = low.bit_length() - 1
         mask ^= low
-        _, skip, pad, outs, body = clauses[k]
+        key, pad, outs, body = clauses[k]
         if mask:
             choices.append([clauses, mask, k + 1, values, ret])
         elif k + 1 < len(clauses):
@@ -536,8 +534,8 @@ def solve(
             else:
                 choices.append([None, 2 * (len(clauses) - k - 1)])
         # Entering k, and the deconstruct its selection decided.
-        budget -= 2 * (k - start) + 1 + (skip is not None)
+        budget -= 2 * (k - start) + 1 + (key is not None)
         if budget < 0:
             raise StepLimitExceeded(max_steps)
-        frame = [*values, *pad] if skip is None else [*values, *values[skip].args, *pad]
+        frame = [*values, *pad] if key is None else [*values, *values[key[0]].args, *pad]
         i = 0

@@ -76,9 +76,7 @@ def rewrite(program: Program, normalization: NormalizationPlan) -> Program:
             clauses.append(
                 Clause(_permute(clause.head_args, perm), tuple(body), clause.line, clause.col)
             )
-        preds[name] = Predicate(
-            name, pred.arity, _permute(pred.modes, perm), tuple(clauses), pred.line, pred.col
-        )
+        preds[name] = Predicate(name, _permute(pred.modes, perm), tuple(clauses), pred.line, pred.col)
     return Program(preds)
 
 

@@ -381,7 +381,7 @@ def parse_program(source: str) -> Program:
                 own[0].col,
             )
         line, col = _position(line_starts, starts[declared_at[name]])
-        built[name] = Predicate(name, arity, declared, tuple(own), line, col)
+        built[name] = Predicate(name, declared, tuple(own), line, col)
 
     # Points follow the text, so keep the predicates in the order of their
     # first clauses (a clause-less one at its declaration): the order in

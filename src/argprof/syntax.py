@@ -310,26 +310,28 @@ class Clause(Value):
 
 class Predicate(Value):
     """A predicate's declaration and clauses; ``line`` and ``col`` place
-    its declaration."""
+    its declaration. Its arity is the length of its modes."""
 
-    __slots__ = __match_args__ = ("name", "arity", "modes", "clauses", "line", "col")
-    _key = attrgetter("name", "arity", "modes", "clauses")
+    __slots__ = __match_args__ = ("name", "modes", "clauses", "line", "col")
+    _key = attrgetter("name", "modes", "clauses")
 
     def __init__(
         self,
         name: str,
-        arity: int,
         modes: tuple[Mode, ...],
         clauses: tuple[Clause, ...],
         line: int = 0,
         col: int = 0,
     ):
         self.name = name
-        self.arity = arity
         self.modes = modes
         self.clauses = clauses
         self.line = line
         self.col = col
+
+    @property
+    def arity(self) -> int:
+        return len(self.modes)
 
     @property
     def args(self) -> tuple[Var, ...]:

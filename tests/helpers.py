@@ -704,7 +704,7 @@ def reference_parse_program(source: str) -> Program:
                     cl.line,
                     cl.col,
                 )
-        built[name] = Predicate(name, arity, rp.modes, clauses, rp.decl_line, rp.decl_col)
+        built[name] = Predicate(name, rp.modes, clauses, rp.decl_line, rp.decl_col)
 
     for name, pred in built.items():
         for cl in pred.clauses:
@@ -1183,7 +1183,7 @@ def reversed_bodies(program: Program) -> Program:
     """``program`` with every clause body in reverse, so that names are
     consumed before they are produced."""
     return Program({
-        name: Predicate(name, pred.arity, pred.modes,
+        name: Predicate(name, pred.modes,
                         tuple(Clause(c.head_args, c.body[::-1]) for c in pred.clauses))
         for name, pred in program.predicates.items()
     })
@@ -1193,7 +1193,7 @@ def dropped_last_atoms(program: Program) -> Program:
     """``program`` with the last atom of every clause body dropped, so that
     some clauses end with a head output unbound."""
     return Program({
-        name: Predicate(name, pred.arity, pred.modes,
+        name: Predicate(name, pred.modes,
                         tuple(Clause(c.head_args, c.body[:-1]) for c in pred.clauses))
         for name, pred in program.predicates.items()
     })
@@ -1213,8 +1213,26 @@ def repeated_call_outputs(program: Program) -> Program:
         return Call(atom.point, atom.line, atom.col, atom.pred, tuple(args))
 
     return Program({
-        name: Predicate(name, pred.arity, pred.modes,
+        name: Predicate(name, pred.modes,
                         tuple(Clause(c.head_args, tuple(map(repeat, c.body))) for c in pred.clauses))
+        for name, pred in program.predicates.items()
+    })
+
+
+def repeated_deconstruct_outputs(program: Program) -> Program:
+    """``program`` with each clause whose first atom deconstructs into two
+    arguments or more given that atom's first output variable in its
+    second output position too."""
+    def repeat(body: tuple[Atom, ...]) -> tuple[Atom, ...]:
+        first = body[0] if body else None
+        if first.__class__ is not Deconstruct or len(first.args) < 2:
+            return body
+        args = (first.args[0], first.args[0], *first.args[2:])
+        return (Deconstruct(first.point, first.line, first.col, first.var, first.functor, args), *body[1:])
+
+    return Program({
+        name: Predicate(name, pred.modes,
+                        tuple(Clause(c.head_args, repeat(c.body)) for c in pred.clauses))
         for name, pred in program.predicates.items()
     })
 

@@ -299,7 +299,7 @@ def _over_arguments(s):
     """A predicate ``p`` whose arguments are the ``A`` variables of ``s``."""
     args = sorted({v for pair in s.pairs for v in pair if v.startswith("A")} | s.input_args)
     modes = tuple("in" if a in s.input_args else "out" for a in args)
-    return Predicate("p", len(args), modes, (Clause(tuple(Var(a) for a in args), ()),))
+    return Predicate("p", modes, (Clause(tuple(Var(a) for a in args), ()),))
 
 
 def test_project_matches_naive_oracle_on_random_sets(monkeypatch):
@@ -835,7 +835,7 @@ def test_kept_profiles_serve_only_the_argument_order_they_were_built_for():
     assert s == fresh and repr(s) == repr(fresh)
     # Under another argument order the set is stripped and ordered afresh.
     clause = pred.clauses[0]
-    swapped = Predicate("p", 3, ("in", "in", "out"), (Clause((Var("Y"), Var("X"), Var("Z")), clause.body),))
+    swapped = Predicate("p", ("in", "in", "out"), (Clause((Var("Y"), Var("X"), Var("Z")), clause.body),))
     other, other_ordered = argument_profiles(swapped, s)
     assert (other, other_ordered.profiles, other_ordered.permutation) == built_afresh(("Y", "X", "Z"))
     assert other != profile

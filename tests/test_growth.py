@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from argprof import PsiOp, compare, parse_program, plan, run_analysis, validate_program
+from argprof import PsiOp, compare, parse_program, plan, run_analysis, strip_points, validate_program
 from argprof.cli import main
 from argprof.domain import _PSI_TABLE
 from helpers import chain_source, long_clause_source, one_call_chain_source, recursion_ring_source
@@ -60,6 +60,20 @@ def test_20000_predicate_ring_and_chain_validate_in_under_a_second():
     start = time.perf_counter()
     assert validate_program(chain).ok()
     assert time.perf_counter() - start < 1.0
+
+
+def test_one_call_chain_answer_grows_by_one_op_per_level():
+    # Level k of the one-call chain answers one pair X ~> Y of k + 1
+    # points, so its first argument has one o-set of k + 1 ops: the
+    # analysis's own answer holds Theta(k^2) ops over the chain, and no
+    # analysis in this domain is sub-quadratic in the chain's depth.
+    program = parse_program(one_call_chain_source(40))
+    env, _ = run_analysis(program)
+    for k in range(41):
+        s = env[f"p{k}"]
+        ((pair, points),) = s.pairs.items()
+        (oset,) = strip_points(s, program.predicates[f"p{k}"].arg_names)[0].osets
+        assert (pair, len(points), len(oset.ops)) == (("X", "Y"), k + 1, k + 1)
 
 
 def test_long_clause_analyzes_in_under_a_second():

@@ -39,7 +39,7 @@ from argprof import (
     validate_program,
 )
 from argprof import interp, modecheck, parse, syntax
-from argprof.interp import _CALL, _DECONSTRUCT, _FAULT, _compile_clause
+from argprof.interp import _CALL, _FAULT, _compile_clause
 from argprof.modecheck import unbound_output_text
 from argprof.parse import _argument_terms
 from argprof.syntax import term_names
@@ -58,6 +58,7 @@ from helpers import (
     reference_programs,
     reference_solve,
     repeated_call_outputs,
+    repeated_deconstruct_outputs,
     reversed_bodies,
 )
 
@@ -426,7 +427,7 @@ def _fault_points(program):
         name: [
             (instr[3] and instr[3].point, instr[2][1])
             for clause in pred.clauses
-            for instr in _compile_clause(pred, clause, program.predicates)[4]
+            for instr in _compile_clause(pred, clause, program.predicates)[3]
             if instr[0] == _FAULT
         ]
         for name, pred in program.predicates.items()
@@ -449,9 +450,10 @@ def test_validated_programs_compile_without_faults():
 
 def test_unchecked_atoms_compile_to_faults():
     # Each program atom whose check fails compiles to one fault, and the
-    # rest of its body is not compiled. A call that repeats an output, and
-    # a deconstruct whose input passes, run before their fault. A clause
-    # that reaches its end with a head output unbound faults there.
+    # rest of its body is not compiled. A call that repeats an output runs
+    # before its fault; a clause's first deconstruct of a head input is
+    # done by selection, so its fault is the clause's first instruction. A
+    # clause that reaches its end with a head output unbound faults there.
     program = parse_program(UNCHECKED)
     faults = _fault_points(program)
     points = {name: [point for point, _ in pairs] for name, pairs in faults.items()}
@@ -474,11 +476,11 @@ def test_unchecked_atoms_compile_to_faults():
         "callorder": [28],
     }
     kinds = {
-        name: [instr[0] for instr in _compile_clause(program.predicates[name], clause, program.predicates)[4]]
+        name: [instr[0] for instr in _compile_clause(program.predicates[name], clause, program.predicates)[3]]
         for name in ("dupout", "decdup", "noout")
         for clause in program.predicates[name].clauses
     }
-    assert kinds == {"dupout": [_CALL, _FAULT], "decdup": [_DECONSTRUCT, _FAULT], "noout": [_FAULT]}
+    assert kinds == {"dupout": [_CALL, _FAULT], "decdup": [_FAULT], "noout": [_FAULT]}
     # Each fault carries the error named when it was compiled: the one
     # test_oracle_unchecked_program_atoms sees raised.
     texts = {point: text for pairs in faults.values() for point, text in pairs}
@@ -499,23 +501,31 @@ def test_compiled_faults_are_the_first_mode_violations():
     # compiled clause holds; a clause the checker passes holds none.
     # A clause call whose first output is repeated in its second output
     # position raises the repeat only on return, after any other fault of
-    # the call; the reversed corpus gives such calls unbound inputs.
+    # the call; the reversed corpus gives such calls unbound inputs. A
+    # first deconstruct that repeats an output faults whether or not
+    # selection does it.
     corpus = reference_programs("corpus")
     repeated = [repeated_call_outputs(reversed_bodies(p)) for p in corpus]
     repeated_ids = {id(p) for p in repeated}
-    programs = [parse_program(UNCHECKED), *map(reversed_bodies, corpus), *map(dropped_last_atoms, corpus), *repeated]
+    programs = [
+        parse_program(UNCHECKED),
+        *map(reversed_bodies, corpus),
+        *map(dropped_last_atoms, corpus),
+        *repeated,
+        *map(repeated_deconstruct_outputs, corpus),
+    ]
     faulty = ends = repeated_faulty = 0
     for program in programs:
         for pred in program.predicates.values():
             for clause in pred.clauses:
                 # The program with this clause alone: the checker's reports are its.
                 alone = {
-                    name: Predicate(name, p.arity, p.modes, (clause,) if p is pred else ())
+                    name: Predicate(name, p.modes, (clause,) if p is pred else ())
                     for name, p in program.predicates.items()
                 }
                 reported = [v.message for v in validate_modes(Program(alone)).violations]
                 named = [
-                    instr[2][1] for instr in _compile_clause(pred, clause, program.predicates)[4] if instr[0] == _FAULT
+                    instr[2][1] for instr in _compile_clause(pred, clause, program.predicates)[3] if instr[0] == _FAULT
                 ]
                 assert named == reported[:1], (pred.name, clause)
                 faulty += bool(reported)
@@ -524,6 +534,33 @@ def test_compiled_faults_are_the_first_mode_violations():
     assert faulty > 1800
     assert ends > 1000
     assert repeated_faulty > 900
+
+
+def test_a_keyed_deconstruct_that_faults_is_done_by_selection():
+    # A clause's first deconstruct of a head input is done by selection,
+    # its step charged, even when it fails a mode check: its fault is then
+    # the clause's first instruction, which charges nothing. Each query
+    # admits the clause, and its outcome and steps are the reference's.
+    outcomes = Counter()
+    for program in map(repeated_deconstruct_outputs, reference_programs("corpus")):
+        for pname, pred in program.predicates.items():
+            for clause in pred.clauses:
+                first = clause.body[0] if clause.body else None
+                if first.__class__ is not Deconstruct or len(first.args) < 2:
+                    continue
+                if first.var not in pred.split(clause.head_args)[0]:
+                    continue
+                # Its frame is its head inputs and its key's outputs.
+                _, pad, _, code = _compile_clause(pred, clause, program.predicates)
+                assert code[0][0] == _FAULT and code[0][3] is first and pad == ()
+                key = FunctorTerm(first.functor, (FunctorTerm("a"),) * len(first.args))
+                args = tuple(
+                    (key if t == first.var else FunctorTerm("a")) if m == "in" else Var(f"O{k}")
+                    for k, (t, m) in enumerate(zip(clause.head_args, pred.modes))
+                )
+                kind, _ = assert_agrees(program, Query((Call(0, 0, 0, pname, args),)), limit=200)
+                outcomes[kind] += 1
+    assert outcomes == {RuntimeModeError: 52, StepLimitExceeded: 10}
 
 
 def test_a_clause_call_raises_a_repeated_output_after_an_unbound_input():
@@ -650,14 +687,14 @@ def _selection_program():
     clauses = tuple(
         Clause((c.head_args[0], c.head_args[0], c.head_args[2]), c.body, c.line, c.col) for c in rep.clauses
     )
-    preds["rep"] = Predicate(rep.name, rep.arity, rep.modes, clauses, rep.line, rep.col)
+    preds["rep"] = Predicate(rep.name, rep.modes, clauses, rep.line, rep.col)
     arity = preds["arity"]
     clauses = []
     for c in arity.clauses:
         d = c.body[0]
         first = Deconstruct(d.point, d.line, d.col, d.var, "f", d.args)
         clauses.append(Clause(c.head_args, (first, *c.body[1:]), c.line, c.col))
-    preds["arity"] = Predicate(arity.name, arity.arity, arity.modes, tuple(clauses), arity.line, arity.col)
+    preds["arity"] = Predicate(arity.name, arity.modes, tuple(clauses), arity.line, arity.col)
     return Program(preds)
 
 

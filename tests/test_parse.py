@@ -100,8 +100,8 @@ def _hand_built_caller(call: Call) -> dict[str, syntax.Predicate]:
     parsed."""
     clause = syntax.Clause((syntax.Var("X"), syntax.Var("Y")), (call,), 3, 1)
     return {
-        "p": syntax.Predicate("p", 2, ("in", "out"), (clause,), 2, 1),
-        "q": syntax.Predicate("q", 2, ("in", "out"), (), 1, 1),
+        "p": syntax.Predicate("p", ("in", "out"), (clause,), 2, 1),
+        "q": syntax.Predicate("q", ("in", "out"), (), 1, 1),
     }
 
 
@@ -125,6 +125,18 @@ def test_program_rejects_a_call_without_its_callee(pred, args, message):
     with pytest.raises(ProgramError) as parsed:
         parse_program(source)
     assert parsed.value.render() == f"<input>:3:11: error: {message}"
+
+
+def test_a_predicates_arity_is_the_length_of_its_modes():
+    # A call is checked against the modes a callee declares, so no argument
+    # of it is left neither checked nor bound.
+    q = syntax.Predicate("q", ("in",), ())
+    assert q.arity == 1
+    call = Call(1, 3, 9, "q", (syntax.Var("X"), syntax.Var("Y")))
+    clause = syntax.Clause((syntax.Var("X"), syntax.Var("Y")), (call,), 3, 1)
+    with pytest.raises(syntax.CallError) as exc:
+        syntax.Program({"p": syntax.Predicate("p", ("in", "out"), (clause,)), "q": q})
+    assert exc.value.message == "'q' called with 2 arguments but declared with arity 1"
 
 
 def test_bad_calls_are_reported_in_order_of_first_mention():

@@ -57,7 +57,7 @@ def values(content, line=1, col=1):
         Assign(n, line, col, var, term),
         Call(n, line, col, name, args),
         Clause(args, (Call(n, line, col, name, args),), line, col),
-        Predicate(name, n, ("in",) * n, (), line, col),
+        Predicate(name, ("in",) * n, (), line, col),
         ConstructOp(name, n),
         DeconstructOp(name, n),
         AssignOp(),
@@ -107,7 +107,7 @@ def test_values_differing_only_in_line_and_col_compare_equal():
     var = Var("X")
     assert Call(1, 2, 3, "p", (var,)) == Call(1, 9, 9, "p", (var,))
     assert Clause((var,), (), 2, 3) == Clause((var,), (), 7, 1)
-    assert Predicate("p", 1, ("in",), (), 2, 3) == Predicate("p", 1, ("in",), ())
+    assert Predicate("p", ("in",), (), 2, 3) == Predicate("p", ("in",), ())
     assert Call(1, 2, 3, "p", (var,)) != Call(2, 2, 3, "p", (var,))
 
 
