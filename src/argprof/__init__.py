@@ -8,10 +8,8 @@ interpreter for validating that rewrites preserve answers.
 """
 
 from .analysis import (
-    AnalysisError,
     AnalysisTrace,
     Environment,
-    NonDirectRecursionError,
     TraceEntry,
     analyze_atom,
     analyze_predicate,
@@ -52,7 +50,6 @@ from .domain import (
 )
 from .modecheck import (
     ValidationReport,
-    validate_direct_recursion,
     validate_modes,
     validate_program,
 )

@@ -9,9 +9,10 @@ carrying one operation at the atom's point. The operation names the kind:
   * ``V := W`` flows from W into V by ``assign``,
   * ``V == W`` produces nothing, so it yields nothing,
   * a call ``q(Y1..Ym)`` flows from its input actuals into its output
-    actuals by ``psi_bot`` if it is directly recursive and by
-    ``psi(<callee's ordered profile>)`` otherwise; it also yields the
-    callee's current interaction set with formals renamed to actuals.
+    actuals by ``psi_bot`` if q is in the caller's strongly connected
+    component of the call graph and by ``psi(<q's ordered profile>)``
+    otherwise; it also yields q's current interaction set with formals
+    renamed to actuals.
 
 ``_add_atom`` applies the rule with one switch on the atom's class, reading
 each kind's inputs and outputs straight off its fields, as ``atom_flow``
@@ -29,31 +30,37 @@ reachability from the arguments instead of closing over every variable
 (see ``_formal_flow``): linear in the clause's flow when each variable is
 reached from few arguments, also when arguments lie on a flow cycle.
 
-The driver analyzes predicates bottom-up over the call graph: each
-predicate is iterated to a local fixpoint before any caller of it is
-considered, which is what makes call abstractions stable, so each one is
-built once, when its callee is discharged, and shared by every call site
-in every round. The rounds of one predicate are semi-naive (Bancilhon
-and Ramakrishnan, "An amateur's introduction to recursive query
-processing strategies", SIGMOD 1986). The first round builds each
-clause's atom and call sets once and projects them; a clause without a
-self-call is then finished, and one with a self-call keeps, for each of
-its pairs, the argument masks the projection joined it into. Each later
-round renames only the pairs of the environment entry that grew since the
-round before into those clauses, and applies the operations they bring
-over the kept masks; only a round that adds a pair to a clause, which
-changes its reachability, projects that clause again. A predicate that
-never calls itself reads only discharged callees, so its second round
-cannot differ from its first: that confirming round is recorded without
-being computed. Directly recursive programs always converge because
-interaction sets over a predicate form a finite lattice and each round
-only ever grows them.
+The driver analyzes the strongly connected components of the call graph
+bottom-up, as Datalog engines evaluate strata (Ullman, "Principles of
+Database and Knowledge-Base Systems", 1988): each component is iterated to
+a local fixpoint before any caller of it is considered, which is what
+makes call abstractions stable, so each one is built once, when its
+callee's component is discharged, and shared by every call site in every
+round. Inside a component a worklist analyzes a member again only when a
+member it calls has changed, a chaotic iteration (Bourdoncle, "Efficient
+chaotic iteration strategies with widenings", FMPA 1993); a directly
+recursive predicate is a component of one member that calls itself.
+
+The rounds of one predicate are semi-naive (Bancilhon and Ramakrishnan,
+"An amateur's introduction to recursive query processing strategies",
+SIGMOD 1986). The first round builds each clause's atom and call sets once
+and projects them; a clause without a call into its component is then
+finished, and one with such a call keeps, for each of its pairs, the
+argument masks the projection joined it into. Each later round renames
+only the pairs of the callees' entries that grew since the round before
+into those clauses, and applies the operations they bring over the kept
+masks; only a round that adds a pair to a clause, which changes its
+reachability, projects that clause again. A member none of whose callees
+changed since its last round would repeat that round: if it changed, its
+confirming round is recorded without being computed. Every program
+converges because interaction sets over a predicate form a finite lattice
+and each round only ever grows them.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import deque
 from collections.abc import Iterable, Mapping
 
 from .domain import (
@@ -63,7 +70,6 @@ from .domain import (
     ConstructOp,
     DeconstructOp,
     InteractionSet,
-    Operation,
     Pair,
     PointOps,
     PsiOp,
@@ -72,21 +78,9 @@ from .domain import (
     strip_points,
 )
 from .ordering import OrderedProfile, oprof
-from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, Test
+from .syntax import Assign, Atom, Call, Construct, Deconstruct, Predicate, Program, Record, Test, cone
 
 Environment = dict[str, InteractionSet]
-
-
-class AnalysisError(Exception):
-    pass
-
-
-class NonDirectRecursionError(AnalysisError):
-    def __init__(self, remaining: list[str]):
-        super().__init__(
-            "no analyzable predicate left; mutual recursion among " + ", ".join(remaining)
-        )
-        self.remaining = remaining
 
 
 class TraceEntry(Record):
@@ -130,6 +124,16 @@ def call_abstraction(callee: Predicate, callee_set: InteractionSet) -> PsiOp:
     return PsiOp(argument_profiles(callee, callee_set)[1].profiles)
 
 
+def _outside_ops(program: Program, name: str, env: Environment) -> dict[str, PsiOp]:
+    """The call abstractions, built from ``env``, of the callees of ``name``
+    outside its component: those that do not reach it."""
+    return {
+        q: call_abstraction(program.predicates[q], env[q])
+        for q in program.call_graph[name]
+        if name not in cone(program, (q,)).predicates
+    }
+
+
 def _renaming(callee: Predicate, atom: Call) -> dict[str, str]:
     """The callee's formals mapped to the call's actuals."""
     return {f.name: a.name for f, a in zip(callee.args, atom.args)}
@@ -155,13 +159,15 @@ def _add_atom(
     atom: Atom,
     env: Environment,
     program: Program,
-    psi_ops: Mapping[str, PsiOp] | None,
+    psi_ops: Mapping[str, PsiOp],
 ) -> None:
     """Join the interactions of one atom into ``out``: one carrying the op
     of its kind at its point from each input into each output with another
-    name, and for a call the callee's renamed set. A non-recursive call
-    takes its abstraction from ``psi_ops`` when given. The inputs and
-    outputs are read off the atom's fields as ``atom_flow`` defines them."""
+    name, and for a call the callee's renamed set. A call's op is its
+    callee's abstraction in ``psi_ops``, which holds every callee outside
+    the caller's component, and ``psi_bot`` for any other callee. The
+    inputs and outputs are read off the atom's fields as ``atom_flow``
+    defines them."""
     cls = atom.__class__
     if cls is Deconstruct:
         source = atom.var.name
@@ -180,20 +186,10 @@ def _add_atom(
         if source != target:
             out.add(source, target, {atom.point: ASSIGN})
     elif cls is Call:
-        if atom.pred not in env:
-            raise AnalysisError(f"predicate '{atom.pred}' missing from environment")
         callee = program.predicates[atom.pred]
-        callee_set = env[atom.pred]
-        _add_renamed(out, _renaming(callee, atom), callee_set.pairs.items())
-        op: Operation
-        if atom.pred == out.owner:
-            op = PSI_BOT
-        elif psi_ops is not None:
-            op = psi_ops[atom.pred]
-        else:
-            op = call_abstraction(callee, callee_set)
+        _add_renamed(out, _renaming(callee, atom), env[atom.pred].pairs.items())
         inputs, outputs = callee.split(atom.args)
-        by_point = {atom.point: op}
+        by_point = {atom.point: psi_ops.get(atom.pred, PSI_BOT)}
         for x in inputs:
             for y in outputs:
                 if x.name != y.name:
@@ -206,7 +202,7 @@ def analyze_atom(atom: Atom, env: Environment, program: Program) -> InteractionS
     """Interactions contributed by one atom under the current environment."""
     owner = program.owner_of_point(atom.point)
     out = _Builder(owner, program.predicates[owner].input_arg_names())
-    _add_atom(out, atom, env, program, None)
+    _add_atom(out, atom, env, program, _outside_ops(program, owner, env))
     return out.freeze()
 
 
@@ -316,11 +312,11 @@ class RoundState:
     """What one predicate's fixpoint rounds carry from round to round.
 
     ``acc`` is the predicate's set, joined over the clauses. ``open`` is
-    None until the first round, which fills it with each clause that has a
-    self-call: the builder of its atom and call sets, the renaming of each
-    self-call, and the spans of its last projection (see ``_formal_flow``).
-    ``seen`` holds the pairs of the predicate's set as the self-calls last
-    renamed it.
+    None until the first round, which fills it with each clause that calls
+    into the predicate's component: the builder of its atom and call sets,
+    the callee and renaming of each such call, and the spans of its last
+    projection (see ``_formal_flow``). ``seen`` maps each of those callees
+    to the pairs of its set as the calls last renamed it.
     """
 
     __slots__ = ("acc", "formals", "open", "seen")
@@ -328,8 +324,8 @@ class RoundState:
     def __init__(self, pred: Predicate) -> None:
         self.acc = _Builder(pred.name, pred.input_arg_names())
         self.formals = pred.arg_names
-        self.open: list[tuple[_Builder, list[dict[str, str]], Spans]] | None = None
-        self.seen: Mapping[Pair, PointOps] = {}
+        self.open: list[tuple[_Builder, list[tuple[str, dict[str, str]]], Spans]] | None = None
+        self.seen: dict[str, Mapping[Pair, PointOps]] = {}
 
     def join_clause(self, raw: _Builder, spans: Spans | None = None) -> None:
         """Join the argument-to-argument flow of a clause into ``acc``."""
@@ -358,22 +354,23 @@ def analyze_predicate(
 ) -> InteractionSet:
     """Join, over the clauses, the projected closure of the body analysis.
 
-    ``psi_ops`` maps discharged callees to their call abstractions; without
-    it, the abstraction of a non-recursive call is built afresh.
+    ``psi_ops`` maps the callees outside ``pred``'s component to their call
+    abstractions; without it, they are found and built afresh.
 
     ``state`` carries the work of earlier rounds of the same predicate;
     without it, this is a one-shot analysis. The first round fills each
     clause's builder from its atoms and projects it, which is all a clause
-    without a self-call contributes. Each later round is semi-naive: the
-    pairs of ``env[pred.name]`` that are new or grown since the round
-    before (a grown pair holds a new op dict) are renamed into the builders
-    of the clauses that call themselves. A clause that gains a pair is
-    projected again; in one that only grows pairs, those pairs join their
-    new operations over the spans kept from its last projection. Within
-    one run each program point carries one operation and
-    ``env[pred.name]`` only grows, so this equals analyzing every clause
-    afresh.
+    without a call into the component contributes. Each later round is
+    semi-naive: the pairs of each such callee's entry that are new or grown
+    since the round before (a grown pair holds a new op dict) are renamed
+    into the builders of the clauses that call it. A clause that gains a
+    pair is projected again; in one that only grows pairs, those pairs join
+    their new operations over the spans kept from its last projection.
+    Within one run each program point carries one operation and the
+    entries only grow, so this equals analyzing every clause afresh.
     """
+    if psi_ops is None:
+        psi_ops = _outside_ops(program, pred.name, env)
     if state is None:
         state = RoundState(pred)
     if state.open is None:
@@ -383,82 +380,143 @@ def analyze_predicate(
             for atom in clause.body:
                 _add_atom(raw, atom, env, program, psi_ops)
             renames = [
-                _renaming(pred, a) for a in clause.body if isinstance(a, Call) and a.pred == pred.name
+                (a.pred, _renaming(program.predicates[a.pred], a))
+                for a in clause.body if a.__class__ is Call and a.pred not in psi_ops
             ]
             spans: Spans | None = {} if renames else None
             state.join_clause(raw, spans)
             if renames:
                 state.open.append((raw, renames, spans))
     else:
-        seen = state.seen
-        delta = [(pair, ops) for pair, ops in env[pred.name].pairs.items() if seen.get(pair) is not ops]
+        delta = {
+            q: [(pair, ops) for pair, ops in env[q].pairs.items() if seen.get(pair) is not ops]
+            for q, seen in state.seen.items()
+        }
         for raw, renames, spans in state.open:
             size = len(raw.ops)
-            grown = [g for rename in renames for g in _add_renamed(raw, rename, delta)]
+            grown = [g for q, rename in renames for g in _add_renamed(raw, rename, delta[q])]
             if len(raw.ops) != size:
                 # A new pair changes the clause's reachability.
                 spans.clear()
                 state.join_clause(raw, spans)
             else:
                 state.join_grown(spans, grown)
-    state.seen = env[pred.name].pairs
+    state.seen = {q: env[q].pairs for _, renames, _ in state.open for q, _ in renames}
     return state.acc.freeze()
+
+
+def _components(graph: Mapping[str, frozenset[str]]) -> tuple[list[list[str]], dict[str, list[str]]]:
+    """The strongly connected components of ``graph`` in the order the
+    driver discharges them, and each node's callers.
+
+    Kosaraju and Sharir's two passes find them, iterative to be safe on
+    deep graphs. A depth-first pass, roots in ``graph`` order and successors
+    sorted, lists each node as it finishes; a pass over the callers, latest
+    finish first, makes each unplaced node and the unplaced callers it
+    reaches one component, in the order it reaches them, so that each
+    member but the first calls one listed before it. That pass places every
+    component after each component that calls it, so it counts each one's
+    calls out of it as it meets them. Of the components whose calls out all
+    go to components taken before, the one with the least member is taken
+    next.
+    """
+    finished: list[str] = []
+    seen: set[str] = set()
+    for root in graph:
+        if root in seen:
+            continue
+        seen.add(root)
+        work = [(root, iter(sorted(graph[root])))]
+        while work:
+            node, succs = work[-1]
+            for succ in succs:
+                if succ not in seen:
+                    seen.add(succ)
+                    work.append((succ, iter(sorted(graph[succ]))))
+                    break
+            else:
+                work.pop()
+                finished.append(node)
+    callers: dict[str, list[str]] = {node: [] for node in graph}
+    for node, succs in graph.items():
+        for succ in succs:
+            callers[succ].append(node)
+    component: dict[str, int] = {}
+    sccs: list[list[str]] = []
+    pending: list[int] = []  # per component, its calls out to components not yet taken
+    for node in reversed(finished):
+        if node in component:
+            continue
+        i = component[node] = len(sccs)
+        scc = [node]
+        for member in scc:  # scc grows as the walk finds callers
+            for caller in callers[member]:
+                j = component.get(caller)
+                if j is None:
+                    component[caller] = i
+                    scc.append(caller)
+                elif j != i:
+                    pending[j] += 1
+        sccs.append(scc)
+        pending.append(0)
+    order = []
+    ready = [(min(scc), i) for i, scc in enumerate(sccs) if not pending[i]]
+    heapq.heapify(ready)
+    while ready:
+        i = heapq.heappop(ready)[1]
+        order.append(sccs[i])
+        for member in sccs[i]:
+            for caller in callers[member]:
+                j = component[caller]
+                if j != i:
+                    pending[j] -= 1
+                    if not pending[j]:
+                        heapq.heappush(ready, (min(sccs[j]), j))
+    return order, callers
 
 
 def run_analysis(program: Program) -> tuple[Environment, AnalysisTrace]:
     """Analyze a whole program bottom-up to a global fixpoint.
 
-    Among eligible predicates the lexicographically first is selected, so
-    runs are deterministic. Each predicate is iterated until its computed
-    set equals its environment entry (program points included), then
-    discharged; a predicate that others call then gets its call
-    abstraction built once, and every call site shares it. Raises
-    NonDirectRecursionError if a call-graph cycle of
-    length two or more blocks progress.
+    The strongly connected components of the call graph are discharged one
+    at a time: of those whose calls out of themselves all go to discharged
+    ones, the one with the lexicographically least member first, so runs
+    are deterministic. A worklist takes a component's members callee-first
+    and analyzes one again when a member it calls has changed since its
+    last round, until none has; then each member whose last round changed
+    gets its confirming round recorded. A predicate that another component
+    calls gets its call abstraction built once, when that component comes
+    up, and every call site shares it.
     """
     env = initial_environment(program)
     trace: AnalysisTrace = []
     psi_ops: dict[str, PsiOp] = {}
-    # Per predicate, how many of its callees other than itself are not yet
-    # analyzed, and who calls it; the heap holds the eligible predicates,
-    # those with no such callee left.
-    pending: dict[str, int] = {}
-    callers: defaultdict[str, list[str]] = defaultdict(list)
-    for p in program.predicates:
-        callees = program.call_graph[p] - {p}
-        pending[p] = len(callees)
-        for q in callees:
-            callers[q].append(p)
-    ready = sorted(p for p, n in pending.items() if not n)  # a sorted list is a heap
-    round_index = 0
-    while ready:
-        name = heapq.heappop(ready)
-        pred = program.predicates[name]
-        state = RoundState(pred)
-        self_recursive = name in program.call_graph[name]
-        while True:
-            round_index += 1
-            new = analyze_predicate(pred, env, program, psi_ops, state)
-            changed = new != env[name]
-            trace.append(TraceEntry(round_index, name, new, changed))
-            if not changed:
-                break
-            env[name] = new
-            if not self_recursive:
-                # The next round reads only discharged callees, so it would
-                # repeat this one: record it as the confirming round.
-                round_index += 1
-                trace.append(TraceEntry(round_index, name, new, False))
-                break
-        if callers[name]:
-            psi_ops[name] = call_abstraction(pred, env[name])
-        for caller in callers[name]:
-            pending[caller] -= 1
-            if not pending[caller]:
-                heapq.heappush(ready, caller)
-        del pending[name]
-    if pending:
-        raise NonDirectRecursionError(sorted(pending))
+    graph, predicates = program.call_graph, program.predicates
+    order, callers = _components(graph)
+    for members in order:
+        states = {name: RoundState(predicates[name]) for name in members}  # its keys: the component
+        for name in members:
+            for q in graph[name]:
+                if q not in states and q not in psi_ops:
+                    psi_ops[q] = call_abstraction(predicates[q], env[q])
+        work, queued, last = deque(members), set(members), {}
+        while work:
+            name = work.popleft()
+            queued.remove(name)
+            new = analyze_predicate(predicates[name], env, program, psi_ops, states[name])
+            last[name] = changed = new != env[name]
+            trace.append(TraceEntry(len(trace) + 1, name, new, changed))
+            if changed:
+                env[name] = new
+                for caller in callers[name]:
+                    if caller in states and caller not in queued:
+                        queued.add(caller)
+                        work.append(caller)
+        for name in members:
+            if last[name]:
+                # Its callees are as its last round read them: record the
+                # round that would repeat it.
+                trace.append(TraceEntry(len(trace) + 1, name, env[name], False))
     return env, trace
 
 

@@ -1,7 +1,8 @@
 """Command-line interface: analyze, normalize, compare and run.
 
 Exit codes: 0 on success (including a Distinct compare verdict), 1 on
-validation or analysis failure, 2 on usage errors. Any other exception (a
+a diagnostic (a program that does not parse or validate, a failed query),
+2 on usage errors. Any other exception (a
 bug, or memory exhausted) is reported as one ``argprof: internal error:``
 line with exit 1. When standard output closes early (its reader, such as
 ``head``, stops), the command ends quietly with exit 1. All output is
@@ -14,14 +15,7 @@ import argparse
 import sys
 from typing import Sequence, TextIO
 
-from .analysis import (
-    AnalysisError,
-    Environment,
-    AnalysisTrace,
-    argument_profiles,
-    round_counts,
-    run_analysis,
-)
+from .analysis import Environment, AnalysisTrace, argument_profiles, round_counts, run_analysis
 from .domain import ArgumentProfile, Operation, PsiOp, canon_op, render_interaction_set
 from .modecheck import validate_program
 from .normalize import Equivalent, compare, plan, rewrite
@@ -67,13 +61,6 @@ def _load_validated(path: str) -> tuple[Program, str]:
     if not report.ok():
         raise _Failure(report.render(label))
     return program, label
-
-
-def _analyze(program: Program, label: str) -> tuple[Environment, AnalysisTrace]:
-    try:
-        return run_analysis(program)
-    except AnalysisError as exc:
-        raise _Failure(f"{label}: error: {exc}") from None
 
 
 def _json_list(items: Sequence[str], pad: str) -> str:
@@ -201,8 +188,8 @@ def write_report(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    program, label = _load_validated(args.file)
-    env, trace = _analyze(program, label)
+    program, _ = _load_validated(args.file)
+    env, trace = run_analysis(program)
     if args.trace:
         # With --json, stdout holds only the JSON document.
         out = sys.stderr if args.json else sys.stdout
@@ -220,8 +207,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    program, label = _load_validated(args.file)
-    env, _ = _analyze(program, label)
+    program, _ = _load_validated(args.file)
+    env, _ = run_analysis(program)
     normalization = plan(program, env)
     rewritten = rewrite(program, normalization)
     output = format_program(rewritten)
@@ -248,11 +235,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if name not in program.predicates:
             raise _Failure(f"{label}: error: unknown predicate '{name}'")
     # A profile depends only on its predicate and what that calls, so only
-    # the two and the predicates they reach are analyzed. Validation has
-    # read the whole program: no cycle through two predicates or more and
-    # no undefined call is left anywhere, so the predicates left out could
-    # change neither the verdict nor any diagnostic.
-    env, _ = _analyze(cone(program, (args.pred1, args.pred2)), label)
+    # the two and the predicates they reach are analyzed: the cone holds
+    # every member of each component it enters, and the analysis of a
+    # component reaches the same least fixpoint in any order. Validation
+    # has read the whole program, so the predicates left out could change
+    # neither the verdict nor any diagnostic.
+    env, _ = run_analysis(cone(program, (args.pred1, args.pred2)))
     verdict = compare(program.predicates[args.pred1], program.predicates[args.pred2], env)
     if isinstance(verdict, Equivalent):
         print(f"equivalent: {args.pred1} <-> {args.pred2}")

@@ -1,9 +1,11 @@
-"""Static validation: mode correctness and direct-recursion checks.
+"""Static validation: mode correctness.
 
 Mode checking simulates each clause left to right. The bound set starts as
 the input head arguments; every atom reports its failing checks and binds
 its inputs and outputs. At clause end every output head argument must be
-bound. Violations are collected as ``SourceError``s, never raised.
+bound. Violations are collected as ``SourceError``s, never raised. The
+call graph may have cycles of any length: the analysis takes each
+strongly connected component of it as one unit.
 
 That an atom passes is decided by one switch on its class, with set
 operations on its variables' names. Every other atom, one that fails a
@@ -54,9 +56,6 @@ class ValidationReport(Record):
 
     def render(self, filename: str = "<input>") -> str:
         return "\n".join(v.render(filename) for v in self.violations)
-
-    def extend(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
 
 
 def mode_faults(
@@ -202,63 +201,6 @@ def validate_modes(program: Program) -> ValidationReport:
     return report
 
 
-def validate_direct_recursion(program: Program) -> ValidationReport:
-    """Report every call-graph cycle of length >= 2 (self-loops are allowed)."""
-    report = ValidationReport()
-    for scc in _strongly_connected(program.call_graph):
-        if len(scc) >= 2:
-            members = ", ".join(sorted(scc))
-            first = min(scc)
-            pred = program.predicates[first]
-            report.add(pred.line, pred.col, f"mutual recursion among {{{members}}}")
-    return report
-
-
-def _strongly_connected(graph: dict[str, frozenset[str]]) -> list[set[str]]:
-    """The strongly connected components of ``graph``, by Kosaraju and
-    Sharir's two passes, iterative to be safe on deep graphs. A depth-first
-    pass, roots in ``graph`` order and successors sorted, lists each node
-    as it finishes; a pass over the callers, latest finish first, makes
-    each unplaced node and the unplaced callers it reaches one component.
-    A component's first-visited node finishes last of its members, so the
-    reversed list is the order in which Tarjan's algorithm emits them."""
-    finished: list[str] = []
-    seen: set[str] = set()
-    for root in graph:
-        if root in seen:
-            continue
-        seen.add(root)
-        work = [(root, iter(sorted(graph[root])))]
-        while work:
-            node, succs = work[-1]
-            for succ in succs:
-                if succ not in seen:
-                    seen.add(succ)
-                    work.append((succ, iter(sorted(graph[succ]))))
-                    break
-            else:
-                work.pop()
-                finished.append(node)
-    callers: dict[str, list[str]] = {node: [] for node in graph}
-    for node, succs in graph.items():
-        for succ in succs:
-            callers[succ].append(node)
-    sccs: list[set[str]] = []
-    for node in reversed(finished):
-        if node in seen:
-            seen.remove(node)
-            scc = [node]
-            for member in scc:  # scc grows as the walk finds callers
-                for caller in callers[member]:
-                    if caller in seen:
-                        seen.remove(caller)
-                        scc.append(caller)
-            sccs.append(set(scc))
-    return sccs[::-1]
-
-
 def validate_program(program: Program) -> ValidationReport:
-    """All static checks combined."""
-    report = validate_modes(program)
-    report.extend(validate_direct_recursion(program))
-    return report
+    """All static checks of a program: its mode correctness."""
+    return validate_modes(program)

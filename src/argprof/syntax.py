@@ -363,25 +363,29 @@ class Predicate(Value):
 
 class CallError(Exception):
     """A call that names no predicate of its program, or one of another
-    arity: ``message`` says which, ``line`` and ``col`` place the call."""
+    arity, or a clause head of another arity than its predicate's:
+    ``message`` says which, ``line`` and ``col`` place the call or clause."""
 
-    def __init__(self, call: Call, callee: Predicate | None):
+    def __init__(self, site: Call | Clause, callee: Predicate | None):
         if callee is None:
-            message = f"call to undefined predicate '{call.pred}'"
+            message = f"call to undefined predicate '{site.pred}'"
+        elif site.__class__ is Clause:
+            message = f"'{callee.name}' declared with arity {callee.arity} but clause head has {len(site.head_args)} arguments"
         else:
-            message = f"'{call.pred}' called with {len(call.args)} arguments but declared with arity {callee.arity}"
+            message = f"'{site.pred}' called with {len(site.args)} arguments but declared with arity {callee.arity}"
         super().__init__(message)
         self.message = message
-        self.line = call.line
-        self.col = call.col
+        self.line = site.line
+        self.col = site.col
 
 
 class Program(Value):
     """The predicates by name and the call graph they make: an edge p -> q
     iff some clause of p calls q. Building a program raises ``CallError``
-    for the first call, in the order of ``predicates`` and of their
-    clauses, that does not name one of ``predicates`` with its arity; so
-    every call of a program has its callee. The call graph is derived, and
+    for the first clause, in the order of ``predicates`` and of their
+    clauses, whose head is not as long as its predicate's modes or that
+    holds a call that does not name one of ``predicates`` with its arity;
+    so every head fits its modes and every call has its callee. The call graph is derived, and
     left out of the key. A program holds dicts, so it is not hashable."""
 
     __slots__ = ("predicates", "call_graph")
@@ -394,6 +398,8 @@ class Program(Value):
         for name, pred in predicates.items():
             callees = set()
             for clause in pred.clauses:
+                if len(clause.head_args) != len(pred.modes):
+                    raise CallError(clause, pred)
                 for atom in clause.body:
                     if atom.__class__ is Call:
                         callee = predicates.get(atom.pred)

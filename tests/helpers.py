@@ -142,8 +142,9 @@ def reference_atom_set(atom: Atom, env: Environment, program: Program) -> Intera
     """The interactions of one atom, read off ``atom_flow``: the op of its
     kind at its point from each input into each output of another name. A
     call also yields its callee's set with formals renamed to actuals, a
-    pair whose ends meet dropped, and its op is ``psi_bot`` for a call to
-    its own predicate and otherwise the psi of the callee's ordered
+    pair whose ends meet dropped, and its op is ``psi_bot`` for a call
+    within its own predicate's component of the call graph, a callee that
+    reaches the caller, and otherwise the psi of the callee's ordered
     profile."""
     owner = program.owner_of_point(atom.point)
     pairs: dict[tuple[str, str], dict[int, Operation]] = {}
@@ -163,7 +164,7 @@ def reference_atom_set(atom: Atom, env: Environment, program: Program) -> Intera
         rename = {f.name: a.name for f, a in zip(callee.args, atom.args)}
         for (source, target), ops in env[atom.pred].pairs.items():
             join(rename[source], rename[target], ops)
-        if atom.pred == owner:
+        if _reaches(program.call_graph, atom.pred, owner):
             op = PSI_BOT
         else:
             op = PsiOp(oprof(strip_points(env[atom.pred], callee.arg_names)).profiles)
@@ -174,6 +175,19 @@ def reference_atom_set(atom: Atom, env: Environment, program: Program) -> Intera
         for y in outs:
             join(x.name, y.name, {atom.point: op})
     return make_interaction_set(owner, program.predicates[owner].input_arg_names(), pairs)
+
+
+def _reaches(graph: Mapping[str, frozenset[str]], source: str, target: str) -> bool:
+    """Whether a walk along ``graph`` leads from ``source`` to ``target``."""
+    seen, work = {source}, [source]
+    while work:
+        p = work.pop()
+        if p == target:
+            return True
+        for q in graph[p] - seen:
+            seen.add(q)
+            work.append(q)
+    return False
 
 
 def reference_analyze_predicate(pred: Predicate, env: dict, program: Program) -> InteractionSet:
@@ -204,27 +218,40 @@ def leafs(
     }
 
 
+def reference_components(graph: dict[str, frozenset[str]]) -> list[set[str]]:
+    """The components of Tarjan's algorithm in the order the driver takes
+    them: the first by least member of those whose members' callees are all
+    in it or in a component taken before."""
+    remaining, taken, order = reference_strongly_connected(graph), set(), []
+    while remaining:
+        scc = min((c for c in remaining if all(q in c or q in taken for p in c for q in graph[p])), key=min)
+        remaining.remove(scc)
+        taken |= scc
+        order.append(scc)
+    return order
+
+
 def reference_run_analysis(
     program: Program,
 ) -> tuple[dict[str, InteractionSet], list[tuple[int, str, InteractionSet, bool]]]:
-    """The bottom-up driver over ``reference_analyze_predicate``: the first
-    eligible predicate by name, iterated from scratch every round until its
-    set stops changing. Returns the environment and the trace, one
-    (round, predicate, set, changed) per round."""
+    """The bottom-up driver over ``reference_analyze_predicate``: the
+    components in ``reference_components`` order, each iterated until none
+    of its members changes, every member analyzed from scratch in each
+    round, all from the environment the round before left. Returns the
+    environment and the trace, one (round, predicate, set, changed) per
+    member and round, members by name."""
     env = {name: bottom(name, p.input_arg_names()) for name, p in program.predicates.items()}
     trace = []
-    remaining, analyzed = set(program.predicates), set()
-    while remaining:
-        name = min(leafs(remaining, analyzed, program.call_graph))
-        while True:
-            new = reference_analyze_predicate(program.predicates[name], env, program)
-            changed = new != env[name]
-            trace.append((len(trace) + 1, name, new, changed))
-            if not changed:
-                break
-            env[name] = new
-        analyzed.add(name)
-        remaining.discard(name)
+    for scc in reference_components(program.call_graph):
+        members = sorted(scc)
+        changed = True
+        while changed:
+            new = {name: reference_analyze_predicate(program.predicates[name], env, program) for name in members}
+            changed = False
+            for name in members:
+                trace.append((len(trace) + 1, name, new[name], new[name] != env[name]))
+                changed |= new[name] != env[name]
+            env.update(new)
     return env, trace
 
 
@@ -236,6 +263,9 @@ def reference_programs(group: str) -> list[Program]:
         rng = random.Random(0xBEEF)
         programs = [parse_program(gen_program_source(rng)) for _ in range(200)]
         return programs if group == "corpus" else [reversed_bodies(p) for p in programs]
+    if group == "mutual":  # calls to any predicate
+        rng = random.Random(0xBEEF)
+        return [parse_program(gen_mutual_source(rng)) for _ in range(200)]
     if group == "chain":
         return [parse_program(chain_source(k)) for k in range(1, 7)]
     if group == "rotating":
@@ -1058,13 +1088,30 @@ def gen_program_source(rng: random.Random, max_preds: int = 6, max_args: int = 5
     checking succeeds; calls target earlier predicates or the predicate
     itself, so recursion is always direct.
     """
+    return _gen_source(rng, max_preds, max_args, max_atoms, mutual=False)
+
+
+def gen_mutual_source(rng: random.Random, max_preds: int = 6, max_args: int = 5, max_atoms: int = 12) -> str:
+    """Emit the source of a random valid program as ``gen_program_source``
+    does, but with every predicate's modes drawn first and each call free
+    to target any predicate, so call-graph cycles may pass through several
+    predicates."""
+    return _gen_source(rng, max_preds, max_args, max_atoms, mutual=True)
+
+
+def _gen_source(rng: random.Random, max_preds: int, max_args: int, max_atoms: int, mutual: bool) -> str:
     lines: list[str] = []
-    defined: list[tuple[str, tuple[str, ...]]] = []  # (name, modes)
     n_preds = rng.randint(1, max_preds)
-    for k in range(n_preds):
-        name = f"p{k}"
+
+    def signature(k: int) -> tuple[str, tuple[str, ...]]:
         arity = rng.randint(1, max_args)
-        modes = tuple(rng.choice(("in", "out")) for _ in range(arity))
+        return f"p{k}", tuple(rng.choice(("in", "out")) for _ in range(arity))
+
+    # (name, modes) of every predicate a call may target besides its own.
+    signatures = [signature(k) for k in range(n_preds)] if mutual else []
+    for k in range(n_preds):
+        name, modes = signatures[k] if mutual else signature(k)
+        arity = len(modes)
         head = [f"A{i}" for i in range(1, arity + 1)]
         lines.append(f":- pred {name}({','.join(modes)}).")
         for _ in range(rng.randint(1, 3)):
@@ -1104,8 +1151,8 @@ def gen_program_source(rng: random.Random, max_preds: int = 6, max_args: int = 5
                 elif choice == "test" and bound:
                     atoms.append(f"{rng.choice(bound)} == {rng.choice(bound)}")
                 elif choice == "call":
-                    candidates = list(defined)
-                    if rng.random() < 0.5:
+                    candidates = list(signatures)
+                    if not mutual and rng.random() < 0.5:
                         candidates.append((name, modes))
                     rng.shuffle(candidates)
                     for callee, callee_modes in candidates:
@@ -1133,7 +1180,8 @@ def gen_program_source(rng: random.Random, max_preds: int = 6, max_args: int = 5
                 lines.append(f"{name}({','.join(head)}) :- {', '.join(atoms)}.")
             else:
                 lines.append(f"{name}({','.join(head)}).")
-        defined.append((name, modes))
+        if not mutual:
+            signatures.append((name, modes))
     return "\n".join(lines) + "\n"
 
 
@@ -1168,6 +1216,19 @@ def recursion_ring_source(n: int) -> str:
     lines = []
     for i in range(n):
         lines += [f":- pred p{i}(in).", f"p{i}(X) :- p{(i + 1) % n}(X)."]
+    return "\n".join(lines) + "\n"
+
+
+def output_ring_source(n: int) -> str:
+    """``pI(X,Y) :- X => s(X1), p(I+1)(X1,Y1), Y <= s(Y1).`` for I =
+    0..n-1, with ``p(n-1)`` calling ``p0``, and a base clause ``p0(X,Y) :-
+    X => z, Y := X.``: one cycle through all n predicates, along which each
+    one's pair gathers the points of all of them."""
+    lines = [":- pred p0(in,out).", "p0(X,Y) :- X => z, Y := X."]
+    for i in range(n):
+        if i:
+            lines.append(f":- pred p{i}(in,out).")
+        lines.append(f"p{i}(X,Y) :- X => s(X1), p{(i + 1) % n}(X1,Y1), Y <= s(Y1).")
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,6 @@ from argprof import (
     DeconstructOp,
     InteractionSet,
     PsiOp,
-    NonDirectRecursionError,
     analyze_atom,
     analyze_predicate,
     argument_profiles,
@@ -37,12 +36,14 @@ from argprof import (
     validate_program,
 )
 from argprof import analysis
+from argprof.analysis import _components
 from argprof.syntax import Call, Clause, Predicate, Var
 from helpers import (
     SetContext,
     chain_source,
     count_calls,
     cyclic_long_clause_source,
+    gen_mutual_source,
     gen_program_source,
     gen_recursive_source,
     iset,
@@ -53,8 +54,10 @@ from helpers import (
     random_cyclic_set,
     reference_analyze_predicate,
     reference_atom_set,
+    reference_components,
     reference_programs,
     reference_run_analysis,
+    reference_strongly_connected,
     rotating_recursion_source,
     wide_source,
 )
@@ -180,7 +183,7 @@ def test_atom_drops_flow_from_a_variable_into_itself():
     assert analyze_atom(atoms[2], env, program) == iset("p", ["X"], [("M", "N", [(ConstructOp("g", 2), 3)])])
 
 
-@pytest.mark.parametrize("group", ["fixtures", "corpus", "reversed-corpus", "wide", "chain"])
+@pytest.mark.parametrize("group", ["fixtures", "corpus", "reversed-corpus", "wide", "chain", "mutual"])
 def test_every_atom_matches_the_reference_atom_set(group):
     # The reference reads each atom's inputs and outputs off atom_flow and
     # builds its set with make_interaction_set, not through _add_atom.
@@ -501,31 +504,56 @@ def test_inner_loop_monotone():
             previous[entry.predicate] = entry.snapshot
 
 
-def test_mutual_recursion_raises():
-    src = """
-    :- pred p(in).
-    p(X) :- q(X).
-    :- pred q(in).
-    q(X) :- p(X).
-    """
-    with pytest.raises(NonDirectRecursionError):
-        run_analysis(parse_program(src))
+HALF = """
+:- pred half(in,out).
+half(X,Y) :- X => z, Y := X.
+half(X,Y) :- X => s(X1), hodd(X1,Y1), Y <= s(Y1).
+:- pred hodd(in,out).
+hodd(X,Y) :- X => s(X1), half(X1,Y).
+"""
 
 
-def test_blocked_driver_lists_every_unanalyzed_predicate():
-    # a and b are analyzed; p and q call each other, r waits on p, and s
-    # waits on r: all four are left.
+def test_mutual_recursion_analyzes_to_the_components_fixpoint():
+    # half and hodd call each other: each call is psi_bot and renames the
+    # callee's current entry, so each predicate's pair holds the points of
+    # both.
+    program = parse_program(HALF)
+    env, trace = run_analysis(program)
+    every = [(ASSIGN, 2), (DeconstructOp("s", 1), 3), (PSI_BOT, 4), (ConstructOp("s", 1), 5),
+             (DeconstructOp("s", 1), 6), (PSI_BOT, 7)]
+    assert env == {"half": iset("half", ["X"], [("X", "Y", every)]),
+                   "hodd": iset("hodd", ["X"], [("X", "Y", every)])}
+    assert env == reference_run_analysis(program)[0]
+    # half, then hodd, until hodd confirms half's last change, which is
+    # then recorded as half's confirming round.
+    assert [(t.round, t.predicate, t.changed) for t in trace] == [
+        (1, "half", True), (2, "hodd", True), (3, "half", True), (4, "hodd", False), (5, "half", False)
+    ]
+
+
+def test_driver_takes_components_callee_first():
+    # p and q call each other, and q calls b; r waits on p, and s on r. Of
+    # the components eligible after b, {a} goes before {p, q} by least
+    # member. Inside {p, q}, q, which calls p, comes after it; p's last
+    # round changed it, and q confirmed that, so p's confirming round is
+    # recorded.
     src = """
-    :- pred s(in). s(X) :- r(X).
-    :- pred r(in). r(X) :- p(X), a(X).
-    :- pred p(in). p(X) :- q(X).
-    :- pred q(in). q(X) :- p(X), b(X).
-    :- pred a(in). a(X) :- b(X).
-    :- pred b(in). b(X) :- X == X.
+    :- pred s(in,out). s(X,Y) :- r(X,Y).
+    :- pred r(in,out). r(X,Y) :- p(X,Y), a(X,Z).
+    :- pred p(in,out). p(X,Y) :- q(X,Y).
+    :- pred q(in,out). q(X,Y) :- p(X,Z), b(Z,Y). q(X,Y) :- Y <= f(X).
+    :- pred a(in,out). a(X,Y) :- b(X,Y).
+    :- pred b(in,out). b(X,Y) :- Y := X.
     """
-    with pytest.raises(NonDirectRecursionError) as exc:
-        run_analysis(parse_program(src))
-    assert exc.value.remaining == ["p", "q", "r", "s"]
+    program = parse_program(src)
+    assert validate_program(program).ok()
+    env, trace = run_analysis(program)
+    assert [(t.predicate, t.changed) for t in trace] == [
+        ("b", True), ("b", False), ("a", True), ("a", False),
+        ("p", True), ("q", True), ("p", True), ("q", False), ("p", False),
+        ("r", True), ("r", False), ("s", True), ("s", False),
+    ]
+    assert env == reference_run_analysis(program)[0]
 
 
 def test_driver_order_matches_reference_on_a_shuffled_call_dag():
@@ -563,6 +591,30 @@ def test_driver_scales_to_thousands_of_predicates():
         new = reference_analyze_predicate(program.predicates[name], env, program)
         expected += [(len(expected) + 1, name, new, True), (len(expected) + 2, name, new, False)]
     assert [(t.round, t.predicate, t.snapshot, t.changed) for t in trace] == expected
+
+
+def _assert_bound_per_component(program, trace):
+    """Test 07's bound on changing rounds, summed over each component."""
+    counts = round_counts(trace)
+    for scc in reference_strongly_connected(program.call_graph):
+        changing = sum(counts[name][0] for name in scc)
+        bound = sum((len(program.predicates[name].body_points()) + 1)
+                    * program.predicates[name].arity * (program.predicates[name].arity - 1) for name in scc)
+        assert changing <= bound, f"{sorted(scc)}: {changing} > {bound}"
+
+
+def test_mutual_programs_match_the_reference_environment():
+    # Calls may go to any predicate. The reference iterates each component
+    # from scratch, its members together, until none changes; the driver's
+    # worklist reaches the same least fixpoint in fewer rounds.
+    mutual = 0
+    for program in reference_programs("mutual"):
+        assert validate_program(program).ok()
+        env, trace = run_analysis(program)
+        assert env == reference_run_analysis(program)[0]
+        _assert_bound_per_component(program, trace)
+        mutual += any(len(scc) > 1 for scc in reference_strongly_connected(program.call_graph))
+    assert mutual > 50
 
 
 def test_termination_and_bound_on_random_programs():
@@ -848,3 +900,60 @@ def test_wide_recursive_clause_analyzes_quickly():
     start = time.perf_counter()
     run_analysis(program)
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# The call graph's components
+# ---------------------------------------------------------------------------
+
+
+def _assert_components(graph):
+    """Kosaraju's components are Tarjan's, each member but the first calls
+    one listed before it, and each node's callers are listed in the graph's
+    order."""
+    order, callers = _components(graph)
+    assert sorted(map(sorted, order)) == sorted(map(sorted, reference_strongly_connected(graph))), graph
+    for scc in order:
+        place = {m: k for k, m in enumerate(scc)}
+        assert all(any(place.get(q, k) < k for q in graph[m]) for k, m in enumerate(scc) if k), scc
+    rank = {p: k for k, p in enumerate(graph)}
+    assert sorted((q, p) for p in callers for q in callers[p]) == sorted((q, p) for q in graph for p in graph[q])
+    assert all(sorted(qs, key=rank.__getitem__) == qs for qs in callers.values())
+    return order
+
+
+def test_components_come_in_the_reference_order_on_random_graphs():
+    # Self-loops, isolated nodes and insertion orders that differ from the
+    # sorted order all occur; the order must equal the reference's.
+    rng = random.Random(33)
+    for _ in range(5_000):
+        names = [f"p{k}" for k in range(rng.randint(1, 14))]
+        rng.shuffle(names)
+        density = rng.uniform(0, 0.4)
+        graph = {a: frozenset(b for b in names if rng.random() < density) for a in names}
+        assert list(map(set, _assert_components(graph))) == reference_components(graph), graph
+
+
+@pytest.mark.parametrize("ring", [True, False], ids=["ring", "chain"])
+def test_components_of_a_deep_graph(ring):
+    # p_k calls p_(k+1): the chain's components come from its far end, and
+    # the ring's one component lists each member after the one it calls.
+    n = 20_000
+    graph = {f"p{k}": frozenset([f"p{(k + 1) % n}"] if ring or k + 1 < n else []) for k in range(n)}
+    order = _assert_components(graph)
+    if ring:
+        assert order == [["p0"] + [f"p{k}" for k in range(n - 1, 0, -1)]]
+    else:
+        assert order == [[f"p{k}"] for k in range(n - 1, -1, -1)]
+
+
+def test_driver_takes_components_in_the_reference_order():
+    # Random call graphs over random programs: the components of the
+    # trace's predicates, by first round, come in the reference order.
+    rng = random.Random(36)
+    for _ in range(200):
+        program = parse_program(gen_mutual_source(rng))
+        _, trace = run_analysis(program)
+        expected = [frozenset(scc) for scc in reference_components(program.call_graph)]
+        component = {name: scc for scc in expected for name in scc}
+        assert list(dict.fromkeys(component[t.predicate] for t in trace)) == expected

@@ -28,6 +28,7 @@ from helpers import (
     compare_parts,
     count_calls,
     fixture_names,
+    gen_mutual_source,
     gen_program_source,
     mutated_sources,
     rotating_recursion_source,
@@ -170,28 +171,40 @@ def test_analyze_empty_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"predicates": []}
 
 
-def test_analyze_mutual_recursion_exits_1(tmp_path, capsys):
-    bad = tmp_path / "mutual.lp"
-    bad.write_text(
-        ":- pred p(in).\np(X) :- q(X).\n:- pred q(in).\nq(X) :- p(X).\n"
+def test_analyze_mutual_recursion_pins_even_odd_profiles(tmp_path, capsys):
+    # even and odd call each other: each call is psi_bot, and each one's
+    # flow holds the points of both.
+    prog = tmp_path / "even_odd.lp"
+    prog.write_text(
+        ":- pred even(in,out).\neven(X,Y) :- X => z, Y <= true.\neven(X,Y) :- X => s(X1), odd(X1,Y).\n"
+        ":- pred odd(in,out).\nodd(X,Y) :- X => s(X1), even(X1,Y).\n"
     )
-    assert main(["analyze", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert "mutual recursion among {p, q}" in err
+    assert main(["analyze", str(prog)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    flow = "    arg 1: {deconstruct:s/1, deconstruct:s/1, psi_bot, psi_bot} -> 2\n    arg 2: (empty)\n"
+    assert captured.out == "".join(
+        f"pred {name}/2 modes=(in,out) rounds={rounds}\n  profile:\n{flow}  ordered:\n{flow}  permutation: (1,2)\n"
+        for name, rounds in [("even", "2+1"), ("odd", "1+1")]
+    )
+    assert main(["run", str(prog), "?- odd(s(s(s(z))), Y)."]) == 0
+    assert capsys.readouterr().out == "Y = true\n"
 
 
 def test_mutual_recursion_groups_in_callee_first_order(tmp_path, capsys):
-    # Each group is reported at its least member's declaration, callees'
-    # groups before their callers'.
-    bad = tmp_path / "groups.lp"
-    bad.write_text(
+    # a and b call each other, and so do c and d; a calls c, so the
+    # component {c, d} is analyzed before {a, b}.
+    prog = tmp_path / "groups.lp"
+    prog.write_text(
         ":- pred a(in).\na(X) :- b(X), c(X).\n:- pred b(in).\nb(X) :- a(X).\n"
         ":- pred c(in).\nc(X) :- d(X).\n:- pred d(in).\nd(X) :- c(X).\n"
     )
-    assert main(["analyze", str(bad)]) == 1
-    assert capsys.readouterr().err == (
-        f"{bad}:5:1: error: mutual recursion among {{c, d}}\n{bad}:1:1: error: mutual recursion among {{a, b}}\n"
-    )
+    assert main(["analyze", "--trace", str(prog)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[:4] == [
+        f"round={k} pred={name} interactions=0 changed=false" for k, name in enumerate("cdab", 1)
+    ]
 
 
 def test_analyze_mode_violation_exits_1(tmp_path, capsys):
@@ -645,6 +658,8 @@ def test_compare_of_the_cone_matches_a_whole_program_verdict():
     rng = random.Random(0xBEEF)  # the test-07 corpus
     sources += [gen_program_source(rng) for _ in range(200)]
     sources += [chain_source(k) for k in range(1, 7)]
+    rng = random.Random(0xBEEF)  # calls to any predicate, so cones that hold whole components
+    sources += [gen_mutual_source(rng) for _ in range(100)]
     verdicts = 0
     for source in [*sources, *mutated_sources()]:
         names = _DECLARED.findall(source) or ["p"]

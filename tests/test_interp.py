@@ -51,6 +51,7 @@ from helpers import (
     fixture_names,
     gen_ground_term,
     gen_input_term,
+    gen_mutual_source,
     gen_program_source,
     load_fixture,
     mutated_sources,
@@ -917,15 +918,16 @@ def _with_deep_stack(run):
     return outcome[0]
 
 
-def _corpus_queries():
-    """Each test-07 corpus program, with one seeded well-moded query per
+def _corpus_queries(generate=gen_program_source):
+    """Each test-07 corpus program, or each of 200 programs ``generate``
+    makes from the corpus seed, with one seeded well-moded query per
     predicate: (predicate, query, query arguments)."""
     from test_acceptance import _query_for
 
     corpus = random.Random(0xBEEF)
     rng = random.Random(0x5EED)
     for _ in range(200):
-        program = parse_program(gen_program_source(corpus))
+        program = parse_program(generate(corpus))
         yield program, [(pred, *_query_for(pred, rng)) for pred in program.predicates.values()]
 
 
@@ -949,11 +951,11 @@ def _limited_outcome(program, query):
         return "step-limit"
 
 
-def test_corpus_normalization_soundness():
-    # Test 09 on the corpus: the original and the normalized program give
-    # the same outcome on each query, its arguments permuted for the latter.
+def _assert_normalization_sound(generate) -> None:
+    # Test 09: the original and the normalized program give the same
+    # outcome on each query, its arguments permuted for the latter.
     answered = 0
-    for program, queries in _corpus_queries():
+    for program, queries in _corpus_queries(generate):
         normalization = plan(program, run_analysis(program)[0])
         normalized = rewrite(program, normalization)
         for pred, query, args in queries:
@@ -962,6 +964,16 @@ def test_corpus_normalization_soundness():
             assert _limited_outcome(normalized, Query((Call(0, 0, 0, pred.name, permuted),))) == expected
             answered += expected != "step-limit"
     assert answered > 100
+
+
+def test_corpus_normalization_soundness():
+    _assert_normalization_sound(gen_program_source)
+
+
+def test_mutual_normalization_soundness():
+    # Programs whose calls may go to any predicate, so that many hold a
+    # call-graph cycle through several predicates.
+    _assert_normalization_sound(gen_mutual_source)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Mode-correctness and direct-recursion validation tests."""
+"""Mode-correctness validation tests."""
 
 from __future__ import annotations
 
@@ -13,12 +13,11 @@ from argprof import (
     parse_query,
     run_analysis,
     syntax,
-    validate_direct_recursion,
     validate_modes,
     validate_program,
 )
 from argprof.interp import SolveError, solve
-from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, _strongly_connected, mode_faults
+from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, mode_faults
 from argprof.parse import SourceError
 from argprof.syntax import (
     Assign,
@@ -39,7 +38,6 @@ from helpers import (
     load_fixture,
     mutated_sources,
     reference_programs,
-    reference_strongly_connected,
     reference_validate_modes,
     reversed_bodies,
 )
@@ -160,36 +158,6 @@ def test_report_rendering():
     assert rendered == "prog.lp:1:30: error: Z unbound at point 1"
 
 
-def test_direct_recursion_accepts_self_loop():
-    assert validate_direct_recursion(load_fixture("append.lp")).ok()
-
-
-def test_mutual_recursion_reported():
-    src = """
-    :- pred p(in).
-    p(X) :- q(X).
-    :- pred q(in).
-    q(X) :- p(X).
-    """
-    report = validate_direct_recursion(parse_program(src))
-    assert len(report.violations) == 1
-    assert "{p, q}" in report.violations[0].message
-
-
-def test_longer_cycle_reported():
-    src = """
-    :- pred p(in).
-    p(X) :- q(X).
-    :- pred q(in).
-    q(X) :- r(X).
-    :- pred r(in).
-    r(X) :- p(X).
-    """
-    report = validate_direct_recursion(parse_program(src))
-    assert len(report.violations) == 1
-    assert "{p, q, r}" in report.violations[0].message
-
-
 def test_acyclic_chain_accepted():
     src = """
     :- pred r(in).
@@ -199,28 +167,7 @@ def test_acyclic_chain_accepted():
     :- pred p(in).
     p(X) :- q(X).
     """
-    assert validate_direct_recursion(parse_program(src)).ok()
-
-
-def test_components_come_in_tarjans_order_on_random_graphs():
-    # Self-loops, isolated nodes and insertion orders that differ from the
-    # sorted order all occur; the list must equal Tarjan's, order included.
-    rng = random.Random(33)
-    for _ in range(5_000):
-        names = [f"p{k}" for k in range(rng.randint(1, 14))]
-        rng.shuffle(names)
-        density = rng.uniform(0, 0.4)
-        graph = {a: frozenset(b for b in names if rng.random() < density) for a in names}
-        assert _strongly_connected(graph) == reference_strongly_connected(graph), graph
-
-
-@pytest.mark.parametrize("ring", [True, False], ids=["ring", "chain"])
-def test_components_come_in_tarjans_order_on_a_deep_graph(ring):
-    n = 20_000
-    graph = {f"p{k}": frozenset([f"p{(k + 1) % n}"] if ring or k + 1 < n else []) for k in range(n)}
-    sccs = _strongly_connected(graph)
-    assert sccs == reference_strongly_connected(graph)
-    assert len(sccs) == (1 if ring else n)
+    assert validate_program(parse_program(src)).ok()
 
 
 def test_generated_programs_are_mode_correct():

@@ -139,6 +139,21 @@ def test_a_predicates_arity_is_the_length_of_its_modes():
     assert exc.value.message == "'q' called with 2 arguments but declared with arity 1"
 
 
+def test_program_rejects_a_clause_head_of_another_arity():
+    # A head longer than its modes would give the predicate an argument no
+    # mode covers; it is caught as the program is built, placed at the
+    # clause, with the text the parser gives.
+    x, y = syntax.Var("X"), syntax.Var("Y")
+    clause = syntax.Clause((x, y), (syntax.Assign(1, 2, 10, y, x),), 2, 1)
+    with pytest.raises(syntax.CallError) as exc:
+        syntax.Program({"q": syntax.Predicate("q", ("in",), (clause,))})
+    message = "'q' declared with arity 1 but clause head has 2 arguments"
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, 2, 1)
+    with pytest.raises(ProgramError) as parsed:
+        parse_program(":- pred q(in).\nq(X,Y) :- Y := X.\n")
+    assert parsed.value.render() == f"<input>:2:1: error: {message}"
+
+
 def test_bad_calls_are_reported_in_order_of_first_mention():
     # The program keeps b before a (the order of their first clauses), but
     # a is mentioned first, so its bad call is the one reported.
