@@ -103,7 +103,9 @@ class TestOp(_NullaryOp):
 
 
 class PsiBotOp(_NullaryOp):
-    """Placeholder for a directly recursive call with no profile yet."""
+    """Placeholder for a call into the caller's own component of the call
+    graph (a self-call is the one-member case), whose callee has no
+    profile yet."""
 
     __slots__ = ()
     canon = "psi_bot"

@@ -47,37 +47,34 @@ Python's recursion limit:
   query's calls stay plain calls, since answers are read from its frame.
 * **Choice points.** A call selects the callee's clauses that admit its
   input and enters the first of them directly. Each clause entered gets a
-  frame of its own: its head input values followed by empty slots, a name
-  repeated among the head inputs taking its last position. Only if a later
-  clause also admits the input does the call push a choice point: the
-  callee's clauses, the mask of those still to enter, the next clause, the
-  input values and the return record. A return record holds its caller's
-  frame, which later returns write again, but a continuation reads only
-  slots bound before it, and no slot bound before a call is written after
-  it. So backtracking has nothing to undo or copy: it enters the next
-  admitted clause of the choice point on top of the stack, which leaves
-  the stack with its last one.
-* **Clause selection.** As with ``switch_on_term`` in that engine, a clause
-  whose body starts by deconstructing a head input has a key: the input's
-  position and the functor and arity it expects. If the name is repeated
-  among the head inputs, the key takes its last position, whose value the
-  clause binds. When a predicate is compiled, each key position gets a
-  switch: a dict from a functor and arity to the bitmask of the clauses
-  that admit it there, those keyed with it and those not keyed there, and
-  the mask of the latter for any other value. A call ands the masks of its
-  input values; with no key position every clause is admitted. A clause
-  whose key differs from the call's input would fail its first atom, so it
-  is passed over, and the 2 steps of entering it and failing are charged
-  with the entry of the next admitted clause, where the clause would have
-  been tried. A keyed clause is always entered with its deconstruct done,
-  its outputs bound from the input and its step charged, as selection has
-  decided it: the key's input is a bound head input, so the deconstruct
-  runs before any fault of its outputs, and such a fault is the clause's
-  first instruction, which charges nothing. When no later clause is
-  admitted, the call is determinate: it leaves no choice point, and the
-  steps of the clauses after the entered one stay on the choice stack as a
-  charge-only entry. Backtracking onto it only charges them, and adjacent
-  ones merge.
+  frame of its own: its head input values followed by empty slots. Only
+  if a later clause also admits the input does the call push a choice
+  point: the callee's clauses, the mask of those still to enter, the next
+  clause, the input values and the return record. A return record holds
+  its caller's frame, which later returns write again, but a continuation
+  reads only slots bound before it, and no slot bound before a call is
+  written after it. So backtracking has nothing to undo or copy: it enters
+  the next admitted clause of the choice point on top of the stack, which
+  leaves the stack with its last one.
+* **Clause selection.** As with ``switch_on_term`` in that engine, a
+  clause whose body starts by deconstructing a head input has a key: the
+  input's position and the functor and arity it expects. When a predicate
+  is compiled, each key position gets a switch: a dict from a functor and
+  arity to the bitmask of the clauses that admit it there, those keyed
+  with it and those not keyed there, and the mask of the latter for any
+  other value. A call ands the masks of its input values; with no key
+  position every clause is admitted. A clause whose key differs from the
+  call's input would fail its first atom, so it is passed over, and the 2
+  steps of entering it and failing are charged with the entry of the next
+  admitted clause, where the clause would have been tried. A keyed clause
+  is always entered with its deconstruct done, its outputs bound from the
+  input and its step charged, as selection has decided it: the key's input
+  is a bound head input, so the deconstruct runs before any fault of its
+  outputs, and such a fault is the clause's first instruction, which
+  charges nothing. When no later clause is admitted, the call is
+  determinate: it leaves no choice point, and the steps of the clauses
+  after the entered one stay on the choice stack as a charge-only entry.
+  Backtracking onto it only charges them, and adjacent ones merge.
 * **Queries.** A query is compiled by the same body compiler into one
   flat goal on the same machine, with one frame that starts with the
   given bindings. Ground input terms are held in the frame as parsed;
@@ -330,16 +327,15 @@ def _compile_body(
 
 
 def _compile_clause(pred: Predicate, clause: Clause, predicates: Mapping[str, Predicate]) -> _Clause:
-    """``clause`` of ``pred`` compiled: its frame gives each head input
-    name the slot of its last input position, whose value its binding
-    keeps. A deconstruct of a head input that the clause starts with is its
-    key. Its input is bound, so the body's code starts with its
+    """``clause`` of ``pred`` compiled: its frame starts with a slot for
+    each head input. A deconstruct of a head input that the clause starts
+    with is its key. Its input is bound, so the body's code starts with its
     ``_DECONSTRUCT``, outputs in the slots after the head inputs; selection
     decides it and binds them, so the instructions start after it, and a
     fault of the deconstruct is the first of them. A last call whose
     outputs are the head outputs in order becomes a tail call. Code that
     reaches the clause's end with a head output unbound ends with a fault."""
-    head_ins, head_outs = pred.split(clause.head_args)
+    head_ins, head_outs = pred.split(pred.args)
     slots = {v.name: pos for pos, v in enumerate(head_ins)}
     frame: _Frame = [None] * len(head_ins)
     first = clause.body[0] if clause.body else None

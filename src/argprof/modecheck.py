@@ -80,45 +80,29 @@ def mode_faults(
     faults = []
     outputs: list[str] = []
     if atom.__class__ is Call:
-        # The checks of the two loops below, in argument position order,
-        # but a program call's repeated outputs last.
+        terms, modes = atom.args, predicates[atom.pred].modes
         repeated = faults if nonground is not None else []
-        for t, mode in zip(atom.args, predicates[atom.pred].modes):
-            if mode == "in":
-                if t.__class__ is Var:
-                    if t.name not in bound:
-                        faults.append((t, UNBOUND))
-                elif nonground is None:
-                    faults.append((t, NOT_VAR))
-                elif id(t) in nonground and not all(name in bound for name in term_names(t)):
+    else:
+        terms, modes = ins + outs, ("in",) * len(ins) + ("out",) * len(outs)
+        repeated = faults
+    for t, mode in zip(terms, modes):
+        if mode == "in":
+            if t.__class__ is Var:
+                if t.name not in bound:
                     faults.append((t, UNBOUND))
-            elif t.__class__ is not Var:
+            elif nonground is None:
                 faults.append((t, NOT_VAR))
-            elif t.name in bound:
-                faults.append((t, BOUND))
-            elif t.name in outputs:
-                repeated.append((t, REPEATED))
-            else:
-                outputs.append(t.name)
-        return faults if repeated is faults else faults + repeated
-    for t in ins:
-        if t.__class__ is Var:
-            if t.name not in bound:
+            elif id(t) in nonground and not all(name in bound for name in term_names(t)):
                 faults.append((t, UNBOUND))
-        elif nonground is None:
-            faults.append((t, NOT_VAR))
-        elif id(t) in nonground and not all(name in bound for name in term_names(t)):
-            faults.append((t, UNBOUND))
-    for t in outs:
-        if t.__class__ is not Var:
+        elif t.__class__ is not Var:
             faults.append((t, NOT_VAR))
         elif t.name in bound:
             faults.append((t, BOUND))
         elif t.name in outputs:
-            faults.append((t, REPEATED))
+            repeated.append((t, REPEATED))
         else:
             outputs.append(t.name)
-    return faults
+    return faults if repeated is faults else faults + repeated
 
 
 def fault_text(term: Term, kind: str, where: str) -> str:
@@ -142,8 +126,8 @@ def validate_modes(program: Program) -> ValidationReport:
     report = ValidationReport()
     predicates = program.predicates
     for pred in predicates.values():
+        head_ins, head_outs = pred.split(pred.args)
         for clause in pred.clauses:
-            head_ins, head_outs = pred.split(clause.head_args)
             bound = {v.name for v in head_ins}
             for atom in clause.body:
                 cls = atom.__class__

@@ -73,10 +73,10 @@ def rewrite(program: Program, normalization: NormalizationPlan) -> Program:
                     body.append(Call(atom.point, atom.line, atom.col, atom.pred, args))
                 else:
                     body.append(atom)
-            clauses.append(
-                Clause(_permute(clause.head_args, perm), tuple(body), clause.line, clause.col)
-            )
-        preds[name] = Predicate(name, _permute(pred.modes, perm), tuple(clauses), pred.line, pred.col)
+            clauses.append(Clause(tuple(body), clause.line, clause.col))
+        preds[name] = Predicate(
+            name, _permute(pred.modes, perm), _permute(pred.args, perm), tuple(clauses), pred.line, pred.col
+        )
     return Program(preds)
 
 

@@ -52,6 +52,7 @@ from .syntax import (
     Test,
     Value,
     Var,
+    check_heads,
     term_names,
 )
 
@@ -218,11 +219,12 @@ def _expected(tokens: Tokens, what: str, i: int) -> ParseError:
 
 def parse_program(source: str) -> Program:
     """Parse a program, assign program points and build the program, whose
-    constructor checks every call and builds the call graph.
+    constructor checks every head and every call and builds the call graph.
+    A predicate without clauses gets the head ``A1..An``.
 
     Raises LexError, ParseError or ProgramError, each carrying line/col. Of
-    several bad calls, the error names the first in the clauses of the
-    predicate mentioned first.
+    several bad heads or calls, the error names the first in the predicate
+    mentioned first, any head before any call.
     """
     tokens = tokenize(source, starts=True)
     texts, where = tokens.texts, tokens.position
@@ -234,6 +236,7 @@ def parse_program(source: str) -> Program:
     # Predicates in order of first mention; None until declared.
     modes: dict[str, tuple[Mode, ...] | None] = {}
     declared_at: dict[str, int] = {}  # the index of the declaration's ':-'
+    heads: dict[str, tuple[Var, ...]] = {}  # each predicate's, from its first clause
     clauses: dict[str, list[Clause]] = {}
     current: str | None = None  # the predicate of the last clause
     point = 0
@@ -355,33 +358,19 @@ def parse_program(source: str) -> Program:
         same = clauses.get(name)
         if same is None:
             same = clauses[name] = []
+            heads[name] = head
         elif name != current:  # another predicate's clause came in between
             raise ProgramError(f"clauses of '{name}' must be contiguous", *where(i))
-        elif same[0].head_args != head:
+        elif heads[name] != head:
             raise ProgramError(f"clause head of '{name}' differs from previous clauses", *where(i))
         current = name
         line, col = _position(line_starts, starts[i])
-        same.append(Clause(head, tuple(body), line, col))
+        same.append(Clause(tuple(body), line, col))
         return j + 1
 
     i = 0
     while texts[i]:
         i = declaration(i) if texts[i] == ":-" else clause(i)
-
-    built: dict[str, Predicate] = {}
-    for name, declared in modes.items():
-        own = clauses.get(name, [])
-        if declared is None:  # mentioned only by its clauses
-            raise ProgramError(f"missing mode declaration for '{name}'", own[0].line, own[0].col)
-        arity = len(declared)
-        if own and len(own[0].head_args) != arity:  # every clause has the first one's head
-            raise ProgramError(
-                f"'{name}' declared with arity {arity} but clause head has {len(own[0].head_args)} arguments",
-                own[0].line,
-                own[0].col,
-            )
-        line, col = _position(line_starts, starts[declared_at[name]])
-        built[name] = Predicate(name, declared, tuple(own), line, col)
 
     # Points follow the text, so keep the predicates in the order of their
     # first clauses (a clause-less one at its declaration): the order in
@@ -390,12 +379,21 @@ def parse_program(source: str) -> Program:
         first = pred.clauses[0] if pred.clauses else pred
         return first.line, first.col
 
+    built: dict[str, Predicate] = {}
     try:
+        for name, declared in modes.items():
+            own = clauses.get(name, [])
+            if declared is None:  # mentioned only by its clauses
+                check_heads(built.values())  # a bad head mentioned before it comes first
+                raise ProgramError(f"missing mode declaration for '{name}'", own[0].line, own[0].col)
+            args = heads[name] if own else tuple(Var(f"A{k}") for k in range(1, len(declared) + 1))
+            line, col = _position(line_starts, starts[declared_at[name]])
+            built[name] = Predicate(name, declared, args, tuple(own), line, col)
         return Program({pred.name: pred for pred in sorted(built.values(), key=first_position)})
     except CallError as error:
-        # Program checks the calls in the order it is given the predicates:
-        # report the first bad one in order of first mention, as the checks
-        # above do.
+        # Program checks the heads, then the calls, in the order it is given
+        # the predicates: report the first bad one in order of first
+        # mention, as the checks above do.
         try:
             Program(built)
         except CallError as first:

@@ -1,10 +1,11 @@
 """Abstract syntax for the moded logic language: one vocabulary of atoms
 for programs and queries.
 
-A program is a set of predicates, each with a mandatory mode declaration
-and a set of clauses sharing one head. Every call names one of the
-program's predicates with that predicate's arity: ``Program(predicates)``,
-the one way to build a program, checks so as it builds the call graph,
+A program is a set of predicates, each with a mandatory mode declaration,
+one head of distinct variables as long as its modes, and a set of clauses
+that share that head. Every call names one of the program's predicates
+with that predicate's arity: ``Program(predicates)``, the one way to build
+a program, checks the heads and the calls as it builds the call graph,
 whether the predicates were parsed or built by hand. Clause bodies are flat:
 ``parse_program`` stores only ``Var``s in the argument positions of an
 atom, so every term is an outermost functor applied to variables. Each
@@ -295,36 +296,38 @@ def term_names(term: Term) -> list[str]:
 
 
 class Clause(Value):
-    """A clause's head arguments and body; ``line`` and ``col`` place its
-    head."""
+    """A clause's body; ``line`` and ``col`` place its head, which is its
+    predicate's."""
 
-    __slots__ = __match_args__ = ("head_args", "body", "line", "col")
-    _key = attrgetter("head_args", "body")
+    __slots__ = __match_args__ = ("body", "line", "col")
+    _key = attrgetter("body")
 
-    def __init__(self, head_args: tuple[Var, ...], body: tuple[Atom, ...], line: int = 0, col: int = 0):
-        self.head_args = head_args
+    def __init__(self, body: tuple[Atom, ...], line: int = 0, col: int = 0):
         self.body = body
         self.line = line
         self.col = col
 
 
 class Predicate(Value):
-    """A predicate's declaration and clauses; ``line`` and ``col`` place
+    """A predicate's declaration, its head's formal arguments ``args``,
+    which every clause shares, and its clauses; ``line`` and ``col`` place
     its declaration. Its arity is the length of its modes."""
 
-    __slots__ = __match_args__ = ("name", "modes", "clauses", "line", "col")
-    _key = attrgetter("name", "modes", "clauses")
+    __slots__ = __match_args__ = ("name", "modes", "args", "clauses", "line", "col")
+    _key = attrgetter("name", "modes", "args", "clauses")
 
     def __init__(
         self,
         name: str,
         modes: tuple[Mode, ...],
+        args: tuple[Var, ...],
         clauses: tuple[Clause, ...],
         line: int = 0,
         col: int = 0,
     ):
         self.name = name
         self.modes = modes
+        self.args = args
         self.clauses = clauses
         self.line = line
         self.col = col
@@ -332,13 +335,6 @@ class Predicate(Value):
     @property
     def arity(self) -> int:
         return len(self.modes)
-
-    @property
-    def args(self) -> tuple[Var, ...]:
-        """Formal argument variables (synthesized for clause-less predicates)."""
-        if self.clauses:
-            return self.clauses[0].head_args
-        return tuple(Var(f"A{i}") for i in range(1, self.arity + 1))
 
     @property
     def arg_names(self) -> tuple[str, ...]:
@@ -363,14 +359,20 @@ class Predicate(Value):
 
 class CallError(Exception):
     """A call that names no predicate of its program, or one of another
-    arity, or a clause head of another arity than its predicate's:
-    ``message`` says which, ``line`` and ``col`` place the call or clause."""
+    arity, or a predicate whose head repeats a variable or is not as long
+    as its modes: ``message`` says which, ``line`` and ``col`` place the
+    call, or the head at the predicate's first clause (at its declaration
+    if it has none)."""
 
-    def __init__(self, site: Call | Clause, callee: Predicate | None):
-        if callee is None:
+    def __init__(self, site: Call | Predicate, callee: Predicate | None = None):
+        if site.__class__ is Predicate:
+            if len({v.name for v in site.args if v.__class__ is Var}) != len(site.args):
+                message = "head arguments must be pairwise distinct variables"
+            else:
+                message = f"'{site.name}' declared with arity {site.arity} but clause head has {len(site.args)} arguments"
+            site = site.clauses[0] if site.clauses else site
+        elif callee is None:
             message = f"call to undefined predicate '{site.pred}'"
-        elif site.__class__ is Clause:
-            message = f"'{callee.name}' declared with arity {callee.arity} but clause head has {len(site.head_args)} arguments"
         else:
             message = f"'{site.pred}' called with {len(site.args)} arguments but declared with arity {callee.arity}"
         super().__init__(message)
@@ -379,14 +381,24 @@ class CallError(Exception):
         self.col = site.col
 
 
+def check_heads(predicates: Iterable[Predicate]) -> None:
+    """Raise ``CallError`` for the first of ``predicates`` whose head is not
+    as long as its modes or does not hold distinct variables."""
+    for pred in predicates:
+        args = pred.args
+        if len(args) != len(pred.modes) or len({v.name for v in args if v.__class__ is Var}) != len(args):
+            raise CallError(pred)
+
+
 class Program(Value):
     """The predicates by name and the call graph they make: an edge p -> q
-    iff some clause of p calls q. Building a program raises ``CallError``
-    for the first clause, in the order of ``predicates`` and of their
-    clauses, whose head is not as long as its predicate's modes or that
-    holds a call that does not name one of ``predicates`` with its arity;
-    so every head fits its modes and every call has its callee. The call graph is derived, and
-    left out of the key. A program holds dicts, so it is not hashable."""
+    iff some clause of p calls q. Building a program checks every head,
+    then every call, each in the order of ``predicates`` (and of their
+    clauses), and raises ``CallError`` for the first head that does not fit
+    its modes (``check_heads``) or, if none, the first call that does not
+    name one of ``predicates`` with its arity. The call graph is derived,
+    and left out of the key. A program holds dicts, so it is not
+    hashable."""
 
     __slots__ = ("predicates", "call_graph")
     __match_args__ = ("predicates",)
@@ -394,12 +406,11 @@ class Program(Value):
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, predicates: dict[str, Predicate]):
+        check_heads(predicates.values())
         graph: dict[str, frozenset[str]] = {}
         for name, pred in predicates.items():
             callees = set()
             for clause in pred.clauses:
-                if len(clause.head_args) != len(pred.modes):
-                    raise CallError(clause, pred)
                 for atom in clause.body:
                     if atom.__class__ is Call:
                         callee = predicates.get(atom.pred)
@@ -462,8 +473,8 @@ def format_atom(atom: Atom) -> str:
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def format_clause(name: str, clause: Clause) -> str:
-    head = format_functor(name, clause.head_args)
+def format_clause(pred: Predicate, clause: Clause) -> str:
+    head = format_functor(pred.name, pred.args)
     if not clause.body:
         return f"{head}."
     body = ", ".join(format_atom(a) for a in clause.body)
@@ -472,7 +483,7 @@ def format_clause(name: str, clause: Clause) -> str:
 
 def format_predicate(pred: Predicate) -> str:
     lines = [f":- pred {pred.name}({','.join(pred.modes)})."]
-    lines.extend(format_clause(pred.name, c) for c in pred.clauses)
+    lines.extend(format_clause(pred, c) for c in pred.clauses)
     return "\n".join(lines)
 
 

@@ -9,7 +9,7 @@ import random
 import re
 import sys
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,17 +207,6 @@ def reference_analyze_predicate(pred: Predicate, env: dict, program: Program) ->
     return acc
 
 
-def leafs(
-    remaining: set[str], analyzed: set[str], call_graph: dict[str, frozenset[str]]
-) -> set[str]:
-    """Predicates whose callees are all themselves or already analyzed."""
-    return {
-        p
-        for p in remaining
-        if all(q == p or q in analyzed for q in call_graph.get(p, ()))
-    }
-
-
 def reference_components(graph: dict[str, frozenset[str]]) -> list[set[str]]:
     """The components of Tarjan's algorithm in the order the driver takes
     them: the first by least member of those whose members' callees are all
@@ -291,8 +280,8 @@ def reference_validate_modes(program: Program) -> ValidationReport:
     atom goes through ``atom_flow`` and ``mode_faults``."""
     report = ValidationReport()
     for pred in program.predicates.values():
+        head_ins, head_outs = pred.split(pred.args)
         for clause in pred.clauses:
-            head_ins, head_outs = pred.split(clause.head_args)
             bound = {v.name for v in head_ins}
             for atom in clause.body:
                 ins, outs = atom_flow(atom, program.predicates)
@@ -712,7 +701,7 @@ def reference_parse_program(source: str) -> Program:
             if prev is not None:
                 prev.closed = True
         current = name_tok.text
-        pred.clauses.append(Clause(head_args, tuple(body), name_tok.line, name_tok.col))
+        pred.clauses.append(Clause(tuple(body), name_tok.line, name_tok.col))
 
     while not parser.at("eof"):
         if parser.at(":-"):
@@ -727,14 +716,14 @@ def reference_parse_program(source: str) -> Program:
             raise ProgramError(f"missing mode declaration for '{name}'", line, col)
         arity = len(rp.modes)
         clauses = tuple(rp.clauses or [])
-        for cl in clauses:
-            if len(cl.head_args) != arity:
-                raise ProgramError(
-                    f"'{name}' declared with arity {arity} but clause head has {len(cl.head_args)} arguments",
-                    cl.line,
-                    cl.col,
-                )
-        built[name] = Predicate(name, rp.modes, clauses, rp.decl_line, rp.decl_col)
+        if rp.head_args is not None and len(rp.head_args) != arity:
+            raise ProgramError(
+                f"'{name}' declared with arity {arity} but clause head has {len(rp.head_args)} arguments",
+                clauses[0].line,
+                clauses[0].col,
+            )
+        args = rp.head_args if rp.head_args is not None else tuple(Var(f"A{i}") for i in range(1, arity + 1))
+        built[name] = Predicate(name, rp.modes, args, clauses, rp.decl_line, rp.decl_col)
 
     for name, pred in built.items():
         for cl in pred.clauses:
@@ -1240,24 +1229,25 @@ def long_clause_source(n: int) -> str:
     return ":- pred p(in,out).\np(X,Y) :- " + ", ".join(atoms) + ".\n"
 
 
+def map_bodies(program: Program, f: Callable[[tuple[Atom, ...]], tuple[Atom, ...]]) -> Program:
+    """``program`` with every clause body replaced by ``f`` of it."""
+    predicates = {}
+    for name, pred in program.predicates.items():
+        clauses = tuple(Clause(f(c.body), c.line, c.col) for c in pred.clauses)
+        predicates[name] = Predicate(name, pred.modes, pred.args, clauses, pred.line, pred.col)
+    return Program(predicates)
+
+
 def reversed_bodies(program: Program) -> Program:
     """``program`` with every clause body in reverse, so that names are
     consumed before they are produced."""
-    return Program({
-        name: Predicate(name, pred.modes,
-                        tuple(Clause(c.head_args, c.body[::-1]) for c in pred.clauses))
-        for name, pred in program.predicates.items()
-    })
+    return map_bodies(program, lambda body: body[::-1])
 
 
 def dropped_last_atoms(program: Program) -> Program:
     """``program`` with the last atom of every clause body dropped, so that
     some clauses end with a head output unbound."""
-    return Program({
-        name: Predicate(name, pred.modes,
-                        tuple(Clause(c.head_args, c.body[:-1]) for c in pred.clauses))
-        for name, pred in program.predicates.items()
-    })
+    return map_bodies(program, lambda body: body[:-1])
 
 
 def repeated_call_outputs(program: Program) -> Program:
@@ -1273,11 +1263,7 @@ def repeated_call_outputs(program: Program) -> Program:
         args[outs[1]] = args[outs[0]]
         return Call(atom.point, atom.line, atom.col, atom.pred, tuple(args))
 
-    return Program({
-        name: Predicate(name, pred.modes,
-                        tuple(Clause(c.head_args, tuple(map(repeat, c.body))) for c in pred.clauses))
-        for name, pred in program.predicates.items()
-    })
+    return map_bodies(program, lambda body: tuple(map(repeat, body)))
 
 
 def repeated_deconstruct_outputs(program: Program) -> Program:
@@ -1291,11 +1277,7 @@ def repeated_deconstruct_outputs(program: Program) -> Program:
         args = (first.args[0], first.args[0], *first.args[2:])
         return (Deconstruct(first.point, first.line, first.col, first.var, first.functor, args), *body[1:])
 
-    return Program({
-        name: Predicate(name, pred.modes,
-                        tuple(Clause(c.head_args, repeat(c.body)) for c in pred.clauses))
-        for name, pred in program.predicates.items()
-    })
+    return map_bodies(program, repeat)
 
 
 def cyclic_long_clause_source(n: int) -> str:
@@ -1533,9 +1515,9 @@ def _solve_call(
     out_positions = [pos for pos, m in enumerate(pred.modes) if m == "out"]
     for clause in pred.clauses:
         steps.bump()
-        env: _Env = {clause.head_args[pos].name: val for pos, val in in_vals}
+        env: _Env = {pred.args[pos].name: val for pos, val in in_vals}
         for _ in _solve_body(program, clause.body, 0, env, steps):
-            yield tuple(env[clause.head_args[pos].name] for pos in out_positions)
+            yield tuple(env[pred.args[pos].name] for pos in out_positions)
 
 
 # ---------------------------------------------------------------------------

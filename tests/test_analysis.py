@@ -24,6 +24,7 @@ from argprof import (
     argument_profiles,
     bottom,
     canon_op,
+    parse_query,
     initial_environment,
     leq_sets,
     oprof,
@@ -36,8 +37,9 @@ from argprof import (
     validate_program,
 )
 from argprof import analysis
+from argprof.interp import solve
 from argprof.analysis import _components
-from argprof.syntax import Call, Clause, Predicate, Var
+from argprof.syntax import Assign, Call, Clause, Construct, Predicate, Program, Var, format_ground
 from helpers import (
     SetContext,
     chain_source,
@@ -47,7 +49,6 @@ from helpers import (
     gen_program_source,
     gen_recursive_source,
     iset,
-    leafs,
     load_fixture,
     naive_closure,
     random_chained_set,
@@ -302,7 +303,7 @@ def _over_arguments(s):
     """A predicate ``p`` whose arguments are the ``A`` variables of ``s``."""
     args = sorted({v for pair in s.pairs for v in pair if v.startswith("A")} | s.input_args)
     modes = tuple("in" if a in s.input_args else "out" for a in args)
-    return Predicate("p", modes, (Clause(tuple(Var(a) for a in args), ()),))
+    return Predicate("p", modes, tuple(Var(a) for a in args), (Clause(()),))
 
 
 def test_project_matches_naive_oracle_on_random_sets(monkeypatch):
@@ -410,29 +411,8 @@ def test_clause_join_order_irrelevant():
 
 
 # ---------------------------------------------------------------------------
-# leafs and the driver
+# The driver
 # ---------------------------------------------------------------------------
-
-
-def test_leafs_initial():
-    program = load_fixture("double_append.lp")
-    assert leafs({"app", "concat", "dapp"}, set(), program.call_graph) == {"app", "concat"}
-
-
-def test_leafs_after_callees_analyzed():
-    program = load_fixture("double_append.lp")
-    remaining, analyzed = {"dapp"}, {"app", "concat"}
-    result = leafs(remaining, analyzed, program.call_graph)
-    # oracle: direct check of the callee sets
-    expected = {
-        p for p in remaining if program.call_graph[p] <= analyzed | {p}
-    }
-    assert result == expected == {"dapp"}
-
-
-def test_leafs_empty_remaining():
-    program = load_fixture("double_append.lp")
-    assert leafs(set(), {"app"}, program.call_graph) == set()
 
 
 def test_run_analysis_app_only():
@@ -441,6 +421,21 @@ def test_run_analysis_app_only():
     assert env["app"] == _expected_app_fixpoint()
     changing, total = round_counts(trace)["app"]
     assert changing == 1 and total == 2  # one growing round, one confirming
+
+
+def test_clauses_built_by_hand_share_their_predicate_head():
+    # Two clauses of p(X,Y) under (in,out), built by hand: each is read
+    # with the predicate's one head, so the analysis keeps the flow of
+    # both, as solve answers with both, and the program is the one parsed.
+    x, y = Var("X"), Var("Y")
+    clauses = (Clause((Assign(1, 2, 11, y, x),), 2, 1), Clause((Construct(2, 3, 11, y, "f", (x,)),), 3, 1))
+    program = Program({"p": Predicate("p", ("in", "out"), (x, y), clauses, 1, 1)})
+    assert program == parse_program(":- pred p(in,out).\np(X,Y) :- Y := X.\np(X,Y) :- Y <= f(X).\n")
+    assert validate_program(program).ok()
+    env, _ = run_analysis(program)
+    assert env["p"] == iset("p", ["X"], [("X", "Y", [(ASSIGN, 1), (ConstructOp("f", 1), 2)])])
+    answers = solve(program, parse_query("?- p(a, Z)."))
+    assert [format_ground(a["Z"]) for a in answers] == ["a", "f(a)"]
 
 
 def test_run_analysis_concat_only():
@@ -887,7 +882,7 @@ def test_kept_profiles_serve_only_the_argument_order_they_were_built_for():
     assert s == fresh and repr(s) == repr(fresh)
     # Under another argument order the set is stripped and ordered afresh.
     clause = pred.clauses[0]
-    swapped = Predicate("p", ("in", "in", "out"), (Clause((Var("Y"), Var("X"), Var("Z")), clause.body),))
+    swapped = Predicate("p", ("in", "in", "out"), (Var("Y"), Var("X"), Var("Z")), (Clause(clause.body),))
     other, other_ordered = argument_profiles(swapped, s)
     assert (other, other_ordered.profiles, other_ordered.permutation) == built_afresh(("Y", "X", "Z"))
     assert other != profile

@@ -262,8 +262,8 @@ def _hand_built() -> list[Program]:
         (Call(1, 1, 9, "q", (a, y)),),
         (Call(1, 1, 9, "q", (x, fx)), Assign(2, 1, 19, y, x)),
     ]
-    q = Predicate("q", ("in", "out"), ())
-    return [Program({"p": Predicate("p", ("in", "out"), (Clause((x, y), body),)), "q": q}) for body in bodies]
+    q = Predicate("q", ("in", "out"), (x, y), ())
+    return [Program({"p": Predicate("p", ("in", "out"), (x, y), (Clause(body),)), "q": q}) for body in bodies]
 
 
 def test_fast_mode_check_matches_the_walk_on_mutated_programs():
@@ -297,8 +297,8 @@ def test_a_term_in_a_clause_atom_is_reported_not_raised():
     # The names a term holds are bound after its atom, so no fault follows.
     x, y, w = Var("X"), Var("Y"), Var("W")
     body = (Call(1, 1, 9, "q", (x, FunctorTerm("f", (w,)))), Assign(2, 1, 19, y, w))
-    q = Predicate("q", ("in", "out"), ())
-    program = Program({"p": Predicate("p", ("in", "out"), (Clause((x, y), body),)), "q": q})
+    q = Predicate("q", ("in", "out"), (x, y), ())
+    program = Program({"p": Predicate("p", ("in", "out"), (x, y), (Clause(body),)), "q": q})
     assert validate_modes(program).render() == "<input>:1:9: error: f(W) is not a variable at point 1"
 
 

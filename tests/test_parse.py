@@ -98,10 +98,10 @@ def test_undefined_call_rejected():
 def _hand_built_caller(call: Call) -> dict[str, syntax.Predicate]:
     """``p(X,Y) :- <call>.`` and ``:- pred q(in,out).``, built by hand, not
     parsed."""
-    clause = syntax.Clause((syntax.Var("X"), syntax.Var("Y")), (call,), 3, 1)
+    x, y = syntax.Var("X"), syntax.Var("Y")
     return {
-        "p": syntax.Predicate("p", ("in", "out"), (clause,), 2, 1),
-        "q": syntax.Predicate("q", ("in", "out"), (), 1, 1),
+        "p": syntax.Predicate("p", ("in", "out"), (x, y), (syntax.Clause((call,), 3, 1),), 2, 1),
+        "q": syntax.Predicate("q", ("in", "out"), (x, y), (), 1, 1),
     }
 
 
@@ -130,28 +130,68 @@ def test_program_rejects_a_call_without_its_callee(pred, args, message):
 def test_a_predicates_arity_is_the_length_of_its_modes():
     # A call is checked against the modes a callee declares, so no argument
     # of it is left neither checked nor bound.
-    q = syntax.Predicate("q", ("in",), ())
+    x, y = syntax.Var("X"), syntax.Var("Y")
+    q = syntax.Predicate("q", ("in",), (x,), ())
     assert q.arity == 1
-    call = Call(1, 3, 9, "q", (syntax.Var("X"), syntax.Var("Y")))
-    clause = syntax.Clause((syntax.Var("X"), syntax.Var("Y")), (call,), 3, 1)
+    clause = syntax.Clause((Call(1, 3, 9, "q", (x, y)),), 3, 1)
     with pytest.raises(syntax.CallError) as exc:
-        syntax.Program({"p": syntax.Predicate("p", ("in", "out"), (clause,)), "q": q})
+        syntax.Program({"p": syntax.Predicate("p", ("in", "out"), (x, y), (clause,)), "q": q})
     assert exc.value.message == "'q' called with 2 arguments but declared with arity 1"
 
 
-def test_program_rejects_a_clause_head_of_another_arity():
-    # A head longer than its modes would give the predicate an argument no
-    # mode covers; it is caught as the program is built, placed at the
-    # clause, with the text the parser gives.
-    x, y = syntax.Var("X"), syntax.Var("Y")
-    clause = syntax.Clause((x, y), (syntax.Assign(1, 2, 10, y, x),), 2, 1)
+def _head_error(args, clauses=()):
+    """The ``CallError`` of a program whose one predicate ``q(in,out)``,
+    declared at 1:1, has the head ``args`` and ``clauses``."""
     with pytest.raises(syntax.CallError) as exc:
-        syntax.Program({"q": syntax.Predicate("q", ("in",), (clause,))})
-    message = "'q' declared with arity 1 but clause head has 2 arguments"
-    assert (exc.value.message, exc.value.line, exc.value.col) == (message, 2, 1)
+        syntax.Program({"q": syntax.Predicate("q", ("in", "out"), args, clauses, 1, 1)})
+    return exc.value.message, exc.value.line, exc.value.col
+
+
+def test_program_rejects_a_clause_head_of_another_arity():
+    # A head longer or shorter than its modes would leave an argument or a
+    # mode without the other; it is caught as the program is built, placed
+    # at the first clause, with the text the parser gives.
+    x, y, z = syntax.Var("X"), syntax.Var("Y"), syntax.Var("Z")
+    clauses = (syntax.Clause((syntax.Assign(1, 2, 10, y, x),), 2, 1), syntax.Clause((), 3, 1))
+    message = "'q' declared with arity 2 but clause head has 3 arguments"
+    assert _head_error((x, y, z), clauses) == (message, 2, 1)
+    assert _head_error((x,), clauses)[1:] == (2, 1)
     with pytest.raises(ProgramError) as parsed:
-        parse_program(":- pred q(in).\nq(X,Y) :- Y := X.\n")
+        parse_program(":- pred q(in,out).\nq(X,Y,Z) :- Y := X.\nq(X,Y,Z).\n")
     assert parsed.value.render() == f"<input>:2:1: error: {message}"
+
+
+def test_program_rejects_a_head_that_repeats_a_variable():
+    # p(X,X) under (in,out) would both read and bind X. The head is placed
+    # at the first clause, or at the declaration of a predicate without
+    # one, with the text the parser gives.
+    x = syntax.Var("X")
+    message = "head arguments must be pairwise distinct variables"
+    assert _head_error((x, x), (syntax.Clause((), 2, 1),)) == (message, 2, 1)
+    assert _head_error((x, x)) == (message, 1, 1)
+    assert _head_error((x, syntax.FunctorTerm("a"))) == (message, 1, 1)
+    with pytest.raises(ProgramError) as parsed:
+        parse_program(":- pred q(in,out).\nq(X,X).\n")
+    assert parsed.value.render() == f"<input>:2:1: error: {message}"
+
+
+def test_a_bad_head_is_reported_before_a_later_missing_declaration():
+    # The head and the declaration are checked in order of first mention,
+    # as are two bad heads, and any head before any call.
+    head = "'p' declared with arity 1 but clause head has 2 arguments"
+    sources = {
+        ":- pred p(in).\np(X,Y).\nq(X).\n": f"2:1: error: {head}",
+        "q(X).\n:- pred p(in).\np(X,Y).\n": "1:1: error: missing mode declaration for 'q'",
+        ":- pred p(in).\n:- pred q(in).\nq(X,Y).\np(X,Y).\n": f"4:1: error: {head}",
+        ":- pred q(in).\n:- pred p(in).\nq(X) :- r(X).\np(X,Y).\n": f"4:1: error: {head}",
+    }
+    for source, error in sources.items():
+        with pytest.raises(ProgramError) as exc:
+            parse_program(source)
+        assert exc.value.render() == f"<input>:{error}"
+        with pytest.raises(ProgramError) as ref:
+            reference_parse_program(source)
+        assert ref.value.render() == exc.value.render()
 
 
 def test_bad_calls_are_reported_in_order_of_first_mention():

@@ -56,8 +56,8 @@ def values(content, line=1, col=1):
         syntax.Test(n, line, col, var, term),
         Assign(n, line, col, var, term),
         Call(n, line, col, name, args),
-        Clause(args, (Call(n, line, col, name, args),), line, col),
-        Predicate(name, ("in",) * n, (), line, col),
+        Clause((Call(n, line, col, name, args),), line, col),
+        Predicate(name, ("in",) * n, args, (), line, col),
         ConstructOp(name, n),
         DeconstructOp(name, n),
         AssignOp(),
@@ -106,8 +106,8 @@ def test_values_of_one_class_are_equal_exactly_when_their_fields_are(one, other)
 def test_values_differing_only_in_line_and_col_compare_equal():
     var = Var("X")
     assert Call(1, 2, 3, "p", (var,)) == Call(1, 9, 9, "p", (var,))
-    assert Clause((var,), (), 2, 3) == Clause((var,), (), 7, 1)
-    assert Predicate("p", ("in",), (), 2, 3) == Predicate("p", ("in",), ())
+    assert Clause((), 2, 3) == Clause((), 7, 1)
+    assert Predicate("p", ("in",), (var,), (), 2, 3) == Predicate("p", ("in",), (var,), ())
     assert Call(1, 2, 3, "p", (var,)) != Call(2, 2, 3, "p", (var,))
 
 
@@ -121,7 +121,10 @@ def test_records_print_their_fields_in_order():
     assert repr(ConstructOp("cons", 2)) == "ConstructOp(functor='cons', arity=2)"
     assert repr(ASSIGN) == "AssignOp()"
     assert repr(OSet((ASSIGN,), 2)) == "OSet(ops=(AssignOp(),), target=2)"
-    assert repr(Clause((var,), ())) == "Clause(head_args=(Var(name='X'),), body=(), line=0, col=0)"
+    assert repr(Clause((), 1, 2)) == "Clause(body=(), line=1, col=2)"
+    assert repr(Predicate("p", ("in",), (var,), ())) == (
+        "Predicate(name='p', modes=('in',), args=(Var(name='X'),), clauses=(), line=0, col=0)"
+    )
     assert repr(syntax.Test(1, 2, 3, var, var)) == (
         "Test(point=1, line=2, col=3, left=Var(name='X'), right=Var(name='X'))"
     )
