@@ -20,13 +20,14 @@ Python's recursion limit:
   each body atom are known when it is compiled: the head inputs and the
   outputs of the atoms to its left. One walk over a body gives each name a
   slot of the clause's frame, a list, in the order the names are bound, so
-  an atom's outputs take consecutive slots, and reads each atom's failing
-  mode checks from ``modecheck.mode_faults``, the function the mode
-  checker reports. An atom with none becomes one instruction over slots
-  that checks nothing at run time. The first atom with one ends the code
-  with a fault instruction, and the rest of the body is not compiled. When
-  reached, the fault charges the atom's step (a call has none) and raises
-  the error, named when compiled, of the first fault ``mode_faults``
+  an atom's outputs take consecutive slots. Which atoms pass their mode
+  checks, ``modecheck.bind_passing`` decides, the rule the mode checker
+  uses. An atom that passes becomes one instruction over slots that
+  checks nothing at run time. The first atom that fails ends the code
+  with a fault instruction, and the rest of the body is not compiled.
+  When reached, the fault charges the atom's step (a call has none) and
+  raises the error, named when compiled, of the first fault that
+  ``modecheck.mode_faults``, the function the mode checker reports,
   lists, at ``point N``; that lists a program call's repeated outputs
   last, as the call finds them on return. A program call whose only
   faults are repeated outputs, and a deconstruct whose input passes, run
@@ -94,7 +95,15 @@ from __future__ import annotations
 from collections.abc import Callable, Container, Mapping
 from operator import is_, itemgetter
 
-from .modecheck import NOT_VAR, REPEATED, UNBOUND, fault_text, mode_faults, unbound_output_text
+from .modecheck import (
+    NOT_VAR,
+    REPEATED,
+    UNBOUND,
+    bind_passing,
+    fault_text,
+    mode_faults,
+    unbound_output_text,
+)
 from .parse import Query
 from .syntax import (
     Atom,
@@ -265,11 +274,11 @@ def _compile_body(
     and the query input terms it holds. ``nonground`` is None for a clause
     body, and a query's record of its input terms that hold a variable.
 
-    An atom that ``mode_faults`` passes where it stands becomes one
+    Each atom that ``bind_passing`` passes where it stands becomes one
     instruction, its outputs taking the next slots in order. A query input
     term that is ground is held as parsed, any other is built by an
-    ``_EVAL`` before its atom. The first atom with a fault ends the code
-    with a fault instruction that raises the error of the first fault
+    ``_EVAL`` before its atom. The first atom that fails ends the code with
+    a fault instruction that raises the error of the first fault
     ``mode_faults`` lists, and the rest of the body is not compiled; so
     does a query call of a predicate the program lacks, or of another
     arity. A program call whose only faults are repeated outputs, and a
@@ -277,52 +286,59 @@ def _compile_body(
     outputs in slots of their own, followed by the fault.
     """
     query = nonground is not None
-    code: list[_Instr] = []
-    for index, atom in enumerate(atoms, 1):
+    bound = set(slots)
+    flows: list[tuple[tuple[Term, ...], tuple[Term, ...]]] = []
+    atom = bind_passing(iter(atoms), bound, predicates, nonground, flows)
+    passed = len(flows)  # the atoms before ``atom``
+    fault: _Instr | None = None
+    if atom is not None:
         is_call = atom.__class__ is Call
-        if query and is_call:
-            callee = predicates.get(atom.pred)
-            if callee is None or len(atom.args) != callee.arity:
-                text = f"unknown predicate '{atom.pred}' in query" if callee is None else CallError(atom, callee).message
-                code.append((_FAULT, False, (SolveError, text), atom))
-                break
-        ins, outs = atom_flow(atom, predicates)
-        faults = mode_faults(atom, ins, outs, slots, predicates, nonground)
-        if faults:
-            fault = faults[0]
+        callee = predicates.get(atom.pred) if is_call else None
+        if query and is_call and (callee is None or len(atom.args) != callee.arity):
+            text = f"unknown predicate '{atom.pred}' in query" if callee is None else CallError(atom, callee).message
+            fault = (_FAULT, False, (SolveError, text), atom)
+        else:
+            ins, outs = atom_flow(atom, predicates)
+            first_fault = mode_faults(atom, ins, outs, bound, predicates, nonground)[0]
             if is_call and not query:
                 # A program call binds its outputs, a repeated one raising,
                 # only as it returns: its repeated outputs are listed last.
-                runs = fault[1] is REPEATED
+                runs = first_fault[1] is REPEATED
             else:
                 # A deconstruct binds its outputs only on a match. A
                 # clause's input that is a term faults, as not a variable.
-                runs = atom.__class__ is Deconstruct and fault[1] is not UNBOUND and (query or atom.var.__class__ is Var)
-            where = f"goal atom {index}" if query else f"point {atom.point}"
-            error = RuntimeModeError, _error_text(atom, where, fault, query)
-            if not runs:
-                code.append((_FAULT, not is_call, error, atom))
-                break
+                runs = (
+                    atom.__class__ is Deconstruct
+                    and first_fault[1] is not UNBOUND
+                    and (query or atom.var.__class__ is Var)
+                )
+            where = f"goal atom {passed + 1}" if query else f"point {atom.point}"
+            error = RuntimeModeError, _error_text(atom, where, first_fault, query)
+            fault = (_FAULT, not is_call and not runs, error, atom)
+            if runs:
+                flows.append((ins, outs))
+    code: list[_Instr] = []
+    for index, (atom, (ins, outs)) in enumerate(zip(atoms, flows)):
         args = [_input_slot(t, slots, frame, code, nonground) for t in ins]
         first = len(frame)
         for t in outs:
-            if not faults:
+            if index < passed:  # the outputs of an atom that faults are not named
                 slots[t.name] = len(frame)
             frame.append(None)
         end = len(frame)
-        if atom.__class__ is Deconstruct:
+        cls = atom.__class__
+        if cls is Deconstruct:
             code.append((_DECONSTRUCT, args[0], atom.functor, len(outs), first, end))
-        elif is_call:
+        elif cls is Call:
             code.append((_CALL, atom.pred, _getter(args), first, end, False))
-        elif atom.__class__ is Construct:
+        elif cls is Construct:
             code.append((_CONSTRUCT, first, atom.functor, _getter(args)))
-        elif atom.__class__ is Test:
+        elif cls is Test:
             code.append((_TEST, args[0], args[1]))
         else:
             code.append((_ASSIGN, first, args[0]))
-        if faults:
-            code.append((_FAULT, False, error, atom))
-            break
+    if fault is not None:
+        code.append(fault)
     return tuple(code)
 
 

@@ -7,17 +7,18 @@ bound. Violations are collected as ``SourceError``s, never raised. The
 call graph may have cycles of any length: the analysis takes each
 strongly connected component of it as one unit.
 
-That an atom passes is decided by one switch on its class, with set
-operations on its variables' names. Every other atom, one that fails a
-check or holds a term that is not a variable, goes through ``atom_flow``
-and ``mode_faults``: the one definition, which the interpreter shares, of
+That an atom passes is decided by ``bind_passing``, one switch on its
+class with set operations on its variables' names, the rule that the
+interpreter's compiler shares. Every other atom, one that fails a check or
+holds a term where a variable belongs, goes through ``atom_flow`` and
+``mode_faults``: the one definition, which the interpreter also shares, of
 which checks fail, in what order and with what text. A term where the
 parser puts a variable (in a program built by hand) is such a fault.
 """
 
 from __future__ import annotations
 
-from collections.abc import Container, Mapping
+from collections.abc import Container, Iterator, Mapping
 
 from .parse import SourceError
 from .syntax import (
@@ -116,72 +117,134 @@ def unbound_output_text(pred: Predicate, name: str) -> str:
     return f"output argument {name} of {pred.name}/{pred.arity} not bound at clause end"
 
 
+def _term_passes(t: Term, bound: set[str], nonground: Container[int] | None) -> bool:
+    """Whether input ``t``, not a variable, passes: a query's term (of
+    whose ids ``nonground`` is the record) that is ground or whose names
+    are bound."""
+    return nonground is not None and (id(t) not in nonground or bound.issuperset(term_names(t)))
+
+
+def bind_passing(
+    atoms: Iterator[Atom],
+    bound: set[str],
+    predicates: Mapping[str, Predicate],
+    nonground: Container[int] | None = None,
+    flows: list[tuple[tuple[Term, ...], tuple[Term, ...]]] | None = None,
+) -> Atom | None:
+    """The first of ``atoms`` that fails a mode check, taken from the
+    iterator, or None if none does. ``bound`` holds the names bound before
+    the first atom, and gains those the atoms before the failing one bind;
+    ``flows``, if given, gains their ``atom_flow``s.
+
+    An atom passes, and ``mode_faults`` lists nothing for it, when its
+    inputs are bound variables and its outputs distinct unbound variables.
+    A query's input may also be a term: ``nonground``, the query's record,
+    holds the ids of those that hold a variable, and one passes if its
+    names are bound. A call of a predicate that ``predicates`` lacks, or
+    with another number of arguments, does not pass."""
+    for atom in atoms:
+        cls = atom.__class__
+        if cls is Assign:
+            source, target = atom.source, atom.target
+            if target.__class__ is not Var or target.name in bound:
+                return atom
+            if source.__class__ is Var:
+                if source.name not in bound:
+                    return atom
+            elif not _term_passes(source, bound, nonground):
+                return atom
+            bound.add(target.name)
+            if flows is not None:
+                flows.append(((source,), (target,)))
+        elif cls is Deconstruct:
+            var, args = atom.var, atom.args
+            if var.__class__ is Var:
+                if var.name not in bound:
+                    return atom
+            elif not _term_passes(var, bound, nonground):
+                return atom
+            # As many names as arguments: all variables, all distinct.
+            names = {t.name for t in args if t.__class__ is Var}
+            if len(names) != len(args) or not bound.isdisjoint(names):
+                return atom
+            bound |= names
+            if flows is not None:
+                flows.append(((var,), args))
+        elif cls is Construct:
+            var, args = atom.var, atom.args
+            if var.__class__ is not Var or var.name in bound:
+                return atom
+            names = [t.name for t in args if t.__class__ is Var]
+            if not bound.issuperset(names) or len(names) != len(args) and not all(
+                t.__class__ is Var or _term_passes(t, bound, nonground) for t in args
+            ):
+                return atom
+            bound.add(var.name)
+            if flows is not None:
+                flows.append((args, (var,)))
+        elif cls is Test:
+            left, right = atom.left, atom.right
+            if left.__class__ is Var:
+                if left.name not in bound:
+                    return atom
+            elif not _term_passes(left, bound, nonground):
+                return atom
+            if right.__class__ is Var:
+                if right.name not in bound:
+                    return atom
+            elif not _term_passes(right, bound, nonground):
+                return atom
+            if flows is not None:
+                flows.append(((left, right), ()))
+        else:
+            callee = predicates.get(atom.pred)
+            args = atom.args
+            if callee is None or len(callee.modes) != len(args):
+                return atom
+            outputs: list[str] = []
+            for t, mode in zip(args, callee.modes):
+                if mode == "in":
+                    if t.__class__ is Var:
+                        if t.name not in bound:
+                            return atom
+                    elif not _term_passes(t, bound, nonground):
+                        return atom
+                elif t.__class__ is not Var or t.name in bound:
+                    return atom
+                else:
+                    outputs.append(t.name)
+            if len(set(outputs)) != len(outputs):
+                return atom
+            bound.update(outputs)
+            if flows is not None:
+                flows.append(callee.split(args))
+    return None
+
+
 def validate_modes(program: Program) -> ValidationReport:
     """Check every clause for mode-correct left-to-right execution.
 
-    An atom whose inputs are bound variables and whose outputs are
-    distinct unbound variables passes: the switch on its class finds so
-    and binds its outputs. Any other atom is checked by ``mode_faults``
-    over its ``atom_flow``, which names each fault."""
+    The atoms that ``bind_passing`` passes bind their outputs. Any other
+    atom is checked by ``mode_faults`` over its ``atom_flow``, which names
+    each fault, and binds all its names."""
     report = ValidationReport()
     predicates = program.predicates
     for pred in predicates.values():
-        head_ins, head_outs = pred.split(pred.args)
+        inputs = {v.name for v, mode in zip(pred.args, pred.modes) if mode == "in"}
+        outputs = [v.name for v, mode in zip(pred.args, pred.modes) if mode == "out"]
         for clause in pred.clauses:
-            bound = {v.name for v in head_ins}
-            for atom in clause.body:
-                cls = atom.__class__
-                if cls is Assign:
-                    source, target = atom.source, atom.target
-                    if (
-                        source.__class__ is Var and target.__class__ is Var
-                        and source.name in bound and target.name not in bound
-                    ):
-                        bound.add(target.name)
-                        continue
-                elif cls is Deconstruct:
-                    var, args = atom.var, atom.args
-                    if var.__class__ is Var and var.name in bound:
-                        # As many names as arguments: all variables, all distinct.
-                        names = {t.name for t in args if t.__class__ is Var}
-                        if len(names) == len(args) and bound.isdisjoint(names):
-                            bound |= names
-                            continue
-                elif cls is Construct:
-                    var, args = atom.var, atom.args
-                    if var.__class__ is Var and var.name not in bound:
-                        names = [t.name for t in args if t.__class__ is Var]
-                        if len(names) == len(args) and bound.issuperset(names):
-                            bound.add(var.name)
-                            continue
-                elif cls is Test:
-                    left, right = atom.left, atom.right
-                    if left.__class__ is Var and right.__class__ is Var and left.name in bound and right.name in bound:
-                        continue
-                elif cls is Call:
-                    outputs: list[str] = []
-                    for t, mode in zip(atom.args, predicates[atom.pred].modes):
-                        if t.__class__ is not Var:
-                            break
-                        if mode == "in":
-                            if t.name not in bound:
-                                break
-                        elif mode == "out" and t.name not in bound:
-                            outputs.append(t.name)
-                        else:
-                            break
-                    else:
-                        if len(set(outputs)) == len(outputs):
-                            bound.update(outputs)
-                            continue
+            bound = set(inputs)
+            atoms = iter(clause.body)
+            while (atom := bind_passing(atoms, bound, predicates)) is not None:
                 ins, outs = atom_flow(atom, predicates)
                 for term, kind in mode_faults(atom, ins, outs, bound, predicates):
                     report.add(atom.line, atom.col, fault_text(term, kind, f"point {atom.point}"))
                 # Bind inputs too, to suppress cascading reports.
                 bound.update([name for t in ins + outs for name in term_names(t)])
-            for v in head_outs:
-                if v.name not in bound:
-                    report.add(clause.line, clause.col, unbound_output_text(pred, v.name))
+            if not bound.issuperset(outputs):
+                for name in outputs:
+                    if name not in bound:
+                        report.add(clause.line, clause.col, unbound_output_text(pred, name))
     return report
 
 

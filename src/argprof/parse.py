@@ -20,12 +20,18 @@ nested ground terms and output positions hold fresh variables.
 
 Positions (line and column) are computed only for what carries one: atoms,
 clauses, predicates and errors. Every atom and clause of a program needs
-one, so a program's parse sums the start offsets of all its tokens into one
-list at once. A query needs one per goal atom, and its terms may be long,
-so its tokens compute an offset only when asked, from the token last
-asked for. The query parser also records which argument terms hold a
-variable (``Query.nonground``), as it reads each one, so that nothing after
-it need walk a ground input to learn that it is ground.
+one, so a program is lexed by one ``re.split`` into gaps and tokens, whose
+lengths sum to the start offsets of all its tokens in one list at once. A
+query needs one per goal atom, and its terms may be long, so it is lexed at
+C speed without offsets: its punctuation is spaced out and its text split
+once with ``str.split``, and each distinct chunk is checked once to be one
+token or several. A token's offset is computed only when asked, from the
+lengths of the tokens before it plus a table of the query's runs of blanks,
+built on first use. A query that is not all tokens goes the program's way,
+whose gaps name the bad character. The query parser also records which
+argument terms hold a variable (``Query.nonground``), as it reads each one,
+so that nothing after it need walk a ground input to learn that it is
+ground.
 """
 
 from __future__ import annotations
@@ -86,8 +92,14 @@ class ProgramError(SourceError):
 # and variables, two-character operators, integers. Comments are blanked
 # before the split, so the gaps between tokens hold only blanks, newlines
 # and characters that start no token.
-_SPLIT_RE = re.compile(r"([(),.]|[A-Za-z_][A-Za-z0-9_]*|:-|:=|=>|<=|==|\?-|[0-9]+)")
+_TOKEN = r"[(),.]|[A-Za-z_][A-Za-z0-9_]*|:-|:=|=>|<=|==|\?-|[0-9]+"
+_SPLIT_RE = re.compile(f"({_TOKEN})")
 _COMMENT_RE = re.compile(r"%[^\n]*")
+# Tokens, each followed by a space: the distinct chunks of a query, joined.
+_TOKENS_RE = re.compile(f"(?:(?:{_TOKEN}) )*")
+# Below this many characters, one re.split lexes a query faster than
+# spacing it out and splitting it.
+_SHORT = 32
 
 # The parsers tell a token's kind from its text with string comparisons. In
 # ASCII '(' ')' ',' '.' sort below the digits, ':' '<' '=' '?' between the
@@ -103,19 +115,22 @@ class Tokens:
     input. ``starts`` is the list of every token's start offset in the
     source, when ``tokenize`` built one, or else None. ``position(i)``
     places token ``i`` by its start offset: read from ``starts``, or else
-    summed from the lengths of the split parts between it and the token
-    last placed, so placing tokens in order costs time linear in the
-    source, and in any other order gives the same result."""
+    the summed lengths of the tokens before it plus the blanks and
+    newlines before it. Those are looked up in a table of how many token
+    characters come before each blank or newline, built on the first
+    ``position``; the lengths are summed from the token last placed, so
+    placing tokens in order costs time linear in the source, and in any
+    other order gives the same result."""
 
-    __slots__ = ("texts", "starts", "_parts", "_cursor", "_source", "_line_starts")
+    __slots__ = ("texts", "starts", "_text", "_line_starts", "_gaps", "_cursor")
 
-    def __init__(self, source: str, texts: list[str], starts: list[int] | None, parts: list[str] | None):
+    def __init__(self, text: str, texts: list[str], starts: list[int] | None):
         self.texts = texts
         self.starts = starts
-        self._parts = parts  # gap, token, gap, ..., token, gap: token k is part 2k + 1
-        self._cursor = (0, len(parts[0])) if parts is not None else None  # a token and its start
-        self._source = source
+        self._text = text  # the source with its comments blanked
         self._line_starts: list[int] | None = None
+        self._gaps: list[int] | None = None
+        self._cursor = 0, 0  # a token and the summed lengths of those before it
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -123,17 +138,20 @@ class Tokens:
     def position(self, i: int) -> tuple[int, int]:
         """Line and 1-based column of token ``i``."""
         if self._line_starts is None:
-            self._line_starts = _line_starts(self._source)
+            self._line_starts = _line_starts(self._text)
         if self.starts is not None:
             return _position(self._line_starts, self.starts[i])
-        k, offset = self._cursor
-        # Token i starts after parts 0 .. 2i, token k after parts 0 .. 2k.
+        if self._gaps is None:
+            self._gaps = _gap_table(self._text)
+        k, length = self._cursor
         if i >= k:
-            offset += sum(map(len, self._parts[2 * k + 1 : 2 * i + 1]))
+            length += sum(map(len, self.texts[k:i]))
         else:
-            offset -= sum(map(len, self._parts[2 * i + 1 : 2 * k + 1]))
-        self._cursor = i, offset
-        return _position(self._line_starts, offset)
+            length -= sum(map(len, self.texts[i:k]))
+        self._cursor = i, length
+        # The blanks and newlines after ``length`` token characters or fewer
+        # come before token i.
+        return _position(self._line_starts, length + bisect_right(self._gaps, length))
 
 
 def _line_starts(source: str) -> list[int]:
@@ -146,34 +164,74 @@ def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - line_starts[line - 1] + 1
 
 
+def _gap_table(text: str) -> list[int]:
+    """For each blank or newline of ``text``, whose other characters are
+    tokens, the number of token characters before it."""
+    parts = text.replace("\t", " ").replace("\r", " ").replace("\n", " ").split(" ")
+    before = list(accumulate(map(len, parts)))
+    before.pop()  # the token characters after the last gap
+    return before
+
+
 def tokenize(source: str, starts: bool = False) -> Tokens:
     """Split ``source`` into tokens, ending with the end of input. With
     ``starts``, as a program's parse asks, build the list of every token's
     start offset at once; without it, as a query's does, each is computed
     when ``position`` asks for it.
 
-    Each comment is split as blanks of its length, so every offset stays
+    Each comment is blanked to spaces of its length, so every offset stays
     that of the source; one that runs to the end of the input is cut, so
     that the end of input sits at its ``%``. Otherwise the end of input
     sits just past the last character.
+
+    A query of ``_SHORT`` characters or more is split by ``str.split``: its
+    punctuation spaced out and its tabs and newlines made spaces, one split
+    at spaces gives its chunks, and each distinct chunk is checked once to
+    be one token or, like ``X:=Y``, several. A program, a shorter query and
+    a query with a chunk that is not all tokens are split by one
+    ``re.split`` into gaps and tokens, which gives every token's start and
+    the first character that starts no token, the error's.
     """
     text = source
     if "%" in source:
         text = _COMMENT_RE.sub(lambda m: " " * len(m[0]) if m.end() < len(source) else "", source)
+    if not starts and len(text) >= _SHORT:
+        texts = _split_query(text)
+        if texts is not None:
+            texts.append("")
+            return Tokens(text, texts, None)
     parts = _SPLIT_RE.split(text)  # gap, token, gap, ..., token, gap
     if "".join(parts[::2]).strip(" \t\r\n"):
-        raise _bad_character(source, parts)
+        raise _bad_character(text, parts)
     texts = parts[1::2]
     texts.append("")
     if not starts:
-        return Tokens(source, texts, None, parts)
+        return Tokens(text, texts, None)
     # A token starts where the gap before it ends, and the last gap ends
     # where the input does.
-    offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
-    return Tokens(source, texts, offsets, None)
+    return Tokens(text, texts, list(islice(accumulate(map(len, parts)), 0, None, 2)))
 
 
-def _bad_character(source: str, parts: list[str]) -> LexError:
+def _split_query(text: str) -> list[str] | None:
+    """The tokens of ``text``, split at its blanks, newlines and
+    punctuation, or None if a chunk between them is not all tokens."""
+    text = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(".", " . ")
+    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    chunks = list(filter(None, text.split(" ")))
+    distinct = set(chunks)
+    if not distinct or _TOKENS_RE.fullmatch(" ".join(distinct) + " "):
+        return chunks
+    # Some chunk holds several tokens, such as X:=Y, or is not all tokens.
+    spaced_out = {}
+    for chunk in distinct:
+        parts = _SPLIT_RE.split(chunk)  # gap, token, gap, ..., token, gap
+        if any(parts[::2]):
+            return None
+        spaced_out[chunk] = " ".join(parts[1::2])
+    return " ".join(map(spaced_out.__getitem__, chunks)).split(" ")
+
+
+def _bad_character(text: str, parts: list[str]) -> LexError:
     """The error for the first character of a gap that is not a blank or a
     newline."""
     offset = 0
@@ -190,7 +248,7 @@ def _bad_character(source: str, parts: list[str]) -> LexError:
         message = f"invalid UTF-8 byte 0x{ord(char) - 0xDC00:02x}"
     else:
         message = f"unexpected character {char!r}"
-    return LexError(message, *_position(_line_starts(source), offset))
+    return LexError(message, *_position(_line_starts(text), offset))
 
 
 class _Shared(dict):
@@ -454,43 +512,50 @@ def parse_query(source: str) -> Query:
     def term(i: int) -> tuple[Term, int, list[int]]:
         """The term from token ``i``, the index after it, and the indexes of
         its arguments that are or hold a variable (with repeats)."""
-        # An explicit stack of the terms whose arguments are being read, as
-        # (functor, arguments so far), so nesting depth costs no recursion.
-        open_terms: list[tuple[str, list[Term]]] = []
+        # The innermost open term, whose arguments are being read, is
+        # ``functor`` and ``args``, None outside any; ``enclosing`` stacks
+        # the open terms around it, so nesting depth costs no recursion.
+        functor = args = None
+        enclosing: list[tuple[str, list[Term]]] = []
         held: list[int] = []
         while True:
             text = texts[i]
-            if "A" <= text < "a":
-                done: Term = variables[text]
-                i += 1
-                if open_terms:  # it is in the argument being read
-                    held.append(len(open_terms[0][1]))
-            elif text >= "a" or "0" <= text < ":":
+            if text >= "a" or "0" <= text < ":":
                 if texts[i + 1] == "(":
                     if texts[i + 2] != ")":
-                        open_terms.append((text, []))
+                        if args is not None:
+                            enclosing.append((functor, args))
+                        functor, args = text, []
                         i += 2
                         continue
                     i += 3
                 else:
                     i += 1
-                done = constants[text]
+                done: Term = constants[text]
+            elif "A" <= text:
+                done = variables[text]
+                i += 1
+                if args is not None:  # it is in the argument being read
+                    held.append(len(enclosing[0][1] if enclosing else args))
             else:
                 raise _expected(tokens, "functor", i)
-            # Attach the finished term to the terms it completes.
-            while open_terms:
-                functor, args = open_terms[-1]
-                args.append(done)
-                if texts[i] == ",":
-                    i += 1
-                    break
-                if texts[i] != ")":
-                    raise _expected(tokens, "')'", i)
-                i += 1
-                open_terms.pop()
-                done = FunctorTerm(functor, tuple(args))
-            else:
+            if args is None:
                 return done, i, held
+            args.append(done)
+            text = texts[i]
+            # Each ')' closes the innermost open term, an argument of the
+            # one around it.
+            while text == ")":
+                done = FunctorTerm(functor, tuple(args))
+                i += 1
+                if not enclosing:
+                    return done, i, held
+                functor, args = enclosing.pop()
+                args.append(done)
+                text = texts[i]
+            if text != ",":
+                raise _expected(tokens, "')'", i)
+            i += 1
 
     def record(args: tuple[Term, ...], held: list[int]) -> None:
         """Record the arguments ``held`` names that are terms holding a variable."""

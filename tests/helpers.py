@@ -1783,6 +1783,76 @@ def mutated_sources() -> Iterator[str]:
         yield "".join(chars)
 
 
+# Characters that ``str.split()`` takes for blanks, or ``str.isidentifier``
+# for letters, and parts of two-character operators, none of which starts
+# a token on its own; and lone surrogates, one a non-UTF-8 byte.
+ODD_QUERY_CHARS = (
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+    ":", "-", "<", "?", "\ud800", "\udc80", "é",
+)
+# What may stand between two tokens: mostly nothing, so that chunks such as
+# X:=Y and ?-p( hold several tokens.
+QUERY_GAPS = ("", "", "", " ", "  ", "\t", "\r\n", "\n", " % a note\n", "%\n")
+
+
+def _query_term(rng: random.Random) -> list[str]:
+    """The tokens of a query term: a variable, a constant or integer, or a
+    list of up to 12 elements, some of them pairs."""
+    pick = rng.random()
+    if pick < 0.2:
+        return [rng.choice(("X", "Y", "Out1", "_T"))]
+    if pick < 0.35:
+        return [rng.choice(("a", "nil", "0", "12", "z"))]
+    tokens = []
+    length = rng.randint(0, 12)
+    for _ in range(length):
+        tokens += ["cons", "("]
+        if rng.random() < 0.2:
+            tokens += ["pair", "(", rng.choice("ab"), ",", rng.choice(("1", "X")), ")"]
+        else:
+            tokens.append(rng.choice(("a", "b", "7", "Y")))
+        tokens.append(",")
+    return tokens + ["nil"] + [")"] * length
+
+
+def _goal_atom(rng: random.Random) -> list[str]:
+    """The tokens of a goal atom of a random class."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ["p", "(", *_query_term(rng), ",", *_query_term(rng), ",", "Z", ")"]
+    if kind == 1:
+        return [*_query_term(rng), "=>", "cons", "(", "H", ",", "T", ")"]
+    if kind == 2:
+        return ["W", "<=", "f", "(", *_query_term(rng), ",", "V", ")"]
+    if kind == 3:
+        return ["V", ":=", *_query_term(rng)]
+    return [*_query_term(rng), "==", "U"]
+
+
+def query_sources(count: int = 3000, seed: int = 0x51) -> Iterator[str]:
+    """``count`` queries of one to three goal atoms, their tokens joined by
+    random gaps. About one in four holds a character of ``ODD_QUERY_CHARS``
+    or a chunk ``12ab``, and about one in six ends with a comment that ends
+    the input. They run from a few characters to about a thousand."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tokens = ["?-"]
+        for k in range(rng.randint(1, 3)):
+            if k:
+                tokens.append(",")
+            tokens += _goal_atom(rng)
+        tokens.append(".")
+        if rng.random() < 0.25:
+            bad = rng.choice((*ODD_QUERY_CHARS, "12ab"))
+            tokens.insert(rng.randrange(len(tokens) + 1), bad)
+        gaps = [rng.choice(QUERY_GAPS) for _ in tokens]
+        gaps[0] = rng.choice(("", "", " ", "\n"))  # before the first token
+        source = "".join(gap + token for gap, token in zip(gaps, tokens))
+        if rng.random() < 1 / 6:
+            source += rng.choice((" % the end", "%", "\t%. (", "\n% last line"))
+        yield source
+
+
 def count_calls(monkeypatch, fn) -> list[tuple]:
     """The positional arguments of every call made to ``fn`` from now on,
     under any name any ``argprof`` module binds it to."""

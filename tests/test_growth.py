@@ -16,9 +16,20 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from argprof import PsiOp, compare, parse_program, plan, run_analysis, strip_points, validate_program
+from argprof import (
+    LexError,
+    PsiOp,
+    compare,
+    parse_program,
+    parse_query,
+    plan,
+    run_analysis,
+    strip_points,
+    validate_program,
+)
 from argprof.cli import main
 from argprof.domain import _PSI_TABLE
+from argprof.parse import tokenize
 from helpers import (
     chain_source,
     long_clause_source,
@@ -64,6 +75,42 @@ def test_20000_predicate_ring_and_chain_validate_in_under_a_second():
     start = time.perf_counter()
     assert validate_program(chain).ok()
     assert time.perf_counter() - start < 1.0
+
+
+def _long_list_query(end: str) -> str:
+    """A query on a 100 000-element list, its elements separated by ", "
+    and a newline after every 50th, followed by ``end``."""
+    n = 100_000
+    elements = "".join(f"cons({i % 7}, " + ("\n" if i % 50 == 49 else "") for i in range(n))
+    return "?- app(" + elements + "nil" + ")" * n + end
+
+
+def test_a_goal_atom_after_a_long_list_is_placed_in_linear_time():
+    # The second goal atom is placed from the summed lengths of the 500 000
+    # tokens before it and the table of the gaps between them: as the
+    # token starts place it, where the source has it.
+    source = _long_list_query(", nil, Z),\n  Z => cons(H, T).")
+    start = time.perf_counter()
+    query = parse_query(source)
+    assert time.perf_counter() - start < 1.0
+    listed = tokenize(source, starts=True)
+    second = query.goal[1]
+    assert (second.line, second.col) == listed.position(listed.texts.index("=>") - 1)
+    offset = source.index("Z =>")
+    assert (second.line, second.col) == (source.count("\n", 0, offset) + 1, offset - source.rindex("\n", 0, offset))
+
+
+def test_a_bad_last_character_after_a_long_list_is_placed_in_linear_time():
+    source = _long_list_query(", nil, Z).@")
+    start = time.perf_counter()
+    with pytest.raises(LexError) as exc:
+        parse_query(source)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(LexError) as listed:
+        tokenize(source, starts=True)
+    found = exc.value.message, exc.value.line, exc.value.col
+    assert found == (listed.value.message, listed.value.line, listed.value.col)
+    assert found == ("unexpected character '@'", source.count("\n") + 1, len(source) - 1 - source.rindex("\n"))
 
 
 def test_one_call_chain_answer_grows_by_one_op_per_level():

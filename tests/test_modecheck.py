@@ -17,7 +17,7 @@ from argprof import (
     validate_program,
 )
 from argprof.interp import SolveError, solve
-from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, mode_faults
+from argprof.modecheck import BOUND, NOT_VAR, REPEATED, UNBOUND, bind_passing, mode_faults
 from argprof.parse import SourceError
 from argprof.syntax import (
     Assign,
@@ -37,6 +37,7 @@ from helpers import (
     gen_program_source,
     load_fixture,
     mutated_sources,
+    query_sources,
     reference_programs,
     reference_validate_modes,
     reversed_bodies,
@@ -309,3 +310,57 @@ def test_a_passing_atom_is_not_walked(monkeypatch):
         assert validate_program(program).ok()
         run_analysis(program)
     assert not faults and not flows
+
+
+def _assert_one_rule(atoms, bound, predicates, nonground=None):
+    """Walk ``atoms`` from the names ``bound``: ``bind_passing`` must pass
+    each atom exactly when ``mode_faults`` lists nothing for it, and then
+    give its ``atom_flow`` and bind its outputs."""
+    for atom in atoms:
+        ins, outs = atom_flow(atom, predicates)
+        faults = mode_faults(atom, ins, outs, bound, predicates, nonground)
+        passed, flows = set(bound), []
+        failed = bind_passing(iter((atom,)), passed, predicates, nonground, flows)
+        assert (failed is None) == (not faults), atom
+        if failed is None:
+            assert flows == [(ins, outs)] and passed == bound | {t.name for t in outs}
+        bound |= {name for t in ins + outs for name in syntax.term_names(t)}
+
+
+def test_bind_passing_passes_exactly_the_atoms_without_faults():
+    # The one rule of which atoms pass, that the check and the interpreter
+    # share, against the walk that names every fault: on clause atoms,
+    # hand-built atoms that hold terms, and query atoms with nested terms.
+    programs = [parse_program(source) for source in ILL_MODED] + _hand_built()
+    for source in mutated_sources():
+        try:
+            programs.append(parse_program(source))
+        except SourceError:
+            pass
+    for program in programs:
+        for pred in program.predicates.values():
+            for clause in pred.clauses:
+                _assert_one_rule(clause.body, set(pred.input_arg_names()), program.predicates)
+    program = parse_program(":- pred p(in,in,out).\np(A,B,C) :- C := A.\n")
+    queries = 0
+    for source in query_sources():
+        try:
+            query = parse_query(source)
+        except SourceError:
+            continue
+        _assert_one_rule(query.goal, set(), program.predicates, query.nonground)
+        queries += 1
+    assert queries > 2000
+
+
+def test_compiling_passing_atoms_walks_no_faults(monkeypatch):
+    # The interpreter compiles by the same rule: where every atom passes,
+    # neither mode_faults nor atom_flow is called.
+    faults = count_calls(monkeypatch, mode_faults)
+    flows = count_calls(monkeypatch, atom_flow)
+    program = load_fixture("double_append.lp")
+    answers = solve(program, parse_query("?- dapp(cons(a,nil), cons(b,nil), cons(c,nil), Z)."))
+    assert answers and not faults and not flows
+    with pytest.raises(SolveError):
+        solve(program, parse_query("?- dapp(cons(a,nil), X, nil, Z)."))
+    assert len(faults) == len(flows) == 1

@@ -20,17 +20,19 @@ from argprof import (
     parse_program,
     parse_query,
 )
-from argprof import syntax
+from argprof import parse, syntax
 from argprof.parse import Tokens, tokenize
 from helpers import (
     FIXTURES,
     MUTATION_CHARS,
+    ODD_QUERY_CHARS,
     chain_source,
     fixture_names,
     gen_input_term,
     gen_program_source,
     load_fixture,
     mutated_sources,
+    query_sources,
     reference_parse_program,
     reference_parse_query,
     reference_tokenize,
@@ -571,6 +573,34 @@ def test_parsers_match_reference_on_mutated_sources():
     # The mutations reach every outcome.
     assert program_outcomes == {None, LexError, ParseError, ProgramError}
     assert query_outcomes == {None, LexError, ParseError}
+
+
+def test_query_sources_lex_and_parse_as_the_references_do():
+    # A query of _SHORT characters or more is lexed by spacing out and
+    # splitting, any other by one re.split; both must give the reference
+    # tokenizer's tokens and positions, and the starts=True path's, and the
+    # parse the reference parser's, or the same error at the same place.
+    rng = random.Random(17)
+    outcomes, messages, lengths = set(), set(), set()
+    for source in query_sources():
+        lexed = _lex(tokenize, source)
+        assert lexed == _reference_lex(source), repr(source)
+        if isinstance(lexed, list):
+            tokens, listed = tokenize(source), tokenize(source, starts=True)
+            assert tokens.texts == listed.texts, repr(source)
+            order = list(range(len(tokens)))
+            rng.shuffle(order)
+            assert [tokens.position(i) for i in order] == [listed.position(i) for i in order], repr(source)
+            lengths.add(len(source) >= parse._SHORT)
+        else:
+            messages.add(lexed[0])
+        outcomes.add(_agree(_QUERIES, source))
+    assert outcomes == {None, LexError, ParseError}
+    assert lengths == {False, True}
+    # Each odd character is rejected where it stands alone.
+    odd = {char for char in ODD_QUERY_CHARS if "\udc80" <= char <= "\udcff"}
+    assert {f"unexpected character {char!r}" for char in ODD_QUERY_CHARS if char not in odd} <= messages
+    assert {f"invalid UTF-8 byte 0x{ord(char) - 0xDC00:02x}" for char in odd} <= messages
 
 
 def test_query_constants_are_shared():
