@@ -22,16 +22,16 @@ Positions (line and column) are computed only for what carries one: atoms,
 clauses, predicates and errors. Every atom and clause of a program needs
 one, so a program is lexed by one ``re.split`` into gaps and tokens, whose
 lengths sum to the start offsets of all its tokens in one list at once. A
-query needs one per goal atom, and its terms may be long, so it is lexed at
-C speed without offsets: its punctuation is spaced out and its text split
-once with ``str.split``, and each distinct chunk is checked once to be one
-token or several. A token's offset is computed only when asked, from the
-lengths of the tokens before it plus a table of the query's runs of blanks,
-built on first use. A query that is not all tokens goes the program's way,
-whose gaps name the bad character. The query parser also records which
-argument terms hold a variable (``Query.nonground``), as it reads each one,
-so that nothing after it need walk a ground input to learn that it is
-ground.
+query needs one per goal atom, and its terms may be long, so a query of
+``_SHORT`` characters or more is lexed at C speed without offsets: its
+punctuation is spaced out and its text split once with ``str.split``, and
+each distinct chunk is checked once to be one token or several. A query
+token's offset is computed only when asked, from the lengths of the tokens
+before it plus a table of the query's runs of blanks, built on first use;
+the same table places the first character of a chunk that is not all
+tokens, the error's. The query parser also records which argument terms
+hold a variable (``Query.nonground``), as it reads each one, so that
+nothing after it need walk a ground input to learn that it is ground.
 """
 
 from __future__ import annotations
@@ -165,12 +165,10 @@ def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
 
 
 def _gap_table(text: str) -> list[int]:
-    """For each blank or newline of ``text``, whose other characters are
-    tokens, the number of token characters before it."""
+    """For each blank or newline of ``text``, the number of characters
+    before it that are neither: token characters, where the text lexes."""
     parts = text.replace("\t", " ").replace("\r", " ").replace("\n", " ").split(" ")
-    before = list(accumulate(map(len, parts)))
-    before.pop()  # the token characters after the last gap
-    return before
+    return list(accumulate(map(len, parts)))[:-1]  # the last sum is before no gap
 
 
 def tokenize(source: str, starts: bool = False) -> Tokens:
@@ -187,54 +185,56 @@ def tokenize(source: str, starts: bool = False) -> Tokens:
     A query of ``_SHORT`` characters or more is split by ``str.split``: its
     punctuation spaced out and its tabs and newlines made spaces, one split
     at spaces gives its chunks, and each distinct chunk is checked once to
-    be one token or, like ``X:=Y``, several. A program, a shorter query and
-    a query with a chunk that is not all tokens are split by one
-    ``re.split`` into gaps and tokens, which gives every token's start and
-    the first character that starts no token, the error's.
+    be one token or, like ``X:=Y``, several. A program and a shorter query
+    are split by one ``re.split`` into gaps and tokens. Either way the
+    first character that starts no token raises a ``LexError``.
     """
     text = source
     if "%" in source:
         text = _COMMENT_RE.sub(lambda m: " " * len(m[0]) if m.end() < len(source) else "", source)
+    offsets = None
     if not starts and len(text) >= _SHORT:
         texts = _split_query(text)
-        if texts is not None:
-            texts.append("")
-            return Tokens(text, texts, None)
-    parts = _SPLIT_RE.split(text)  # gap, token, gap, ..., token, gap
-    if "".join(parts[::2]).strip(" \t\r\n"):
-        raise _bad_character(text, parts)
-    texts = parts[1::2]
+    else:
+        parts = _SPLIT_RE.split(text)  # gap, token, gap, ..., token, gap
+        if "".join(parts[::2]).strip(" \t\r\n"):
+            raise _bad_character(text, parts)
+        texts = parts[1::2]
+        if starts:
+            # A token starts where the gap before it ends, and the last gap
+            # ends where the input does.
+            offsets = list(islice(accumulate(map(len, parts)), 0, None, 2))
     texts.append("")
-    if not starts:
-        return Tokens(text, texts, None)
-    # A token starts where the gap before it ends, and the last gap ends
-    # where the input does.
-    return Tokens(text, texts, list(islice(accumulate(map(len, parts)), 0, None, 2)))
+    return Tokens(text, texts, offsets)
 
 
-def _split_query(text: str) -> list[str] | None:
+def _split_query(text: str) -> list[str]:
     """The tokens of ``text``, split at its blanks, newlines and
-    punctuation, or None if a chunk between them is not all tokens."""
-    text = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(".", " . ")
-    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
-    chunks = list(filter(None, text.split(" ")))
+    punctuation. Raises the ``LexError`` of the first character that
+    starts no token."""
+    spaced = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace(".", " . ")
+    spaced = spaced.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    chunks = list(filter(None, spaced.split(" ")))
     distinct = set(chunks)
-    if not distinct or _TOKENS_RE.fullmatch(" ".join(distinct) + " "):
+    if _TOKENS_RE.fullmatch(" ".join(distinct) + " "):
         return chunks
     # Some chunk holds several tokens, such as X:=Y, or is not all tokens.
-    spaced_out = {}
-    for chunk in distinct:
-        parts = _SPLIT_RE.split(chunk)  # gap, token, gap, ..., token, gap
-        if any(parts[::2]):
-            return None
-        spaced_out[chunk] = " ".join(parts[1::2])
-    return " ".join(map(spaced_out.__getitem__, chunks)).split(" ")
+    split = {chunk: _SPLIT_RE.split(chunk) for chunk in distinct}  # gap, token, gap, ..., token, gap
+    bad = [chunk for chunk, parts in split.items() if any(parts[::2])]
+    if bad:
+        # The first chunk that is not all tokens holds the first character
+        # that starts no token; the chunk starts after ``length``
+        # characters that are not blanks or newlines.
+        k = min(map(chunks.index, bad))
+        length = sum(map(len, chunks[:k]))
+        raise _bad_character(text, split[chunks[k]], length + bisect_right(_gap_table(text), length))
+    spaced_out = {chunk: " ".join(parts[1::2]) for chunk, parts in split.items()}
+    return " ".join(map(spaced_out.__getitem__, chunks)).split()
 
 
-def _bad_character(text: str, parts: list[str]) -> LexError:
+def _bad_character(text: str, parts: list[str], offset: int = 0) -> LexError:
     """The error for the first character of a gap that is not a blank or a
-    newline."""
-    offset = 0
+    newline, where ``parts`` split ``text`` from ``offset`` on."""
     for k in range(0, len(parts), 2):
         rest = parts[k].lstrip(" \t\r\n")
         if rest:
