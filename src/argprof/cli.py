@@ -2,18 +2,25 @@
 
 Exit codes: 0 on success (including a Distinct compare verdict), 1 on
 a diagnostic (a program that does not parse or validate, a failed query),
-2 on usage errors. Any other exception (a
-bug, or memory exhausted) is reported as one ``argprof: internal error:``
-line with exit 1. When standard output closes early (its reader, such as
-``head``, stops), the command ends quietly with exit 1. All output is
-deterministic: canonical operation strings, sorted JSON keys.
+2 on usage errors. Any other exception (a bug, or memory exhausted) is
+reported as one ``argprof: internal error:`` line with exit 1. When
+standard output closes early (its reader, such as ``head``, stops), the
+command ends quietly with exit 1. All output is deterministic: canonical
+operation strings, sorted JSON keys.
+
+The command lines README documents are read by ``_read_line``, without
+argparse. argparse is imported, and its parser built, only by the first
+call that prints help or a usage error or that uses a form only argparse
+reads (an abbreviation, ``--opt=value``, ``-oOUT``, ``--``, ``-h``, an
+option-like positional); it stays the one definition of all of those.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Sequence, TextIO
+from functools import cache
+from types import SimpleNamespace
+from typing import Callable, Sequence, TextIO
 
 from .analysis import Environment, AnalysisTrace, argument_profiles, round_counts, run_analysis
 from .domain import ArgumentProfile, Operation, PsiOp, canon_op, render_interaction_set
@@ -187,7 +194,7 @@ def write_report(
         out.write("\n  ]\n}\n" if program.predicates else '{\n  "predicates": []\n}\n')
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     program, _ = _load_validated(args.file)
     env, trace = run_analysis(program)
     if args.trace:
@@ -206,7 +213,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
+def cmd_normalize(args: SimpleNamespace) -> int:
     program, _ = _load_validated(args.file)
     env, _ = run_analysis(program)
     normalization = plan(program, env)
@@ -229,7 +236,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> int:
     program, label = _load_validated(args.file)
     for name in (args.pred1, args.pred2):
         if name not in program.predicates:
@@ -255,7 +262,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: SimpleNamespace) -> int:
     # Only this command needs the interpreter, so only it imports it.
     from . import interp
 
@@ -284,17 +291,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-class _StepLimit(argparse.Action):
-    """Stores ``--limit``; a negative limit, which would stop the query
-    before its first step, is a usage error."""
+def build_parser():
+    """The argparse parser: the one definition of help, of usage errors and
+    of every command-line form that ``_read_line`` leaves to it."""
+    import argparse
 
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must not be negative: {value}")
-        setattr(namespace, self.dest, value)
+    class _StepLimit(argparse.Action):
+        """Stores ``--limit``; a negative limit, which would stop the query
+        before its first step, is a usage error."""
 
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < 0:
+                raise argparse.ArgumentError(self, f"must not be negative: {value}")
+            setattr(namespace, self.dest, value)
 
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="argprof",
         description="Argument-profile analysis, normalization and profile equivalence "
@@ -332,15 +342,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once, when the module is imported: parsing reads the parser and
-# never changes it, so every main call in a process can share it.
-_PARSER = build_parser()
+# Built by the first call that needs it, then shared: parsing reads the
+# parser and never changes it, so every main call in a process can share it.
+@cache
+def _parser():
+    return build_parser()
+
+
+def _step_count(text: str) -> int | None:
+    """The ``--limit`` that ``text`` gives, or None where argparse would
+    reject it (not an integer, or negative)."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 0 else None
+
+
+# The command lines README documents, as ``_read_line`` reads them: each
+# command's function, its positionals in order, and its options spelled in
+# full, each with its dest and the reader of its value (None for a flag,
+# which is False unless given; an option with a value is None unless given).
+_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], tuple[str, ...], dict]] = {
+    "analyze": (cmd_analyze, ("file",), {"--json": ("json", None), "--trace": ("trace", None)}),
+    "normalize": (cmd_normalize, ("file",), {"-o": ("output", str), "--output": ("output", str)}),
+    "compare": (cmd_compare, ("file", "pred1", "pred2"), {}),
+    "run": (cmd_run, ("file", "query"), {"--limit": ("limit", _step_count)}),
+}
+
+
+def _read_line(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of ``argv`` when it is a line of
+    ``_COMMANDS``: a command, exactly its positionals and any of its options,
+    where each positional and option value is ``-`` or does not start with
+    ``-``. None for any other line, which argparse reads: abbreviations,
+    ``--opt=value``, ``-oOUT``, ``--``, help, option-like values and every
+    usage error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, positionals, options = _COMMANDS[argv[0]]
+    values = {dest: False if read is None else None for dest, read in options.values()}
+    given = []
+    rest = iter(argv[1:])
+    for item in rest:
+        if item == "-" or item[:1] != "-":
+            given.append(item)
+            continue
+        if item not in options:
+            return None
+        dest, read = options[item]
+        if read is None:
+            values[dest] = True
+            continue
+        text = next(rest, "--")  # a missing value reads as one no option takes
+        value = read(text) if text == "-" or text[:1] != "-" else None
+        if value is None:
+            return None
+        values[dest] = value
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_line(argv)
+    if args is None:
+        args = _parser().parse_args(argv, SimpleNamespace())
     if args.command == "run" and args.file == args.query == "-":
-        _PARSER.error("the program and the query cannot both be read from stdin")
+        _parser().error("the program and the query cannot both be read from stdin")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -30,6 +30,7 @@ from helpers import (
     fixture_names,
     gen_mutual_source,
     gen_program_source,
+    load_fixture,
     mutated_sources,
     rotating_recursion_source,
 )
@@ -392,6 +393,25 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
+def test_documented_commands_never_import_argparse():
+    # argparse is imported only to print help or a usage error, or to read
+    # a form the documented command lines do not use.
+    code = (
+        "import sys\n"
+        "from argprof.cli import main\n"
+        f"assert main(['analyze', '--json', {fixture('append.lp')!r}]) == 0\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "[]\n")
+
+
 def test_missing_file_exit_1(capsys):
     assert main(["analyze", "/nonexistent/file.lp"]) == 1
     err = capsys.readouterr().err
@@ -606,15 +626,85 @@ def test_help_and_usage_errors_are_pinned(monkeypatch):
         assert _call(case["argv"]) == (case["code"], case["stdout"], case["stderr"]), case["argv"]
 
 
-def test_main_never_builds_a_parser(monkeypatch, capsys):
-    def fail():
-        raise AssertionError("main built a parser")
+def _outcome(monkeypatch, workdir: Path, argv: list[str], stdin_text: str = "") -> tuple:
+    """Exit code, stdout and stderr of one CLI call made in the new directory
+    ``workdir`` with ``stdin_text`` as standard input, and the files it wrote."""
+    workdir.mkdir(parents=True)
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    return (*_call(argv), {path.name: path.read_text() for path in sorted(workdir.iterdir())})
 
-    monkeypatch.setattr(argprof.cli, "build_parser", fail)
-    assert main(["analyze", fixture("append.lp")]) == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze"])
-    assert exc.value.code == 2
+
+def test_forms_only_argparse_reads_are_pinned(monkeypatch, tmp_path):
+    # Recorded while argparse read every command line.
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = json.loads((FIXTURES / "usage_forms.json").read_text())
+    append = (FIXTURES / "append.lp").read_text()
+    for i, case in enumerate(recorded):
+        assert argprof.cli._read_line(case["argv"]) is None, case["argv"]
+        expected = (case["code"], case["stdout"], case["stderr"], case["files"])
+        assert _outcome(monkeypatch, tmp_path / str(i), case["argv"], append) == expected, case["argv"]
+
+
+def _documented_lines(name: str) -> list[list[str]]:
+    """One line of each form README documents on fixture ``name``. compare
+    takes its first two predicates of equal arity (its first one twice when
+    no two agree), and run calls its first predicate with ``nil`` inputs."""
+    path = fixture(name)
+    preds = list(load_fixture(name).predicates.values())
+    pair = next(
+        ([p.name, q.name] for i, p in enumerate(preds) for q in preds[i + 1 :] if p.arity == q.arity),
+        [preds[0].name] * 2,
+    )
+    args = ["nil" if mode == "in" else f"V{i}" for i, mode in enumerate(preds[0].modes, 1)]
+    return [
+        ["analyze", path],
+        ["analyze", path, "--json"],
+        ["analyze", path, "--trace"],
+        ["normalize", path],
+        ["normalize", path, "-o", "out.lp"],
+        ["compare", path, *pair],
+        ["run", path, f"?- {preds[0].name}({', '.join(args)})."],
+    ]
+
+
+def _same_without_the_reader(monkeypatch, tmp_path, argv: list[str]) -> None:
+    read = _outcome(monkeypatch, tmp_path / "read", argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(argprof.cli, "_read_line", lambda argv: None)
+        parsed = _outcome(patch, tmp_path / "parsed", argv)
+    assert read == parsed, argv
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_reader_and_argparse_give_the_same_outcome(name, tmp_path, monkeypatch):
+    for i, argv in enumerate(_documented_lines(name)):
+        assert argprof.cli._read_line(argv) is not None, argv
+        _same_without_the_reader(monkeypatch, tmp_path / str(i), argv)
+
+
+def test_usage_errors_are_the_same_without_the_reader(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for i, case in enumerate(json.loads((FIXTURES / "usage.json").read_text())):
+        _same_without_the_reader(monkeypatch, tmp_path / str(i), case["argv"])
+
+
+def test_only_help_and_usage_errors_build_the_parser(monkeypatch):
+    argprof.cli._parser.cache_clear()  # built on first need, then cached
+    built = count_calls(monkeypatch, argprof.cli.build_parser)
+    append = fixture("append.lp")
+    monkeypatch.setattr("sys.stdin", io.StringIO("?- app(nil, nil, Z)."))
+    for argv in (
+        ["analyze", append, "--json"],
+        ["normalize", append, "-o", os.devnull],
+        ["compare", append, "app", "app"],
+        ["run", append, "-", "--limit", "10"],
+    ):
+        assert _call(argv)[0] == 0, argv
+    assert built == []
+    for argv, code in ((["analyze"], 2), (["run", "-", "-"], 2), (["--help"], 0)):
+        assert _call(argv)[0] == code, argv
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ python3.10, python3.12 and python3.13 that can be started from PATH
 ``python -m argprof.cli`` with ``analyze --json`` and ``normalize`` on
 every fixture, and ``analyze`` on a few malformed programs, and require
 the exit code, stdout and stderr of the in-process run. The child needs
-only the standard library, and ``-m`` runs the module-level parser build
-as the entry point does.
+only the standard library, and ``-m`` runs ``main`` as the entry point
+does.
 """
 
 from __future__ import annotations
